@@ -164,15 +164,18 @@ done
 
 # Stamp every report with the measurement host: the benches themselves
 # stay host-agnostic, but the checked-in JSON must say how many CPUs the
-# numbers were taken on — on a 1-CPU container the concurrent and
-# portfolio phases can only show overhead parity, never parallel
-# speedup.  Inserted right after the opening brace so it reads first.
+# numbers were taken on.  Only a 1-CPU host gets the caveat: there the
+# concurrent and portfolio phases can show overhead parity, never
+# parallel speedup.  Inserted right after the opening brace so it reads
+# first.
 cores="$(nproc)"
-caveat="measured with $cores CPU(s); on a 1-CPU container concurrent/portfolio phases show overhead parity, not parallel speedup"
+host="{\"nproc\": $cores}"
+if [ "$cores" -eq 1 ]; then
+  host="{\"nproc\": 1, \"caveat\": \"measured with 1 CPU: concurrent/portfolio phases show overhead parity, not parallel speedup\"}"
+fi
 for report in BENCH_serve.json BENCH_chase.json BENCH_mt.json \
               BENCH_wal.json BENCH_sat.json BENCH_obs.json; do
-  sed -i "1s|^{|{\n  \"host\": {\"nproc\": $cores, \"caveat\": \"$caveat\"},|" \
-    "$repo_root/$report"
+  sed -i "1s|^{|{\n  \"host\": $host,|" "$repo_root/$report"
 done
 
 echo "bench: wrote $repo_root/BENCH_serve.json, $repo_root/BENCH_chase.json," \

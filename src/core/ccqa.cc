@@ -60,32 +60,17 @@ Result<std::vector<sat::Lit>> BlockingClause(
   return clause;
 }
 
-}  // namespace
-
-namespace internal {
-
-Result<std::vector<int>> QueryInstances(const Specification& spec,
-                                        const query::Query& q) {
-  std::vector<int> out;
-  for (const std::string& name : q.body->Relations()) {
-    ASSIGN_OR_RETURN(int i, spec.InstanceIndex(name));
-    out.push_back(i);
-  }
-  return out;
-}
-
-/// Conflict-driven certain-membership loop on a prebuilt encoder:
-/// searches for a consistent completion whose current instance does NOT
-/// answer `t`, blocking after each failed attempt only the cells the
-/// witnessed derivation read.  Terminates because every iteration
-/// excludes at least the current projected model; sound and complete per
-/// the argument in eval.h.  The encoder must cover every entity of the
-/// query's instances (a merged component encoder does).
-Result<bool> CheckCertainMemberWith(Encoder* encoder,
-                                    const Specification& spec,
-                                    const query::Query& q, const Tuple& t,
-                                    const std::vector<int>& instances,
-                                    const CcqaOptions& options) {
+/// Conflict-driven certain-membership loop: searches for a consistent
+/// completion whose current instance does NOT answer `t`, blocking after
+/// each failed attempt only the cells the witnessed derivation read.
+/// Terminates because every iteration excludes at least the current
+/// projected model; sound and complete per the argument in eval.h.  Runs
+/// inside the solver scope CheckCertainMemberWith opens, so the blocking
+/// clauses are retractable.
+Result<bool> CertainMemberLoop(Encoder* encoder, const Specification& spec,
+                               const query::Query& q, const Tuple& t,
+                               const std::vector<int>& instances,
+                               const CcqaOptions& options) {
   int64_t iterations = 0;
   while (encoder->solver().Solve() == sat::SolveResult::kSat) {
     if (++iterations > options.max_current_instances) {
@@ -110,19 +95,53 @@ Result<bool> CheckCertainMemberWith(Encoder* encoder,
     ASSIGN_OR_RETURN(
         std::vector<sat::Lit> clause,
         BlockingClause(*encoder, spec, instances, lst, support));
-    if (!encoder->solver().AddClause(std::move(clause))) break;
+    // A scoped clause is rejected only when the base formula is UNSAT,
+    // which the SAT verdict above has just ruled out.  (A blocking clause
+    // that is empty — a derivation reading no cell — retires the scope
+    // instead, and the next Solve reports every completion covered.)
+    if (!encoder->solver().AddClause(std::move(clause))) {
+      return Status::Internal(
+          "scoped blocking clause rejected by a satisfiable encoder");
+    }
   }
   return true;  // every completion answers t
 }
 
+}  // namespace
+
+namespace internal {
+
+Result<std::vector<int>> QueryInstances(const Specification& spec,
+                                        const query::Query& q) {
+  std::vector<int> out;
+  for (const std::string& name : q.body->Relations()) {
+    ASSIGN_OR_RETURN(int i, spec.InstanceIndex(name));
+    out.push_back(i);
+  }
+  return out;
+}
+
+Result<bool> CheckCertainMemberWith(Encoder* encoder,
+                                    const Specification& spec,
+                                    const query::Query& q, const Tuple& t,
+                                    const std::vector<int>& instances,
+                                    const CcqaOptions& options) {
+  sat::Solver& solver = encoder->solver();
+  solver.NewScope();
+  Result<bool> certain =
+      CertainMemberLoop(encoder, spec, q, t, instances, options);
+  solver.CloseScope();
+  return certain;
+}
+
 Result<std::set<Tuple>> CertainAnswersVia(
     Encoder* seed,
-    const std::function<Result<std::unique_ptr<Encoder>>()>& make_encoder,
+    const std::function<Result<std::unique_ptr<Encoder>>()>& /*make_encoder*/,
     const Specification& spec, const query::Query& q,
     const std::vector<int>& instances, const CcqaOptions& options) {
   // Candidates come from the seed encoder's first model (certain ⊆ each
-  // Q(LST)), then each candidate gets a certain-membership check on a
-  // fresh encoder (the membership loop mutates it with blocking clauses).
+  // Q(LST)), then each candidate gets a certain-membership check on the
+  // seed itself: every check retracts its blocking clauses on return.
   if (seed->solver().Solve() == sat::SolveResult::kUnsat) {
     return Status::Inconsistent(
         "Mod(S) is empty: every tuple is vacuously a certain answer");
@@ -132,9 +151,8 @@ Result<std::set<Tuple>> CertainAnswersVia(
   ASSIGN_OR_RETURN(std::set<Tuple> candidates, query::EvalQuery(q, db));
   std::set<Tuple> certain;
   for (const Tuple& t : candidates) {
-    ASSIGN_OR_RETURN(auto encoder, make_encoder());
-    ASSIGN_OR_RETURN(bool keep, CheckCertainMemberWith(encoder.get(), spec, q,
-                                                       t, instances, options));
+    ASSIGN_OR_RETURN(bool keep, CheckCertainMemberWith(seed, spec, q, t,
+                                                       instances, options));
     if (keep) certain.insert(t);
   }
   return certain;
@@ -554,14 +572,12 @@ Result<std::set<Tuple>> CertainCurrentAnswers(const Specification& spec,
           "Mod(S) is empty: every tuple is vacuously a certain answer");
     }
     ASSIGN_OR_RETURN(auto seed, decomposed->BuildMergedEncoder(relevant));
-    return internal::CertainAnswersVia(
-        seed.get(), [&] { return decomposed->BuildMergedEncoder(relevant); },
-        spec, q, instances, options);
+    return internal::CertainAnswersVia(seed.get(), nullptr, spec, q,
+                                       instances, options);
   }
   ASSIGN_OR_RETURN(auto seed, Encoder::Build(spec, enc));
-  return internal::CertainAnswersVia(
-      seed.get(), [&] { return Encoder::Build(spec, enc); }, spec, q,
-      instances, options);
+  return internal::CertainAnswersVia(seed.get(), nullptr, spec, q, instances,
+                                     options);
 }
 
 Result<bool> IsCertainCurrentAnswer(const Specification& spec,

@@ -102,14 +102,20 @@ namespace internal {
 Result<std::vector<int>> QueryInstances(const Specification& spec,
                                         const query::Query& q);
 
-/// The conflict-driven certain-membership loop on a caller-built encoder
-/// covering every entity of the query's instances (a merged component
-/// encoder from DecomposedEncoder::BuildMergedEncoder does).  Mutates the
-/// encoder with blocking clauses, so callers must hand in a throwaway
-/// encoder — never a cached component encoder.  Returns true when every
-/// consistent completion's current instance answers `t` (vacuously true
-/// when the encoder is UNSAT).  Shared by the one-shot CCQA solvers and
-/// the serving layer's CcqaBatch.
+/// The conflict-driven certain-membership loop on an encoder covering
+/// every entity of the query's instances (a component encoder of the
+/// query's only component, or a merged encoder from
+/// DecomposedEncoder::BuildMergedEncoder).  The blocking clauses go in
+/// under a solver scope (sat::Solver::NewScope) that is closed on every
+/// return path, so the encoder's formula is left as it was found: any
+/// clause learnt from a blocking clause carries the scope literal and is
+/// deleted with it, and every clause that survives is implied by the
+/// base encoding.  Cached encoders are therefore fair game; the caller
+/// only needs exclusive use of the solver for the call.  Returns true
+/// when every consistent completion's current instance answers `t`
+/// (vacuously true when the encoder is UNSAT), and Status::Internal if a
+/// satisfiable encoder rejects a scoped clause.  Shared by the one-shot
+/// CCQA solvers and the serving layer's CcqaBatch.
 Result<bool> CheckCertainMemberWith(Encoder* encoder,
                                     const Specification& spec,
                                     const query::Query& q, const Tuple& t,
@@ -118,9 +124,10 @@ Result<bool> CheckCertainMemberWith(Encoder* encoder,
 
 /// The candidate-and-check loop behind CertainCurrentAnswers: candidates
 /// come from `seed`'s first model (certain answers are a subset of every
-/// Q(LST)), then each candidate runs CheckCertainMemberWith on a fresh
-/// encoder from `make_encoder`.  Returns Status::Inconsistent when the
-/// seed is UNSAT (Mod(S) = ∅).
+/// Q(LST)), then each candidate runs CheckCertainMemberWith on `seed`
+/// itself.  `make_encoder` is never called; it remains only so existing
+/// callers (perfbench's layer twin) keep compiling, and may be null.
+/// Returns Status::Inconsistent when the seed is UNSAT (Mod(S) = ∅).
 Result<std::set<Tuple>> CertainAnswersVia(
     Encoder* seed,
     const std::function<Result<std::unique_ptr<Encoder>>()>& make_encoder,

@@ -23,7 +23,8 @@
 //     component encoder.
 //   * CCQA: the distinct current instances of S are the cartesian product
 //     of per-component current fragments; certain-membership checks run
-//     on a merged encoder covering just the components a query touches.
+//     on an encoder covering just the components a query touches (the
+//     component's own when it is one, else a merged one).
 //
 // Equivalence with the monolithic encoder is property-tested against the
 // brute-force oracle (tests/oracle_invariants_test.cc) and benchmarked in
@@ -240,8 +241,13 @@ class DecomposedEncoder {
       int c, const sat::PortfolioOptions& portfolio, exec::ThreadPool* pool);
 
   /// A fresh encoder covering exactly the union of `components` (callers
-  /// own it; it is not cached).  Used by CCQA's certain-membership loop,
-  /// which mutates its encoder with blocking clauses.
+  /// own it; it is not cached here).  CCQA's certain-membership loop runs
+  /// on one when a query touches several components: its blocking
+  /// clauses live in a retractable solver scope, so one merged encoder
+  /// serves every candidate of a request — and, cached in a serving
+  /// epoch's merged slot, every request over the same component set.
+  /// Like BuildComponentEncoder it reads only post-Build state, so
+  /// concurrent calls are safe.
   Result<std::unique_ptr<Encoder>> BuildMergedEncoder(
       const std::vector<int>& components) const;
 

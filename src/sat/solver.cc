@@ -156,10 +156,89 @@ void Solver::CancelUntil(int level) {
   qhead_ = trail_.size();
 }
 
+Lit Solver::NewScope() {
+  ConfinementGuard guard(*this);
+  assert(scope_ == kLitUndef && "solver scopes do not nest");
+  CancelUntil(0);
+  Var v = parked_scope_var_;
+  if (v < 0) {
+    v = NewVar();
+  } else {
+    // Revive the parked variable: clear its level-0 unit ¬v.  No clause
+    // mentions v, so nothing on the trail depends on that unit.
+    assert(!AnyClauseMentions(v));
+    trail_.erase(std::remove(trail_.begin(), trail_.end(), MakeLit(v, true)),
+                 trail_.end());
+    qhead_ = trail_.size();
+    assign_[v] = 0;
+    order_heap_.Insert(v, activity_);
+    parked_scope_var_ = -1;
+  }
+  scope_ = MakeLit(v);
+  return scope_;
+}
+
+void Solver::CloseScope() {
+  ConfinementGuard guard(*this);
+  assert(scope_ != kLitUndef && "CloseScope without an open scope");
+  const Var v = LitVar(scope_);
+  scope_ = kLitUndef;
+  CancelUntil(0);
+  // Park v false at level 0.  A refuted scope already left ¬v there;
+  // its reason may be one of the clauses deleted below, so drop it.
+  // Either way ¬v propagates nothing once those clauses are gone.
+  if (assign_[v] == 0) {
+    UncheckedEnqueue(MakeLit(v, true), kCRefUndef);
+    qhead_ = trail_.size();
+  }
+  reason_[v] = kCRefUndef;
+  parked_scope_var_ = v;
+  // Only ¬v can have a reason mentioning v (a reason's other literals are
+  // false, and v is never true at level 0), so no dead clause stays
+  // locked.
+  int64_t deleted = 0;
+  for (CRef cref : clauses_) {
+    if (!Mentions(cref, v)) continue;
+    ClauseView c = arena_.View(cref);
+    if (c.learnt()) {
+      --num_learnts_;
+      if (c.size() > 2) --*TierCounter(c.tier());
+    }
+    arena_.Free(cref);
+    ++deleted;
+  }
+  stats_.deleted_clauses += deleted;
+  PurgeDeadClauses(/*binaries=*/true);
+}
+
+bool Solver::Mentions(CRef cref, Var v) {
+  ClauseView c = arena_.View(cref);
+  for (int i = 0; i < c.size(); ++i) {
+    if (LitVar(c.lit(i)) == v) return true;
+  }
+  return false;
+}
+
+bool Solver::AnyClauseMentions(Var v) {
+  for (CRef cref : clauses_) {
+    if (Mentions(cref, v)) return true;
+  }
+  return false;
+}
+
+const std::vector<Lit>& Solver::WithScopeLiteral(
+    const std::vector<Lit>& assumptions) {
+  scoped_assumptions_.assign(1, scope_);
+  scoped_assumptions_.insert(scoped_assumptions_.end(), assumptions.begin(),
+                             assumptions.end());
+  return scoped_assumptions_;
+}
+
 bool Solver::AddClause(std::vector<Lit> lits) {
   ConfinementGuard guard(*this);
   if (!ok_) return false;
   CancelUntil(0);
+  if (scope_ != kLitUndef) lits.push_back(Negate(scope_));
   // Level-0 simplification: drop false literals, detect satisfied clauses
   // and tautologies, deduplicate.
   std::sort(lits.begin(), lits.end());
@@ -421,19 +500,31 @@ void Solver::ReduceDB() {
   // the survivors' order), drop them from the clause list, and compact.
   for (size_t k = 0; k < target; ++k) arena_.Free(candidates[k]);
   stats_.tier_local -= static_cast<int64_t>(target);
+  num_learnts_ -= static_cast<int64_t>(target);
+  stats_.deleted_clauses += static_cast<int64_t>(target);
+  ++stats_.reductions;
+  // Binary clauses are never deletable (size > 2 above), so the binary
+  // watch lists need no sweep.
+  PurgeDeadClauses(/*binaries=*/false);
+}
+
+void Solver::PurgeDeadClauses(bool binaries) {
   auto dead = [this](CRef c) { return arena_.View(c).dead(); };
   for (std::vector<Watcher>& wl : watches_) {
     wl.erase(std::remove_if(wl.begin(), wl.end(),
                             [&dead](const Watcher& w) { return dead(w.cref); }),
              wl.end());
   }
-  // Binary clauses are never deletable (size > 2 above), so the binary
-  // watch lists need no sweep.
+  if (binaries) {
+    for (std::vector<BinWatcher>& wl : bin_watches_) {
+      wl.erase(std::remove_if(
+                   wl.begin(), wl.end(),
+                   [&dead](const BinWatcher& w) { return dead(w.cref); }),
+               wl.end());
+    }
+  }
   clauses_.erase(std::remove_if(clauses_.begin(), clauses_.end(), dead),
                  clauses_.end());
-  num_learnts_ -= static_cast<int64_t>(target);
-  stats_.deleted_clauses += static_cast<int64_t>(target);
-  ++stats_.reductions;
   GarbageCollect();
 }
 
@@ -670,8 +761,10 @@ int64_t Solver::RestartInterval(int restart_count) const {
 }
 
 std::optional<SolveResult> Solver::SolveLimited(
-    const std::vector<Lit>& assumptions, const std::atomic<bool>* stop) {
+    const std::vector<Lit>& requested, const std::atomic<bool>* stop) {
   ConfinementGuard guard(*this);
+  const std::vector<Lit>& assumptions =
+      scope_ == kLitUndef ? requested : WithScopeLiteral(requested);
   CancelUntil(0);
   if (!ok_) return SolveResult::kUnsat;
   if (Propagate() != kCRefUndef) {

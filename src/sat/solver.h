@@ -40,6 +40,27 @@
 // suite asserts this).  GC runs only at decision level 0; no CRef may be
 // held across ReduceDB by callers (none of the public API exposes one).
 //
+// Retractable scopes (MiniSat-style activation literals).  NewScope()
+// returns an activation literal a; until CloseScope(), every clause C the
+// caller adds is attached as (¬a ∨ C) and every solve assumes a ahead of
+// the caller's assumptions.  The contract callers rely on: after
+// CloseScope(), the solver answers every later call exactly as it would
+// have without the scope.  Two facts carry it:
+//  * a occurs only negatively in the formula, so setting it false
+//    satisfies every scoped clause: any clause derived during the scope
+//    that does not mention a is implied by the unscoped formula alone.
+//  * a is an assumption decision (no reason clause), so every learnt
+//    clause whose derivation used a scoped clause keeps ¬a — 1UIP
+//    analysis cannot resolve it away and minimization cannot drop it.
+// CloseScope() (at level 0) deletes every clause, problem or learnt,
+// binary or long, that mentions a; drops the reason of the level-0 unit ¬a
+// that a scope refuted under its assumption leaves behind; and compacts
+// the arena through the same purge-and-GC path ReduceDB uses.  The
+// variable then stays parked false at level 0 — no clause mentions it, so
+// it propagates nothing and never becomes a decision — until the next
+// NewScope() clears that unit and reuses it: NumVars() stays flat across
+// any number of open/close cycles.  Scopes do not nest.
+//
 // Thread confinement: a Solver is NOT thread-safe — no internal locking,
 // and every entry point (NewVar, AddClause, Solve, SolveWithAssumptions,
 // ModelValue) mutates or reads search state.  The parallel execution
@@ -140,6 +161,25 @@ class Solver {
   /// already in an UNSAT state after the simplification (adding the
   /// empty clause, or a unit that contradicts level-0 knowledge).
   bool AddClause(std::vector<Lit> lits);
+
+  /// Opens a retractable clause scope and returns its activation literal
+  /// a (see the header comment for the contract).  Until CloseScope(),
+  /// AddClause(C) attaches (¬a ∨ C) and every solve assumes a first.
+  /// Requires no scope to be open.
+  Lit NewScope();
+
+  /// Retracts the open scope: deletes every clause mentioning the scope
+  /// variable, learnt clauses included, and compacts the arena.  Runs at
+  /// decision level 0 (it backtracks there first).
+  void CloseScope();
+
+  /// True between NewScope() and CloseScope().
+  bool scope_open() const { return scope_ != kLitUndef; }
+
+  /// True iff some live clause (problem or learnt, binaries included)
+  /// contains `v` or ¬v.  A linear scan of the clause DB, for tests and
+  /// debug checks — never on a solving path.
+  bool AnyClauseMentions(Var v);
 
   /// Solves the current formula.
   SolveResult Solve() { return SolveWithAssumptions({}); }
@@ -327,6 +367,17 @@ class Solver {
   /// Runs ReduceDB when the learnt-clause count exceeds the adaptive
   /// limit, growing the limit after each reduction.
   void MaybeReduceDB();
+  /// Unhooks the watchers of every clause marked dead (in place, so the
+  /// survivors keep their order), drops the dead from clauses_, and
+  /// compacts the arena.  `binaries` also sweeps the binary watch lists
+  /// (only CloseScope deletes binary clauses).  Level 0 only; callers
+  /// must have unlocked every dead clause.
+  void PurgeDeadClauses(bool binaries);
+  /// True iff clause `cref` contains `v` or ¬v.
+  bool Mentions(CRef cref, Var v);
+  /// `assumptions` with the open scope's activation literal in front
+  /// (reuses scoped_assumptions_).
+  const std::vector<Lit>& WithScopeLiteral(const std::vector<Lit>& assumptions);
   /// Two-space arena compaction: relocates every live clause and
   /// translates the clause list, reason slots, and watcher lists in
   /// place (order preserved — relocation is bit-for-bit transparent to
@@ -385,6 +436,14 @@ class Solver {
   /// Per-literal generation stamps for MinimizeWithBinaryResolution.
   std::vector<uint64_t> lit_stamp_;
   uint64_t stamp_gen_ = 0;
+
+  /// Activation literal of the open scope, or kLitUndef.
+  Lit scope_ = kLitUndef;
+  /// A closed scope's variable, parked false at level 0 for the next
+  /// NewScope to reuse; -1 when none.
+  Var parked_scope_var_ = -1;
+  /// Scratch: the scope literal followed by the caller's assumptions.
+  std::vector<Lit> scoped_assumptions_;
 
   Options options_;
   uint64_t rng_state_ = 0;  ///< 0 = randomness disabled

@@ -1,5 +1,6 @@
 #include "src/serve/epoch.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/sat/solver.h"
@@ -117,6 +118,19 @@ void SampleSolverDelta(const SessionCounters* counters,
   shift(counters->sat_tier_local, after.tier_local - before.tier_local);
 }
 
+/// Runs `fn` on a slot's encoder (the caller holds the slot mutex) and
+/// publishes the solver work it did.
+Status RunSampled(const SessionCounters* counters, core::Encoder* encoder,
+                  const std::function<Status(core::Encoder*)>& fn) {
+  const sat::SolverStats before = encoder->solver().stats();
+  Status status = fn(encoder);
+  // The next holder of the slot must see only implied clauses: CCQA's
+  // scoped blocking clauses are retracted before the mutex is released.
+  assert(!encoder->solver().scope_open());
+  SampleSolverDelta(counters, before, encoder->solver().stats());
+  return status;
+}
+
 }  // namespace
 
 Result<bool> Epoch::SolveComponentBase(int c) {
@@ -174,10 +188,27 @@ Status Epoch::WithComponentEncoder(
     // this epoch was still pinned; rebuilding gives identical answers.
     ASSIGN_OR_RETURN(slot.encoder, decomposed_->BuildComponentEncoder(c));
   }
-  const sat::SolverStats before = slot.encoder->solver().stats();
-  Status status = fn(slot.encoder.get());
-  SampleSolverDelta(counters_, before, slot.encoder->solver().stats());
-  return status;
+  return RunSampled(counters_, slot.encoder.get(), fn);
+}
+
+Status Epoch::WithCcqaEncoder(
+    const std::vector<int>& components,
+    const std::function<Status(core::Encoder*)>& fn) {
+  if (components.size() == 1) return WithComponentEncoder(components[0], fn);
+  MergedSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(merged_mu_);
+    std::unique_ptr<MergedSlot>& entry = merged_[components];
+    if (entry == nullptr) entry = std::make_unique<MergedSlot>();
+    slot = entry.get();
+  }
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (slot->encoder == nullptr) {
+    ASSIGN_OR_RETURN(slot->encoder,
+                     decomposed_->BuildMergedEncoder(components));
+    counters_->merged_builds->Increment();
+  }
+  return RunSampled(counters_, slot->encoder.get(), fn);
 }
 
 Result<bool> Epoch::EnsureAllSolved(exec::ThreadPool* pool,

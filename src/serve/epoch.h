@@ -15,13 +15,22 @@
 // fill in lazily under concurrent batches.  Each component's cache slot
 // carries its own synchronization:
 //
-//   * encoder slot: a per-component mutex.  SAT probes (COP/DCIP) and the
-//     base solve need exclusive use of the component's solver (assumption
-//     solving mutates solver state), so WithComponentEncoder brackets
-//     every access.  Learnt clauses accumulated by one batch are implied
-//     clauses — they never change another batch's answers, which is the
-//     same argument that already let the solver persist across sequential
-//     requests.
+//   * encoder slot: a per-component mutex.  SAT probes (COP/DCIP), the
+//     base solve and CCQA's certain-membership loops need exclusive use
+//     of the component's solver (assumption solving mutates solver
+//     state), so WithComponentEncoder brackets every access.  Learnt
+//     clauses accumulated by one batch are implied clauses — they never
+//     change another batch's answers, which is the same argument that
+//     already let the solver persist across sequential requests.  CCQA's
+//     blocking clauses are not implied, so they go in under a solver
+//     scope that is closed before the slot mutex is released: closing
+//     deletes them together with every learnt clause derived from them
+//     (each carries the scope literal), leaving only clauses implied by
+//     the base encoding.
+//   * merged slots: one per distinct multi-component set a CCQA query
+//     touches, created on first use and never harvested (they die with
+//     the epoch, so their number is bounded by the distinct query relation
+//     sets).  Same mutex-plus-scope discipline as the encoder slot.
 //   * base-sat slot: an atomic tri-state (unknown / unsat / sat).  Reads
 //     are cache hits without any lock; the writer re-checks under the
 //     encoder mutex, so two racing batches solve a component once.
@@ -38,6 +47,8 @@
 // try_lock on the encoder slots so a writer never waits on a batch that is
 // mid-solve — a busy component's encoder simply is not harvested, and the
 // next epoch rebuilds it lazily (identical answers, slightly more work).
+// The same lock means a harvested encoder never carries an open CCQA
+// scope.
 // Adopted encoders are re-pointed at the new epoch's specification copy
 // via Encoder::RebindSpec (a fingerprint match means the component's
 // content is identical, so the encoding is byte-for-byte what a fresh
@@ -84,6 +95,8 @@ struct SessionCounters {
   obs::Counter* mutations = nullptr;
   obs::Counter* base_solves = nullptr;    // {routing="sat"}
   obs::Counter* chase_solves = nullptr;   // {routing="chase"}
+  /// Merged CCQA encoders built: at most one per epoch and multi-component
+  /// set (Epoch::WithCcqaEncoder).
   obs::Counter* merged_builds = nullptr;
   /// Component verdicts answered from the epoch's cached bit (no solve).
   obs::Counter* cache_hits = nullptr;
@@ -184,19 +197,21 @@ class Epoch {
 
   /// Runs `fn` with exclusive access to component `c`'s SAT encoder,
   /// building it first if the slot is empty (lazily, or because Harvest
-  /// moved it to a successor epoch).  All solver access goes through
-  /// here; holding the slot mutex for the whole probe sequence keeps each
-  /// batch's per-component call sequence contiguous.
+  /// moved it to a successor epoch).  All component solver access goes
+  /// through here; holding the slot mutex for the whole probe sequence
+  /// keeps each batch's per-component call sequence contiguous.  `fn`
+  /// must close every solver scope it opens (debug-asserted).
   Status WithComponentEncoder(int c,
                               const std::function<Status(core::Encoder*)>& fn);
 
-  /// A fresh throwaway encoder over the union of `components` (CCQA's
-  /// blocking loops mutate theirs permanently).  Concurrent-safe: reads
-  /// only the frozen build state.
-  Result<std::unique_ptr<core::Encoder>> BuildMergedEncoder(
-      const std::vector<int>& components) const {
-    return decomposed_->BuildMergedEncoder(components);
-  }
+  /// CCQA's encoder access: runs `fn` with exclusive access to an encoder
+  /// covering exactly `components` (sorted, as ComponentsOfInstances
+  /// returns them).  A single component uses its own slot, sharing the
+  /// solver the base solve and COP/DCIP probes warmed; any other set uses
+  /// this epoch's merged slot for it, built on first use and counted in
+  /// SessionCounters::merged_builds.  Same scope rule as above.
+  Status WithCcqaEncoder(const std::vector<int>& components,
+                         const std::function<Status(core::Encoder*)>& fn);
 
   /// Extracts the caches for cross-epoch adoption; see the file comment.
   /// Safe while batches still run on this epoch: busy encoder slots are
@@ -232,6 +247,12 @@ class Epoch {
     std::atomic<bool> chase_ready{false};
   };
 
+  /// A CCQA encoder over a multi-component (or empty) component set.
+  struct MergedSlot {
+    std::mutex mu;  // guards `encoder` and its solver
+    std::unique_ptr<core::Encoder> encoder;
+  };
+
   Epoch(core::Specification spec, int64_t version, SessionCounters* counters)
       : spec_(std::move(spec)), version_(version), counters_(counters) {}
 
@@ -254,6 +275,9 @@ class Epoch {
   SessionCounters* const counters_;
   std::unique_ptr<core::DecomposedEncoder> decomposed_;
   std::unique_ptr<Slot[]> slots_;
+  /// Guards the map only; each slot carries its own mutex.
+  std::mutex merged_mu_;
+  std::map<std::vector<int>, std::unique_ptr<MergedSlot>> merged_;
 };
 
 }  // namespace currency::serve

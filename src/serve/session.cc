@@ -1,7 +1,6 @@
 #include "src/serve/session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <utility>
 
@@ -419,14 +418,13 @@ Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(
       }
     }
   }
-  // Each request works entirely on fresh merged encoders (the blocking
-  // loops add permanent clauses, so cached component encoders are off
-  // limits), which makes requests independent: they run in parallel on
-  // the session pool and fill only their own response slot.  SP-routed
-  // requests instead assemble their instance's PO∞ from the warmed
-  // fixpoints — read-only, so they parallelize the same way.
+  // Requests run in parallel on the session pool and fill only their own
+  // response slot.  SAT-routed requests run on a cached encoder of this
+  // epoch under its slot mutex (requests sharing one serialize there);
+  // their blocking loops add clauses under a solver scope that is closed
+  // before the mutex is released.  SP-routed requests instead assemble
+  // their instance's PO∞ from the warmed fixpoints — read-only.
   obs::TraceSpan::Stage stage("solve", stage_counters_);
-  std::atomic<int64_t> merged{0};
   RETURN_IF_ERROR(pool_->ParallelFor(
       static_cast<int>(requests.size()), [&](int i) -> Status {
         std::vector<int> relevant =
@@ -445,30 +443,24 @@ Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(
           }
           return Status::OK();
         }
-        auto make_encoder = [&]() -> Result<std::unique_ptr<Encoder>> {
-          merged.fetch_add(1, std::memory_order_relaxed);
-          return epoch->BuildMergedEncoder(relevant);
-        };
-        if (requests[i].candidate.has_value()) {
-          ASSIGN_OR_RETURN(auto encoder, make_encoder());
-          ASSIGN_OR_RETURN(
-              bool certain,
-              core::internal::CheckCertainMemberWith(
-                  encoder.get(), spec, requests[i].query,
-                  *requests[i].candidate, instances[i], ccqa));
-          out[i].is_certain = certain;
+        return epoch->WithCcqaEncoder(relevant, [&](Encoder* encoder) -> Status {
+          if (requests[i].candidate.has_value()) {
+            ASSIGN_OR_RETURN(
+                bool certain,
+                core::internal::CheckCertainMemberWith(
+                    encoder, spec, requests[i].query, *requests[i].candidate,
+                    instances[i], ccqa));
+            out[i].is_certain = certain;
+            return Status::OK();
+          }
+          ASSIGN_OR_RETURN(std::set<Tuple> answers,
+                           core::internal::CertainAnswersVia(
+                               encoder, nullptr, spec, requests[i].query,
+                               instances[i], ccqa));
+          out[i].answers = std::move(answers);
           return Status::OK();
-        }
-        ASSIGN_OR_RETURN(auto seed, make_encoder());
-        ASSIGN_OR_RETURN(
-            std::set<Tuple> answers,
-            core::internal::CertainAnswersVia(seed.get(), make_encoder, spec,
-                                              requests[i].query, instances[i],
-                                              ccqa));
-        out[i].answers = std::move(answers);
-        return Status::OK();
+        });
       }));
-  counters_.merged_builds->Increment(merged.load(std::memory_order_relaxed));
   return out;
 }
 

@@ -39,15 +39,21 @@
 //
 // Determinism contract: every batch answer equals the answer a fresh
 // build over the pinned epoch's specification would give.  Two facts
-// carry the argument: (1) cached component solvers accumulate learnt
-// clauses across requests — and now across concurrent batches — which
-// never changes satisfiability answers (learnt clauses are implied) and
-// the COP/DCIP probes are model-independent by construction; (2) every
-// operation that adds permanent clauses beyond the base encoding —
-// CCQA's blocking loops — runs on a fresh throwaway merged encoder,
-// never on a cached component encoder.  tests/session_equivalence_test.cc
+// carry the argument: (1) cached solvers accumulate learnt clauses
+// across requests — and across concurrent batches — which never changes
+// satisfiability answers (learnt clauses are implied) and the COP/DCIP
+// probes are model-independent by construction; (2) the only clauses
+// beyond the base encoding — CCQA's blocking clauses — are added under a
+// retractable solver scope (sat::Solver::NewScope) that is closed before
+// the encoder's slot lock is released.  Closing deletes every clause
+// that mentions the scope literal: the blocking clauses themselves and
+// every learnt clause derived from one (the scope literal is an
+// assumption decision, which 1UIP analysis and minimization can neither
+// resolve nor drop).  Every clause that survives is implied by the base
+// encoding, so (1) applies to it.  tests/session_equivalence_test.cc
 // property-checks this against fresh solves AND the brute-force oracle
-// across thread counts and mutation sequences;
+// across thread counts and mutation sequences, interleaving CCQA with
+// COP/DCIP probes on one shared component solver;
 // tests/concurrent_session_test.cc fuzzes it under true concurrency.
 
 #ifndef CURRENCY_SRC_SERVE_SESSION_H_
@@ -104,7 +110,7 @@ struct SessionOptions {
   /// solvers on the session pool, first verdict wins.  Verdict-only — the
   /// cached primary solver may hold no model after a raced solve, which
   /// is fine because every serve probe either needs no model (COP) or
-  /// re-Solves first (DCIP).  Answers are bit-identical with the racing
+  /// re-Solves first (DCIP, CCQA).  Answers are bit-identical with the racing
   /// off; pass-through (zero overhead) when the pool has one thread.
   sat::PortfolioOptions portfolio;
   /// Base encoder options.  define_is_last is forced on (one cached
@@ -143,7 +149,10 @@ struct SessionStats {
   int64_t mutations = 0;
   /// Component base solves performed (cache misses across all requests).
   int64_t base_solves = 0;
-  /// Fresh merged encoders built for CCQA requests.
+  /// Merged encoders built for CCQA requests whose query touches several
+  /// components (or none): at most one per epoch and component set, since
+  /// the epoch caches each one.  Single-component queries use the
+  /// component's own encoder and build none.
   int64_t merged_builds = 0;
   /// Component chase fixpoints computed by consistency checks (cache
   /// misses; chase-routed sessions only).
@@ -229,9 +238,14 @@ class CurrencySession {
       const std::vector<std::string>& relations);
 
   /// CCQA for a batch of answer-set / certain-membership requests,
-  /// answered in request order.  Each request works on fresh merged
-  /// encoders covering only the components its query touches, so requests
-  /// run in parallel without sharing mutable solver state.
+  /// answered in request order, in parallel across requests.  A SAT-routed
+  /// request runs on a cached encoder of the pinned epoch, under that
+  /// encoder's slot lock: the component's own encoder when its query
+  /// touches one component (no build, and the base solve is already
+  /// paid), otherwise the epoch's merged encoder for that component set
+  /// (built once per epoch).  The blocking clauses live in a solver scope
+  /// closed before the lock is released, so the encoder leaves exactly as
+  /// it came in, up to implied learnt clauses (see the file comment).
   Result<std::vector<CcqaResponse>> CcqaBatch(
       const std::vector<CcqaRequest>& requests);
 

@@ -240,14 +240,20 @@ std::vector<core::CurrencyOrderQuery> MakeFuzzCopQueries(
   return queries;
 }
 
-query::Query MakeFuzzQuery() {
-  return query::ParseQuery("Q(x) := EXISTS y: R('e0', x, y)").value();
+/// The fuzz's CCQA query: over R (two or more components, so a merged
+/// encoder), or over R2 (one entity, so its component's own encoder — the
+/// solver COP and DCIP probe too).
+query::Query MakeFuzzQuery(bool on_r2) {
+  return query::ParseQuery(on_r2 ? "Q(x) := R2('f0', x)"
+                                 : "Q(x) := EXISTS y: R('e0', x, y)")
+      .value();
 }
 
 Result<FreshAnswers> SolveFresh(const core::Specification& spec,
                                 const std::vector<core::CurrencyOrderQuery>&
                                     cop_queries,
-                                const std::vector<std::string>& relations) {
+                                const std::vector<std::string>& relations,
+                                const query::Query& ccqa_query) {
   FreshAnswers fresh;
   core::CpsOptions cps;
   cps.use_ptime_path_without_constraints = false;
@@ -273,7 +279,7 @@ Result<FreshAnswers> SolveFresh(const core::Specification& spec,
   core::CcqaOptions ccqa;
   ccqa.use_sp_fast_path = false;
   ccqa.use_decomposition = false;
-  auto answers = core::CertainCurrentAnswers(spec, MakeFuzzQuery(), ccqa);
+  auto answers = core::CertainCurrentAnswers(spec, ccqa_query, ccqa);
   if (!answers.ok()) {
     if (answers.status().code() != StatusCode::kInconsistent) {
       return answers.status();
@@ -307,17 +313,35 @@ TEST_P(ConcurrentLinearizability, BatchAnswersMatchSomeOverlappedEpoch) {
   constexpr int kMutations = 4;
   const int session_threads = GetParam();
 
-  for (int variant = 0; variant < 2; ++variant) {
+  for (int variant = 0; variant < 3; ++variant) {
     SCOPED_TRACE("threads=" + std::to_string(session_threads) +
                  " variant=" + std::to_string(variant));
     // Variant 0: SAT-routed (ungated constraints).  Variant 1: mixed
     // chase/SAT routing (entity-gated constraints, half the groups free).
-    core::Specification spec =
-        MakeRandomSpec(97 + variant, /*with_copy=*/true,
-                       /*with_constraints=*/true,
-                       /*constraint_free_fraction=*/variant == 1 ? 0.5 : 0.0);
-    const std::vector<core::CurrencyOrderQuery> cop_queries =
+    // Variant 2: everything on SAT, CCQA over the one-component R2, and
+    // COP pairs on R2 too — scoped CCQA loops and COP/DCIP probes race
+    // for one cached solver.
+    const bool on_r2 = variant == 2;
+    unsigned seed = 97 + variant;
+    core::Specification spec;
+    while (true) {
+      spec = MakeRandomSpec(seed++, /*with_copy=*/true,
+                            /*with_constraints=*/true,
+                            /*constraint_free_fraction=*/variant == 1 ? 0.5
+                                                                      : 0.0);
+      if (!on_r2 || spec.instance(1).relation().size() >= 2) break;
+    }
+    const query::Query ccqa_query = MakeFuzzQuery(on_r2);
+    std::vector<core::CurrencyOrderQuery> cop_queries =
         MakeFuzzCopQueries(spec);
+    if (on_r2) {
+      for (auto [before, after] : {std::pair{0, 1}, std::pair{1, 0}}) {
+        core::CurrencyOrderQuery q;
+        q.relation = "R2";
+        q.pairs = {core::RequiredPair{1, before, after}};
+        cop_queries.push_back(std::move(q));
+      }
+    }
     std::vector<std::string> relations;
     for (int i = 0; i < spec.num_instances(); ++i) {
       relations.push_back(spec.instance(i).name());
@@ -325,6 +349,7 @@ TEST_P(ConcurrentLinearizability, BatchAnswersMatchSomeOverlappedEpoch) {
 
     SessionOptions options;
     options.num_threads = session_threads;
+    options.use_chase_routing = !on_r2;
     auto created = CurrencySession::Create(spec, options);
     ASSERT_TRUE(created.ok()) << created.status();
     CurrencySession* session = created->get();
@@ -377,7 +402,7 @@ TEST_P(ConcurrentLinearizability, BatchAnswersMatchSomeOverlappedEpoch) {
             }
             default: {
               std::vector<CcqaRequest> requests;
-              requests.push_back(CcqaRequest{MakeFuzzQuery(), std::nullopt});
+              requests.push_back(CcqaRequest{ccqa_query, std::nullopt});
               auto got = session->CcqaBatch(requests);
               if (!got.ok()) {
                 failed.store(true);
@@ -443,7 +468,8 @@ TEST_P(ConcurrentLinearizability, BatchAnswersMatchSomeOverlappedEpoch) {
       for (int64_t v = rec.v0; v <= rec.v1 && !matched; ++v) {
         auto it = memo.find(v);
         if (it == memo.end()) {
-          auto fresh = SolveFresh(shadows[v], cop_queries, relations);
+          auto fresh =
+              SolveFresh(shadows[v], cop_queries, relations, ccqa_query);
           ASSERT_TRUE(fresh.ok()) << fresh.status();
           it = memo.emplace(v, *fresh).first;
         }

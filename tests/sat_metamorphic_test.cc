@@ -575,5 +575,208 @@ TEST(GcTransparencyTest, WarmSessionCachesSurviveCompaction) {
   EXPECT_EQ(stressed.cop_warmup, stressed.cop_stressed);
 }
 
+// ---------------------------------------------------------------------
+// Retractable scopes: CloseScope must give back the base formula.
+// ---------------------------------------------------------------------
+
+/// A random batch for one scope over the base variables: units (attached
+/// as binary scoped clauses), pairs and triples.  With `refute`, also a
+/// complementary unit pair, which makes the scope UNSAT under its
+/// assumption and leaves the level-0 unit ¬a behind.
+std::vector<std::vector<Lit>> RandomScopedBatch(std::mt19937* rng,
+                                                int num_vars, bool refute) {
+  std::uniform_int_distribution<int> var_dist(0, num_vars - 1);
+  std::uniform_int_distribution<int> sign_dist(0, 1);
+  std::uniform_int_distribution<int> size_dist(1, 3);
+  std::uniform_int_distribution<int> count_dist(2, 6);
+  std::vector<std::vector<Lit>> batch;
+  for (int c = count_dist(*rng); c > 0; --c) {
+    std::vector<Lit> clause;
+    for (int i = size_dist(*rng); i > 0; --i) {
+      clause.push_back(MakeLit(var_dist(*rng), sign_dist(*rng) == 1));
+    }
+    batch.push_back(std::move(clause));
+  }
+  if (refute) {
+    Var x = var_dist(*rng);
+    batch.push_back({MakeLit(x)});
+    batch.push_back({MakeLit(x, true)});
+  }
+  return batch;
+}
+
+/// Verdict of a fresh legacy engine on `cnf` under `assumptions`.
+SolveResult LegacyVerdict(int num_vars,
+                          const std::vector<std::vector<Lit>>& cnf,
+                          const std::vector<Lit>& assumptions) {
+  LegacySolver legacy;
+  for (int i = 0; i < num_vars; ++i) legacy.NewVar();
+  for (const auto& clause : cnf) (void)legacy.AddClause(clause);
+  return legacy.SolveWithAssumptions(assumptions);
+}
+
+std::vector<Lit> RandomAssumptions(std::mt19937* rng, int num_vars) {
+  std::uniform_int_distribution<int> var_dist(0, num_vars - 1);
+  std::uniform_int_distribution<int> sign_dist(0, 1);
+  return {MakeLit(var_dist(*rng), sign_dist(*rng) == 1),
+          MakeLit(var_dist(*rng), sign_dist(*rng) == 1)};
+}
+
+class ScopeProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScopeProperty, ClosedScopesLeaveExactlyTheBaseFormula) {
+  std::mt19937 rng(GetParam() * 6151 + 7);
+  const int num_vars = 10;
+  std::vector<std::vector<Lit>> base = RandomClauses(&rng, num_vars, 30);
+  Solver arena;
+  LegacySolver legacy;
+  for (int i = 0; i < num_vars; ++i) {
+    arena.NewVar();
+    legacy.NewVar();
+  }
+  for (const auto& clause : base) {
+    (void)arena.AddClause(clause);
+    (void)legacy.AddClause(clause);
+  }
+  for (int cycle = 0; cycle < 9; ++cycle) {
+    SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
+                 " cycle=" + std::to_string(cycle));
+    const bool refute = cycle % 3 == 2;
+    std::vector<std::vector<Lit>> batch =
+        RandomScopedBatch(&rng, num_vars, refute);
+    const Var scope_var = LitVar(arena.NewScope());
+    for (const auto& clause : batch) (void)arena.AddClause(clause);
+    // Inside the scope the formula is the base plus the batch.
+    std::vector<std::vector<Lit>> scoped = base;
+    scoped.insert(scoped.end(), batch.begin(), batch.end());
+    const SolveResult inside = arena.Solve();
+    EXPECT_EQ(inside, LegacyVerdict(num_vars, scoped, {}));
+    if (refute) {
+      EXPECT_EQ(inside, SolveResult::kUnsat);
+    }
+    std::vector<Lit> probe = RandomAssumptions(&rng, num_vars);
+    EXPECT_EQ(arena.SolveWithAssumptions(probe),
+              LegacyVerdict(num_vars, scoped, probe));
+    arena.CloseScope();
+    EXPECT_FALSE(arena.scope_open());
+    EXPECT_FALSE(arena.AnyClauseMentions(scope_var))
+        << "a clause mentioning the scope variable survived CloseScope";
+    // After closing, the solver answers exactly as on the base formula.
+    ASSERT_EQ(arena.Solve(), legacy.Solve());
+    for (int k = 0; k < 3; ++k) {
+      probe = RandomAssumptions(&rng, num_vars);
+      ASSERT_EQ(arena.SolveWithAssumptions(probe),
+                legacy.SolveWithAssumptions(probe))
+          << "probe " << k;
+    }
+  }
+}
+
+TEST(ScopeTest, RefutedScopeWithManyLearntClausesRetractsCleanly) {
+  // The gate unit asserted under a scope makes the pigeonhole UNSAT under
+  // the scope literal: the search learns many clauses, long and binary,
+  // that carry ¬a, and ends with the level-0 unit ¬a.  Closing must
+  // delete them all and keep the tier gauges consistent, and the next
+  // scope (reusing the variable) must start from a clean slate.
+  Solver arena;
+  LegacySolver legacy;
+  Var gate = AddGatedPigeonhole(&arena, 6, 5);
+  ASSERT_EQ(AddGatedPigeonhole(&legacy, 6, 5), gate);
+  for (int round = 0; round < 3; ++round) {
+    const Var scope_var = LitVar(arena.NewScope());
+    ASSERT_TRUE(arena.AddClause({MakeLit(gate)}));
+    EXPECT_EQ(arena.Solve(), SolveResult::kUnsat);
+    arena.CloseScope();
+    EXPECT_FALSE(arena.AnyClauseMentions(scope_var));
+    const SolverStats& stats = arena.stats();
+    EXPECT_GE(stats.tier_core, 0);
+    EXPECT_GE(stats.tier_tier2, 0);
+    EXPECT_GE(stats.tier_local, 0);
+    EXPECT_EQ(arena.Solve(), legacy.Solve());
+    EXPECT_EQ(arena.SolveWithAssumptions({MakeLit(gate)}),
+              legacy.SolveWithAssumptions({MakeLit(gate)}));
+  }
+  EXPECT_GT(arena.stats().conflicts, 0);
+}
+
+TEST(ScopeTest, VariableCountStaysFlatAcrossOpenCloseCycles) {
+  std::mt19937 rng(11);
+  const int num_vars = 10;
+  Solver arena;
+  for (int i = 0; i < num_vars; ++i) arena.NewVar();
+  for (const auto& clause : RandomClauses(&rng, num_vars, 20)) {
+    (void)arena.AddClause(clause);
+  }
+  const Var first = LitVar(arena.NewScope());
+  arena.CloseScope();
+  const int vars = arena.NumVars();
+  EXPECT_EQ(vars, num_vars + 1);
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ASSERT_EQ(LitVar(arena.NewScope()), first) << "cycle " << cycle;
+    for (const auto& clause :
+         RandomScopedBatch(&rng, num_vars, /*refute=*/cycle % 7 == 0)) {
+      (void)arena.AddClause(clause);
+    }
+    (void)arena.Solve();
+    arena.CloseScope();
+    ASSERT_EQ(arena.NumVars(), vars) << "cycle " << cycle;
+  }
+  EXPECT_FALSE(arena.AnyClauseMentions(first));
+}
+
+/// A deterministic scoped workload: a gated pigeonhole plus random base
+/// clauses, then cycles of scoped batches (some refuted), scoped solves,
+/// and base probes after each CloseScope.
+ScriptRecord RunScopeScript(int seed) {
+  std::mt19937 rng(seed * 3371 + 5);
+  const int num_vars = 10;
+  Solver s;
+  for (int i = 0; i < num_vars; ++i) s.NewVar();
+  Var gate = AddGatedPigeonhole(&s, 5, 4);
+  for (const auto& clause : RandomClauses(&rng, num_vars, 20)) {
+    (void)s.AddClause(clause);
+  }
+  ScriptRecord record;
+  auto observe = [&](SolveResult r) {
+    record.verdicts.push_back(r);
+    if (r == SolveResult::kSat) record.models.push_back(s.model());
+  };
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    s.NewScope();
+    for (const auto& clause :
+         RandomScopedBatch(&rng, num_vars, /*refute=*/cycle % 3 == 1)) {
+      (void)s.AddClause(clause);
+    }
+    if (cycle % 2 == 0) (void)s.AddClause({MakeLit(gate)});
+    observe(s.Solve());
+    observe(s.SolveWithAssumptions(RandomAssumptions(&rng, num_vars)));
+    s.CloseScope();
+    observe(s.Solve());
+    observe(s.SolveWithAssumptions(RandomAssumptions(&rng, num_vars)));
+  }
+  record.decisions = s.stats().decisions;
+  record.conflicts = s.stats().conflicts;
+  record.propagations = s.stats().propagations;
+  record.learnt_clauses = s.stats().learnt_clauses;
+  record.gc_runs = s.stats().gc_runs;
+  return record;
+}
+
+TEST_P(ScopeProperty, GcStressIsBitIdenticalAcrossScopes) {
+  ReduceLimitScope reduce(16);
+  ScriptRecord plain = RunScopeScript(GetParam());
+  ScriptRecord stressed;
+  {
+    GcStressScope stress(true);
+    stressed = RunScopeScript(GetParam());
+  }
+  EXPECT_TRUE(plain.SameSearch(stressed))
+      << "compaction changed a scoped search (seed " << GetParam() << ")";
+  EXPECT_GT(plain.conflicts, 0);
+  EXPECT_GT(stressed.gc_runs, plain.gc_runs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, ScopeProperty, ::testing::Range(0, 20));
+
 }  // namespace
 }  // namespace currency::sat

@@ -53,6 +53,100 @@ core::Specification MakeTwoComponentSpec() {
   return spec;
 }
 
+/// MakeTwoComponentSpec plus S(B): one constrained entity, so a query over
+/// S touches exactly one (SAT-routed) component while a query over R
+/// touches two.
+core::Specification MakeSpecWithOneComponentRelation() {
+  core::Specification spec = MakeTwoComponentSpec();
+  Schema ss = Schema::Make("S", {"B"}).value();
+  Relation s(ss);
+  (void)s.AppendValues({Value("s0"), Value(0)});
+  (void)s.AppendValues({Value("s0"), Value(1)});
+  (void)s.AppendValues({Value("s0"), Value(2)});
+  (void)spec.AddInstance(core::TemporalInstance(std::move(s)));
+  EXPECT_TRUE(spec.AddConstraintText(
+                      "FORALL s, t IN S: s.B > t.B AND t.B > 0 -> "
+                      "t PREC[B] s")
+                  .ok());
+  return spec;
+}
+
+/// Membership requests for every candidate value 0..3 plus the answer set.
+std::vector<CcqaRequest> AllCcqaRequests(const query::Query& q) {
+  std::vector<CcqaRequest> requests;
+  for (int v = 0; v < 4; ++v) {
+    requests.push_back(CcqaRequest{q, Tuple({Value(v)})});
+  }
+  requests.push_back(CcqaRequest{q, std::nullopt});
+  return requests;
+}
+
+/// Checks CcqaBatch(AllCcqaRequests(q)) answers against one-shot solves.
+void ExpectCcqaMatchesOneShot(CurrencySession* session,
+                              const std::vector<CcqaResponse>& got,
+                              const query::Query& q) {
+  const core::Specification& spec = session->spec();
+  ASSERT_EQ(got.size(), 5u);
+  for (int v = 0; v < 4; ++v) {
+    ASSERT_TRUE(got[v].is_certain.has_value());
+    EXPECT_EQ(*got[v].is_certain,
+              core::IsCertainCurrentAnswer(spec, q, Tuple({Value(v)})).value())
+        << "candidate " << v;
+  }
+  ASSERT_TRUE(got[4].answers.has_value());
+  EXPECT_EQ(*got[4].answers, core::CertainCurrentAnswers(spec, q).value());
+}
+
+TEST(CurrencySession, SingleComponentCcqaRunsOnTheComponentEncoder) {
+  auto session = MakeSession(MakeSpecWithOneComponentRelation());
+  query::Query q = query::ParseQuery("Q(x) := S('s0', x)").value();
+  auto got = session->CcqaBatch(AllCcqaRequests(q));
+  ASSERT_TRUE(got.ok()) << got.status();
+  ExpectCcqaMatchesOneShot(session.get(), *got, q);
+  EXPECT_EQ(session->stats().merged_builds, 0)
+      << "a one-component query must reuse the component's own encoder";
+}
+
+TEST(CurrencySession, RepeatedCcqaBatchReusesTheEpochEncoders) {
+  auto session = MakeSession(MakeSpecWithOneComponentRelation());
+  query::Query over_r = query::ParseQuery("Q(x) := R('e0', x)").value();
+  query::Query over_s = query::ParseQuery("Q(x) := S('s0', x)").value();
+  std::vector<CcqaRequest> requests = AllCcqaRequests(over_r);
+  for (const CcqaRequest& r : AllCcqaRequests(over_s)) requests.push_back(r);
+
+  auto first = session->CcqaBatch(requests);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(session->stats().merged_builds, 1)
+      << "R's two components share one merged encoder";
+  const int64_t builds = session->stats().merged_builds;
+  const int64_t solves = session->stats().base_solves;
+  auto second = session->CcqaBatch(requests);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(session->stats().merged_builds, builds);
+  EXPECT_EQ(session->stats().base_solves, solves);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ((*first)[i].is_certain, (*second)[i].is_certain) << i;
+    EXPECT_EQ((*first)[i].answers, (*second)[i].answers) << i;
+  }
+  ExpectCcqaMatchesOneShot(
+      session.get(), std::vector<CcqaResponse>(second->begin(),
+                                               second->begin() + 5),
+      over_r);
+
+  // A Mutate publishes a new epoch; its merged slot is built once, on
+  // first use, and then reused.
+  ASSERT_TRUE(session->Mutate({core::TupleEdit{1, 0, 1, Value(3)}}).ok());
+  for (int round = 0; round < 2; ++round) {
+    auto after = session->CcqaBatch(requests);
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(session->stats().merged_builds, builds + 1) << "round " << round;
+    ExpectCcqaMatchesOneShot(
+        session.get(), std::vector<CcqaResponse>(after->begin() + 5,
+                                                 after->end()),
+        over_s);
+  }
+}
+
 TEST(CurrencySession, MatchesOneShotSolversOnS0) {
   core::Specification spec = MakeS0Trimmed();
   auto session = MakeSession(MakeS0Trimmed());

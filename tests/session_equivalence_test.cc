@@ -251,6 +251,93 @@ TEST_P(SessionEquivalence, BatchesMatchFreshSolvesAcrossMutations) {
   }
 }
 
+// Leak detection for CCQA's solver scopes.  R2's single entity f0 owns one
+// coupling component, so CCQA over R2 runs its blocking loops on the very
+// solver that COP and DCIP probe for that component (chase routing is off
+// to keep every component on SAT).  Membership requests interleave with
+// those probes before and after Mutate, and every answer is re-checked
+// against the brute-force oracle: a blocking clause or a learnt clause
+// derived from one that outlived its scope would remove completions and
+// flip a later COP, DCIP or CCQA answer.
+TEST_P(SessionEquivalence, ScopedCcqaLeavesSharedComponentSolversExact) {
+  const query::Query q = query::ParseQuery("Q(c) := R2('f0', c)").value();
+  int checked_specs = 0;
+  for (int variant = 0; variant < 4; ++variant) {
+    core::Specification spec = MakeRandomSpec(
+        GetParam() * 4271 + variant, /*with_copy=*/true,
+        /*with_constraints=*/variant % 2 == 1);
+    const int r2 = spec.InstanceIndex("R2").value();
+    if (spec.instance(r2).relation().size() < 2) continue;  // no R2 pairs
+    ++checked_specs;
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
+                   " variant=" + std::to_string(variant) +
+                   " threads=" + std::to_string(threads));
+      SessionOptions options;
+      options.num_threads = threads;
+      options.use_chase_routing = false;
+      auto created = CurrencySession::Create(spec, options);
+      ASSERT_TRUE(created.ok()) << created.status();
+      CurrencySession* session = created->get();
+      std::mt19937 rng(GetParam() * 131 + variant * 17 + threads);
+      for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        const core::Specification current = session->spec();
+        std::vector<core::CurrencyOrderQuery> cop;
+        std::vector<bool> expected_cop;
+        const int n = current.instance(r2).relation().size();
+        for (int u = 0; u < n; ++u) {
+          for (int v = 0; v < n; ++v) {
+            if (u == v) continue;
+            core::CurrencyOrderQuery query;
+            query.relation = "R2";
+            query.pairs = {core::RequiredPair{1, u, v}};
+            expected_cop.push_back(
+                core::BruteForceCertainOrder(current, query).value());
+            cop.push_back(std::move(query));
+          }
+        }
+        const bool expected_dcip =
+            core::BruteForceDeterministic(current, "R2").value();
+        auto oracle_answers = core::BruteForceCertainAnswers(current, q);
+        if (!oracle_answers.ok()) {
+          ASSERT_EQ(oracle_answers.status().code(), StatusCode::kInconsistent)
+              << oracle_answers.status();
+        }
+        for (int k = 0; k < 4; ++k) {
+          // Probes, then a scoped loop, on the same component solver.
+          auto got_cop = session->CopBatch(cop);
+          ASSERT_TRUE(got_cop.ok()) << got_cop.status();
+          EXPECT_EQ(*got_cop, expected_cop) << "after " << k << " memberships";
+          auto got_dcip = session->DcipBatch({"R2"});
+          ASSERT_TRUE(got_dcip.ok()) << got_dcip.status();
+          EXPECT_EQ((*got_dcip)[0], expected_dcip)
+              << "after " << k << " memberships";
+          auto got = session->CcqaBatch({CcqaRequest{q, Tuple({Value(k)})}});
+          ASSERT_TRUE(got.ok()) << got.status();
+          ASSERT_TRUE((*got)[0].is_certain.has_value());
+          const bool expected = !oracle_answers.ok() ||
+                                oracle_answers->count(Tuple({Value(k)})) > 0;
+          EXPECT_EQ(*(*got)[0].is_certain, expected) << "candidate " << k;
+        }
+        auto got = session->CcqaBatch({CcqaRequest{q, std::nullopt}});
+        ASSERT_TRUE(got.ok()) << got.status();
+        if (oracle_answers.ok()) {
+          ASSERT_TRUE((*got)[0].answers.has_value());
+          EXPECT_EQ(*(*got)[0].answers, *oracle_answers);
+        } else {
+          EXPECT_TRUE((*got)[0].vacuous);
+        }
+        Status st = session->Mutate(MakeRandomEdits(session->spec(), rng));
+        if (!st.ok()) {
+          EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked_specs, 0) << "no variant produced R2 pairs";
+}
+
 INSTANTIATE_TEST_SUITE_P(Random, SessionEquivalence, ::testing::Range(0, 8));
 
 /// Serializes every batch answer a session gives (CPS, COP, DCIP, CCQA
