@@ -57,7 +57,6 @@ void RunCpsSeeding(benchmark::State& state, bool seed) {
   const int employees = static_cast<int>(state.range(0));
   core::Specification spec = MakeConstraintRichSpec(employees);
   core::CpsOptions options;
-  options.use_ptime_path_without_constraints = false;
   options.encoder.seed_with_chase = seed;
   for (auto _ : state) {
     auto outcome = core::DecideConsistency(spec, options);
@@ -105,8 +104,11 @@ void RunSpPath(benchmark::State& state, bool fast) {
   core::Specification spec = MakeSpWorkload(entities);
   query::Query q =
       query::ParseQuery("Q(x) := EXISTS e, y: R(e, x, y) AND x = 7").value();
+  // Chase routing answers the SP query by Proposition 6.3 on every
+  // (constraint-free, hence chase-eligible) component; off, the same
+  // query runs the general blocking loop on SAT.
   core::CcqaOptions options;
-  options.use_sp_fast_path = fast;
+  options.use_chase_routing = fast;
   for (auto _ : state) {
     auto answers = core::CertainCurrentAnswers(spec, q, options);
     benchmark::DoNotOptimize(answers);

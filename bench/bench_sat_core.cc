@@ -1,6 +1,6 @@
 // SAT-core benchmark: the arena-backed solver (src/sat/solver.h) vs the
-// preserved pre-refactor engine (src/sat/legacy_solver.h) on an identical
-// decomposition-scale CPS/COP clause stream, single-threaded.
+// preserved pre-refactor engine (tests/support/legacy_solver.h) on an
+// identical decomposition-scale CPS/COP clause stream, single-threaded.
 //
 // Like bench_serve this is plain C++ (no Google Benchmark dependency):
 // it must A/B two engines in one process, self-check that every verdict
@@ -47,9 +47,9 @@
 #include <vector>
 
 #include "src/exec/thread_pool.h"
-#include "src/sat/legacy_solver.h"
 #include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
+#include "tests/support/legacy_solver.h"
 
 namespace {
 

@@ -11,7 +11,8 @@
 // satisfiable by the identity order but anti-aligned with the solver's
 // default phase, so every component costs a few dozen genuine CDCL
 // conflicts.  Each family runs the same specification through the
-// monolithic encoder (use_decomposition = false) and the decomposed one,
+// monolithic reference (tests/support/monolithic.h: one unfiltered
+// Encoder::Build) and the decomposed engine behind the one-shot solvers,
 // so the reported ratio isolates the decomposition:
 //
 //   * CPS on the satisfiable shard set: the monolithic solver pays
@@ -20,10 +21,10 @@
 //     keeps each search local (≈ 50× at 1024 entities on the reference
 //     machine, growing with size).
 //   * CPS with one planted deeply-UNSAT shard (a no-chain denial guarded
-//     by P = 99, search-refutable but not unit-refutable): the
-//     decomposed path refutes the smallest component first and never
-//     encodes the rest, while the monolithic path must build and search
-//     the whole formula.
+//     by P = 99, search-refutable but not unit-refutable): the shard is
+//     the first component, so the decomposed path refutes it first and
+//     never encodes the rest, while the monolithic path must build and
+//     search the whole formula.
 //   * COP with eight queried pairs: the monolithic path pays its full
 //     initial solve plus whole-formula assumption re-solves; the
 //     decomposed path re-solves one component per pair.
@@ -50,6 +51,7 @@
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
+#include "tests/support/monolithic.h"
 
 namespace {
 
@@ -177,11 +179,20 @@ void RunCps(benchmark::State& state, bool decomposed, bool plant_unsat) {
   const int entities = static_cast<int>(state.range(0));
   core::Specification spec = MakeShardedSpec(entities, plant_unsat);
   core::CpsOptions options;
-  options.use_decomposition = decomposed;
-  if (decomposed) options.num_threads = g_threads;
+  options.num_threads = g_threads;
   int64_t consistent = 0;
   int64_t components = 0;
   for (auto _ : state) {
+    if (!decomposed) {
+      auto outcome = currency::testing::MonolithicConsistent(spec);
+      if (!outcome.ok()) {
+        state.SkipWithError(outcome.status().ToString().c_str());
+        return;
+      }
+      consistent += *outcome ? 1 : 0;
+      components = 1;
+      continue;
+    }
     auto outcome = core::DecideConsistency(spec, options);
     if (!outcome.ok()) {
       state.SkipWithError(outcome.status().ToString().c_str());
@@ -233,8 +244,7 @@ void RunCop(benchmark::State& state, bool decomposed) {
   const int entities = static_cast<int>(state.range(0));
   core::Specification spec = MakeShardedSpec(entities, /*plant_unsat=*/false);
   core::CopOptions options;
-  options.use_decomposition = decomposed;
-  if (decomposed) options.num_threads = g_threads;
+  options.num_threads = g_threads;
   // Eight pairs spread over eight entities.
   core::CurrencyOrderQuery query;
   query.relation = "R";
@@ -245,7 +255,9 @@ void RunCop(benchmark::State& state, bool decomposed) {
   }
   int64_t certain = 0;
   for (auto _ : state) {
-    auto result = core::IsCertainOrder(spec, query, options);
+    auto result =
+        decomposed ? core::IsCertainOrder(spec, query, options)
+                   : currency::testing::MonolithicCertainOrder(spec, query);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

@@ -171,7 +171,7 @@ int main() {
   // the mutated specification.
   Check(spec.ApplyTupleEdits({TupleEdit{0, 4, 3, Value(60)}}));
   CcqaOptions fresh;
-  fresh.use_sp_fast_path = false;
+  fresh.use_chase_routing = false;
   Expect(ccqa2[0].answers == Unwrap(CertainCurrentAnswers(spec, q1, fresh)),
          "session answers must equal a fresh build's answers");
 

@@ -2,7 +2,7 @@
 # Performance trajectory runner: builds the plain bench binaries and
 # emits machine-readable reports for the serving layer and the SAT core.
 #
-# Outputs (both tracked at the repository root so the trajectory is
+# Outputs (all six tracked at the repository root so the trajectory is
 # versioned with the code):
 #
 #  * BENCH_serve.json — ops/sec and p50/p95 latency for cold session

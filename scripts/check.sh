@@ -12,6 +12,8 @@
 # test suites that exercise the parallel exec layer and runs the ones
 # that matter — exec_test (thread-pool semantics),
 # parallel_equivalence_test (CPS/COP/DCIP/CCQA across thread counts),
+# oracle_invariants_test (the one-shot engine against the monolithic
+# reference and the brute-force oracle),
 # session_equivalence_test (the serving layer's shared-pool batches),
 # concurrent_session_test (reader batches racing a mutator across epoch
 # snapshots, multi-region pool sharing, SessionManager admission),
@@ -28,17 +30,18 @@
 # where they never misbehave.
 #
 # The ASan+UBSan pass (CURRENCY_ASAN, a third build tree) runs the serve
-# and exec suites plus obs_test, chase_routing_equivalence_test,
+# and exec suites plus obs_test, parallel_equivalence_test,
+# oracle_invariants_test, chase_routing_equivalence_test,
 # sat_metamorphic_test, portfolio_test (rival solver lifetimes end at
-# cancellation), wire_test and wal_recovery_test: the session
-# layer moves encoders AND chase fixpoints between epochs and hands
-# borrowed pools/encoders across threads, the SAT core's garbage
-# collector relocates every clause and rewrites watcher/reason
-# references in place, and the wire/WAL parsers walk length-prefixed
-# frames of truncated and bit-flipped buffers — exactly the lifetime and
-# bounds traffic the sanitizers are built to police.  (WAL tests write
-# their log directories under the build tree's cwd — wal_test_dirs/,
-# gitignored.)
+# cancellation), wire_test and wal_recovery_test, so every equivalence
+# suite runs under both sanitizers: the engine moves encoders AND chase
+# fixpoints between epochs and hands borrowed pools/encoders across
+# threads, the SAT core's garbage collector relocates every clause and
+# rewrites watcher/reason references in place, and the wire/WAL parsers
+# walk length-prefixed frames of truncated and bit-flipped buffers —
+# exactly the lifetime and bounds traffic the sanitizers are built to
+# police.  (WAL tests write their log directories under the build tree's
+# cwd — wal_test_dirs/, gitignored.)
 #
 # Usage: scripts/check.sh [build-dir]    (default: build)
 set -euo pipefail
@@ -59,13 +62,15 @@ cmake -B "$tsan_dir" -S . \
   -DCURRENCY_BUILD_BENCHMARKS=OFF \
   -DCURRENCY_BUILD_EXAMPLES=OFF
 cmake --build "$tsan_dir" -j "$(nproc)" \
-  --target exec_test obs_test parallel_equivalence_test serve_test \
+  --target exec_test obs_test parallel_equivalence_test \
+           oracle_invariants_test serve_test \
            session_equivalence_test concurrent_session_test \
            chase_routing_equivalence_test sat_metamorphic_test \
            portfolio_test wire_test wal_recovery_test
 "$tsan_dir/tests/exec_test"
 "$tsan_dir/tests/obs_test"
 "$tsan_dir/tests/parallel_equivalence_test"
+"$tsan_dir/tests/oracle_invariants_test"
 "$tsan_dir/tests/serve_test"
 "$tsan_dir/tests/session_equivalence_test"
 "$tsan_dir/tests/concurrent_session_test"
@@ -81,11 +86,14 @@ cmake -B "$asan_dir" -S . \
   -DCURRENCY_BUILD_BENCHMARKS=OFF \
   -DCURRENCY_BUILD_EXAMPLES=OFF
 cmake --build "$asan_dir" -j "$(nproc)" \
-  --target exec_test obs_test serve_test session_equivalence_test \
+  --target exec_test obs_test parallel_equivalence_test \
+           oracle_invariants_test serve_test session_equivalence_test \
            concurrent_session_test chase_routing_equivalence_test \
            sat_metamorphic_test portfolio_test wire_test wal_recovery_test
 "$asan_dir/tests/exec_test"
 "$asan_dir/tests/obs_test"
+"$asan_dir/tests/parallel_equivalence_test"
+"$asan_dir/tests/oracle_invariants_test"
 "$asan_dir/tests/serve_test"
 "$asan_dir/tests/session_equivalence_test"
 "$asan_dir/tests/concurrent_session_test"

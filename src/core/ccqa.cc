@@ -121,6 +121,21 @@ Result<std::vector<int>> QueryInstances(const Specification& spec,
   return out;
 }
 
+Result<std::vector<std::vector<int>>> RequestInstances(
+    const Specification& spec, const std::vector<CcqaRequest>& requests) {
+  std::vector<std::vector<int>> instances(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].candidate.has_value() &&
+        static_cast<size_t>(requests[i].candidate->arity()) !=
+            requests[i].query.head.size()) {
+      return Status::InvalidArgument(
+          "candidate tuple arity does not match query head");
+    }
+    ASSIGN_OR_RETURN(instances[i], QueryInstances(spec, requests[i].query));
+  }
+  return instances;
+}
+
 Result<bool> CheckCertainMemberWith(Encoder* encoder,
                                     const Specification& spec,
                                     const query::Query& q, const Tuple& t,
@@ -159,14 +174,6 @@ Result<std::set<Tuple>> CertainAnswersVia(
 }
 
 Result<std::set<Tuple>> SpAnswersViaComponentChases(
-    DecomposedEncoder* decomposed, const Specification& spec,
-    const query::Query& q, const std::vector<int>& relevant) {
-  return SpAnswersViaComponentChases(
-      [decomposed](int c) { return decomposed->ComponentChaseFixpoint(c); },
-      spec, q, relevant);
-}
-
-Result<std::set<Tuple>> SpAnswersViaComponentChases(
     const std::function<Result<const ComponentChase*>(int)>& chase_for,
     const Specification& spec, const query::Query& q,
     const std::vector<int>& relevant) {
@@ -190,93 +197,85 @@ Result<std::set<Tuple>> SpAnswersViaComponentChases(
   return SpAnswersFromCertainOrders(spec, orders, q);
 }
 
+Result<std::vector<CcqaResponse>> CertainAnswerProbes(
+    DecomposedEncoder* engine, const std::vector<CcqaRequest>& requests,
+    const std::vector<std::vector<int>>& instances, const CcqaOptions& options,
+    exec::ThreadPool* pool) {
+  const Specification& spec = engine->spec();
+  // SP routing: a request answers from component chase fixpoints when its
+  // query is SP over one relation and every component that relation
+  // touches is chase-routed (Proposition 6.3 on those components; Mod(S)
+  // factors over components, so denial constraints elsewhere do not
+  // matter).  Decide that per request up front and warm the needed
+  // fixpoints: write-once publication makes the warm-up safe against
+  // concurrent callers, and the parallel tasks below then only read.
+  std::vector<std::vector<int>> relevant(requests.size());
+  std::vector<char> sp_route(requests.size(), 0);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    relevant[i] = engine->decomposition().ComponentsOfInstances(instances[i]);
+    const query::Query& q = requests[i].query;
+    if (!query::IsSpQuery(q) || q.body->Relations().size() != 1) continue;
+    if (!std::all_of(relevant[i].begin(), relevant[i].end(),
+                     [&](int c) { return engine->chase_routed(c); })) {
+      continue;
+    }
+    sp_route[i] = 1;
+    for (int c : relevant[i]) {
+      RETURN_IF_ERROR(engine->ChaseFixpoint(c).status());
+    }
+  }
+  // Requests run in parallel and fill only their own response slot.
+  // SAT-routed requests run on a cached encoder under its slot mutex
+  // (requests sharing one serialize there); their blocking loops add
+  // clauses under a solver scope that is closed before the mutex is
+  // released.
+  std::vector<CcqaResponse> out(requests.size());
+  RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(requests.size()), [&](int i) -> Status {
+        const CcqaRequest& request = requests[i];
+        if (sp_route[i]) {
+          ASSIGN_OR_RETURN(
+              std::set<Tuple> answers,
+              SpAnswersViaComponentChases(
+                  [&](int c) { return engine->ChaseFixpoint(c); }, spec,
+                  request.query, relevant[i]));
+          if (request.candidate.has_value()) {
+            out[i].is_certain = answers.count(*request.candidate) > 0;
+          } else {
+            out[i].answers = std::move(answers);
+          }
+          return Status::OK();
+        }
+        return engine->WithCcqaEncoder(
+            relevant[i], [&](Encoder* encoder) -> Status {
+              if (request.candidate.has_value()) {
+                ASSIGN_OR_RETURN(bool certain,
+                                 CheckCertainMemberWith(
+                                     encoder, spec, request.query,
+                                     *request.candidate, instances[i],
+                                     options));
+                out[i].is_certain = certain;
+                return Status::OK();
+              }
+              ASSIGN_OR_RETURN(std::set<Tuple> answers,
+                               CertainAnswersVia(encoder, nullptr, spec,
+                                                 request.query, instances[i],
+                                                 options));
+              out[i].answers = std::move(answers);
+              return Status::OK();
+            });
+      }));
+  return out;
+}
+
 }  // namespace internal
 
 namespace {
-
-/// The component-level SP fast path (Proposition 6.3 applied to S
-/// restricted to the query's components): applies when chase routing is
-/// on, `q` is SP over exactly one relation, and every component that
-/// relation's entities touch is chase-eligible.  Denial constraints
-/// elsewhere in the specification do not matter — Mod(S) factors over
-/// components, so the query's answers are decided by the eligible
-/// components' completions alone (given overall consistency, which
-/// SolveAll establishes).  Returns an empty optional when the path does
-/// not apply, Status::Inconsistent when Mod(S) = ∅, and the certain
-/// current answers otherwise.
-Result<std::optional<std::set<Tuple>>> TryComponentSpAnswers(
-    DecomposedEncoder* decomposed, const Specification& spec,
-    const query::Query& q, const std::vector<int>& relevant,
-    const CcqaOptions& options, exec::ThreadPool* pool) {
-  std::optional<std::set<Tuple>> not_applicable;
-  if (!options.use_sp_fast_path || !decomposed->chase_routing() ||
-      !query::IsSpQuery(q)) {
-    return not_applicable;
-  }
-  std::vector<std::string> rels = q.body->Relations();
-  if (rels.size() != 1) return not_applicable;
-  for (int c : relevant) {
-    if (!decomposed->decomposition().chase_eligible(c)) return not_applicable;
-  }
-  // Vacuity of the WHOLE specification — the intersection defining
-  // certain answers ranges over completions of every component.
-  ASSIGN_OR_RETURN(bool consistent, decomposed->SolveAll({}, pool));
-  if (!consistent) {
-    return Status::Inconsistent(
-        "Mod(S) is empty: every tuple is vacuously a certain answer");
-  }
-  ASSIGN_OR_RETURN(
-      std::set<Tuple> answers,
-      internal::SpAnswersViaComponentChases(decomposed, spec, q, relevant));
-  return std::optional<std::set<Tuple>>(std::move(answers));
-}
-
-/// Certain-membership check.  The decomposed path restricts the blocking
-/// loop to the coupling components the query's instances touch; the other
-/// components only matter through the Mod(S) = ∅ vacuity, which their
-/// per-component consistency decides.
-Result<bool> CheckCertainMember(const Specification& spec,
-                                const query::Query& q, const Tuple& t,
-                                const std::vector<int>& instances,
-                                const CcqaOptions& options) {
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, enc,
-                                              options.use_chase_routing));
-    std::vector<int> relevant =
-        decomposed->decomposition().ComponentsOfInstances(instances);
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    {
-      auto sp = TryComponentSpAnswers(decomposed.get(), spec, q, relevant,
-                                      options, pool);
-      if (!sp.ok() && sp.status().code() == StatusCode::kInconsistent) {
-        return true;  // Mod(S) = ∅: vacuously certain
-      }
-      RETURN_IF_ERROR(sp.status());
-      if (sp->has_value()) return (**sp).count(t) > 0;
-    }
-    ASSIGN_OR_RETURN(bool rest_consistent,
-                     decomposed->SolveAll(relevant, pool));
-    if (!rest_consistent) return true;  // Mod(S) = ∅: vacuously certain
-    ASSIGN_OR_RETURN(auto encoder, decomposed->BuildMergedEncoder(relevant));
-    return internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
-                                            instances, options);
-  }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, enc));
-  return internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
-                                          instances, options);
-}
 
 /// Enumerates the distinct current instances of one encoder's formula
 /// (models projected onto the cell variables of `instances`), invoking
 /// `visit` with the decoded relations per projected model; stops early
 /// when `visit` returns false (reported as `stopped` in the outcome).
-/// Shared by the monolithic enumeration and the per-component fragment
-/// enumeration below.
 Result<sat::ProjectedModelEnumeration> EnumerateEncoderCurrentInstances(
     Encoder* encoder, const std::vector<int>& instances, int64_t max_models,
     const std::function<bool(std::vector<Relation>)>& visit) {
@@ -303,11 +302,10 @@ Result<sat::ProjectedModelEnumeration> EnumerateEncoderCurrentInstances(
 /// product of the per-attribute certain-sink values (Lemma 6.2 on S|_c).
 /// Output is capped at `budget`, mirroring the SAT enumerator's
 /// max_models truncation.
-Status AppendChaseFragments(DecomposedEncoder* decomposed,
-                            const Specification& spec, int c, int64_t budget,
+Status AppendChaseFragments(DecomposedEncoder* engine, int c, int64_t budget,
                             std::vector<std::vector<Relation>>* out) {
-  ASSIGN_OR_RETURN(const ComponentChase* chase,
-                   decomposed->ComponentChaseFixpoint(c));
+  const Specification& spec = engine->spec();
+  ASSIGN_OR_RETURN(const ComponentChase* chase, engine->ChaseFixpoint(c));
   if (chase->nodes.size() != 1) {
     return Status::Internal("chase-enumerable component is not a singleton");
   }
@@ -386,37 +384,38 @@ void SortFragments(std::vector<std::vector<Relation>>* fragments) {
   *fragments = std::move(sorted);
 }
 
-/// Decomposed current-instance enumeration: the distinct current
-/// instances of S are the cartesian product of the per-component current
-/// fragments, so each component is enumerated once (small SAT instances,
-/// or the chase fixpoint directly for chase-enumerable components) and
-/// the fragments are recombined without further solving.
-Result<int64_t> ForEachCurrentInstanceDecomposed(
-    const Specification& spec, const Encoder::Options& enc,
-    const CcqaOptions& options,
+}  // namespace
+
+/// The distinct current instances of S are the cartesian product of the
+/// per-component current fragments, so each component is enumerated once
+/// (small SAT instances, or the chase fixpoint directly for
+/// chase-enumerable components) and the fragments are recombined without
+/// further solving.
+Result<int64_t> ForEachCurrentInstance(
+    const Specification& spec, const CcqaOptions& options,
     const std::function<bool(const query::Database&)>& visit) {
-  ASSIGN_OR_RETURN(auto decomposed,
-                   DecomposedEncoder::Build(spec, enc,
-                                            options.use_chase_routing));
+  Encoder::Options enc = options.encoder;
+  enc.define_is_last = true;
+  ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
+                                    spec, enc, options.use_chase_routing));
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);
   // A single UNSAT component empties Mod(S); detect that with one cheap
   // solve per component before enumerating any fragments (a huge earlier
   // component must not burn the budget when a later one is empty).
-  ASSIGN_OR_RETURN(bool consistent, decomposed->SolveAll({}, pool));
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
   if (!consistent) return 0;
-  int num_components = decomposed->num_components();
+  int num_components = engine->num_components();
   std::vector<int> all;
   for (int i = 0; i < spec.num_instances(); ++i) all.push_back(i);
   // fragments[c]: the distinct current fragments of component c, each a
   // per-instance vector of partial relations.  Components enumerate
-  // concurrently — each task mutates only its own component encoder (the
-  // blocking clauses it adds stay confined there) and fills only its own
-  // fragments slot, so every component's fragment list and order is the
-  // one the sequential loop computes.  Task outcomes land in per-index
-  // slots and are aggregated below in component order, which reproduces
-  // the sequential loop's first-error/first-empty semantics: ParallelFor
+  // concurrently — each task works only its own component encoder and
+  // fills only its own fragments slot, so every component's fragment list
+  // is the one the sequential loop computes.  Task outcomes land in
+  // per-index slots and are aggregated below in component order, which
+  // reproduces the sequential loop's first-error semantics: ParallelFor
   // claims indices in increasing order, so tasks skipped by cancellation
   // always form a suffix behind the genuine cause.
   std::vector<Status> component_status(num_components, Status::OK());
@@ -425,41 +424,32 @@ Result<int64_t> ForEachCurrentInstanceDecomposed(
   RETURN_IF_ERROR(pool->ParallelFor(
       num_components,
       [&](int c) -> Status {
-        if (decomposed->chase_routed_enumerable(c)) {
-          // SolveAll above established the fixpoint's consistency, so
-          // the fragment product is never empty here.
-          Status built =
-              AppendChaseFragments(decomposed.get(), spec, c,
-                                   options.max_current_instances,
-                                   &fragments[c]);
-          if (!built.ok()) {
-            component_status[c] = built;
-            cancel.Cancel();
-          } else {
-            SortFragments(&fragments[c]);
-          }
-          return Status::OK();
+        Status built;
+        if (engine->chase_routed_enumerable(c)) {
+          built = AppendChaseFragments(engine.get(), c,
+                                       options.max_current_instances,
+                                       &fragments[c]);
+        } else {
+          // Every other component (constrained, multi-node, or touched by
+          // a coupling copy bucket) enumerates its SAT models.  The
+          // blocking clauses go in under a solver scope, so the cached
+          // encoder leaves as it came in.
+          built = engine->WithComponentEncoder(
+              c, [&](Encoder* encoder, sat::Portfolio*) -> Status {
+                encoder->solver().NewScope();
+                auto enumerated = EnumerateEncoderCurrentInstances(
+                    encoder, all, options.max_current_instances,
+                    [&](std::vector<Relation> decoded) {
+                      fragments[c].push_back(std::move(decoded));
+                      return true;
+                    });
+                encoder->solver().CloseScope();
+                return enumerated.status();
+              });
         }
-        // Chase-routed components that are NOT enumerable (multi-node, or
-        // touched by a coupling copy bucket) fall back to the SAT
-        // enumerator: ComponentEncoder builds theirs on first use.
-        auto encoder = decomposed->ComponentEncoder(c);
-        if (!encoder.ok()) {
-          component_status[c] = encoder.status();
+        if (!built.ok()) {
+          component_status[c] = built;
           cancel.Cancel();
-          return Status::OK();
-        }
-        auto enumerated = EnumerateEncoderCurrentInstances(
-            *encoder, all, options.max_current_instances,
-            [&](std::vector<Relation> decoded) {
-              fragments[c].push_back(std::move(decoded));
-              return true;
-            });
-        if (!enumerated.ok()) {
-          component_status[c] = enumerated.status();
-          cancel.Cancel();
-        } else if (fragments[c].empty()) {
-          cancel.Cancel();  // component UNSAT: Mod(S) = ∅, answered below
         } else {
           SortFragments(&fragments[c]);
         }
@@ -511,96 +501,54 @@ Result<int64_t> ForEachCurrentInstanceDecomposed(
   }
 }
 
-}  // namespace
+namespace {
 
-Result<int64_t> ForEachCurrentInstance(
-    const Specification& spec, const CcqaOptions& options,
-    const std::function<bool(const query::Database&)>& visit) {
+/// One CCQA request the one-shot way: a transient engine, its base solve,
+/// and one probe phase.  The response is `vacuous` when Mod(S) = ∅.
+Result<CcqaResponse> AnswerOneShot(const Specification& spec,
+                                   const CcqaRequest& request,
+                                   const CcqaOptions& options) {
+  ASSIGN_OR_RETURN(std::vector<std::vector<int>> instances,
+                   internal::RequestInstances(spec, {request}));
   Encoder::Options enc = options.encoder;
   enc.define_is_last = true;
-  if (options.use_decomposition) {
-    return ForEachCurrentInstanceDecomposed(spec, enc, options, visit);
+  ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
+                                    spec, enc, options.use_chase_routing));
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+  if (!consistent) {
+    CcqaResponse vacuous;
+    vacuous.vacuous = true;
+    return vacuous;
   }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, enc));
-  std::vector<int> all;
-  for (int i = 0; i < spec.num_instances(); ++i) all.push_back(i);
-  ASSIGN_OR_RETURN(sat::ProjectedModelEnumeration enumeration,
-                   EnumerateEncoderCurrentInstances(
-                       encoder.get(), all, options.max_current_instances,
-                       [&](std::vector<Relation> decoded) {
-                         query::Database db;
-                         for (int i = 0; i < spec.num_instances(); ++i) {
-                           db[spec.instance(i).name()] = &decoded[i];
-                         }
-                         return visit(db);
-                       }));
-  return enumeration.models;
+  ASSIGN_OR_RETURN(std::vector<CcqaResponse> responses,
+                   internal::CertainAnswerProbes(engine.get(), {request},
+                                                 instances, options, pool));
+  return std::move(responses[0]);
 }
+
+}  // namespace
 
 Result<std::set<Tuple>> CertainCurrentAnswers(const Specification& spec,
                                               const query::Query& q,
                                               const CcqaOptions& options) {
-  if (options.use_sp_fast_path && !spec.HasDenialConstraints() &&
-      query::IsSpQuery(q)) {
-    return SpCertainCurrentAnswers(spec, q);
+  ASSIGN_OR_RETURN(CcqaResponse response,
+                   AnswerOneShot(spec, CcqaRequest{q, std::nullopt}, options));
+  if (response.vacuous) {
+    return Status::Inconsistent(
+        "Mod(S) is empty: every tuple is vacuously a certain answer");
   }
-  ASSIGN_OR_RETURN(std::vector<int> instances,
-                   internal::QueryInstances(spec, q));
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, enc,
-                                              options.use_chase_routing));
-    std::vector<int> relevant =
-        decomposed->decomposition().ComponentsOfInstances(instances);
-    // Vacuity of the untouched components, checked once for all
-    // candidates; the touched ones are covered by the merged seed solve.
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    {
-      ASSIGN_OR_RETURN(std::optional<std::set<Tuple>> sp,
-                       TryComponentSpAnswers(decomposed.get(), spec, q,
-                                             relevant, options, pool));
-      if (sp.has_value()) return *std::move(sp);
-    }
-    ASSIGN_OR_RETURN(bool rest_consistent,
-                     decomposed->SolveAll(relevant, pool));
-    if (!rest_consistent) {
-      return Status::Inconsistent(
-          "Mod(S) is empty: every tuple is vacuously a certain answer");
-    }
-    ASSIGN_OR_RETURN(auto seed, decomposed->BuildMergedEncoder(relevant));
-    return internal::CertainAnswersVia(seed.get(), nullptr, spec, q,
-                                       instances, options);
-  }
-  ASSIGN_OR_RETURN(auto seed, Encoder::Build(spec, enc));
-  return internal::CertainAnswersVia(seed.get(), nullptr, spec, q, instances,
-                                     options);
+  return *std::move(response.answers);
 }
 
 Result<bool> IsCertainCurrentAnswer(const Specification& spec,
                                     const query::Query& q, const Tuple& t,
                                     const CcqaOptions& options) {
-  if (static_cast<size_t>(t.arity()) != q.head.size()) {
-    return Status::InvalidArgument(
-        "candidate tuple arity does not match query head");
-  }
-  if (options.use_sp_fast_path && !spec.HasDenialConstraints() &&
-      query::IsSpQuery(q)) {
-    auto answers = SpCertainCurrentAnswers(spec, q);
-    if (!answers.ok() && answers.status().code() == StatusCode::kInconsistent) {
-      return true;  // vacuous
-    }
-    RETURN_IF_ERROR(answers.status());
-    return answers->count(t) > 0;
-  }
-  ASSIGN_OR_RETURN(std::vector<int> instances,
-                   internal::QueryInstances(spec, q));
-  // CheckCertainMember returns true on inconsistent specifications (its
-  // first Solve is UNSAT), matching the vacuous-truth convention.
-  return CheckCertainMember(spec, q, t, instances, options);
+  ASSIGN_OR_RETURN(CcqaResponse response,
+                   AnswerOneShot(spec, CcqaRequest{q, t}, options));
+  return response.vacuous || *response.is_certain;
 }
 
 }  // namespace currency::core

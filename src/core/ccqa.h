@@ -5,12 +5,15 @@
 // Complexity (Theorem 3.5): coNP-complete data complexity for all of
 // CQ/UCQ/∃FO+/FO; combined complexity Πp2-complete for CQ/UCQ/∃FO+ and
 // PSPACE-complete for FO.  With SP queries and no denial constraints the
-// problem is PTIME (Proposition 6.3, see sp_ccqa.h); the general solver
-// dispatches there automatically.
+// problem is PTIME (Proposition 6.3, see sp_ccqa.h); chase routing applies
+// it to every SP query over one relation whose components are all
+// chase-eligible — which, without denial constraints, is every component.
 //
-// The general algorithm enumerates the *distinct current instances* of S
-// (models of the order encoding projected onto the is-last selectors) and
-// intersects Q over them, mirroring the guess-and-check upper bound.
+// The general algorithm searches for a consistent completion whose
+// current instance does not answer a candidate, blocking each failed
+// attempt (the guess-and-check upper bound), on an encoder covering just
+// the components the query touches.  Current-instance enumeration walks
+// the cartesian product of per-component current fragments.
 
 #ifndef CURRENCY_SRC_CORE_CCQA_H_
 #define CURRENCY_SRC_CORE_CCQA_H_
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -38,41 +42,54 @@ struct ComponentChase;
 
 /// Options for the CCQA solvers.
 struct CcqaOptions {
-  /// Budget on distinct current instances enumerated by the general path.
-  /// On the decomposed path this additionally bounds every component's
-  /// own fragment count (each is a factor of the product, so a component
-  /// exceeding the budget implies the product does too).
+  /// Budget on distinct current instances enumerated, and on the
+  /// iterations of each certain-membership loop.  Enumeration also
+  /// applies it to every component's own fragment count (each is a factor
+  /// of the product, so a component exceeding the budget implies the
+  /// product does too).  Note the product walk materializes each
+  /// component's fragments before visiting any combination, so callers
+  /// that stop early still pay the per-component enumeration (never more
+  /// than this budget).
   int64_t max_current_instances = 1'000'000;
-  /// Dispatch SP queries on constraint-free specifications to the PTIME
-  /// algorithm of Proposition 6.3.
-  bool use_sp_fast_path = true;
-  /// Split the SAT path along the coupling graph: certain-membership
-  /// loops run on a merged encoder covering only the components the
-  /// query's instances touch, and current-instance enumeration walks the
-  /// cartesian product of per-component fragments.  Note the product
-  /// walk materializes each component's fragments before visiting any
-  /// combination, so callers that stop early still pay the per-component
-  /// enumeration (never more than the budget above).
-  bool use_decomposition = true;
-  /// On the decomposed path, serve chase-eligible components (no denial
-  /// constraint grounds on any of their entity groups) from the
-  /// polynomial chase fixpoint instead of SAT: enumeration builds their
-  /// current fragments directly from the per-attribute certain sinks
-  /// (singleton, uncoupled components), and SP queries whose relevant
-  /// components are all eligible answer via Proposition 6.3 on the
-  /// assembled component orders — even when the specification carries
-  /// denial constraints elsewhere.  SAT remains the fallback.
+  /// Serve chase-eligible components (no denial constraint grounds on any
+  /// of their entity groups) from the polynomial chase fixpoint instead of
+  /// SAT: enumeration builds their current fragments directly from the
+  /// per-attribute certain sinks (singleton, uncoupled components), and SP
+  /// queries whose relevant components are all eligible answer via
+  /// Proposition 6.3 on the assembled component orders — even when the
+  /// specification carries denial constraints elsewhere.  SAT remains the
+  /// fallback.
   bool use_chase_routing = true;
-  /// Threads for the decomposed path: consistency pre-solves and the
-  /// per-component current-fragment enumerations run concurrently (the
-  /// certain-membership blocking loop itself stays sequential — it works
-  /// one merged encoder).  1 (the default) runs sequentially; answers,
-  /// counts and enumeration order are bit-identical for every value.
+  /// Threads: consistency pre-solves and the per-component current-
+  /// fragment enumerations run concurrently (one certain-membership loop
+  /// stays sequential — it works one encoder).  1 (the default) runs
+  /// sequentially; answers, counts and enumeration order are bit-identical
+  /// for every value.
   int num_threads = 1;
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
   Encoder::Options encoder;
+};
+
+/// One CCQA batch item: a full answer-set request (no candidate) or a
+/// certain-membership request for `candidate`.
+struct CcqaRequest {
+  query::Query query;
+  std::optional<Tuple> candidate;
+};
+
+/// Result of one CCQA batch item.
+struct CcqaResponse {
+  /// True iff Mod(S) = ∅, making every tuple vacuously certain (the
+  /// one-shot CertainCurrentAnswers reports this as Status::Inconsistent;
+  /// membership requests additionally get is_certain = true, matching
+  /// IsCertainCurrentAnswer's convention).
+  bool vacuous = false;
+  /// Set for membership requests.
+  std::optional<bool> is_certain;
+  /// Set for answer-set requests unless `vacuous`.
+  std::optional<std::set<Tuple>> answers;
 };
 
 /// Computes the full set of certain current answers ∩_Dc Q(LST(Dc)).
@@ -102,6 +119,25 @@ namespace internal {
 Result<std::vector<int>> QueryInstances(const Specification& spec,
                                         const query::Query& q);
 
+/// Validates a CCQA batch — every candidate's arity matches its query
+/// head, every relation exists — and returns each request's
+/// QueryInstances.  Shared by the one-shot solvers and serve's CcqaBatch.
+Result<std::vector<std::vector<int>>> RequestInstances(
+    const Specification& spec, const std::vector<CcqaRequest>& requests);
+
+/// The CCQA probe phase shared by the one-shot solvers and serve's
+/// CcqaBatch: answers `requests` (`instances[i]` from RequestInstances) on
+/// an engine whose EnsureAllSolved returned true, in parallel across
+/// requests on `pool`.  A request whose query is SP over one relation
+/// whose components are all chase-routed answers from the component
+/// fixpoints (Proposition 6.3); every other request runs on the engine's
+/// cached encoder for its component set (WithCcqaEncoder).  `options`
+/// supplies the iteration budget.
+Result<std::vector<CcqaResponse>> CertainAnswerProbes(
+    DecomposedEncoder* engine, const std::vector<CcqaRequest>& requests,
+    const std::vector<std::vector<int>>& instances, const CcqaOptions& options,
+    exec::ThreadPool* pool);
+
 /// The conflict-driven certain-membership loop on an encoder covering
 /// every entity of the query's instances (a component encoder of the
 /// query's only component, or a merged encoder from
@@ -114,41 +150,31 @@ Result<std::vector<int>> QueryInstances(const Specification& spec,
 /// only needs exclusive use of the solver for the call.  Returns true
 /// when every consistent completion's current instance answers `t`
 /// (vacuously true when the encoder is UNSAT), and Status::Internal if a
-/// satisfiable encoder rejects a scoped clause.  Shared by the one-shot
-/// CCQA solvers and the serving layer's CcqaBatch.
+/// satisfiable encoder rejects a scoped clause.
 Result<bool> CheckCertainMemberWith(Encoder* encoder,
                                     const Specification& spec,
                                     const query::Query& q, const Tuple& t,
                                     const std::vector<int>& instances,
                                     const CcqaOptions& options);
 
-/// The candidate-and-check loop behind CertainCurrentAnswers: candidates
+/// The candidate-and-check loop behind answer-set requests: candidates
 /// come from `seed`'s first model (certain answers are a subset of every
 /// Q(LST)), then each candidate runs CheckCertainMemberWith on `seed`
 /// itself.  `make_encoder` is never called; it remains only so existing
-/// callers (perfbench's layer twin) keep compiling, and may be null.
-/// Returns Status::Inconsistent when the seed is UNSAT (Mod(S) = ∅).
+/// callers keep compiling, and may be null.  Returns Status::Inconsistent
+/// when the seed is UNSAT (Mod(S) = ∅).
 Result<std::set<Tuple>> CertainAnswersVia(
     Encoder* seed,
     const std::function<Result<std::unique_ptr<Encoder>>()>& make_encoder,
     const Specification& spec, const query::Query& q,
     const std::vector<int>& instances, const CcqaOptions& options);
 
-/// The chase-routed SP path shared by the one-shot solvers and the
-/// serving layer's CcqaBatch: assembles the query instance's PO∞ from the
-/// chase fixpoints of `relevant` and answers `q` via Proposition 6.3.
+/// The chase-routed SP path behind CertainAnswerProbes: assembles the
+/// query instance's PO∞ from the chase fixpoints of `relevant`, looked up
+/// through `chase_for`, and answers `q` via Proposition 6.3.
 /// Preconditions the caller must have established: Mod(S) ≠ ∅, `q` is SP
 /// over exactly one relation, and `relevant` is exactly that relation's
-/// components, all chase-eligible.  Only reads cached fixpoints (computing
-/// missing ones), so concurrent callers must warm them first.
-Result<std::set<Tuple>> SpAnswersViaComponentChases(
-    DecomposedEncoder* decomposed, const Specification& spec,
-    const query::Query& q, const std::vector<int>& relevant);
-
-/// As above, but with a caller-supplied fixpoint lookup instead of a
-/// DecomposedEncoder — for callers whose fixpoints live elsewhere (the
-/// serving layer's epochs cache them in per-component slots).  `chase_for`
-/// must return the fixpoint of the given (chase-eligible) component.
+/// components, all chase-eligible.
 Result<std::set<Tuple>> SpAnswersViaComponentChases(
     const std::function<Result<const ComponentChase*>(int)>& chase_for,
     const Specification& spec, const query::Query& q,

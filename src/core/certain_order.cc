@@ -6,15 +6,15 @@
 #include <vector>
 
 #include "src/core/chase.h"
-#include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/exec/thread_pool.h"
 
 namespace currency::core {
 
-Result<bool> IsCertainOrder(const Specification& spec,
-                            const CurrencyOrderQuery& query,
-                            const CopOptions& options) {
+namespace internal {
+
+Result<int> OrderQueryInstance(const Specification& spec,
+                               const CurrencyOrderQuery& query) {
   ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(query.relation));
   const TemporalInstance& instance = spec.instance(inst);
   const Relation& rel = instance.relation();
@@ -27,154 +27,129 @@ Result<bool> IsCertainOrder(const Specification& spec,
       return Status::InvalidArgument("required pair tuple out of range");
     }
   }
+  return inst;
+}
 
-  // PTIME path (Theorem 6.1(2) / Lemma 6.2): Ot is certain iff it is
-  // contained in PO∞.
-  if (options.use_ptime_path_without_constraints &&
-      !spec.HasDenialConstraints()) {
-    ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
-    if (!chase.consistent) return true;  // vacuous
-    for (const RequiredPair& p : query.pairs) {
-      if (!chase.certain_orders[inst][p.attr].Less(p.before, p.after)) {
-        return false;
+Result<std::vector<bool>> CertainOrderProbes(
+    DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
+    const std::vector<int>& inst_of, exec::ThreadPool* pool,
+    const sat::PortfolioOptions* portfolio) {
+  const Specification& spec = engine->spec();
+  std::vector<bool> out(queries.size(), true);
+  // Structural refutations need no solver: a reflexive pair
+  // (irreflexivity) or a cross-entity pair (no order variable relates
+  // tuples of distinct entities) can hold in no completion.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Relation& rel = spec.instance(inst_of[i]).relation();
+    for (const RequiredPair& p : queries[i].pairs) {
+      if (p.before == p.after ||
+          !(rel.tuple(p.before).eid() == rel.tuple(p.after).eid())) {
+        out[i] = false;
+        break;
       }
     }
-    return true;
   }
-
-  // General path: Ot pair (u, v) is certain iff the encoding plus the
-  // assumption "v ≺ u or incomparable" is unsatisfiable; with totality
-  // baked in, that assumption is just ¬ord(u, v).
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, options.encoder,
-                                              options.use_chase_routing));
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    ASSIGN_OR_RETURN(bool consistent,
-                     decomposed->SolveAll({}, pool, &options.portfolio));
-    if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
-    // A reflexive pair is refuted structurally — no solver involved, so
-    // answer first (the SAT probes below could only also answer false).
-    for (const RequiredPair& p : query.pairs) {
-      if (p.before == p.after) return false;  // irreflexivity
+  // Route the remaining pairs to the component owning their entity, in
+  // batch order (so one component's item indices never decrease).
+  struct Probe {
+    int item;
+    const RequiredPair* pair;
+  };
+  std::map<int, std::vector<Probe>> by_component;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!out[i]) continue;  // answer already settled structurally
+    const Relation& rel = spec.instance(inst_of[i]).relation();
+    for (const RequiredPair& p : queries[i].pairs) {
+      int c = engine->decomposition().ComponentOf(inst_of[i],
+                                                  rel.tuple(p.before).eid());
+      by_component[c].push_back(Probe{static_cast<int>(i), &p});
     }
-    // Group the pairs by owning component, preserving query order within
-    // each group: pairs of one component probe one solver sequentially
-    // (its call sequence — and thus its learnt-clause state — is the same
-    // for every thread count), while distinct components are refuted in
-    // parallel.  SolveAll above built and solved every component, so
-    // ComponentEncoder below is a cached read.
-    std::map<int, std::vector<const RequiredPair*>> by_component;
-    for (const RequiredPair& p : query.pairs) {
-      int component = decomposed->decomposition().ComponentOf(
-          inst, rel.tuple(p.before).eid());
-      by_component[component].push_back(&p);
-    }
-    // Dominant components (PortfolioEligible, never chase-routed) leave
-    // the ParallelFor: their probes race diversified solvers through the
-    // component portfolio, which owns the pool, so they run sequentially
-    // after the regular groups (ParallelFor regions must not nest).
-    std::vector<std::pair<int, const std::vector<const RequiredPair*>*>>
-        groups;
-    std::vector<std::pair<int, const std::vector<const RequiredPair*>*>>
-        dominant;
-    groups.reserve(by_component.size());
-    for (const auto& [component, pairs] : by_component) {
-      if (decomposed->PortfolioEligible(component, &options.portfolio,
-                                        pool)) {
-        dominant.emplace_back(component, &pairs);
-      } else {
-        groups.emplace_back(component, &pairs);
-      }
-    }
-    std::vector<char> refuted(groups.size(), 0);
-    exec::CancellationToken cancel;
-    RETURN_IF_ERROR(pool->ParallelFor(
-        static_cast<int>(groups.size()),
-        [&](int k) -> Status {
-          if (decomposed->chase_routed(groups[k].first)) {
-            // Lemma 6.2 on S|_c: a pair is certain iff it is in the
-            // component's PO∞ (CertainLess also refutes cross-entity
-            // pairs — the `after` tuple lies outside the group).  The
-            // fixpoint was cached by SolveAll above.
-            ASSIGN_OR_RETURN(
-                const ComponentChase* chase,
-                decomposed->ComponentChaseFixpoint(groups[k].first));
-            for (const RequiredPair* p : *groups[k].second) {
-              if (!chase->CertainLess(inst, rel.tuple(p->before).eid(),
-                                      p->attr, p->before, p->after)) {
-                refuted[k] = 1;
-                cancel.Cancel();
-                return Status::OK();
-              }
-            }
-            return Status::OK();
-          }
-          ASSIGN_OR_RETURN(Encoder * encoder,
-                           decomposed->ComponentEncoder(groups[k].first));
-          for (const RequiredPair* p : *groups[k].second) {
-            if (!encoder->HasPairVar(inst, p->before, p->after)) {
-              // Cross-entity pairs are never comparable.
-              refuted[k] = 1;
-              cancel.Cancel();
-              return Status::OK();
-            }
-            sat::Lit lit = encoder->OrdLit(inst, p->attr, p->before, p->after);
-            if (encoder->solver().SolveWithAssumptions({sat::Negate(lit)}) ==
-                sat::SolveResult::kSat) {
-              // A completion orders them the other way.
-              refuted[k] = 1;
-              cancel.Cancel();
-              return Status::OK();
+  }
+  std::vector<int> components;
+  std::vector<const std::vector<Probe>*> probes;
+  for (const auto& [c, list] : by_component) {
+    components.push_back(c);
+    probes.push_back(&list);
+  }
+  // refuted[k]: the items component k refuted, in batch order.  A query
+  // refuted by this component's own earlier probes is skipped
+  // (deterministic), while refutations found concurrently by other
+  // components are deliberately not consulted — cross-task peeking would
+  // make each solver's call sequence depend on timing.
+  std::vector<std::vector<int>> refuted(components.size());
+  auto settled = [&](int k, int item) {
+    return !refuted[k].empty() && refuted[k].back() == item;
+  };
+  RETURN_IF_ERROR(engine->ForEachComponent(
+      components, pool, portfolio, [&](int k) -> Status {
+        const int c = components[k];
+        if (engine->chase_routed(c)) {
+          // Lemma 6.2 on S|_c: the pair is certain iff it is in the
+          // component's PO∞.  The fixpoint is read-only once published.
+          ASSIGN_OR_RETURN(const ComponentChase* chase,
+                           engine->ChaseFixpoint(c));
+          for (const Probe& probe : *probes[k]) {
+            if (settled(k, probe.item)) continue;
+            const Relation& rel = spec.instance(inst_of[probe.item]).relation();
+            if (!chase->CertainLess(inst_of[probe.item],
+                                    rel.tuple(probe.pair->before).eid(),
+                                    probe.pair->attr, probe.pair->before,
+                                    probe.pair->after)) {
+              refuted[k].push_back(probe.item);
             }
           }
           return Status::OK();
-        },
-        &cancel));
-    for (char r : refuted) {
-      if (r) return false;
-    }
-    // Dominant-component probes: same pair order, same verdicts — only
-    // the time to each verdict changes, so the COP answer is identical
-    // to the single-solver path.
-    for (const auto& [component, pairs] : dominant) {
-      ASSIGN_OR_RETURN(Encoder * encoder,
-                       decomposed->ComponentEncoder(component));
-      ASSIGN_OR_RETURN(
-          sat::Portfolio * race,
-          decomposed->ComponentPortfolio(component, options.portfolio, pool));
-      for (const RequiredPair* p : *pairs) {
-        if (!encoder->HasPairVar(inst, p->before, p->after)) {
-          return false;  // cross-entity pairs are never comparable
         }
-        sat::Lit lit = encoder->OrdLit(inst, p->attr, p->before, p->after);
-        ASSIGN_OR_RETURN(sat::SolveResult verdict,
-                         race->Solve({sat::Negate(lit)}));
-        if (verdict == sat::SolveResult::kSat) {
-          return false;  // a completion orders them the other way
-        }
-      }
-    }
-    return true;
+        // Exclusive solver access for the whole probe sequence: a
+        // concurrent batch probing the same component waits, keeping both
+        // call sequences contiguous.
+        return engine->WithComponentEncoder(
+            c,
+            [&](Encoder* encoder, sat::Portfolio* race) -> Status {
+              for (const Probe& probe : *probes[k]) {
+                if (settled(k, probe.item)) continue;
+                sat::Lit lit =
+                    encoder->OrdLit(inst_of[probe.item], probe.pair->attr,
+                                    probe.pair->before, probe.pair->after);
+                ASSIGN_OR_RETURN(sat::SolveResult verdict,
+                                 race->Solve({sat::Negate(lit)}));
+                // kSat: a completion orders them the other way.
+                if (verdict == sat::SolveResult::kSat) {
+                  refuted[k].push_back(probe.item);
+                }
+              }
+              return Status::OK();
+            },
+            portfolio, pool);
+      }));
+  for (const std::vector<int>& items : refuted) {
+    for (int item : items) out[item] = false;
   }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, options.encoder));
-  if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
-    return true;  // Mod(S) = ∅: vacuously certain
-  }
-  for (const RequiredPair& p : query.pairs) {
-    if (p.before == p.after) return false;  // irreflexivity
-    if (!encoder->HasPairVar(inst, p.before, p.after)) {
-      return false;  // cross-entity pairs are never comparable
-    }
-    sat::Lit lit = encoder->OrdLit(inst, p.attr, p.before, p.after);
-    if (encoder->solver().SolveWithAssumptions({sat::Negate(lit)}) ==
-        sat::SolveResult::kSat) {
-      return false;  // a completion orders them the other way
-    }
-  }
-  return true;
+  return out;
+}
+
+}  // namespace internal
+
+Result<bool> IsCertainOrder(const Specification& spec,
+                            const CurrencyOrderQuery& query,
+                            const CopOptions& options) {
+  ASSIGN_OR_RETURN(int inst, internal::OrderQueryInstance(spec, query));
+  // Ot pair (u, v) is certain iff the encoding plus the assumption "v ≺ u
+  // or incomparable" is unsatisfiable; with totality baked in, that
+  // assumption is just ¬ord(u, v).
+  ASSIGN_OR_RETURN(auto engine,
+                   DecomposedEncoder::Build(spec, options.encoder,
+                                            options.use_chase_routing));
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  ASSIGN_OR_RETURN(bool consistent,
+                   engine->EnsureAllSolved(pool, &options.portfolio));
+  if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
+  ASSIGN_OR_RETURN(std::vector<bool> certain,
+                   internal::CertainOrderProbes(engine.get(), {query}, {inst},
+                                                pool, &options.portfolio));
+  return static_cast<bool>(certain[0]);
 }
 
 }  // namespace currency::core

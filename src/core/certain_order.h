@@ -3,8 +3,9 @@
 // in every consistent completion of S?
 //
 // Complexity (Theorem 3.4): coNP-complete (data), Πp2-complete (combined);
-// PTIME without denial constraints via PO∞ (Theorem 6.1, Lemma 6.2).
-// Vacuously true when Mod(S) = ∅.
+// PTIME without denial constraints via PO∞ (Theorem 6.1, Lemma 6.2), which
+// chase routing applies component by component.  Vacuously true when
+// Mod(S) = ∅.
 
 #ifndef CURRENCY_SRC_CORE_CERTAIN_ORDER_H_
 #define CURRENCY_SRC_CORE_CERTAIN_ORDER_H_
@@ -23,6 +24,8 @@ class ThreadPool;
 
 namespace currency::core {
 
+class DecomposedEncoder;
+
 /// One required pair of a currency order Ot: before ≺_attr after.
 struct RequiredPair {
   AttrIndex attr = -1;
@@ -38,22 +41,16 @@ struct CurrencyOrderQuery {
 
 /// Options for IsCertainOrder.
 struct CopOptions {
-  /// Use the PTIME PO∞ check when no denial constraints are present.
-  bool use_ptime_path_without_constraints = true;
-  /// Split the SAT path along the coupling graph: the Mod(S) = ∅ vacuity
-  /// check solves each small component once, and every queried pair is
-  /// refuted inside the single component owning its entity group.
-  bool use_decomposition = true;
-  /// On the decomposed path, answer pairs owned by chase-eligible
-  /// components from the component chase fixpoint (pair certain iff it is
-  /// in the component's PO∞ — Lemma 6.2 applied to S|_c) instead of SAT
-  /// probes; SAT remains the fallback for constrained components.
+  /// Answer pairs owned by chase-eligible components from the component
+  /// chase fixpoint (pair certain iff it is in the component's PO∞ —
+  /// Lemma 6.2 applied to S|_c) instead of SAT probes; SAT remains the
+  /// fallback for constrained components.
   bool use_chase_routing = true;
-  /// Threads for the decomposed path: the vacuity check solves components
-  /// concurrently, then the queried pairs are refuted in parallel per
-  /// owning component (pairs sharing a component stay in query order on
-  /// that component's solver).  1 (the default) runs sequentially; the
-  /// answer is bit-identical for every value.
+  /// Threads: the vacuity check solves components concurrently, then the
+  /// queried pairs are refuted in parallel per owning component (pairs
+  /// sharing a component stay in query order on that component's
+  /// solver).  1 (the default) runs sequentially; the answer is
+  /// bit-identical for every value.
   int num_threads = 1;
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
@@ -75,6 +72,30 @@ struct CopOptions {
 Result<bool> IsCertainOrder(const Specification& spec,
                             const CurrencyOrderQuery& query,
                             const CopOptions& options = {});
+
+namespace internal {
+
+/// Validates `query` against `spec` — known relation, attributes and tuple
+/// ids in range — and returns its instance index.  Shared by
+/// IsCertainOrder and serve's CopBatch.
+Result<int> OrderQueryInstance(const Specification& spec,
+                               const CurrencyOrderQuery& query);
+
+/// The COP probe phase shared by IsCertainOrder and serve's CopBatch:
+/// answers every query (`inst_of[i]` is its instance index) on an engine
+/// whose EnsureAllSolved returned true.  Reflexive and cross-entity pairs
+/// are refuted structurally; every other pair is refuted inside the
+/// component owning its entity — by PO∞ membership on a chase-routed
+/// component, else by the SAT probe ¬ord(u, v), raced on dominant
+/// components.  Pairs sharing a component probe its solver in batch
+/// order, components in parallel, so every solver's call sequence (and
+/// hence its learnt-clause state) is the same for every thread count.
+Result<std::vector<bool>> CertainOrderProbes(
+    DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
+    const std::vector<int>& inst_of, exec::ThreadPool* pool,
+    const sat::PortfolioOptions* portfolio);
+
+}  // namespace internal
 
 }  // namespace currency::core
 

@@ -3,8 +3,10 @@
 //
 // Complexity (Theorem 3.1): NP-complete in data complexity, Σp2-complete
 // in combined complexity; PTIME without denial constraints (Theorem 6.1).
-// The solver realizes the upper bound with CDCL search over the order
-// encoding, and dispatches to the chase on denial-constraint-free inputs.
+// DecideConsistency runs DecomposedEncoder::EnsureAllSolved on a transient
+// engine: chase-routed components (no denial constraint grounds on them)
+// are decided by the chase, the rest by CDCL search over their order
+// encodings, which realizes the upper bound.
 
 #ifndef CURRENCY_SRC_CORE_CONSISTENCY_H_
 #define CURRENCY_SRC_CORE_CONSISTENCY_H_
@@ -25,34 +27,25 @@ namespace currency::core {
 
 /// Options for DecideConsistency.
 struct CpsOptions {
-  /// Use the PTIME chase when the specification has no denial constraints
-  /// (Theorem 6.1).  Disable to force the SAT path (ablation).
-  bool use_ptime_path_without_constraints = true;
-  /// Always construct a witness completion (forces the SAT path even when
-  /// the chase decides consistency).
+  /// Always construct a witness completion (routes every component
+  /// through SAT: a chase fixpoint carries no witness).
   bool want_witness = false;
-  /// Split the SAT path along the coupling graph (src/core/decompose.h):
-  /// one small instance per component, solved smallest-first with an
-  /// early exit on the first UNSAT component.  Disable to force one
-  /// monolithic encoding (ablation / equivalence testing).
-  bool use_decomposition = true;
-  /// On the decomposed path, decide chase-eligible components (no denial
-  /// grounding touches them) by the polynomial copy-order chase instead
-  /// of building their SAT encoders; SAT remains the fallback for the
+  /// Decide chase-eligible components (no denial grounding touches them)
+  /// by the polynomial copy-order chase instead of building their SAT
+  /// encoders (Theorem 6.1 on S|_c); SAT remains the fallback for the
   /// constrained components of the same specification.  Ignored when
   /// `want_witness` forces full encoders.  Disable to force pure SAT
   /// (equivalence testing / ablation).
   bool use_chase_routing = true;
-  /// Threads for the decomposed path (src/exec/thread_pool.h): components
-  /// are solved concurrently with first-UNSAT cancellation.  Counts the
-  /// calling thread; 1 (the default) runs strictly sequentially.  Answers
-  /// and witnesses are bit-identical for every value.
+  /// Threads (src/exec/thread_pool.h): components are solved concurrently
+  /// with first-UNSAT cancellation.  Counts the calling thread; 1 (the
+  /// default) runs strictly sequentially.  Answers and witnesses are
+  /// bit-identical for every value.
   int num_threads = 1;
-  /// Optional caller-owned pool for the decomposed path, reused across
-  /// calls instead of spawning pool threads per invocation (the serving
-  /// layer passes its session pool).  When set it overrides
-  /// `num_threads`; not owned — it must outlive the call and must not be
-  /// inside a concurrent ParallelFor region.
+  /// Optional caller-owned pool, reused across calls instead of spawning
+  /// pool threads per invocation.  When set it overrides `num_threads`;
+  /// not owned — it must outlive the call and must not be inside a
+  /// concurrent ParallelFor region.
   exec::ThreadPool* pool = nullptr;
   /// Verdict-deterministic portfolio racing for dominant components (off
   /// by default): components with at least `portfolio.min_component_size`
@@ -66,12 +59,9 @@ struct CpsOptions {
 /// Outcome of CPS.
 struct CpsOutcome {
   bool consistent = false;
-  /// A consistent completion, when `consistent` and the SAT path ran.
+  /// A consistent completion, when `consistent` and `want_witness`.
   std::optional<Completion> witness;
-  /// True iff the PTIME chase decided the instance.
-  bool used_ptime_path = false;
-  /// Number of coupling components the decomposed SAT path saw (0 when
-  /// the monolithic or chase path answered).
+  /// Number of coupling components of the specification.
   int components = 0;
 };
 

@@ -14,9 +14,10 @@
 //
 // This is the locality the paper's decision problems already have — they
 // quantify over completions of *per-entity* currency orders — made
-// explicit.  The DecomposedEncoder below exploits it:
-//   * CPS: S is consistent iff every component is; solve smallest-first
-//     and short-circuit on the first UNSAT component.
+// explicit.  The DecomposedEncoder below is the one engine every decision
+// procedure runs on, one-shot and served alike:
+//   * CPS: S is consistent iff every component is; components are decided
+//     concurrently, short-circuiting on the first UNSAT one.
 //   * COP: a pair (u, v) is refuted inside the component owning u's
 //     entity; other components only matter for the Mod(S) = ∅ vacuity.
 //   * DCIP: determinism is checked per entity group against the group's
@@ -25,17 +26,24 @@
 //     of per-component current fragments; certain-membership checks run
 //     on an encoder covering just the components a query touches (the
 //     component's own when it is one, else a merged one).
+// A specification without denial constraints makes every component
+// chase-eligible, so with chase routing on these already apply Theorem
+// 6.1, Lemma 6.2 and Proposition 6.3 component by component.
 //
-// Equivalence with the monolithic encoder is property-tested against the
-// brute-force oracle (tests/oracle_invariants_test.cc) and benchmarked in
-// bench/bench_scale_decomposition.cc.
+// Equivalence with one monolithic encoding of the whole specification
+// (tests/support/monolithic.h) and with the brute-force oracle is
+// property-tested in tests/oracle_invariants_test.cc and the other
+// equivalence suites, and benchmarked in bench/bench_scale_decomposition.cc.
 
 #ifndef CURRENCY_SRC_CORE_DECOMPOSE_H_
 #define CURRENCY_SRC_CORE_DECOMPOSE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -45,6 +53,7 @@
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/sat/portfolio.h"
 
 namespace currency::core {
@@ -132,42 +141,115 @@ class Decomposition {
   std::vector<char> chase_enumerable_;
 };
 
-/// One small SAT encoder per coupling component, sharing one specification
-/// and one set of encoder options.  Component encoders are built lazily
-/// (CPS may never reach them past the first UNSAT component) and cached;
-/// tuple ids and instance indices remain the specification's own, so the
-/// callers' queries need no translation.
+/// Registry instruments a DecomposedEncoder reports its cache and solver
+/// work into.  A serving session hands one set per tenant, shared by all
+/// of its epochs so counts accumulate across Mutate; one-shot calls hand
+/// none and sample nothing.  Updates are relaxed atomics inside the
+/// instruments, so concurrent callers bump them without locks.  SAT work
+/// is sampled as solver-stats deltas at solve boundaries (the sat module
+/// itself stays observability-free).
+struct EngineCounters {
+  /// Component base solves, one series per routing of
+  /// currency_serve_component_base_solves_total: routing="sat" for SAT
+  /// solves, routing="chase" for verdicts read off a chase fixpoint.
+  obs::Counter* base_solves = nullptr;
+  obs::Counter* chase_solves = nullptr;
+  /// Merged CCQA encoders built: at most one per engine and
+  /// multi-component set (WithCcqaEncoder).
+  obs::Counter* merged_builds = nullptr;
+  /// Component verdicts answered from the cached bit (no solve).
+  obs::Counter* cache_hits = nullptr;
+  /// Components a chase-routing engine still had to solve via SAT
+  /// (constrained, hence chase-ineligible).
+  obs::Counter* chase_sat_fallbacks = nullptr;
+  obs::Counter* sat_propagations = nullptr;
+  obs::Counter* sat_conflicts = nullptr;
+  obs::Counter* sat_gc_runs = nullptr;
+  /// Literals stripped from learnt clauses by recursive minimization and
+  /// binary self-subsumption before attachment.
+  obs::Counter* sat_minimized_literals = nullptr;
+  /// TIER2 → LOCAL demotions of learnt clauses untouched across a
+  /// ReduceDB cycle.
+  obs::Counter* sat_demotions = nullptr;
+  /// Portfolio races completed / rival solvers cancelled mid-search by a
+  /// rival's (or the primary's) earlier verdict.
+  obs::Counter* sat_portfolio_races = nullptr;
+  obs::Counter* sat_portfolio_cancelled = nullptr;
+  /// Aggregate clause-arena bytes across the cached solvers (signed
+  /// deltas: GC shrinks it).
+  obs::Gauge* sat_arena_bytes = nullptr;
+  /// Aggregate live learnt clauses per tier across the cached solvers
+  /// (currency_sat_tier_clauses{tier=core|mid|local}; signed deltas:
+  /// ReduceDB shrinks them).
+  obs::Gauge* sat_tier_core = nullptr;
+  obs::Gauge* sat_tier_mid = nullptr;
+  obs::Gauge* sat_tier_local = nullptr;
+  /// Chase fixpoint work, sampled when a fixpoint is computed.
+  obs::Counter* chase_passes = nullptr;
+  obs::Counter* chase_edges_expanded = nullptr;
+
+  /// Resolves every handle in `registry` under `labels` (a tenant label,
+  /// or none); every pointer is non-null afterwards.
+  void Bind(obs::Registry* registry, const obs::Labels& labels);
+};
+
+/// The per-component engine behind every decision procedure, one-shot and
+/// served alike: one SAT encoder per coupling component — or, for
+/// chase-routed components, one chase fixpoint — built lazily and cached
+/// in a thread-safe slot.  Tuple ids and instance indices remain the
+/// specification's own, so callers' queries need no translation.  The
+/// one-shot procedures run on a transient engine; serve::CurrencySession
+/// keeps one per epoch.
 ///
-/// Thread confinement: after Build returns, every shared member — the
-/// specification (including each Relation's entity-group cache, warmed by
-/// Decomposition::Build), the options, the Decomposition, the
-/// CopyBucketIndex, the chase seed, and the per-component filters — is
-/// read-only.  Each component's Encoder (and its sat::Solver) is mutable
-/// state confined to whichever single task currently works on that
-/// component, so ComponentEncoder may be called concurrently for
-/// *distinct* components (each task builds into and solves its own
-/// `encoders_[c]` slot), but never for the same component from two
-/// threads.  SolveAll's parallel path enforces this by giving each task
-/// exactly one component.
+/// Concurrency.  After Build, the specification (including each
+/// Relation's entity-group cache, warmed by Decomposition::Build), the
+/// options, the decomposition, the copy-bucket index, the chase seed and
+/// the per-component filters are read-only, so the Build* methods may run
+/// concurrently for any component mix.  The cache slots fill lazily under
+/// concurrent callers, each with its own synchronization:
+///   * encoder slot: a per-component mutex, held by WithComponentEncoder
+///     for the whole call — every use of a component's solver goes
+///     through it.  Learnt clauses one caller leaves behind are implied
+///     by the encoding, so they change no later answer.  Clauses that are
+///     not implied (CCQA and enumeration blocking clauses) go in under a
+///     solver scope that is closed before the mutex is released; closing
+///     deletes them with every learnt clause derived from one.
+///   * merged slots: one per multi-component set a CCQA query touches,
+///     created on first use and never harvested, with the same
+///     mutex-plus-scope discipline.
+///   * base-sat bit: an atomic tri-state (unknown / unsat / sat).  Reads
+///     are lock-free; the writer re-checks under the encoder mutex, so
+///     racing callers solve a component once.
+///   * chase slot: write-once publication.  The fixpoint is computed under
+///     a per-component mutex, stored as shared_ptr<const ComponentChase>
+///     and flagged ready with a release store; readers acquire the flag
+///     and read the pointer lock-free.  The shared_ptr is what lets a
+///     successor engine adopt the fixpoint while readers of this one keep
+///     their pointers.
+///
+/// Cross-engine reuse: Harvest() extracts the caches keyed by component
+/// fingerprint, and a successor engine over an edited specification
+/// adopts every entry whose fingerprint is unchanged.  Harvest try_locks
+/// the encoder slots, so it never waits on a busy component (whose
+/// encoder simply rebuilds lazily in the successor) and never takes an
+/// encoder with an open scope.
 class DecomposedEncoder {
  public:
-  /// `use_chase_routing` routes chase-eligible components through the
-  /// polynomial copy-order chase instead of SAT: SolveAll answers their
-  /// consistency from ComponentChaseFixpoint and never builds their
-  /// encoders.  Off by default so direct callers keep the pure-SAT
-  /// semantics (ExtractCompletion in particular needs every encoder
-  /// built); the decision procedures and the serving layer opt in via
-  /// their own use_chase_routing options.
+  /// `use_chase_routing` answers chase-eligible components from their
+  /// chase fixpoints and never builds their encoders; off, every
+  /// component is SAT-routed.  `counters` (not owned; may be null)
+  /// receives the engine's cache and solver work.
   static Result<std::unique_ptr<DecomposedEncoder>> Build(
       const Specification& spec, const Encoder::Options& options,
-      bool use_chase_routing = false);
+      bool use_chase_routing = false, const EngineCounters* counters = nullptr);
 
+  const Specification& spec() const { return *spec_; }
   const Decomposition& decomposition() const { return decomposition_; }
   int num_components() const { return decomposition_.num_components(); }
 
   bool chase_routing() const { return use_chase_routing_; }
   /// True iff routing is on and component `c` is chase-eligible: callers
-  /// must answer `c` from ComponentChaseFixpoint, not ComponentEncoder.
+  /// answer `c` from ChaseFixpoint, not from its encoder.
   bool chase_routed(int c) const {
     return use_chase_routing_ && decomposition_.chase_eligible(c);
   }
@@ -177,136 +259,171 @@ class DecomposedEncoder {
     return use_chase_routing_ && decomposition_.chase_enumerable(c);
   }
 
-  /// The (cached) chase fixpoint of the chase-eligible component `c`.
-  /// Lazily computed; same thread-confinement contract as
-  /// ComponentEncoder (concurrent calls must target distinct components
-  /// unless the fixpoint is already cached, after which the result is
-  /// read-only).  InvalidArgument for ineligible components.
-  Result<const ComponentChase*> ComponentChaseFixpoint(int c);
-
-  /// Computes component `c`'s chase fixpoint WITHOUT touching the lazy
-  /// cache slot: reads only the post-Build read-only state (spec,
-  /// decomposition, copy index), so it is safe to call concurrently from
-  /// any number of threads — even for the same component.  The serving
-  /// layer's epoch snapshots (serve/epoch.h) manage their own slots under
-  /// per-component locks and use this const builder to fill them.
-  /// InvalidArgument for ineligible components.
-  Result<ComponentChase> BuildComponentChase(int c) const;
-
-  /// Moves component `c`'s cached chase fixpoint out (nullptr when never
-  /// computed); the slot reverts to lazy.  Mirrors TakeComponentEncoder
-  /// for the serving layer's cross-epoch harvest.
-  std::unique_ptr<ComponentChase> TakeComponentChase(int c);
-
-  /// Installs a chase fixpoint previously taken from a component with an
-  /// equal fingerprint (the caller's responsibility, as with
-  /// AdoptComponentEncoder).  Fails when the slot is occupied or the
-  /// component is not chase-eligible.
-  Status AdoptComponentChase(int c, std::unique_ptr<ComponentChase> chase);
-
-  /// The (cached) encoder of component `c`.
-  Result<Encoder*> ComponentEncoder(int c);
-
-  /// Builds a fresh encoder for exactly component `c` WITHOUT touching the
-  /// lazy cache slot (the caller owns it).  Like BuildComponentChase this
-  /// reads only post-Build read-only state, so concurrent calls are safe
-  /// for any component mix; the epoch layer uses it to fill its own
-  /// per-component slots.
-  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(int c) const {
-    return BuildComponentEncoder(c, options_.solver);
-  }
-
-  /// Same, with solver-diversification knobs overriding the shared
-  /// options — the portfolio layer's rival builds.  The CNF a component
-  /// encoder emits is a function of the read-only inputs only, so rival
-  /// encoders carry exactly the same formula as the primary.
-  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(
-      int c, const sat::Solver::Options& solver_options) const;
-
-  /// True iff `c` would be routed through the portfolio: the options are
-  /// given and enabled, the pool can actually race (> 1 thread), the
-  /// component is not chase-routed, and its member count reaches
-  /// min_component_size.
-  bool PortfolioEligible(int c, const sat::PortfolioOptions* portfolio,
-                         const exec::ThreadPool* pool) const;
-
-  /// The (cached) verdict-race context fronting component `c`'s cached
-  /// encoder solver.  Rival encoders are spawned lazily inside the
-  /// returned Portfolio and owned by this DecomposedEncoder.  Same
-  /// slot-confinement contract as ComponentEncoder; callers must pass
-  /// the same pool on every call for a given component.  After a race
-  /// the primary encoder may hold NO model even on a kSat verdict —
-  /// callers needing a witness re-Solve() on ComponentEncoder(c).
-  Result<sat::Portfolio*> ComponentPortfolio(
-      int c, const sat::PortfolioOptions& portfolio, exec::ThreadPool* pool);
-
-  /// A fresh encoder covering exactly the union of `components` (callers
-  /// own it; it is not cached here).  CCQA's certain-membership loop runs
-  /// on one when a query touches several components: its blocking
-  /// clauses live in a retractable solver scope, so one merged encoder
-  /// serves every candidate of a request — and, cached in a serving
-  /// epoch's merged slot, every request over the same component set.
-  /// Like BuildComponentEncoder it reads only post-Build state, so
-  /// concurrent calls are safe.
-  Result<std::unique_ptr<Encoder>> BuildMergedEncoder(
-      const std::vector<int>& components) const;
-
   /// Pass-through to Decomposition::fingerprint.
   uint64_t component_fingerprint(int c) const {
     return decomposition_.fingerprint(c);
   }
 
-  /// Moves component `c`'s built encoder out of the cache (nullptr when
-  /// the component was never built); the slot reverts to lazy.  The
-  /// serving layer harvests encoders this way before rebuilding over a
-  /// mutated specification.
-  std::unique_ptr<Encoder> TakeComponentEncoder(int c);
+  /// Computes component `c`'s chase fixpoint without touching its cache
+  /// slot.  InvalidArgument for ineligible components.
+  Result<ComponentChase> BuildComponentChase(int c) const;
 
-  /// Installs an encoder previously taken from a component with an equal
-  /// fingerprint of a prior build over the same specification object and
-  /// the same options.  The fingerprint check is the caller's
-  /// responsibility — adopting a mismatched encoder silently corrupts
-  /// answers.  Fails when the slot is already occupied.
-  Status AdoptComponentEncoder(int c, std::unique_ptr<Encoder> encoder);
+  /// Builds a fresh encoder for exactly component `c` (the caller owns
+  /// it; the cache slot is untouched).
+  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(int c) const {
+    return BuildComponentEncoder(c, options_.solver);
+  }
 
-  /// Solves every component not listed in `skip`, smallest encoding
-  /// first, short-circuiting on the first UNSAT component.  Returns true
-  /// iff all solved components are satisfiable (each solved encoder then
-  /// holds a model).  With chase routing on, chase-eligible components
-  /// are decided first from their (cheap, cached) chase fixpoints and
-  /// never reach SAT; a chase-inconsistent component short-circuits the
-  /// whole call.
-  ///
-  /// When `pool` is given and has more than one thread, components are
-  /// solved concurrently (one task per component, claimed smallest-first)
-  /// with cooperative first-UNSAT cancellation.  The answer — and, on a
-  /// satisfiable specification, every per-component witness model — is
-  /// bit-identical to the sequential path for every thread count: each
-  /// component's encoder sees exactly the same build and the same single
-  /// Solve call either way.
-  ///
-  /// When `portfolio` is given and enabled, PortfolioEligible (dominant)
-  /// components are instead raced through ComponentPortfolio — one race
-  /// at a time, from the calling thread, AFTER the regular components
-  /// (ParallelFor regions must not nest, and the small components are
-  /// the cheap short-circuit candidates).  Verdicts are race-independent
-  /// so the boolean answer is unchanged, but a raced component's encoder
-  /// may hold no model afterwards: callers that extract witnesses must
-  /// not pass `portfolio` (consistency.cc routes want_witness queries to
-  /// the single-solver path for exactly this reason).
-  Result<bool> SolveAll(const std::vector<int>& skip = {},
-                        exec::ThreadPool* pool = nullptr,
-                        const sat::PortfolioOptions* portfolio = nullptr);
+  /// Same, with solver-diversification knobs overriding the shared
+  /// options — the portfolio's rival builds.  The CNF is a function of
+  /// the read-only inputs only, so rivals carry exactly the primary's
+  /// formula.
+  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(
+      int c, const sat::Solver::Options& solver_options) const;
 
-  /// Merges the per-component witness models into one completion.
-  /// Requires an immediately preceding SolveAll() == true.
-  Result<Completion> ExtractCompletion() const;
+  /// A fresh encoder covering exactly the union of `components` (the
+  /// caller owns it; WithCcqaEncoder caches one per component set).
+  Result<std::unique_ptr<Encoder>> BuildMergedEncoder(
+      const std::vector<int>& components) const;
+
+  /// The fan-out every per-component phase shares: runs `task(k)` for
+  /// each index k of `components`.  Ordinary components run as concurrent
+  /// tasks on `pool`; PortfolioEligible ("dominant") ones follow one at a
+  /// time from the calling thread, because their races own the pool and
+  /// ParallelFor regions must not nest.  A raised `cancel` (optional)
+  /// skips unclaimed ordinary tasks and the dominant tail.  A null `pool`
+  /// runs every task sequentially on the calling thread.
+  Status ForEachComponent(const std::vector<int>& components,
+                          exec::ThreadPool* pool,
+                          const sat::PortfolioOptions* portfolio,
+                          const std::function<Status(int k)>& task,
+                          exec::CancellationToken* cancel = nullptr) const;
+
+  /// CPS, and the base step of every other procedure: ensures every
+  /// component has a cached base-satisfiability bit and returns whether
+  /// all are satisfiable (Mod(S) ≠ ∅).  Unknown components are decided on
+  /// `pool`, in component order — chase-routed ones from their fixpoint,
+  /// the rest by a SAT solve, dominant ones by a portfolio race — with
+  /// first-UNSAT cancellation; components skipped by cancellation stay
+  /// unknown, which is sound because the answer is already false.
+  /// Verdicts are race-independent, so the answer never depends on
+  /// `portfolio`.
+  Result<bool> EnsureAllSolved(
+      exec::ThreadPool* pool,
+      const sat::PortfolioOptions* portfolio = nullptr);
+
+  /// The cached chase fixpoint of the chase-eligible component `c`,
+  /// computed on first use.  The pointer stays valid for the engine's
+  /// lifetime.  InvalidArgument for ineligible components.
+  Result<const ComponentChase*> ChaseFixpoint(int c);
+
+  /// What WithComponentEncoder hands its callback: exclusive use of the
+  /// component's encoder and `race`, the verdict front of the encoder's
+  /// solver.  `race` races cached diversified rival solvers when the
+  /// component is PortfolioEligible for the call's (portfolio, pool), and
+  /// is a pass-through to the encoder's own solver otherwise.  Verdict-only
+  /// probes solve through `race`; after a real race the encoder's solver
+  /// may hold no model, so anything that reads a model solves on the
+  /// encoder directly.
+  using EncoderFn =
+      std::function<Status(Encoder* encoder, sat::Portfolio* race)>;
+
+  /// Runs `fn` with exclusive access to component `c`'s encoder, building
+  /// it first if the slot is empty (first use, or Harvest moved it to a
+  /// successor).  `fn` must close every solver scope it opens.  A call
+  /// that can race must come from outside any ParallelFor region on
+  /// `pool` (ForEachComponent orders this).
+  Status WithComponentEncoder(int c, const EncoderFn& fn,
+                              const sat::PortfolioOptions* portfolio = nullptr,
+                              exec::ThreadPool* pool = nullptr);
+
+  /// CCQA's encoder access: runs `fn` with exclusive access to an encoder
+  /// covering exactly `components` (sorted, as ComponentsOfInstances
+  /// returns them).  One component uses its own slot, sharing the solver
+  /// the base solve and COP/DCIP probes warmed; any other set uses this
+  /// engine's merged slot for it, built on first use and counted in
+  /// EngineCounters::merged_builds.  Same scope rule as above.
+  Status WithCcqaEncoder(const std::vector<int>& components,
+                         const std::function<Status(Encoder*)>& fn);
+
+  /// What Harvest() extracts per component, for adoption by a successor.
+  struct Harvested {
+    std::unique_ptr<Encoder> encoder;
+    std::shared_ptr<const ComponentChase> chase;
+    std::optional<bool> sat;
+  };
+
+  /// Extracts the caches keyed by content fingerprint.  Safe while other
+  /// callers still use this engine: busy encoder slots are skipped
+  /// (try_lock) and chase fixpoints are shared, not moved.
+  std::map<uint64_t, Harvested> Harvest();
+
+  /// Adoption hooks.  The caller guarantees the fingerprint match.
+  /// AdoptEncoder and AdoptChase run only before the engine is shared
+  /// (no synchronization); AdoptEncoder rebinds the encoder to this
+  /// engine's specification.  AdoptSat is a release store into the atomic
+  /// bit and is safe at any time — recovery seeds snapshot verdicts
+  /// through it.
+  void AdoptEncoder(int c, std::unique_ptr<Encoder> encoder);
+  void AdoptChase(int c, std::shared_ptr<const ComponentChase> chase);
+  void AdoptSat(int c, bool sat);
+
+  /// The cached base-satisfiability bit of component `c`: -1 unknown,
+  /// 0 unsat, 1 sat.  Lock-free.
+  int CachedSat(int c) const;
 
  private:
+  /// One component's cache slot; see the class comment for the roles.
+  struct Slot {
+    std::mutex mu;  // guards `encoder`, `rivals` and their solvers
+    std::unique_ptr<Encoder> encoder;
+    /// Portfolio rivals over the same component, built on the first race
+    /// (config k at rivals[k - 1]) and kept warm for later races.
+    std::vector<std::unique_ptr<Encoder>> rivals;
+    /// -1 unknown, 0 unsat, 1 sat.
+    std::atomic<int> sat{-1};
+    std::mutex chase_mu;  // serializes the one-time fixpoint compute
+    std::shared_ptr<const ComponentChase> chase;
+    /// Release-published after `chase` is set; never cleared.
+    std::atomic<bool> chase_ready{false};
+  };
+
+  /// A CCQA encoder over a multi-component (or empty) component set.
+  struct MergedSlot {
+    std::mutex mu;  // guards `encoder` and its solver
+    std::unique_ptr<Encoder> encoder;
+  };
+
   DecomposedEncoder() = default;
+
+  /// True iff `c` is raced through the portfolio ("dominant"): the
+  /// options are given and enabled, the pool can actually race (> 1
+  /// thread), the component is not chase-routed, and its member count
+  /// reaches min_component_size.
+  bool PortfolioEligible(int c, const sat::PortfolioOptions* portfolio,
+                         const exec::ThreadPool* pool) const;
+
+  /// Solves component `c`'s base encoding under its slot mutex (racing it
+  /// when dominant) and caches the bit; returns the cached bit without
+  /// solving when another caller got there first.
+  Result<bool> SolveComponentBase(int c,
+                                  const sat::PortfolioOptions* portfolio,
+                                  exec::ThreadPool* pool);
+
+  /// Bumps one of counters_'s instruments; a no-op without instruments.
+  void Count(obs::Counter* EngineCounters::*counter, int64_t delta = 1) const {
+    if (counters_ != nullptr) (counters_->*counter)->Increment(delta);
+  }
+
+  /// Runs `fn` on a slot's encoder (the caller holds the slot mutex) and
+  /// samples the solver work it did into counters_.
+  Status RunSampled(Encoder* encoder,
+                    const std::function<Status(Encoder*)>& fn) const;
 
   const Specification* spec_ = nullptr;
   Encoder::Options options_;
+  bool use_chase_routing_ = false;
+  const EngineCounters* counters_ = nullptr;
   Decomposition decomposition_;
   /// Copy-bucket index shared by every component build (built once).
   CopyBucketIndex copy_index_;
@@ -315,19 +432,10 @@ class DecomposedEncoder {
   std::optional<ChaseResult> chase_seed_;
   /// Per-component filters (stable storage for lazily built encoders).
   std::vector<EntityFilter> filters_;
-  std::vector<std::unique_ptr<Encoder>> encoders_;
-  bool use_chase_routing_ = false;
-  /// Lazily computed per-component chase fixpoints (eligible components
-  /// only; same slot confinement as encoders_).
-  std::vector<std::unique_ptr<ComponentChase>> chases_;
-  /// Lazily created per-component verdict races: the Portfolio plus the
-  /// rival encoders it spawned (their solvers are borrowed by the
-  /// Portfolio, so the encoders must live exactly as long as it does).
-  struct PortfolioSlot {
-    std::vector<std::unique_ptr<Encoder>> rivals;
-    std::unique_ptr<sat::Portfolio> portfolio;
-  };
-  std::vector<std::unique_ptr<PortfolioSlot>> portfolios_;
+  std::unique_ptr<Slot[]> slots_;
+  /// Guards the map only; each merged slot carries its own mutex.
+  std::mutex merged_mu_;
+  std::map<std::vector<int>, std::unique_ptr<MergedSlot>> merged_;
 };
 
 }  // namespace currency::core

@@ -1,5 +1,7 @@
 #include "src/core/deterministic.h"
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -93,29 +95,93 @@ bool DeterministicViaComponentChase(const Specification& spec,
   return true;
 }
 
+Result<std::vector<bool>> DeterminismProbes(
+    DecomposedEncoder* engine, const std::vector<int>& instances,
+    exec::ThreadPool* pool, const sat::PortfolioOptions* portfolio) {
+  const Specification& spec = engine->spec();
+  // Route each item to the components of its instance.
+  struct Request {
+    int item;
+    int inst;
+  };
+  std::map<int, std::vector<Request>> by_component;
+  for (size_t i = 0; i < instances.size(); ++i) {
+    for (int c : engine->decomposition().ComponentsOfInstance(instances[i])) {
+      by_component[c].push_back(Request{static_cast<int>(i), instances[i]});
+    }
+  }
+  std::vector<int> components;
+  std::vector<const std::vector<Request>*> requests;
+  for (const auto& [c, list] : by_component) {
+    components.push_back(c);
+    requests.push_back(&list);
+  }
+  std::vector<std::vector<int>> nondeterministic(components.size());
+  RETURN_IF_ERROR(engine->ForEachComponent(
+      components, pool, portfolio, [&](int k) -> Status {
+        const int c = components[k];
+        if (engine->chase_routed(c)) {
+          // Theorem 6.1(3) on S|_c: pure reads on the cached fixpoint.
+          ASSIGN_OR_RETURN(const ComponentChase* chase,
+                           engine->ChaseFixpoint(c));
+          for (const Request& req : *requests[k]) {
+            if (!DeterministicViaComponentChase(spec, *chase, req.inst)) {
+              nondeterministic[k].push_back(req.item);
+            }
+          }
+          return Status::OK();
+        }
+        return engine->WithComponentEncoder(
+            c,
+            [&](Encoder* encoder, sat::Portfolio* race) -> Status {
+              for (const Request& req : *requests[k]) {
+                // Re-establish a model: earlier probes (or a race) left
+                // none.  The component is known satisfiable, so kUnsat is
+                // a bug.
+                if (encoder->solver().Solve() != sat::SolveResult::kSat) {
+                  return Status::Internal(
+                      "cached-SAT component re-solved unsatisfiable");
+                }
+                ASSIGN_OR_RETURN(
+                    bool deterministic,
+                    DeterministicProbe(spec, encoder, req.inst, race));
+                if (!deterministic) nondeterministic[k].push_back(req.item);
+              }
+              return Status::OK();
+            },
+            portfolio, pool);
+      }));
+  std::vector<bool> out(instances.size(), true);
+  for (const std::vector<int>& items : nondeterministic) {
+    for (int item : items) out[item] = false;
+  }
+  return out;
+}
+
 }  // namespace internal
 
 namespace {
 
-/// PTIME path (Theorem 6.1(3)): deterministic iff for each entity and
-/// attribute, all sinks of PO∞ agree on the attribute value.
-Result<bool> DeterministicViaChase(const Specification& spec,
-                                   const ChaseResult& chase, int inst) {
-  const TemporalInstance& instance = spec.instance(inst);
-  const Relation& rel = instance.relation();
-  for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
-    const PartialOrder& po = chase.certain_orders[inst][a];
-    for (const auto& [eid, members] : rel.EntityGroups()) {
-      (void)eid;
-      std::vector<int> sinks = po.SinksWithin(members);
-      for (size_t k = 1; k < sinks.size(); ++k) {
-        if (!(rel.tuple(sinks[k]).at(a) == rel.tuple(sinks[0]).at(a))) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
+/// Whether S is deterministic for every instance of `instances`: a
+/// transient engine, its base solve, and one probe phase.
+Result<bool> DeterministicFor(const Specification& spec,
+                              const std::vector<int>& instances,
+                              const DcipOptions& options) {
+  Encoder::Options enc = options.encoder;
+  enc.define_is_last = true;
+  ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
+                                    spec, enc, options.use_chase_routing));
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  ASSIGN_OR_RETURN(bool consistent,
+                   engine->EnsureAllSolved(pool, &options.portfolio));
+  if (!consistent) return true;  // vacuous
+  ASSIGN_OR_RETURN(std::vector<bool> deterministic,
+                   internal::DeterminismProbes(engine.get(), instances, pool,
+                                               &options.portfolio));
+  return std::all_of(deterministic.begin(), deterministic.end(),
+                     [](bool d) { return d; });
 }
 
 }  // namespace
@@ -124,104 +190,14 @@ Result<bool> IsDeterministicForRelation(const Specification& spec,
                                         const std::string& relation,
                                         const DcipOptions& options) {
   ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
-  if (options.use_ptime_path_without_constraints &&
-      !spec.HasDenialConstraints()) {
-    ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
-    if (!chase.consistent) return true;  // vacuous
-    return DeterministicViaChase(spec, chase, inst);
-  }
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, enc,
-                                              options.use_chase_routing));
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    ASSIGN_OR_RETURN(bool consistent,
-                     decomposed->SolveAll({}, pool, &options.portfolio));
-    if (!consistent) return true;  // vacuous
-    // Each entity group's determinism is decided by its own component
-    // (SolveAll left every regular component encoder holding a model), so
-    // the groups probe concurrently — one task per component, cancelling
-    // the rest once any witness of non-determinism is found.  Dominant
-    // components leave the ParallelFor: their probes race through the
-    // component portfolio, which owns the pool, so they run sequentially
-    // afterwards (ParallelFor regions must not nest).
-    const std::vector<int>& all_components =
-        decomposed->decomposition().ComponentsOfInstance(inst);
-    std::vector<int> components;
-    std::vector<int> dominant;
-    components.reserve(all_components.size());
-    for (int c : all_components) {
-      if (decomposed->PortfolioEligible(c, &options.portfolio, pool)) {
-        dominant.push_back(c);
-      } else {
-        components.push_back(c);
-      }
-    }
-    std::vector<char> nondeterministic(components.size(), 0);
-    exec::CancellationToken cancel;
-    RETURN_IF_ERROR(pool->ParallelFor(
-        static_cast<int>(components.size()),
-        [&](int k) -> Status {
-          if (decomposed->chase_routed(components[k])) {
-            ASSIGN_OR_RETURN(
-                const ComponentChase* chase,
-                decomposed->ComponentChaseFixpoint(components[k]));
-            if (!internal::DeterministicViaComponentChase(spec, *chase,
-                                                          inst)) {
-              nondeterministic[k] = 1;
-              cancel.Cancel();
-            }
-            return Status::OK();
-          }
-          ASSIGN_OR_RETURN(Encoder * encoder,
-                           decomposed->ComponentEncoder(components[k]));
-          ASSIGN_OR_RETURN(bool deterministic,
-                           internal::DeterministicProbe(spec, encoder, inst));
-          if (!deterministic) {
-            nondeterministic[k] = 1;
-            cancel.Cancel();
-          }
-          return Status::OK();
-        },
-        &cancel));
-    for (char n : nondeterministic) {
-      if (n) return false;
-    }
-    for (int c : dominant) {
-      ASSIGN_OR_RETURN(Encoder * encoder, decomposed->ComponentEncoder(c));
-      // The raced base solve was verdict-only, so the primary may hold no
-      // model; re-establish one for the phase-1 baseline snapshot.
-      if (encoder->solver().Solve() != sat::SolveResult::kSat) {
-        return Status::Internal("consistent component re-solved unsat");
-      }
-      ASSIGN_OR_RETURN(
-          sat::Portfolio * race,
-          decomposed->ComponentPortfolio(c, options.portfolio, pool));
-      ASSIGN_OR_RETURN(bool deterministic,
-                       internal::DeterministicProbe(spec, encoder, inst, race));
-      if (!deterministic) return false;
-    }
-    return true;
-  }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, enc));
-  if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
-    return true;  // vacuous
-  }
-  return internal::DeterministicProbe(spec, encoder.get(), inst);
+  return DeterministicFor(spec, {inst}, options);
 }
 
 Result<bool> IsDeterministic(const Specification& spec,
                              const DcipOptions& options) {
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    ASSIGN_OR_RETURN(bool det, IsDeterministicForRelation(
-                                   spec, spec.instance(i).name(), options));
-    if (!det) return false;
-  }
-  return true;
+  std::vector<int> all(spec.num_instances());
+  for (int i = 0; i < spec.num_instances(); ++i) all[i] = i;
+  return DeterministicFor(spec, all, options);
 }
 
 }  // namespace currency::core

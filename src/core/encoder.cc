@@ -251,32 +251,30 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   }
 
   // 5. Grounded denial constraints.
-  if (options.ground_denial_constraints) {
-    for (int i = 0; i < spec.num_instances(); ++i) {
-      const Relation& rel = spec.instance(i).relation();
-      // All tuple variables of a grounding bind within one entity group,
-      // so grounding per active group loses nothing and skips the other
-      // components' grounding work entirely.
-      for (const auto& dc : spec.constraints_for(i)) {
-        for (const auto& [eid, group_members] : active_groups_[i]) {
-          (void)eid;
-          dc.EnumerateGroundingsForGroup(
-            rel, group_members,
-            [&](const constraints::Grounding& g) {
-              std::vector<sat::Lit> clause;
-              clause.reserve(g.premises.size() + 1);
-              for (const auto& p : g.premises) {
-                clause.push_back(
-                    sat::Negate(OrdLit(i, p.attr, p.before, p.after)));
-              }
-              if (g.conclusion.has_value()) {
-                clause.push_back(OrdLit(i, g.conclusion->attr,
-                                        g.conclusion->before,
-                                        g.conclusion->after));
-              }
-              s.AddClause(std::move(clause));
-            });
-        }
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    const Relation& rel = spec.instance(i).relation();
+    // All tuple variables of a grounding bind within one entity group,
+    // so grounding per active group loses nothing and skips the other
+    // components' grounding work entirely.
+    for (const auto& dc : spec.constraints_for(i)) {
+      for (const auto& [eid, group_members] : active_groups_[i]) {
+        (void)eid;
+        dc.EnumerateGroundingsForGroup(
+          rel, group_members,
+          [&](const constraints::Grounding& g) {
+            std::vector<sat::Lit> clause;
+            clause.reserve(g.premises.size() + 1);
+            for (const auto& p : g.premises) {
+              clause.push_back(
+                  sat::Negate(OrdLit(i, p.attr, p.before, p.after)));
+            }
+            if (g.conclusion.has_value()) {
+              clause.push_back(OrdLit(i, g.conclusion->attr,
+                                      g.conclusion->before,
+                                      g.conclusion->after));
+            }
+            s.AddClause(std::move(clause));
+          });
       }
     }
   }

@@ -70,9 +70,6 @@ struct CopyBucketIndex {
 class Encoder {
  public:
   struct Options {
-    /// Ground denial constraints into clauses (disable only to measure
-    /// their cost; solvers require it for correctness).
-    bool ground_denial_constraints = true;
     /// Seed the solver with the chase's certain orders as unit clauses
     /// (sound strengthening; ablation knob for bench_ablation).
     bool seed_with_chase = false;
@@ -161,9 +158,9 @@ class Encoder {
   /// specification it was built from: same instances, schemas, tuple ids,
   /// and entity groups (value edits only).  The retained specification is
   /// read only by DecodeCurrentInstances/ExtractCompletion, and those
-  /// consult shape, not values — so an encoder harvested across epochs
-  /// (serve/epoch.h) stays valid after rebinding to the new epoch's
-  /// deep-copied specification.
+  /// consult shape, not values — so an encoder harvested across engines
+  /// (DecomposedEncoder::AdoptEncoder) stays valid after rebinding to the
+  /// new engine's deep-copied specification.
   void RebindSpec(const Specification& spec) { spec_ = &spec; }
 
  private:

@@ -33,10 +33,9 @@
 //
 // Nesting: Portfolio::Solve opens a ParallelFor region, so per the exec
 // contract it must NOT be called from inside another region on the same
-// pool.  Callers (DecomposedEncoder::SolveAll, the COP/DCIP probe loops,
-// serve's epoch base solves) therefore race dominant components
-// sequentially from the region-owning thread, outside their per-component
-// fan-out.
+// pool.  The one caller, core::DecomposedEncoder, therefore races dominant
+// components sequentially from the region-owning thread, outside its
+// per-component fan-out (DecomposedEncoder::ForEachComponent).
 
 #ifndef CURRENCY_SRC_SAT_PORTFOLIO_H_
 #define CURRENCY_SRC_SAT_PORTFOLIO_H_

@@ -1,23 +1,24 @@
 // currency::serve — the session layer: amortized, batched, incrementally
 // invalidated currency queries against one long-lived specification.
 //
-// The decision procedures in src/core are one-shot: every call rebuilds
-// the DecomposedEncoder (coupling graph, copy-bucket index, per-component
-// filters, per-component SAT encodings) and spawns a thread pool, even
-// when a client asks hundreds of queries against the same specification.
-// Real serving workloads — Improve3C-style cleaning loops, dashboards
-// polling currency invariants, batch auditors — look different: register
-// a specification once, fire batches of CPS/COP/DCIP/CCQA queries, edit a
-// few tuples, repeat.  CurrencySession is that workload's entry point.
+// Every decision procedure has one implementation in src/core, running
+// on the per-component engine core::DecomposedEncoder; the one-shot APIs
+// (DecideConsistency, IsCertainOrder, ...) build a transient engine per
+// call.  Real serving workloads — Improve3C-style cleaning loops,
+// dashboards polling currency invariants, batch auditors — look
+// different: register a specification once, fire batches of
+// CPS/COP/DCIP/CCQA queries, edit a few tuples, repeat.  CurrencySession
+// is that workload's entry point: it keeps the engine alive across
+// requests, so the work the one-shot calls redo is paid once.
 //
 // Amortization model:
-//   * The DecomposedEncoder build happens once per epoch (registration or
-//     Mutate), not once per query.
+//   * The engine build happens once per epoch (registration or Mutate),
+//     not once per query.
 //   * Component encoders build lazily and persist across requests; their
 //     base solves are cached, so a warm CpsCheck is a cache scan with
 //     zero solver calls.
 //   * One exec::ThreadPool is owned by (or lent to) the session and
-//     shared by every request (the one-shot APIs gained a matching
+//     shared by every request (the one-shot APIs take a matching
 //     CpsOptions::pool knob so they can borrow a caller's pool the same
 //     way).
 //   * Mutate(edits) snapshots the specification with the edits applied,
@@ -26,6 +27,10 @@
 //     fixpoint and cached result of every component whose fingerprint is
 //     unchanged — exactly the components an edit touched are re-encoded
 //     and re-solved.
+//
+// Each batch runs the procedure's two steps inside its trace stages:
+// "base_solve" (DecomposedEncoder::EnsureAllSolved, the Mod(S) = ∅
+// vacuity check) and "solve" (the procedure's probe phase).
 //
 // Threading: batches and Mutate may be called concurrently from any
 // number of threads.  The session keeps its state in refcounted immutable
@@ -63,7 +68,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,13 +109,14 @@ struct SessionOptions {
   /// components; answers are identical either way.
   bool use_chase_routing = true;
   /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): base solves of components with at least
-  /// `portfolio.min_component_size` entity groups race diversified rival
-  /// solvers on the session pool, first verdict wins.  Verdict-only — the
-  /// cached primary solver may hold no model after a raced solve, which
-  /// is fine because every serve probe either needs no model (COP) or
-  /// re-Solves first (DCIP, CCQA).  Answers are bit-identical with the racing
-  /// off; pass-through (zero overhead) when the pool has one thread.
+  /// by default): base solves and COP/DCIP probes of components with at
+  /// least `portfolio.min_component_size` entity groups race diversified
+  /// rival solvers on the session pool, first verdict wins.  Verdict-only
+  /// — the cached primary solver may hold no model after a raced solve,
+  /// which is fine because every serve probe either needs no model (COP)
+  /// or re-Solves first (DCIP, CCQA).  Answers are bit-identical with the
+  /// racing off; pass-through (zero overhead) when the pool has one
+  /// thread.
   sat::PortfolioOptions portfolio;
   /// Base encoder options.  define_is_last is forced on (one cached
   /// encoding serves CPS, COP, DCIP and CCQA); restrict_to / copy_index /
@@ -173,25 +178,10 @@ struct SessionStats {
   int64_t last_chase_rechased = 0;
 };
 
-/// One CCQA batch item: a full answer-set request (no candidate) or a
-/// certain-membership request for `candidate`.
-struct CcqaRequest {
-  query::Query query;
-  std::optional<Tuple> candidate;
-};
-
-/// Result of one CCQA batch item.
-struct CcqaResponse {
-  /// True iff Mod(S) = ∅, making every tuple vacuously certain (the
-  /// one-shot CertainCurrentAnswers reports this as Status::Inconsistent;
-  /// membership requests additionally get is_certain = true, matching
-  /// IsCertainCurrentAnswer's convention).
-  bool vacuous = false;
-  /// Set for membership requests.
-  std::optional<bool> is_certain;
-  /// Set for answer-set requests unless `vacuous`.
-  std::optional<std::set<Tuple>> answers;
-};
+/// CCQA batch items and results (defined with the procedure in
+/// src/core/ccqa.h).
+using core::CcqaRequest;
+using core::CcqaResponse;
 
 /// A long-lived session over one specification.  Create → query batches →
 /// Mutate → query batches → ...; batches and Mutate may overlap freely
@@ -280,6 +270,12 @@ class CurrencySession {
 
   /// The current epoch, pinned (a batch holds the pin until it returns).
   std::shared_ptr<Epoch> Pin() const;
+  /// Pin() inside the calling batch's "epoch_pin" trace stage.
+  std::shared_ptr<Epoch> PinStage() const;
+  /// The first step of every query batch, inside its "base_solve" trace
+  /// stage: the epoch's per-component base solves, whose conjunction is
+  /// Mod(S) ≠ ∅.
+  Result<bool> BaseSolveStage(Epoch& epoch);
 
   SessionOptions options_;
   /// options_.encoder with define_is_last forced and the session-managed

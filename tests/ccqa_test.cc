@@ -190,7 +190,7 @@ TEST(SpCcqaTest, SelectionOnUndeterminedAttributeYieldsNothing) {
   EXPECT_EQ(*sb, std::set<Tuple>{Tuple({Value(10)})});
   // And both agree with the general path and the oracle.
   CcqaOptions no_fast;
-  no_fast.use_sp_fast_path = false;
+  no_fast.use_chase_routing = false;
   EXPECT_EQ(*sa, CertainCurrentAnswers(spec, qa, no_fast).value());
   EXPECT_EQ(*sb, CertainCurrentAnswers(spec, qb, no_fast).value());
   EXPECT_EQ(*sa, BruteForceCertainAnswers(spec, qa).value());

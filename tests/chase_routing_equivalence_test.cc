@@ -8,6 +8,10 @@
 // (a) forced-SAT routing (use_chase_routing = false) and (b) the
 // brute-force oracle, across thread counts, mixed
 // constrained/constraint-free specifications, and session Mutate rounds.
+// On constraint-free draws the one-shot answers must also equal the
+// whole-specification PTIME results (ChaseCopyOrders for Theorem 6.1 and
+// Lemma 6.2, SpCertainCurrentAnswers for Proposition 6.3): per-component
+// routing is what answers those calls.
 //
 // Also covered here: the metamorphic classification properties (inert
 // additions — a zero-grounding constraint, a single-source copy bucket —
@@ -31,6 +35,8 @@
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
+#include "src/core/sp_ccqa.h"
+#include "src/query/classify.h"
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
@@ -101,7 +107,6 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
     SCOPED_TRACE("cps threads=" + std::to_string(threads));
     for (bool routed : {true, false}) {
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;
       cps.use_chase_routing = routed;
       cps.num_threads = threads;
       auto outcome = DecideConsistency(spec, cps);
@@ -137,7 +142,6 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         SCOPED_TRACE("cop threads=" + std::to_string(threads) +
                      " routed=" + std::to_string(routed));
         CopOptions cop;
-        cop.use_ptime_path_without_constraints = false;
         cop.use_chase_routing = routed;
         cop.num_threads = threads;
         EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle);
@@ -154,7 +158,6 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         SCOPED_TRACE("dcip " + rel + " threads=" + std::to_string(threads) +
                      " routed=" + std::to_string(routed));
         DcipOptions dcip;
-        dcip.use_ptime_path_without_constraints = false;
         dcip.use_chase_routing = routed;
         dcip.num_threads = threads;
         EXPECT_EQ(IsDeterministicForRelation(spec, rel, dcip).value(),
@@ -192,17 +195,17 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
     }
   }
 
-  // --- CCQA answer sets and membership, with and without the SP fast
-  // path (the routed SP path must agree with the forced merged-SAT
-  // blocking loop AND the oracle). ---
-  query::Query q = query::ParseQuery("Q(x) := EXISTS y: R('e0', x, y)").value();
-  auto oracle_answers = BruteForceCertainAnswers(spec, q);
-  for (bool sp : {true, false}) {
+  // --- CCQA answer sets and membership, for a general and an SP query
+  // (the routed SP path must agree with the forced SAT blocking loop AND
+  // the oracle). ---
+  for (const char* text : {"Q(x) := EXISTS y: R('e0', x, y)",
+                           "Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e0'"}) {
+    query::Query q = query::ParseQuery(text).value();
+    auto oracle_answers = BruteForceCertainAnswers(spec, q);
     for (bool routed : {true, false}) {
-      SCOPED_TRACE("ccqa sp=" + std::to_string(sp) +
+      SCOPED_TRACE(std::string("ccqa ") + text +
                    " routed=" + std::to_string(routed));
       CcqaOptions ccqa;
-      ccqa.use_sp_fast_path = sp;
       ccqa.use_chase_routing = routed;
       auto answers = CertainCurrentAnswers(spec, q, ccqa);
       if (!oracle_answers.ok()) {
@@ -218,6 +221,99 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         bool oracle_member =
             !oracle_answers.ok() || oracle_answers->count(t) > 0;
         EXPECT_EQ(*member, oracle_member) << "candidate " << k;
+      }
+    }
+  }
+}
+
+/// `spec` without its denial constraints (instances and copy functions
+/// only).
+Specification WithoutConstraints(const Specification& spec) {
+  Specification out;
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    EXPECT_TRUE(out.AddInstance(spec.instance(i)).ok());
+  }
+  for (const CopyEdge& edge : spec.copy_edges()) {
+    EXPECT_TRUE(out.AddCopyFunction(edge.fn).ok());
+  }
+  return out;
+}
+
+/// Theorem 6.1(3) over the whole specification: deterministic for `inst`
+/// iff, per entity group and attribute, every sink of PO∞ carries the same
+/// value.
+bool DeterministicViaWholeChase(const Specification& spec,
+                                const ChaseResult& chase, int inst) {
+  const TemporalInstance& instance = spec.instance(inst);
+  const Relation& rel = instance.relation();
+  for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
+    for (const auto& [eid, members] : rel.EntityGroups()) {
+      (void)eid;
+      std::vector<int> sinks =
+          chase.certain_orders[inst][a].SinksWithin(members);
+      for (size_t k = 1; k < sinks.size(); ++k) {
+        if (!(rel.tuple(sinks[k]).at(a) == rel.tuple(sinks[0]).at(a))) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+/// On a draw whose every component is chase-eligible, the one-shot
+/// answers (on the draw itself and on its constraint-free copy, which has
+/// the same models because no constraint grounds) must equal the
+/// whole-specification PTIME references — ChaseCopyOrders for CPS, COP and
+/// DCIP (Theorem 6.1, Lemma 6.2), SpCertainCurrentAnswers for SP queries
+/// (Proposition 6.3) — and brute force.
+void CheckWholeSpecChaseReferences(const Specification& spec) {
+  const Specification free = WithoutConstraints(spec);
+  ASSERT_FALSE(free.HasDenialConstraints());
+  ChaseResult chase = ChaseCopyOrders(free).value();
+  const bool oracle_consistent = BruteForceConsistent(spec).value();
+  EXPECT_EQ(chase.consistent, oracle_consistent);
+  for (const Specification* s : {&spec, &free}) {
+    SCOPED_TRACE(s == &spec ? "draw" : "constraint-free copy");
+    EXPECT_EQ(DecideConsistency(*s).value().consistent, chase.consistent);
+    for (const CurrencyOrderQuery& q :
+         MakeCopQueries(spec.instance(0).relation())) {
+      bool whole = true;
+      if (chase.consistent) {
+        for (const RequiredPair& p : q.pairs) {
+          whole = whole && chase.certain_orders[0][p.attr].Less(p.before,
+                                                                 p.after);
+        }
+      }
+      EXPECT_EQ(IsCertainOrder(*s, q).value(), whole);
+      EXPECT_EQ(whole, BruteForceCertainOrder(spec, q).value());
+    }
+    for (int i = 0; i < spec.num_instances(); ++i) {
+      const std::string& rel = spec.instance(i).name();
+      const bool whole =
+          !chase.consistent || DeterministicViaWholeChase(free, chase, i);
+      EXPECT_EQ(IsDeterministicForRelation(*s, rel).value(), whole) << rel;
+      EXPECT_EQ(whole, BruteForceDeterministic(spec, rel).value()) << rel;
+    }
+    for (const char* text : {"Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e0'",
+                             "Q(e, b) := EXISTS a: R(e, a, b)"}) {
+      SCOPED_TRACE(text);
+      query::Query q = query::ParseQuery(text).value();
+      ASSERT_TRUE(query::IsSpQuery(q));
+      auto whole = SpCertainCurrentAnswers(free, q);
+      auto oracle = BruteForceCertainAnswers(spec, q);
+      auto answers = CertainCurrentAnswers(*s, q);
+      if (!whole.ok()) {
+        ASSERT_EQ(whole.status().code(), StatusCode::kInconsistent);
+        EXPECT_EQ(answers.status().code(), StatusCode::kInconsistent);
+        EXPECT_EQ(oracle.status().code(), StatusCode::kInconsistent);
+        continue;
+      }
+      ASSERT_TRUE(answers.ok()) << answers.status();
+      EXPECT_EQ(*answers, *whole);
+      EXPECT_EQ(*whole, oracle.value());
+      for (const Tuple& t : *whole) {
+        EXPECT_TRUE(IsCertainCurrentAnswer(*s, q, t).value()) << t.ToString();
       }
     }
   }
@@ -248,6 +344,19 @@ TEST_P(ChaseRoutingEquivalence, RoutedEqualsForcedSatAndOracle) {
     SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
                  " variant=" + std::to_string(v));
     CheckRoutedEqualsForcedAndOracle(spec);
+    if (::testing::Test::HasFatalFailure()) return;
+    // Constraint-free draws (fraction 1, and the literally constraint-free
+    // one): every one-shot call routes per component, and must agree
+    // with the whole-specification PTIME results of Section 6.
+    const Decomposition d = Decomposition::Build(spec).value();
+    bool all_eligible = true;
+    for (int c = 0; c < d.num_components(); ++c) {
+      all_eligible = all_eligible && d.chase_eligible(c);
+    }
+    if (variants[v].free_fraction == 1.0 || !variants[v].with_constraints) {
+      ASSERT_TRUE(all_eligible);
+    }
+    if (all_eligible) CheckWholeSpecChaseReferences(spec);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -580,20 +689,26 @@ TEST(ChaseCounters, ComponentChaseCountsWorkAndSkipsEncoders) {
   auto decomposed = DecomposedEncoder::Build(spec, enc, /*use_chase_routing=*/true);
   ASSERT_TRUE(decomposed.ok()) << decomposed.status();
   ASSERT_TRUE((*decomposed)->chase_routing());
-  ASSERT_TRUE((*decomposed)->SolveAll({}, nullptr).value());
+  ASSERT_TRUE((*decomposed)->EnsureAllSolved(nullptr).value());
   int coupled = (*decomposed)->decomposition().ComponentOf(0, Value("e1"));
-  auto chase = (*decomposed)->ComponentChaseFixpoint(coupled);
+  auto chase = (*decomposed)->ChaseFixpoint(coupled);
   ASSERT_TRUE(chase.ok()) << chase.status();
   EXPECT_TRUE((*chase)->consistent);
   EXPECT_GE((*chase)->passes, 1);
   EXPECT_GT((*chase)->edges_expanded, 0) << "copy pairs were scanned";
   EXPECT_GT((*chase)->derived_pairs, 0)
       << "the initial order must propagate into R2";
-  // Routed SolveAll never builds encoders for chase-eligible components.
+  // A routed base solve never builds encoders for chase-eligible
+  // components: their harvested caches hold a verdict and a fixpoint but
+  // no encoder.
+  auto harvested = (*decomposed)->Harvest();
   for (int c = 0; c < (*decomposed)->num_components(); ++c) {
     if ((*decomposed)->decomposition().chase_eligible(c)) {
-      EXPECT_EQ((*decomposed)->TakeComponentEncoder(c), nullptr)
-          << "component " << c;
+      auto it = harvested.find((*decomposed)->component_fingerprint(c));
+      ASSERT_NE(it, harvested.end()) << "component " << c;
+      EXPECT_EQ(it->second.sat, std::optional<bool>(true));
+      EXPECT_NE(it->second.chase, nullptr) << "component " << c;
+      EXPECT_EQ(it->second.encoder, nullptr) << "component " << c;
     }
   }
   // The whole-specification chase mirrors the counters.

@@ -36,6 +36,7 @@
 #include "src/serve/session.h"
 #include "src/serve/session_manager.h"
 #include "tests/fixtures.h"
+#include "tests/support/monolithic.h"
 
 namespace currency::serve {
 namespace {
@@ -255,31 +256,19 @@ Result<FreshAnswers> SolveFresh(const core::Specification& spec,
                                 const std::vector<std::string>& relations,
                                 const query::Query& ccqa_query) {
   FreshAnswers fresh;
-  core::CpsOptions cps;
-  cps.use_ptime_path_without_constraints = false;
-  cps.use_decomposition = false;
-  ASSIGN_OR_RETURN(core::CpsOutcome consistency,
-                   core::DecideConsistency(spec, cps));
-  fresh.cps = consistency.consistent;
+  ASSIGN_OR_RETURN(fresh.cps, currency::testing::MonolithicConsistent(spec));
   for (const core::CurrencyOrderQuery& q : cop_queries) {
-    core::CopOptions cop;
-    cop.use_ptime_path_without_constraints = false;
-    cop.use_decomposition = false;
-    ASSIGN_OR_RETURN(bool certain, core::IsCertainOrder(spec, q, cop));
+    ASSIGN_OR_RETURN(bool certain,
+                     currency::testing::MonolithicCertainOrder(spec, q));
     fresh.cop.push_back(certain);
   }
   for (const std::string& rel : relations) {
-    core::DcipOptions dcip;
-    dcip.use_ptime_path_without_constraints = false;
-    dcip.use_decomposition = false;
     ASSIGN_OR_RETURN(bool deterministic,
-                     core::IsDeterministicForRelation(spec, rel, dcip));
+                     currency::testing::MonolithicDeterministic(spec, rel));
     fresh.dcip.push_back(deterministic);
   }
-  core::CcqaOptions ccqa;
-  ccqa.use_sp_fast_path = false;
-  ccqa.use_decomposition = false;
-  auto answers = core::CertainCurrentAnswers(spec, ccqa_query, ccqa);
+  auto answers =
+      currency::testing::MonolithicCertainAnswers(spec, ccqa_query);
   if (!answers.ok()) {
     if (answers.status().code() != StatusCode::kInconsistent) {
       return answers.status();
@@ -681,16 +670,13 @@ TEST(SessionManagerTest, TwoTenantsServeConcurrently) {
   ASSERT_TRUE((*manager)->Register("a", spec_a).ok());
   ASSERT_TRUE((*manager)->Register("b", spec_b).ok());
 
-  // Expected answers from a fresh monolithic solve per tenant.
-  core::CpsOptions cps;
-  cps.use_ptime_path_without_constraints = false;
-  cps.use_decomposition = false;
-  auto outcome_a = core::DecideConsistency(spec_a, cps);
-  auto outcome_b = core::DecideConsistency(spec_b, cps);
+  // Expected answers from the monolithic reference per tenant.
+  auto outcome_a = currency::testing::MonolithicConsistent(spec_a);
+  auto outcome_b = currency::testing::MonolithicConsistent(spec_b);
   ASSERT_TRUE(outcome_a.ok()) << outcome_a.status();
   ASSERT_TRUE(outcome_b.ok()) << outcome_b.status();
-  const bool expect_a = outcome_a->consistent;
-  const bool expect_b = outcome_b->consistent;
+  const bool expect_a = *outcome_a;
+  const bool expect_b = *outcome_b;
 
   std::atomic<bool> failed{false};
   std::vector<std::thread> clients;

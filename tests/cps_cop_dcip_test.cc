@@ -9,8 +9,10 @@
 #include "src/core/certain_order.h"
 #include "src/core/chase.h"
 #include "src/core/consistency.h"
+#include "src/core/decompose.h"
 #include "src/core/deterministic.h"
 #include "tests/fixtures.h"
+#include "tests/support/monolithic.h"
 
 namespace currency::core {
 namespace {
@@ -27,7 +29,7 @@ TEST(CpsTest, S0IsConsistent) {
   auto outcome = DecideConsistency(s0);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->consistent);
-  EXPECT_FALSE(outcome->used_ptime_path);  // S0 has denial constraints
+  EXPECT_EQ(outcome->components, 3);
 }
 
 TEST(CpsTest, WitnessIsAConsistentCompletion) {
@@ -97,9 +99,17 @@ TEST(CpsTest, PtimePathOnCopyChains) {
   // chase decides consistency in PTIME (Theorem 6.1).
   Specification spec = MakeRandomSpec(7, /*with_copy=*/true,
                                       /*with_constraints=*/false);
+  // Every coupling component is chase-eligible, so the one-shot call
+  // decides each by its chase fixpoint and agrees with the whole-spec
+  // chase.
+  const Decomposition decomposition = Decomposition::Build(spec).value();
+  for (int c = 0; c < decomposition.num_components(); ++c) {
+    EXPECT_TRUE(decomposition.chase_eligible(c)) << "component " << c;
+  }
   auto outcome = DecideConsistency(spec);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->used_ptime_path);
+  EXPECT_EQ(outcome->components, decomposition.num_components());
+  EXPECT_EQ(outcome->consistent, ChaseCopyOrders(spec)->consistent);
   EXPECT_EQ(outcome->consistent, BruteForceConsistent(spec).value());
 }
 
@@ -287,8 +297,8 @@ TEST(DcipTest, BaselinesSnapshottedBeforeAssumptionSolves) {
   // model AFTER e1's failed assumption solves, silently relying on UNSAT
   // calls preserving the model; baselines are now snapshotted before any
   // probe, so this answers correctly even with a solver that clears its
-  // model on UNSAT.  Monolithic mode keeps both groups in one encoder,
-  // which is the arrangement that exercised the stale-model read.
+  // model on UNSAT.  The monolithic reference keeps both groups in one
+  // encoder, which is the arrangement that exercised the stale-model read.
   Specification spec;
   Schema rs = Schema::Make("R", {"A"}).value();
   Relation r(rs);
@@ -300,16 +310,15 @@ TEST(DcipTest, BaselinesSnapshottedBeforeAssumptionSolves) {
   ASSERT_TRUE(inst.AddOrder(1, 0, 1).ok());  // e1 pinned: 1 ≺ 2
   ASSERT_TRUE(spec.AddInstance(std::move(inst)).ok());
 
-  for (bool decomposed : {false, true}) {
-    DcipOptions options;
-    options.use_ptime_path_without_constraints = false;  // force SAT path
-    options.use_decomposition = decomposed;
-    SCOPED_TRACE(decomposed ? "decomposed" : "monolithic");
-    auto det = IsDeterministicForRelation(spec, "R", options);
-    ASSERT_TRUE(det.ok()) << det.status();
-    EXPECT_FALSE(*det);  // e2 is free in both directions
-    EXPECT_FALSE(BruteForceDeterministic(spec, "R").value());
-  }
+  DcipOptions options;
+  options.use_chase_routing = false;  // force the SAT path
+  auto det = IsDeterministicForRelation(spec, "R", options);
+  ASSERT_TRUE(det.ok()) << det.status();
+  EXPECT_FALSE(*det);  // e2 is free in both directions
+  auto mono = currency::testing::MonolithicDeterministic(spec, "R");
+  ASSERT_TRUE(mono.ok()) << mono.status();
+  EXPECT_FALSE(*mono);
+  EXPECT_FALSE(BruteForceDeterministic(spec, "R").value());
 }
 
 // Property sweep: solver answers equal the brute-force oracle on random

@@ -210,7 +210,7 @@ TEST(SpCcqaCornerTest, SharedSourceCouplingMakesFastPathConservative) {
                 .value();
   ASSERT_TRUE(query::IsSpQuery(sp));
   CcqaOptions no_fast;
-  no_fast.use_sp_fast_path = false;
+  no_fast.use_chase_routing = false;
   auto exact = CertainCurrentAnswers(spec, sp, no_fast).value();
   EXPECT_EQ(exact, std::set<Tuple>{Tuple({Value("f")})});
   // ... while the literal Prop 6.3 algorithm reports the sound subset ∅

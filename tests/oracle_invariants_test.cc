@@ -21,6 +21,7 @@
 #include "src/order/linear_extensions.h"
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
+#include "tests/support/monolithic.h"
 
 namespace currency::core {
 namespace {
@@ -125,10 +126,12 @@ std::string CanonicalDb(const query::Database& db) {
   return out;
 }
 
-// Property sweep: the decomposed SAT path (one encoder per coupling
-// component) agrees with the monolithic encoder on CPS, COP, DCIP, CCQA
-// and current-instance enumeration.  The PTIME chase path is disabled so
-// the SAT machinery is exercised even on constraint-free draws.
+// Property sweep: the one-shot solvers (one engine, one encoder per
+// coupling component) agree with the monolithic reference — one
+// unfiltered encoding of the whole specification — and with the
+// brute-force oracle on CPS, COP, DCIP, CCQA and current-instance
+// enumeration.  Chase routing is off so the SAT machinery is exercised
+// even on constraint-free draws.
 class DecomposedVsMonolithic : public ::testing::TestWithParam<int> {};
 
 TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
@@ -139,16 +142,14 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
                  " variant=" + std::to_string(variant));
 
     // CPS, including witness validity on the decomposed path.
-    CpsOptions cps_mono, cps_dec;
-    cps_mono.use_ptime_path_without_constraints = false;
-    cps_mono.use_decomposition = false;
-    cps_dec.use_ptime_path_without_constraints = false;
-    cps_dec.use_decomposition = true;
+    CpsOptions cps_dec;
+    cps_dec.use_chase_routing = false;
     cps_dec.want_witness = true;
-    auto mono = DecideConsistency(spec, cps_mono);
+    auto mono = currency::testing::MonolithicConsistent(spec);
     auto dec = DecideConsistency(spec, cps_dec);
     ASSERT_TRUE(mono.ok() && dec.ok());
-    EXPECT_EQ(mono->consistent, dec->consistent);
+    EXPECT_EQ(*mono, dec->consistent);
+    EXPECT_EQ(*mono, BruteForceConsistent(spec).value());
     EXPECT_GT(dec->components, 0);
     if (dec->consistent) {
       ASSERT_TRUE(dec->witness.has_value());
@@ -162,31 +163,34 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
       CurrencyOrderQuery q;
       q.relation = "R";
       q.pairs = {pair};
-      CopOptions cop_mono, cop_dec;
-      cop_mono.use_ptime_path_without_constraints = false;
-      cop_mono.use_decomposition = false;
-      cop_dec.use_ptime_path_without_constraints = false;
-      cop_dec.use_decomposition = true;
-      EXPECT_EQ(IsCertainOrder(spec, q, cop_mono).value(),
-                IsCertainOrder(spec, q, cop_dec).value());
+      CopOptions cop_dec;
+      cop_dec.use_chase_routing = false;
+      const bool mono_cop =
+          currency::testing::MonolithicCertainOrder(spec, q).value();
+      EXPECT_EQ(mono_cop, IsCertainOrder(spec, q, cop_dec).value());
+      EXPECT_EQ(mono_cop, BruteForceCertainOrder(spec, q).value());
     }
 
     // DCIP per relation.
-    DcipOptions dcip_mono, dcip_dec;
-    dcip_mono.use_ptime_path_without_constraints = false;
-    dcip_mono.use_decomposition = false;
-    dcip_dec.use_ptime_path_without_constraints = false;
-    dcip_dec.use_decomposition = true;
-    EXPECT_EQ(IsDeterministic(spec, dcip_mono).value(),
-              IsDeterministic(spec, dcip_dec).value());
+    DcipOptions dcip_dec;
+    dcip_dec.use_chase_routing = false;
+    bool mono_det = true;
+    for (int i = 0; i < spec.num_instances(); ++i) {
+      const std::string& rel = spec.instance(i).name();
+      const bool det =
+          currency::testing::MonolithicDeterministic(spec, rel).value();
+      EXPECT_EQ(det, BruteForceDeterministic(spec, rel).value()) << rel;
+      mono_det = mono_det && det;
+    }
+    EXPECT_EQ(mono_det, IsDeterministic(spec, dcip_dec).value());
 
     // Current-instance enumeration: same count, same set of databases.
-    CcqaOptions ccqa_mono, ccqa_dec;
-    ccqa_mono.use_decomposition = false;
-    ccqa_dec.use_decomposition = true;
+    CcqaOptions ccqa_dec;
+    ccqa_dec.use_chase_routing = false;
     std::multiset<std::string> seen_mono, seen_dec;
-    auto count_mono = ForEachCurrentInstance(
-        spec, ccqa_mono, [&](const query::Database& db) {
+    auto count_mono = currency::testing::MonolithicForEachCurrentInstance(
+        spec, ccqa_dec.max_current_instances,
+        [&](const query::Database& db) {
           seen_mono.insert(CanonicalDb(db));
           return true;
         });
@@ -199,13 +203,10 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
     EXPECT_EQ(*count_mono, *count_dec);
     EXPECT_EQ(seen_mono, seen_dec);
 
-    // CCQA answer sets (general path; the SP fast path is off so the
-    // merged-component membership loop runs).
+    // CCQA answer sets (the blocking loop on the query's components).
     query::Query q =
         query::ParseQuery("Q(x) := EXISTS y: R('e0', x, y)").value();
-    ccqa_mono.use_sp_fast_path = false;
-    ccqa_dec.use_sp_fast_path = false;
-    auto ans_mono = CertainCurrentAnswers(spec, q, ccqa_mono);
+    auto ans_mono = currency::testing::MonolithicCertainAnswers(spec, q);
     auto ans_dec = CertainCurrentAnswers(spec, q, ccqa_dec);
     if (!ans_mono.ok()) {
       EXPECT_EQ(ans_mono.status().code(), ans_dec.status().code());

@@ -77,7 +77,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;  // exercise SAT
       cps.want_witness = true;
       cps.num_threads = threads;
       auto outcome = DecideConsistency(spec, cps);
@@ -107,7 +106,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
       for (int threads : kThreadCounts) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         CopOptions cop;
-        cop.use_ptime_path_without_constraints = false;
         cop.num_threads = threads;
         EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle);
       }
@@ -122,7 +120,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
       bool oracle = BruteForceCertainOrder(spec, q).value();
       for (int threads : kThreadCounts) {
         CopOptions cop;
-        cop.use_ptime_path_without_constraints = false;
         cop.num_threads = threads;
         EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle)
             << "multi-pair, threads=" << threads;
@@ -133,7 +130,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
     bool oracle_det = BruteForceDeterministic(spec, "R").value();
     for (int threads : kThreadCounts) {
       DcipOptions dcip;
-      dcip.use_ptime_path_without_constraints = false;
       dcip.num_threads = threads;
       EXPECT_EQ(IsDeterministicForRelation(spec, "R", dcip).value(),
                 oracle_det)
@@ -170,7 +166,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
     auto oracle_answers = BruteForceCertainAnswers(spec, q);
     for (int threads : kThreadCounts) {
       CcqaOptions ccqa;
-      ccqa.use_sp_fast_path = false;  // force the SAT membership loop
       ccqa.num_threads = threads;
       auto answers = CertainCurrentAnswers(spec, q, ccqa);
       if (!oracle_answers.ok()) {
@@ -213,7 +208,6 @@ TEST_P(ParallelEquivalence, PortfolioOnAnswersMatchPortfolioOff) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;
       cps.num_threads = threads;
       cps.portfolio = portfolio;
       auto outcome = DecideConsistency(spec, cps);
@@ -247,7 +241,6 @@ TEST_P(ParallelEquivalence, PortfolioOnAnswersMatchPortfolioOff) {
     bool oracle_order = BruteForceCertainOrder(spec, q).value();
     for (int threads : kThreadCounts) {
       CopOptions cop;
-      cop.use_ptime_path_without_constraints = false;
       cop.num_threads = threads;
       cop.portfolio = portfolio;
       EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle_order)
@@ -258,7 +251,6 @@ TEST_P(ParallelEquivalence, PortfolioOnAnswersMatchPortfolioOff) {
     bool oracle_det = BruteForceDeterministic(spec, "R").value();
     for (int threads : kThreadCounts) {
       DcipOptions dcip;
-      dcip.use_ptime_path_without_constraints = false;
       dcip.num_threads = threads;
       dcip.portfolio = portfolio;
       EXPECT_EQ(IsDeterministicForRelation(spec, "R", dcip).value(),
@@ -318,7 +310,6 @@ TEST(ParallelEquivalence, FirstUnsatCancellationIsDeterministic) {
   ASSERT_FALSE(BruteForceConsistent(spec).value());
   for (int threads : kThreadCounts) {
     CpsOptions cps;
-    cps.use_ptime_path_without_constraints = false;
     cps.num_threads = threads;
     auto outcome = DecideConsistency(spec, cps);
     ASSERT_TRUE(outcome.ok());
@@ -349,7 +340,6 @@ TEST(ParallelEquivalence, ActiveTraceRootDoesNotPerturbSolvers) {
       if (traced) span.emplace(&tracer, "test", "equivalence");
 
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;
       cps.want_witness = true;
       cps.num_threads = threads;
       auto outcome = DecideConsistency(spec, cps);

@@ -38,11 +38,11 @@
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
 #include "src/query/parser.h"
-#include "src/sat/legacy_solver.h"
 #include "src/sat/model_enumerator.h"
 #include "src/sat/solver.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/legacy_solver.h"
 
 namespace currency::sat {
 namespace {
@@ -469,8 +469,7 @@ struct SpecRecord {
 SpecRecord RunSpecWorkload(const core::Specification& spec) {
   SpecRecord record;
   core::CpsOptions cps;
-  cps.use_ptime_path_without_constraints = false;  // force the SAT path
-  cps.want_witness = true;
+  cps.want_witness = true;  // routes every component through SAT
   auto outcome = core::DecideConsistency(spec, cps);
   EXPECT_TRUE(outcome.ok()) << outcome.status();
   if (!outcome.ok()) return record;

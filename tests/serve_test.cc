@@ -19,6 +19,7 @@
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/monolithic.h"
 
 namespace currency::serve {
 namespace {
@@ -194,7 +195,7 @@ TEST(CurrencySession, MatchesOneShotSolversOnS0) {
   auto ccqa = session->CcqaBatch(requests);
   ASSERT_TRUE(ccqa.ok()) << ccqa.status();
   core::CcqaOptions copts;
-  copts.use_sp_fast_path = false;
+  copts.use_chase_routing = false;
   EXPECT_EQ(*(*ccqa)[0].answers,
             core::CertainCurrentAnswers(spec, MakeQ1Trimmed(), copts).value());
   EXPECT_EQ(*(*ccqa)[1].answers,
@@ -247,10 +248,8 @@ TEST(CurrencySession, MutateInvalidatesExactlyTheTouchedComponent) {
   EXPECT_EQ(session->stats().base_solves, solves + 1)
       << "exactly the touched component re-solves";
   // And the answers equal a fresh solve over the mutated specification.
-  core::CpsOptions mono;
-  mono.use_decomposition = false;
   EXPECT_EQ(session->CpsCheck().value(),
-            core::DecideConsistency(session->spec(), mono)->consistent);
+            currency::testing::MonolithicConsistent(session->spec()).value());
 }
 
 TEST(CurrencySession, EidEditsMergeAndSplitCouplingComponents) {
@@ -289,10 +288,8 @@ TEST(CurrencySession, EidEditsMergeAndSplitCouplingComponents) {
   ASSERT_TRUE(session->Mutate({core::TupleEdit{0, 2, 0, Value("e0")}}).ok());
   EXPECT_EQ(session->num_components(), 2);
   ASSERT_TRUE(session->CpsCheck().value());
-  core::CpsOptions mono;
-  mono.use_decomposition = false;
   EXPECT_EQ(session->CpsCheck().value(),
-            core::DecideConsistency(session->spec(), mono)->consistent);
+            currency::testing::MonolithicConsistent(session->spec()).value());
 
   // Split: moving it back restores the three decoupled components.
   ASSERT_TRUE(session->Mutate({core::TupleEdit{0, 2, 0, Value("e1")}}).ok());

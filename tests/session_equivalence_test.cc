@@ -1,8 +1,9 @@
 // Session-vs-fresh equivalence for the serving layer: every batch answer
 // a CurrencySession gives — cold, warm, and after arbitrary accepted or
-// rejected Mutate batches — must equal the answer of a fresh monolithic
-// build over the session's current specification, and must agree with the
-// brute-force oracle.  The session's caches (component encoders with
+// rejected Mutate batches — must equal the monolithic reference (one
+// unfiltered encoding of the session's current specification,
+// tests/support/monolithic.h), and must agree with the brute-force
+// oracle.  The session's caches (component encoders with
 // accumulated learnt clauses, base-solve results, fingerprint-matched
 // reuse across epochs) are exactly the machinery under test, which is why
 // every round re-checks all four problems from scratch.
@@ -27,6 +28,7 @@
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/monolithic.h"
 
 namespace currency::serve {
 namespace {
@@ -57,22 +59,19 @@ std::vector<core::CurrencyOrderQuery> MakeCopQueries() {
   return queries;
 }
 
-/// Re-checks all four problems on the session against a fresh monolithic
-/// build of session->spec() AND the brute-force oracle.
+/// Re-checks all four problems on the session against the monolithic
+/// reference over session->spec() AND the brute-force oracle.
 void CheckAllProblems(CurrencySession* session) {
   const core::Specification& spec = session->spec();
 
   // --- CPS ---
   {
-    core::CpsOptions cps;
-    cps.use_ptime_path_without_constraints = false;
-    cps.use_decomposition = false;  // fresh MONOLITHIC comparator
-    auto fresh = core::DecideConsistency(spec, cps);
+    auto fresh = currency::testing::MonolithicConsistent(spec);
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     bool oracle = core::BruteForceConsistent(spec).value();
     auto got = session->CpsCheck();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*got, fresh->consistent);
+    EXPECT_EQ(*got, *fresh);
     EXPECT_EQ(*got, oracle);
   }
 
@@ -92,10 +91,7 @@ void CheckAllProblems(CurrencySession* session) {
     ASSERT_EQ(got->size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("cop query " + std::to_string(i));
-      core::CopOptions cop;
-      cop.use_ptime_path_without_constraints = false;
-      cop.use_decomposition = false;
-      auto fresh = core::IsCertainOrder(spec, queries[i], cop);
+      auto fresh = currency::testing::MonolithicCertainOrder(spec, queries[i]);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_EQ((*got)[i], *fresh);
       EXPECT_EQ((*got)[i],
@@ -114,10 +110,8 @@ void CheckAllProblems(CurrencySession* session) {
     ASSERT_EQ(got->size(), relations.size());
     for (size_t i = 0; i < relations.size(); ++i) {
       SCOPED_TRACE("dcip relation " + relations[i]);
-      core::DcipOptions dcip;
-      dcip.use_ptime_path_without_constraints = false;
-      dcip.use_decomposition = false;
-      auto fresh = core::IsDeterministicForRelation(spec, relations[i], dcip);
+      auto fresh =
+          currency::testing::MonolithicDeterministic(spec, relations[i]);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_EQ((*got)[i], *fresh);
       EXPECT_EQ((*got)[i],
@@ -137,10 +131,7 @@ void CheckAllProblems(CurrencySession* session) {
     auto got = session->CcqaBatch(requests);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(got->size(), requests.size());
-    core::CcqaOptions ccqa;
-    ccqa.use_sp_fast_path = false;
-    ccqa.use_decomposition = false;
-    auto fresh = core::CertainCurrentAnswers(spec, q, ccqa);
+    auto fresh = currency::testing::MonolithicCertainAnswers(spec, q);
     auto oracle = core::BruteForceCertainAnswers(spec, q);
     if (!fresh.ok()) {
       ASSERT_EQ(fresh.status().code(), StatusCode::kInconsistent)
@@ -156,8 +147,8 @@ void CheckAllProblems(CurrencySession* session) {
     }
     for (int k = 0; k < 4; ++k) {
       SCOPED_TRACE("ccqa membership candidate " + std::to_string(k));
-      auto fresh_member =
-          core::IsCertainCurrentAnswer(spec, q, Tuple({Value(k)}), ccqa);
+      auto fresh_member = currency::testing::MonolithicIsCertainAnswer(
+          spec, q, Tuple({Value(k)}));
       ASSERT_TRUE(fresh_member.ok()) << fresh_member.status();
       ASSERT_TRUE((*got)[k + 1].is_certain.has_value());
       EXPECT_EQ(*(*got)[k + 1].is_certain, *fresh_member);
@@ -390,8 +381,9 @@ std::string BatchTranscript(CurrencySession* session) {
 }
 
 // Portfolio racing must not perturb anything: a session with portfolio
-// base solves enabled (and the component-size gate lowered so these
-// small random components actually race) must produce a bit-identical
+// racing enabled for base solves and COP/DCIP probes (and the
+// component-size gate lowered so these small random components actually
+// race) must produce a bit-identical
 // batch transcript — CPS, COP, DCIP, CCQA answer sets, memberships and
 // enumeration orders — to a portfolio-off session over the same
 // specification and edit sequence, at every thread count.
@@ -447,6 +439,29 @@ TEST(SessionEquivalence, PortfolioOnMatchesPortfolioOff) {
         EXPECT_EQ(races, 0);
       } else if (variant == 3) {
         EXPECT_GT(races, 0) << "no base solve raced despite eligibility";
+      }
+      // Served probes race too: on a warm session (base solves cached) a
+      // COP batch with a same-entity pair probes every dominant component
+      // it touches through a race, and so does a DCIP batch's phase-2
+      // probe of each alternative current value.
+      if (threads > 1 && variant == 3 && on->CpsCheck().value()) {
+        auto races_now = [&] {
+          return on->registry()
+              ->GetCounter("currency_sat_portfolio_races_total",
+                           obs::Labels{})
+              ->Value();
+        };
+        core::CurrencyOrderQuery probe;
+        probe.relation = "R";
+        probe.pairs = {core::RequiredPair{1, 0, 1}};
+        ASSERT_TRUE(on->CopBatch({probe}).ok());
+        EXPECT_GT(races_now(), races)
+            << "no COP probe raced despite eligibility";
+        const int64_t after_cop = races_now();
+        auto dcip = on->DcipBatch({"R"});
+        ASSERT_TRUE(dcip.ok()) << dcip.status();
+        EXPECT_GT(races_now(), after_cop)
+            << "no DCIP probe raced despite eligibility";
       }
       int64_t off_races = off->registry()
                               ->GetCounter(

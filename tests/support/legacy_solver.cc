@@ -3,7 +3,7 @@
 // Solver -> LegacySolver, Clause -> LegacyClause, ConfinementGuard
 // dropped.
 
-#include "src/sat/legacy_solver.h"
+#include "tests/support/legacy_solver.h"
 
 #include <algorithm>
 #include <cassert>

@@ -21,8 +21,8 @@
 // the original was dropped: this engine is only ever driven from one
 // test or bench thread.)
 
-#ifndef CURRENCY_SRC_SAT_LEGACY_SOLVER_H_
-#define CURRENCY_SRC_SAT_LEGACY_SOLVER_H_
+#ifndef CURRENCY_TESTS_SUPPORT_LEGACY_SOLVER_H_
+#define CURRENCY_TESTS_SUPPORT_LEGACY_SOLVER_H_
 
 #include <cstdint>
 #include <queue>
@@ -115,4 +115,4 @@ class LegacySolver {
 
 }  // namespace currency::sat
 
-#endif  // CURRENCY_SRC_SAT_LEGACY_SOLVER_H_
+#endif  // CURRENCY_TESTS_SUPPORT_LEGACY_SOLVER_H_

@@ -1,0 +1,116 @@
+#include "tests/support/monolithic.h"
+
+#include <memory>
+#include <vector>
+
+#include "src/core/ccqa.h"
+#include "src/core/deterministic.h"
+#include "src/core/encoder.h"
+#include "src/sat/model_enumerator.h"
+
+namespace currency::testing {
+
+namespace {
+
+/// The whole specification's encoding, with the is-last selectors DCIP
+/// and CCQA read.
+Result<std::unique_ptr<core::Encoder>> BuildWhole(
+    const core::Specification& spec) {
+  core::Encoder::Options options;
+  options.define_is_last = true;
+  return core::Encoder::Build(spec, options);
+}
+
+std::vector<int> AllInstances(const core::Specification& spec) {
+  std::vector<int> all(spec.num_instances());
+  for (int i = 0; i < spec.num_instances(); ++i) all[i] = i;
+  return all;
+}
+
+}  // namespace
+
+Result<bool> MonolithicConsistent(const core::Specification& spec,
+                                  core::Completion* witness) {
+  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  if (encoder->solver().Solve() != sat::SolveResult::kSat) return false;
+  if (witness != nullptr) *witness = encoder->ExtractCompletion();
+  return true;
+}
+
+Result<bool> MonolithicCertainOrder(const core::Specification& spec,
+                                    const core::CurrencyOrderQuery& query) {
+  ASSIGN_OR_RETURN(int inst, core::internal::OrderQueryInstance(spec, query));
+  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
+    return true;  // Mod(S) = ∅: vacuously certain
+  }
+  for (const core::RequiredPair& p : query.pairs) {
+    if (p.before == p.after) return false;  // irreflexivity
+    if (!encoder->HasPairVar(inst, p.before, p.after)) {
+      return false;  // cross-entity pairs are never comparable
+    }
+    sat::Lit lit = encoder->OrdLit(inst, p.attr, p.before, p.after);
+    if (encoder->solver().SolveWithAssumptions({sat::Negate(lit)}) ==
+        sat::SolveResult::kSat) {
+      return false;  // a completion orders them the other way
+    }
+  }
+  return true;
+}
+
+Result<bool> MonolithicDeterministic(const core::Specification& spec,
+                                     const std::string& relation) {
+  ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
+  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
+    return true;  // vacuous
+  }
+  return core::internal::DeterministicProbe(spec, encoder.get(), inst);
+}
+
+Result<std::set<Tuple>> MonolithicCertainAnswers(
+    const core::Specification& spec, const query::Query& q) {
+  ASSIGN_OR_RETURN(std::vector<int> instances,
+                   core::internal::QueryInstances(spec, q));
+  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  return core::internal::CertainAnswersVia(encoder.get(), nullptr, spec, q,
+                                           instances, core::CcqaOptions{});
+}
+
+Result<bool> MonolithicIsCertainAnswer(const core::Specification& spec,
+                                       const query::Query& q, const Tuple& t) {
+  ASSIGN_OR_RETURN(std::vector<int> instances,
+                   core::internal::QueryInstances(spec, q));
+  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  // The loop's first Solve is UNSAT on an inconsistent specification,
+  // which answers true — the vacuous convention.
+  return core::internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
+                                                instances, core::CcqaOptions{});
+}
+
+Result<int64_t> MonolithicForEachCurrentInstance(
+    const core::Specification& spec, int64_t max_instances,
+    const std::function<bool(const query::Database&)>& visit) {
+  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  Status inner = Status::OK();
+  ASSIGN_OR_RETURN(
+      sat::ProjectedModelEnumeration enumeration,
+      sat::EnumerateProjectedModels(
+          &encoder->solver(), encoder->CellProjection(AllInstances(spec)),
+          max_instances, [&](const std::vector<bool>&) {
+            auto decoded = encoder->DecodeCurrentInstances();
+            if (!decoded.ok()) {
+              inner = decoded.status();
+              return false;
+            }
+            query::Database db;
+            for (int i = 0; i < spec.num_instances(); ++i) {
+              db[spec.instance(i).name()] = &(*decoded)[i];
+            }
+            return visit(db);
+          }));
+  RETURN_IF_ERROR(inner);
+  return enumeration.models;
+}
+
+}  // namespace currency::testing
