@@ -8,8 +8,15 @@
 // reports latency percentiles and machine-readable JSON for
 // scripts/bench.sh (BENCH_chase.json), self-checks every routed answer
 // against the forced-SAT session, and (via --require-speedup=F) enforces
-// the warm-query speedup floor, so its ctest smoke registration doubles
+// the cold bring-up speedup floor, so its ctest smoke registration doubles
 // as a differential correctness test.
+//
+// The floor is on the COLD ratio (Create + first CpsCheck: component chase
+// fixpoints against encoder builds plus base solves), the layer routing
+// replaces.  The warm COP ratio is reported but not enforced: a warm
+// forced-SAT probe is mostly settled from its solver's remembered models
+// and root literals without a solve (sat::Solver's "Remembered models"),
+// so both sides of that ratio are cache reads of about 1 µs per query.
 //
 // Workload: relation R holds `entities` four-tuple entities with one
 // planted initial A-order each and NO denial constraints; R2 copies A
@@ -303,14 +310,15 @@ int main(int argc, char** argv) {
     if (f == nullptr) return Fail("cannot open --out file");
     std::fputs(json.c_str(), f);
     std::fclose(f);
-    std::printf("bench_chase_routing: wrote %s (warm speedup %.2fx)\n",
-                out_path.c_str(), speedup);
+    std::printf(
+        "bench_chase_routing: wrote %s (cold speedup %.2fx, warm %.2fx)\n",
+        out_path.c_str(), cold_speedup, speedup);
   }
-  if (require_speedup > 0 && speedup < require_speedup) {
+  if (require_speedup > 0 && cold_speedup < require_speedup) {
     std::fprintf(stderr,
-                 "bench_chase_routing: FAILED: warm COP speedup %.2fx below "
-                 "the required %.2fx\n",
-                 speedup, require_speedup);
+                 "bench_chase_routing: FAILED: cold bring-up speedup %.2fx "
+                 "below the required %.2fx\n",
+                 cold_speedup, require_speedup);
     return 1;
   }
   return 0;

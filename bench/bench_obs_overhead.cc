@@ -27,11 +27,12 @@
 // one CopBatch, divided by the batch size) — the same shape bench_serve
 // headlines, and the serving workload's actual warm-query path.  The
 // loop-of-single-query series are reported alongside but not enforced:
-// a warm single query completes in ~2 µs, where the fixed ~0.5 µs
-// per-REQUEST trace cost (a handful of clock reads plus ring insertion)
-// is a double-digit ratio by construction; per QUERY that fixed cost
-// amortizes across the batch, which is what a p50 ceiling can
-// meaningfully bound on a 1-CPU container.
+// a warm single query completes in ~1.2 µs, where the fixed ~0.35 µs
+// per-REQUEST trace cost (one clock read per stage boundary plus a ring
+// insertion) is a double-digit ratio by construction; per QUERY that
+// fixed cost amortizes across the batch (~0.4 µs per query, most COP
+// probes settled from remembered models), which is what a p50 ceiling
+// can meaningfully bound on a 1-CPU container.
 //
 // Flags: --entities=N --queries=Q --iters=K --threads=T
 //        --baseline-p50-ms=F --max-overhead=R --out=FILE

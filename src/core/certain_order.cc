@@ -77,6 +77,7 @@ Result<std::vector<bool>> CertainOrderProbes(
   // components are deliberately not consulted — cross-task peeking would
   // make each solver's call sequence depend on timing.
   std::vector<std::vector<int>> refuted(components.size());
+  std::vector<ProbeTally> tally(components.size());
   auto settled = [&](int k, int item) {
     return !refuted[k].empty() && refuted[k].back() == item;
   };
@@ -106,11 +107,23 @@ Result<std::vector<bool>> CertainOrderProbes(
         return engine->WithComponentEncoder(
             c,
             [&](Encoder* encoder, sat::Portfolio* race) -> Status {
+              const sat::Solver& solver = encoder->solver();
               for (const Probe& probe : *probes[k]) {
                 if (settled(k, probe.item)) continue;
                 sat::Lit lit =
                     encoder->OrdLit(inst_of[probe.item], probe.pair->attr,
                                     probe.pair->before, probe.pair->after);
+                // The component is satisfiable, so a remembered model with
+                // ¬ord(u, v), or ¬ord(u, v) fixed at the root, witnesses a
+                // completion ordering them the other way; ord(u, v) fixed
+                // at the root holds in every completion.
+                const int root = solver.RootValue(lit);
+                if (root != 0 || solver.SeenInModel(sat::Negate(lit))) {
+                  ++tally[k].settled;
+                  if (root <= 0) refuted[k].push_back(probe.item);
+                  continue;
+                }
+                ++tally[k].solves;
                 ASSIGN_OR_RETURN(sat::SolveResult verdict,
                                  race->Solve({sat::Negate(lit)}));
                 // kSat: a completion orders them the other way.
@@ -122,9 +135,12 @@ Result<std::vector<bool>> CertainOrderProbes(
             },
             portfolio, pool);
       }));
-  for (const std::vector<int>& items : refuted) {
-    for (int item : items) out[item] = false;
+  ProbeTally total;
+  for (size_t k = 0; k < components.size(); ++k) {
+    for (int item : refuted[k]) out[item] = false;
+    total += tally[k];
   }
+  engine->CountProbes(total);
   return out;
 }
 

@@ -84,12 +84,17 @@ Result<int> OrderQueryInstance(const Specification& spec,
 /// The COP probe phase shared by IsCertainOrder and serve's CopBatch:
 /// answers every query (`inst_of[i]` is its instance index) on an engine
 /// whose EnsureAllSolved returned true.  Reflexive and cross-entity pairs
-/// are refuted structurally; every other pair is refuted inside the
+/// are refuted structurally; every other pair is decided inside the
 /// component owning its entity — by PO∞ membership on a chase-routed
-/// component, else by the SAT probe ¬ord(u, v), raced on dominant
+/// component, else from the component solver's own record when that
+/// settles it (sat::Solver's "Remembered models": ¬ord(u, v) seen in a
+/// remembered model refutes the pair, ord(u, v) fixed at the root makes it
+/// certain), else by the SAT probe ¬ord(u, v), raced on dominant
 /// components.  Pairs sharing a component probe its solver in batch
-/// order, components in parallel, so every solver's call sequence (and
-/// hence its learnt-clause state) is the same for every thread count.
+/// order, components in parallel; a solver's record is a function of its
+/// own call sequence, so without racing that sequence (and hence its
+/// learnt-clause state) is the same for every thread count.  Probe solves
+/// and settled probes are counted into the engine's EngineCounters.
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
     const std::vector<int>& inst_of, exec::ThreadPool* pool,

@@ -312,6 +312,10 @@ void EngineCounters::Bind(obs::Registry* registry, const obs::Labels& labels) {
   chase_passes = registry->GetCounter("currency_chase_passes_total", labels);
   chase_edges_expanded =
       registry->GetCounter("currency_chase_edges_expanded_total", labels);
+  probe_solves =
+      registry->GetCounter("currency_serve_probe_solves_total", labels);
+  probes_settled =
+      registry->GetCounter("currency_serve_probes_settled_total", labels);
 }
 
 namespace {

@@ -141,6 +141,21 @@ class Decomposition {
   std::vector<char> chase_enumerable_;
 };
 
+/// How a COP/DCIP probe phase answered the probes it sent to SAT-routed
+/// components: `solves` reached the solver (or its portfolio race);
+/// `settled` were answered from the solver's remembered models or
+/// root-level literals without a solve (sat::Solver's "Remembered models").
+struct ProbeTally {
+  int64_t solves = 0;
+  int64_t settled = 0;
+
+  ProbeTally& operator+=(const ProbeTally& other) {
+    solves += other.solves;
+    settled += other.settled;
+    return *this;
+  }
+};
+
 /// Registry instruments a DecomposedEncoder reports its cache and solver
 /// work into.  A serving session hands one set per tenant, shared by all
 /// of its epochs so counts accumulate across Mutate; one-shot calls hand
@@ -187,6 +202,10 @@ struct EngineCounters {
   /// Chase fixpoint work, sampled when a fixpoint is computed.
   obs::Counter* chase_passes = nullptr;
   obs::Counter* chase_edges_expanded = nullptr;
+  /// COP/DCIP probes on SAT-routed components (ProbeTally): solved, and
+  /// settled without a solve.
+  obs::Counter* probe_solves = nullptr;
+  obs::Counter* probes_settled = nullptr;
 
   /// Resolves every handle in `registry` under `labels` (a tenant label,
   /// or none); every pointer is non-null afterwards.
@@ -371,6 +390,15 @@ class DecomposedEncoder {
   /// The cached base-satisfiability bit of component `c`: -1 unknown,
   /// 0 unsat, 1 sat.  Lock-free.
   int CachedSat(int c) const;
+
+  /// Adds a probe phase's tally to EngineCounters::probe_solves and
+  /// probes_settled; a no-op without counters.
+  void CountProbes(const ProbeTally& tally) const {
+    if (tally.solves != 0) Count(&EngineCounters::probe_solves, tally.solves);
+    if (tally.settled != 0) {
+      Count(&EngineCounters::probes_settled, tally.settled);
+    }
+  }
 
  private:
   /// One component's cache slot; see the class comment for the roles.

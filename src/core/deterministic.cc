@@ -13,64 +13,76 @@ namespace currency::core {
 
 namespace internal {
 
-/// Shared implementation deciding determinism for one instance index given
-/// an already-built encoder whose formula was just solved satisfiable (the
-/// model is current).  On a component encoder, only the groups it defines
-/// is-last selectors for are examined — the others belong to different
-/// coupling components and are checked against their own encoders.
 Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
-                                int inst, sat::Portfolio* portfolio) {
+                                int inst, sat::Portfolio* portfolio,
+                                ProbeTally* tally) {
+  ProbeTally local;
+  if (tally == nullptr) tally = &local;
   const TemporalInstance& instance = spec.instance(inst);
   const Relation& rel = instance.relation();
-  // Phase 1 — snapshot every baseline from the model in hand, BEFORE any
-  // assumption solve: a kSat call overwrites the model, and nothing in
-  // the solver contract promises it survives a kUnsat call either, so no
-  // baseline may be read after solving resumes.
-  struct Probe {
-    AttrIndex attr;
-    TupleId candidate;
-  };
-  std::vector<Probe> probes;
+  sat::Solver& solver = encoder->solver();
+  if (!solver.HasRememberedModel()) {
+    // No completion witnessed yet (a fresh or snapshot-seeded encoder, or
+    // a base solve a rival won): find one on the solver itself, so its
+    // phases are remembered.  The formula is known satisfiable.
+    ++tally->solves;
+    if (solver.Solve() != sat::SolveResult::kSat) {
+      return Status::Internal("cached-SAT component re-solved unsatisfiable");
+    }
+  }
+  // Pass 1 — read the remembered models: every tuple whose is-last
+  // selector some model set true is current in some completion, so two
+  // such tuples with different values settle "non-deterministic".
+  // Otherwise the remembered current value is the baseline, and every
+  // candidate carrying a different value is still open unless its
+  // selector is fixed false at the root.
+  std::vector<sat::Var> open;
   for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
-    for (const auto& [eid, members] : rel.EntityGroups()) {
+    for (const auto& [eid, members] : encoder->Groups(inst)) {
       (void)eid;
       if (members.size() <= 1) continue;
-      if (encoder->IsLastVar(inst, a, members[0]) < 0) {
-        continue;  // another component's group
-      }
-      // Baseline value: the tuple the model selects as most current.
-      TupleId baseline = -1;
+      const Value* baseline = nullptr;
       for (TupleId u : members) {
-        if (encoder->solver().ModelValue(encoder->IsLastVar(inst, a, u))) {
-          baseline = u;
-          break;
+        if (!solver.SeenInModel(sat::MakeLit(encoder->IsLastVar(inst, a, u)))) {
+          continue;
+        }
+        const Value& value = rel.tuple(u).at(a);
+        if (baseline == nullptr) {
+          baseline = &value;
+        } else if (!(value == *baseline)) {
+          ++tally->settled;
+          return false;
         }
       }
-      if (baseline < 0) {
-        return Status::Internal("model selects no current tuple");
+      if (baseline == nullptr) {
+        return Status::Internal("no remembered model selects a current tuple");
       }
-      const Value& base_value = rel.tuple(baseline).at(a);
-      // Any candidate with a DIFFERENT value that can be most current
-      // witnesses non-determinism.  (Candidates with equal value cannot
-      // change the current instance.)
+      // Candidates with equal value cannot change the current instance.
       for (TupleId u : members) {
-        if (u == baseline || rel.tuple(u).at(a) == base_value) continue;
-        probes.push_back(Probe{a, u});
+        if (rel.tuple(u).at(a) == *baseline) continue;
+        open.push_back(encoder->IsLastVar(inst, a, u));
       }
     }
   }
-  // Phase 2 — probe the alternatives.  Every probe is a bare verdict, so
-  // racing it through a portfolio cannot change the answer.
-  for (const Probe& probe : probes) {
-    sat::Lit assume =
-        sat::MakeLit(encoder->IsLastVar(inst, probe.attr, probe.candidate));
-    if (portfolio != nullptr) {
-      ASSIGN_OR_RETURN(sat::SolveResult verdict, portfolio->Solve({assume}));
-      if (verdict == sat::SolveResult::kSat) return false;
-    } else if (encoder->solver().SolveWithAssumptions({assume}) ==
-               sat::SolveResult::kSat) {
-      return false;
+  // Pass 2 — probe the open candidates: any one that can be current
+  // witnesses non-determinism.  Each probe is a bare verdict, so racing it
+  // through a portfolio cannot change the answer.  A refuted candidate
+  // leaves its selector fixed false at the root, which may fix later
+  // ones too.
+  for (sat::Var candidate : open) {
+    const sat::Lit assume = sat::MakeLit(candidate);
+    if (solver.RootValue(assume) < 0) {
+      ++tally->settled;
+      continue;
     }
+    ++tally->solves;
+    sat::SolveResult verdict;
+    if (portfolio != nullptr) {
+      ASSIGN_OR_RETURN(verdict, portfolio->Solve({assume}));
+    } else {
+      verdict = solver.SolveWithAssumptions({assume});
+    }
+    if (verdict == sat::SolveResult::kSat) return false;
   }
   return true;
 }
@@ -99,14 +111,32 @@ Result<std::vector<bool>> DeterminismProbes(
     DecomposedEncoder* engine, const std::vector<int>& instances,
     exec::ThreadPool* pool, const sat::PortfolioOptions* portfolio) {
   const Specification& spec = engine->spec();
-  // Route each item to the components of its instance.
+  std::vector<bool> out(instances.size(), true);
+  // Chase-routed components first, on the calling thread in component
+  // order: Theorem 6.1(3) on S|_c is a pure read of the cached fixpoint,
+  // and an item stops at its first refuting component.
+  for (size_t i = 0; i < instances.size(); ++i) {
+    for (int c : engine->decomposition().ComponentsOfInstance(instances[i])) {
+      if (!engine->chase_routed(c)) continue;
+      ASSIGN_OR_RETURN(const ComponentChase* chase, engine->ChaseFixpoint(c));
+      if (!DeterministicViaComponentChase(spec, *chase, instances[i])) {
+        out[i] = false;
+        break;
+      }
+    }
+  }
+  // Route each item still open to the SAT-routed components of its
+  // instance.  The tasks read `out` only as the chase pass left it, so
+  // every solver's call sequence is independent of timing.
   struct Request {
     int item;
     int inst;
   };
   std::map<int, std::vector<Request>> by_component;
   for (size_t i = 0; i < instances.size(); ++i) {
+    if (!out[i]) continue;
     for (int c : engine->decomposition().ComponentsOfInstance(instances[i])) {
+      if (engine->chase_routed(c)) continue;
       by_component[c].push_back(Request{static_cast<int>(i), instances[i]});
     }
   }
@@ -117,44 +147,28 @@ Result<std::vector<bool>> DeterminismProbes(
     requests.push_back(&list);
   }
   std::vector<std::vector<int>> nondeterministic(components.size());
+  std::vector<ProbeTally> tally(components.size());
   RETURN_IF_ERROR(engine->ForEachComponent(
       components, pool, portfolio, [&](int k) -> Status {
-        const int c = components[k];
-        if (engine->chase_routed(c)) {
-          // Theorem 6.1(3) on S|_c: pure reads on the cached fixpoint.
-          ASSIGN_OR_RETURN(const ComponentChase* chase,
-                           engine->ChaseFixpoint(c));
-          for (const Request& req : *requests[k]) {
-            if (!DeterministicViaComponentChase(spec, *chase, req.inst)) {
-              nondeterministic[k].push_back(req.item);
-            }
-          }
-          return Status::OK();
-        }
         return engine->WithComponentEncoder(
-            c,
+            components[k],
             [&](Encoder* encoder, sat::Portfolio* race) -> Status {
               for (const Request& req : *requests[k]) {
-                // Re-establish a model: earlier probes (or a race) left
-                // none.  The component is known satisfiable, so kUnsat is
-                // a bug.
-                if (encoder->solver().Solve() != sat::SolveResult::kSat) {
-                  return Status::Internal(
-                      "cached-SAT component re-solved unsatisfiable");
-                }
-                ASSIGN_OR_RETURN(
-                    bool deterministic,
-                    DeterministicProbe(spec, encoder, req.inst, race));
+                ASSIGN_OR_RETURN(bool deterministic,
+                                 DeterministicProbe(spec, encoder, req.inst,
+                                                    race, &tally[k]));
                 if (!deterministic) nondeterministic[k].push_back(req.item);
               }
               return Status::OK();
             },
             portfolio, pool);
       }));
-  std::vector<bool> out(instances.size(), true);
-  for (const std::vector<int>& items : nondeterministic) {
-    for (int item : items) out[item] = false;
+  ProbeTally total;
+  for (size_t k = 0; k < components.size(); ++k) {
+    for (int item : nondeterministic[k]) out[item] = false;
+    total += tally[k];
   }
+  engine->CountProbes(total);
   return out;
 }
 

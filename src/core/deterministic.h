@@ -15,17 +15,12 @@
 
 #include "src/common/result.h"
 #include "src/core/chase.h"
+#include "src/core/decompose.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
 #include "src/sat/portfolio.h"
 
-namespace currency::exec {
-class ThreadPool;
-}  // namespace currency::exec
-
 namespace currency::core {
-
-class DecomposedEncoder;
 
 /// Options for the DCIP solvers.
 struct DcipOptions {
@@ -42,12 +37,12 @@ struct DcipOptions {
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
   /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): the consistency pre-solve and the phase-2 determinism
-  /// probes of components with at least `portfolio.min_component_size`
-  /// entity groups race diversified solvers, first verdict wins.  The
-  /// phase-1 baseline still reads a model, which every probe sequence
-  /// re-establishes with a plain Solve first; the DCIP answer is
-  /// model-independent and thus unchanged.
+  /// by default): the consistency pre-solve and the determinism probes of
+  /// components with at least `portfolio.min_component_size` entity
+  /// groups race diversified solvers, first verdict wins.  The baseline
+  /// comes from the primary solver's remembered models, which a plain
+  /// Solve on the primary supplies when a race left it none; the DCIP
+  /// answer is model-independent and thus unchanged.
   sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
@@ -66,28 +61,37 @@ namespace internal {
 /// The DCIP probe phase shared by the one-shot solvers and serve's
 /// DcipBatch: for each instance index of `instances`, whether S is
 /// deterministic for it, on an engine whose EnsureAllSolved returned true.
-/// Each item is decided per component of its instance — by sink agreement
-/// on a chase-routed component, else by DeterministicProbe on the
-/// component's encoder (raced on dominant components).  A component
-/// probes its items in batch order, components in parallel.
+/// Each item is decided per component of its instance.  Chase-routed
+/// components go first, on the calling thread in component order, by sink
+/// agreement on their fixpoints; an item stops at its first refuting
+/// component.  Items still open then run DeterministicProbe on their
+/// SAT-routed components' encoders (raced on dominant components); a
+/// component probes its items in batch order, components in parallel.
+/// Probe solves and settled probes are counted into the engine's
+/// EngineCounters.
 Result<std::vector<bool>> DeterminismProbes(
     DecomposedEncoder* engine, const std::vector<int>& instances,
     exec::ThreadPool* pool, const sat::PortfolioOptions* portfolio);
 
-/// The SAT-path probe behind DeterminismProbes: decides determinism of
-/// `inst`'s entity groups whose is-last selectors `encoder` defines (on a
-/// component encoder that is exactly the component's own groups).
-/// Requires the encoder's solver to currently hold a satisfying model; the
-/// probe sequence generally leaves it without one, so callers re-Solve
-/// before probing again.  The answer is model-independent: whichever
-/// baseline model is in hand, some alternative-value candidate is
-/// satisfiable iff the group's current instance is not unique.  When
-/// `portfolio` is non-null (its primary must be `encoder`'s solver), the
-/// phase-2 probes race diversified solvers — verdict-only, so the answer
-/// is identical.
+/// The SAT-path probe behind DeterminismProbes: decides determinism of the
+/// entity groups of `inst` that `encoder` covers (on a component encoder,
+/// exactly the component's own groups), whose formula must be
+/// satisfiable.  It reads the solver's remembered models (sat::Solver's
+/// "Remembered models"): two tuples of a group made current by remembered
+/// models with different values settle "non-deterministic" without a
+/// solve; otherwise each candidate carrying a value other than the
+/// remembered one is probed with a solve, unless its is-last selector is
+/// fixed false at the root.  The solver itself solves once first when it
+/// remembers no model.  The answer is model-independent: some
+/// alternative-value candidate is satisfiable iff the group's current
+/// instance is not unique.  When `portfolio` is non-null (its primary must
+/// be `encoder`'s solver), the candidate probes race diversified solvers
+/// — verdict-only, so the answer is identical.  `tally` (optional)
+/// accumulates the probes solved and settled.
 Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
                                 int inst,
-                                sat::Portfolio* portfolio = nullptr);
+                                sat::Portfolio* portfolio = nullptr,
+                                ProbeTally* tally = nullptr);
 
 /// The chase-path check behind DeterminismProbes: for every entity group
 /// of `inst` inside the (chase-eligible) component, all certain sinks of

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -115,6 +116,14 @@ class Encoder {
   /// Selector variable "u is the most current tuple of its entity for
   /// `attr`" (requires options.define_is_last).
   sat::Var IsLastVar(int inst, AttrIndex attr, TupleId u) const;
+
+  /// The entity groups of instance `inst` this encoder covers, as (entity,
+  /// member tuples) in entity order: every group of the instance, or only
+  /// the filter's on a restricted encoder.
+  const std::vector<std::pair<Value, std::vector<TupleId>>>& Groups(
+      int inst) const {
+    return active_groups_[inst];
+  }
 
   /// A cell of the current instance: one (instance, attribute, entity)
   /// triple, with one Boolean per distinct candidate value ("the current

@@ -12,6 +12,11 @@
 // and any trace whose total exceeds the slow threshold is additionally
 // formatted into the slow-request log.
 //
+// Stages tile the trace: a stage reads the clock once, when it closes,
+// and starts where the previous stage of the same root (or the root
+// itself) ended, so time spent between two stages counts toward the
+// later one.  Stages do not nest.
+//
 // Stage attachment is thread-local: Stage finds the enclosing root via a
 // thread_local pointer, so instrumenting a call site never requires
 // threading a context parameter through APIs.  Two consequences, both
@@ -36,9 +41,13 @@
 //   * compiled out (CURRENCY_OBS_OFF): TraceSpan, Stage and ScopedTimer
 //     are empty types; every instrumentation site vanishes, clock reads
 //     included.
-//   * enabled: a handful of clock reads per request.  Time flows into
-//     the trace, never back into control flow, so answers, enumeration
-//     order and thread-count bit-identity are untouched.
+//   * enabled: one clock read per stage plus two for the root, which a
+//     latency histogram handed to the root shares; a recycled stage
+//     buffer (no allocation once warm); and a ring insertion that swaps
+//     the new trace with the evicted one, freeing nothing under the
+//     ring's mutex.  Time flows into the trace, never back into control
+//     flow, so answers, enumeration order and thread-count bit-identity
+//     are untouched.
 
 #ifndef CURRENCY_SRC_OBS_TRACE_H_
 #define CURRENCY_SRC_OBS_TRACE_H_
@@ -120,7 +129,9 @@ class Tracer {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Called by ~TraceSpan; takes ownership of the trace.
+  /// Called by ~TraceSpan; takes the trace into the ring.  On return
+  /// `trace` holds the trace the ring evicted (empty while the ring is
+  /// filling), whose buffers the caller may reuse.
   void Record(Trace&& trace);
 
  private:
@@ -130,7 +141,10 @@ class Tracer {
   std::atomic<int64_t> recorded_{0};
   std::atomic<int64_t> dropped_{0};
   mutable std::mutex mu_;
-  std::deque<Trace> ring_;
+  /// Completed traces; once full (ring_capacity), ring_[ring_next_] is
+  /// the oldest and the next to be overwritten.
+  std::vector<Trace> ring_;
+  size_t ring_next_ = 0;
   std::deque<std::string> slow_log_;
 };
 
@@ -148,9 +162,13 @@ struct StageCounters {
 class TraceSpan {
  public:
   /// Inert when `tracer` is null, disabled, or another root is already
-  /// open on this thread.
+  /// open on this thread.  `latency` (optional) also receives the span's
+  /// elapsed nanoseconds on `clock` (null: the monotonic clock), inert or
+  /// not — the request's latency histogram.  When the span traces on that
+  /// same clock, both share the span's two clock reads.
   TraceSpan(Tracer* tracer, std::string_view tenant,
-            std::string_view procedure);
+            std::string_view procedure, Histogram* latency = nullptr,
+            const Clock* clock = nullptr);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -160,7 +178,8 @@ class TraceSpan {
   static TraceSpan* Current();
 
   /// RAII stage timer attaching to the thread's current root (inert
-  /// when there is none).
+  /// when there is none).  It starts at the root's last boundary and
+  /// reads the clock once, at its end.
   class Stage {
    public:
     explicit Stage(const char* name, const StageCounters& counters = {});
@@ -175,8 +194,20 @@ class TraceSpan {
   };
 
  private:
+  /// True when the span traces on the latency histogram's clock, so both
+  /// read the same two boundaries.
+  bool SharesClock() const {
+    return tracer_ != nullptr && latency_clock_ == &tracer_->clock();
+  }
+
   Tracer* tracer_ = nullptr;  // null when inert
   Trace trace_;
+  /// End of the last stage, or the root's start: where the next stage
+  /// begins.
+  int64_t boundary_ns_ = 0;
+  Histogram* latency_ = nullptr;
+  const Clock* latency_clock_ = nullptr;
+  int64_t latency_start_ns_ = 0;
 };
 
 /// RAII latency recorder: observes the elapsed nanoseconds into a
@@ -209,7 +240,8 @@ class ScopedTimer {
 // the removal of every *time* measurement.
 class TraceSpan {
  public:
-  TraceSpan(Tracer*, std::string_view, std::string_view) {}
+  TraceSpan(Tracer*, std::string_view, std::string_view,
+            Histogram* = nullptr, const Clock* = nullptr) {}
   bool active() const { return false; }
   static TraceSpan* Current() { return nullptr; }
   class Stage {

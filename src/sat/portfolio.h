@@ -9,9 +9,10 @@
 // solves and COP/DCIP refutation probes need.  What a race does NOT
 // preserve is the model: the winning solver's model depends on who won,
 // so anything that reads a witness (CPS want_witness completions, CCQA
-// model enumeration, DCIP's phase-1 baseline snapshot) must stay on the
-// deterministic single-solver path.  Callers re-establish a model with a
-// plain Solve() on the primary when they need one after a race.
+// model enumeration) must stay on the deterministic single-solver path,
+// and a rival's model never enters the primary's remembered models
+// (Solver::SeenInModel).  Callers re-establish a model with a plain
+// Solve() on the primary when they need one after a race.
 //
 // Topology: one Portfolio fronts one PRIMARY solver (the caller's
 // long-lived, stats-bearing encoder solver) plus rival solvers spawned

@@ -121,6 +121,7 @@ Var Solver::NewVar() {
       break;
   }
   phase_.push_back(init_phase);
+  seen_phase_.push_back(0);
   seen_.push_back(0);
   lit_stamp_.push_back(0);
   lit_stamp_.push_back(0);
@@ -238,7 +239,13 @@ bool Solver::AddClause(std::vector<Lit> lits) {
   ConfinementGuard guard(*this);
   if (!ok_) return false;
   CancelUntil(0);
-  if (scope_ != kLitUndef) lits.push_back(Negate(scope_));
+  if (scope_ != kLitUndef) {
+    lits.push_back(Negate(scope_));
+  } else if (model_remembered_) {
+    // The clause may exclude a recorded model.
+    std::fill(seen_phase_.begin(), seen_phase_.end(), 0);
+    model_remembered_ = false;
+  }
   // Level-0 simplification: drop false literals, detect satisfied clauses
   // and tautologies, deduplicate.
   std::sort(lits.begin(), lits.end());
@@ -869,8 +876,13 @@ std::optional<SolveResult> Solver::SolveLimited(
     if (next == kLitUndef) {
       next = PickBranchLit();
       if (next == kLitUndef) {
-        // All variables assigned: record the model.
+        // All variables assigned: record the model, and remember its
+        // phases.
         model_.assign(assign_.begin(), assign_.end());
+        for (size_t v = 0; v < model_.size(); ++v) {
+          seen_phase_[v] |= model_[v] > 0 ? kSeenTrue : kSeenFalse;
+        }
+        model_remembered_ = true;
         CancelUntil(0);
         return SolveResult::kSat;
       }

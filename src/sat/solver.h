@@ -61,6 +61,26 @@
 // NewScope() clears that unit and reuses it: NumVars() stays flat across
 // any number of open/close cycles.  Scopes do not nest.
 //
+// Remembered models.  Every kSat answer also records, per variable, which
+// phases the model gave it (2 bits: seen true, seen false), and
+// SeenInModel(l) reports whether l was true in some recorded model.  The
+// contract callers rely on: every remembered literal is true in some
+// model of the UNSCOPED formula (the clauses added outside any scope).
+// Three facts carry it:
+//  * a model found inside a scope satisfies the scoped formula, which
+//    contains the unscoped one;
+//  * learnt clauses are implied, and ReduceDB, GC and CloseScope only
+//    delete learnt or scoped clauses, so none of them shrinks the set of
+//    models of the unscoped formula — they keep the record;
+//  * an unscoped AddClause can remove models, so it clears the record.
+// RootValue(l) is the other half: a literal fixed at decision level 0 is
+// implied by the unscoped formula (a scope's literal is an assumption
+// decision, so no level-0 unit depends on a scoped clause), i.e. true in
+// every model of it — except a scope variable's own parked unit, which no
+// clause mentions.  Together they let a caller settle "does l hold in
+// every model?" without a solve: no if ¬l was seen, yes if l is fixed.
+// The record is solver state, so it moves with the solver.
+//
 // Thread confinement: a Solver is NOT thread-safe — no internal locking,
 // and every entry point (NewVar, AddClause, Solve, SolveWithAssumptions,
 // ModelValue) mutates or reads search state.  The parallel execution
@@ -159,7 +179,8 @@ class Solver {
   /// literals are removed — so the encoder's generated clause stream
   /// never watches redundant literals.  Returns false if the solver is
   /// already in an UNSAT state after the simplification (adding the
-  /// empty clause, or a unit that contradicts level-0 knowledge).
+  /// empty clause, or a unit that contradicts level-0 knowledge).  Outside
+  /// a scope it also clears the remembered models.
   bool AddClause(std::vector<Lit> lits);
 
   /// Opens a retractable clause scope and returns its activation literal
@@ -218,6 +239,23 @@ class Solver {
 
   /// The full model (indexed by Var) from the last kSat call.
   const std::vector<int8_t>& model() const { return model_; }
+
+  /// True iff `l` was true in some model recorded since the last unscoped
+  /// AddClause (see "Remembered models" in the header comment).
+  bool SeenInModel(Lit l) const {
+    return (seen_phase_[LitVar(l)] & (LitIsNeg(l) ? kSeenFalse : kSeenTrue)) !=
+           0;
+  }
+
+  /// True iff at least one model is recorded.
+  bool HasRememberedModel() const { return model_remembered_; }
+
+  /// +1 if `l` is fixed true at decision level 0, -1 if fixed false, 0 if
+  /// open.  A fixed literal is implied by the unscoped formula.
+  int RootValue(Lit l) const {
+    const Var v = LitVar(l);
+    return assign_[v] != 0 && level_[v] == 0 ? LitValue(l) : 0;
+  }
 
   /// True once the formula is known unsatisfiable regardless of assumptions.
   bool IsUnsatForever() const { return !ok_; }
@@ -424,6 +462,12 @@ class Solver {
   int64_t max_learnts_ = 512;
   VarOrderHeap order_heap_;
   std::vector<int8_t> model_;
+  /// Per var: the phases recorded models gave it (kSeenTrue | kSeenFalse).
+  static constexpr uint8_t kSeenTrue = 1;
+  static constexpr uint8_t kSeenFalse = 2;
+  std::vector<uint8_t> seen_phase_;
+  /// True once a model is recorded; an unscoped AddClause clears both.
+  bool model_remembered_ = false;
   /// Scratch for Analyze/LitRedundant.  Values: 0 unvisited, 1 in the
   /// learnt clause (source), 2 proven removable, 3 proven not removable.
   std::vector<int8_t> seen_;

@@ -107,8 +107,8 @@ int CurrencySession::num_components() const {
 int64_t CurrencySession::epoch_version() const { return Pin()->version(); }
 
 Result<bool> CurrencySession::CpsCheck() {
-  obs::TraceSpan span(options_.tracer, options_.instance_label, "cps");
-  obs::ScopedTimer timer(cps_.latency, clock_);
+  obs::TraceSpan span(options_.tracer, options_.instance_label, "cps",
+                      cps_.latency, clock_);
   cps_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
   obs::TraceSpan::Stage stage("solve", stage_counters_);
@@ -117,8 +117,8 @@ Result<bool> CurrencySession::CpsCheck() {
 
 Result<std::vector<bool>> CurrencySession::CopBatch(
     const std::vector<core::CurrencyOrderQuery>& queries) {
-  obs::TraceSpan span(options_.tracer, options_.instance_label, "cop");
-  obs::ScopedTimer timer(cop_.latency, clock_);
+  obs::TraceSpan span(options_.tracer, options_.instance_label, "cop",
+                      cop_.latency, clock_);
   cop_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
   // Validate the whole batch up front, mirroring the one-shot API's
@@ -140,8 +140,8 @@ Result<std::vector<bool>> CurrencySession::CopBatch(
 
 Result<std::vector<bool>> CurrencySession::DcipBatch(
     const std::vector<std::string>& relations) {
-  obs::TraceSpan span(options_.tracer, options_.instance_label, "dcip");
-  obs::ScopedTimer timer(dcip_.latency, clock_);
+  obs::TraceSpan span(options_.tracer, options_.instance_label, "dcip",
+                      dcip_.latency, clock_);
   dcip_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
   std::vector<int> inst_of(relations.size(), -1);
@@ -157,8 +157,8 @@ Result<std::vector<bool>> CurrencySession::DcipBatch(
 
 Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(
     const std::vector<CcqaRequest>& requests) {
-  obs::TraceSpan span(options_.tracer, options_.instance_label, "ccqa");
-  obs::ScopedTimer timer(ccqa_.latency, clock_);
+  obs::TraceSpan span(options_.tracer, options_.instance_label, "ccqa",
+                      ccqa_.latency, clock_);
   ccqa_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
   ASSIGN_OR_RETURN(std::vector<std::vector<int>> instances,
@@ -213,8 +213,8 @@ int CurrencySession::AdoptSolvedVerdicts(
 }
 
 Status CurrencySession::Mutate(const std::vector<core::TupleEdit>& edits) {
-  obs::TraceSpan span(options_.tracer, options_.instance_label, "mutate");
-  obs::ScopedTimer timer(mutate_.latency, clock_);
+  obs::TraceSpan span(options_.tracer, options_.instance_label, "mutate",
+                      mutate_.latency, clock_);
   mutate_.batches->Increment();
   // One successor epoch is built at a time; concurrent Mutate callers
   // queue here while batches keep running on the published epoch.

@@ -46,8 +46,12 @@
 // build over the pinned epoch's specification would give.  Two facts
 // carry the argument: (1) cached solvers accumulate learnt clauses
 // across requests — and across concurrent batches — which never changes
-// satisfiability answers (learnt clauses are implied) and the COP/DCIP
-// probes are model-independent by construction; (2) the only clauses
+// satisfiability answers (learnt clauses are implied), and the COP/DCIP
+// probes are model-independent by construction: a warm probe that a
+// solver's remembered models or root literals settle (sat::Solver's
+// "Remembered models") gets the answer its solve would give, because a
+// remembered model is a model of the component's encoding and a root
+// literal is implied by it; (2) the only clauses
 // beyond the base encoding — CCQA's blocking clauses — are added under a
 // retractable solver scope (sat::Solver::NewScope) that is closed before
 // the encoder's slot lock is released.  Closing deletes every clause
@@ -112,10 +116,10 @@ struct SessionOptions {
   /// by default): base solves and COP/DCIP probes of components with at
   /// least `portfolio.min_component_size` entity groups race diversified
   /// rival solvers on the session pool, first verdict wins.  Verdict-only
-  /// — the cached primary solver may hold no model after a raced solve,
-  /// which is fine because every serve probe either needs no model (COP)
-  /// or re-Solves first (DCIP, CCQA).  Answers are bit-identical with the
-  /// racing off; pass-through (zero overhead) when the pool has one
+  /// — a rival's model is not remembered by the cached primary solver, so
+  /// a raced probe settles fewer later ones, and DCIP solves the primary
+  /// itself when it remembers no model.  Answers are bit-identical with
+  /// the racing off; pass-through (zero overhead) when the pool has one
   /// thread.
   sat::PortfolioOptions portfolio;
   /// Base encoder options.  define_is_last is forced on (one cached
@@ -217,13 +221,17 @@ class CurrencySession {
   /// COP for a batch of currency-order queries, answered in request
   /// order.  Pairs are routed to the component owning their entity and
   /// refuted in parallel across components; pairs sharing a component
-  /// probe its solver sequentially in batch order.
+  /// probe its solver sequentially in batch order, and only the pairs its
+  /// remembered models and root literals leave open reach a solve.
   Result<std::vector<bool>> CopBatch(
       const std::vector<core::CurrencyOrderQuery>& queries);
 
   /// DCIP for a batch of relation names, answered in request order.  Each
-  /// relation's determinism is probed per owning component, components in
-  /// parallel.
+  /// relation's determinism is checked per owning component: chase-routed
+  /// components first, stopping at the first refutation, then the
+  /// SAT-routed ones of relations still open, in parallel.  A warm probe
+  /// reads the component solver's remembered models and solves only the
+  /// candidates those leave open.
   Result<std::vector<bool>> DcipBatch(
       const std::vector<std::string>& relations);
 

@@ -333,6 +333,25 @@ TEST(ObsTraceTest, RingOverflowDropsOldestAndCounts) {
   EXPECT_EQ(tracer.dropped_traces(), 2);
 }
 
+TEST(ObsTraceTest, RecycledStageBuffersCarryNoStaleStages) {
+  ManualClock clock;
+  Tracer tracer(TestTraceOptions(&clock));  // ring_capacity = 4
+  for (int i = 0; i < 9; ++i) {
+    TraceSpan span(&tracer, "t", "cps" + std::to_string(i));
+    for (int k = 0; k <= i % 3; ++k) {
+      TraceSpan::Stage stage("solve");
+      clock.Advance(1);
+    }
+  }
+  std::vector<Trace> traces = tracer.RecentTraces();
+  ASSERT_EQ(traces.size(), 4u);
+  for (int j = 0; j < 4; ++j) {
+    const int i = 5 + j;
+    EXPECT_EQ(traces[j].procedure, "cps" + std::to_string(i));
+    EXPECT_EQ(traces[j].stages.size(), static_cast<size_t>(i % 3 + 1));
+  }
+}
+
 TEST(ObsTraceTest, SlowLogCapturesOnlySlowRequests) {
   ManualClock clock;
   Tracer tracer(TestTraceOptions(&clock));  // threshold 1000 ns, cap 2
@@ -421,6 +440,50 @@ TEST(ObsTraceTest, ScopedTimerObservesElapsedIntoHistogram) {
   EXPECT_EQ(h->Sum(), 70);
   { ScopedTimer inert(nullptr, &clock); }  // null histogram: no-op
   EXPECT_EQ(h->Count(), 1);
+}
+
+TEST(ObsTraceTest, SpanTimesItsRequestIntoALatencyHistogram) {
+  ManualClock clock;
+  Tracer tracer(TestTraceOptions(&clock));
+  Registry registry;
+  Histogram* latency = registry.GetHistogram("currency_test_latency_ns");
+  {
+    // Traced on the histogram's clock: one pair of reads serves both, and
+    // the gap before the stage counts toward it (stages tile the trace).
+    TraceSpan span(&tracer, "t", "cop", latency, &clock);
+    clock.Advance(5);
+    {
+      TraceSpan::Stage stage("solve");
+      clock.Advance(20);
+    }
+    clock.Advance(3);
+  }
+  ASSERT_EQ(tracer.RecentTraces().size(), 1u);
+  const Trace t = tracer.RecentTraces()[0];
+  EXPECT_EQ(t.DurationNs(), 28);
+  ASSERT_EQ(t.stages.size(), 1u);
+  EXPECT_EQ(t.stages[0].end_ns - t.stages[0].start_ns, 25);
+  EXPECT_EQ(latency->Count(), 1);
+  EXPECT_EQ(latency->Sum(), 28);
+  {
+    // Nested under another root: inert for tracing, still timed.
+    TraceSpan outer(&tracer, "t", "outer");
+    TraceSpan inner(&tracer, "t", "cop", latency, &clock);
+    EXPECT_FALSE(inner.active());
+    clock.Advance(7);
+  }
+  EXPECT_EQ(latency->Count(), 2);
+  EXPECT_EQ(latency->Sum(), 35);
+  {
+    // Traced on a different clock: the histogram reads its own.
+    ManualClock other(1'000);
+    TraceSpan span(&tracer, "t", "cop", latency, &other);
+    other.Advance(11);
+    clock.Advance(2);
+  }
+  EXPECT_EQ(latency->Count(), 3);
+  EXPECT_EQ(latency->Sum(), 46);
+  EXPECT_EQ(tracer.RecentTraces().back().DurationNs(), 2);
 }
 
 TEST(ObsTraceTest, ZeroCapacityRingDropsEverything) {

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -776,6 +777,135 @@ TEST_P(ScopeProperty, GcStressIsBitIdenticalAcrossScopes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, ScopeProperty, ::testing::Range(0, 20));
+
+// ---------------------------------------------------------------------
+// Remembered models: every remembered phase is witnessed by a model of the
+// unscoped formula, every root-fixed literal is implied by it, and an
+// unscoped clause clears the record.
+// ---------------------------------------------------------------------
+
+/// Collects the clauses a helper such as AddGatedPigeonhole adds, so the
+/// same unscoped formula can be replayed into any engine.
+struct ClauseRecorder {
+  int num_vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+
+  Var NewVar() { return num_vars++; }
+  bool AddClause(std::vector<Lit> clause) {
+    clauses.push_back(std::move(clause));
+    return true;
+  }
+};
+
+/// Checks `s`'s record against fresh legacy solves over the unscoped
+/// `formula`: a remembered literal must be satisfiable as an assumption, a
+/// root-fixed one implied.  Returns how many literals are remembered.
+int ExpectRecordWitnessed(const Solver& s, const ClauseRecorder& formula) {
+  int remembered = 0;
+  for (Var v = 0; v < formula.num_vars; ++v) {
+    for (bool negated : {false, true}) {
+      const Lit l = MakeLit(v, negated);
+      if (s.SeenInModel(l)) {
+        ++remembered;
+        EXPECT_EQ(LegacyVerdict(formula.num_vars, formula.clauses, {l}),
+                  SolveResult::kSat)
+            << "remembered literal " << l << " has no model";
+      }
+      if (s.RootValue(l) > 0) {
+        EXPECT_EQ(
+            LegacyVerdict(formula.num_vars, formula.clauses, {Negate(l)}),
+            SolveResult::kUnsat)
+            << "root literal " << l << " is not implied";
+      }
+    }
+  }
+  return remembered;
+}
+
+class RememberedModelProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(RememberedModelProperty, RecordIsWitnessedByTheUnscopedFormula) {
+  const int seed = GetParam();
+  // Even seeds force ReduceDB + GC cycles mid-search; every third seed
+  // also compacts at every solve entry and restart.  Neither may touch
+  // the record.
+  ReduceLimitScope reduce(seed % 2 == 0 ? 16 : -1);
+  GcStressScope stress(seed % 3 == 0);
+  std::mt19937 rng(seed * 4099 + 17);
+  // A gated pigeonhole (its refutation under the gate is conflict-heavy
+  // and leaves ¬gate at the root) plus random clauses over free variables.
+  ClauseRecorder formula;
+  const Var gate = AddGatedPigeonhole(&formula, 5, 4);
+  const int num_free = 10;
+  const Var first_free = formula.num_vars;
+  for (int i = 0; i < num_free; ++i) formula.NewVar();
+  auto shifted = [&](std::vector<std::vector<Lit>> clauses) {
+    for (std::vector<Lit>& clause : clauses) {
+      for (Lit& l : clause) l = MakeLit(first_free + LitVar(l), LitIsNeg(l));
+    }
+    return clauses;
+  };
+  for (auto& clause : shifted(RandomClauses(&rng, num_free, 20))) {
+    formula.AddClause(std::move(clause));
+  }
+  Solver s;
+  for (int i = 0; i < formula.num_vars; ++i) s.NewVar();
+  for (const auto& clause : formula.clauses) (void)s.AddClause(clause);
+  EXPECT_FALSE(s.HasRememberedModel());
+
+  int remembered = 0;
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " cycle=" + std::to_string(cycle));
+    (void)s.Solve();
+    (void)s.SolveWithAssumptions(
+        shifted({RandomAssumptions(&rng, num_free)})[0]);
+    if (cycle == 1) {
+      EXPECT_EQ(s.SolveWithAssumptions({MakeLit(gate)}), SolveResult::kUnsat);
+      EXPECT_LT(s.RootValue(MakeLit(gate)), 0);
+    }
+    remembered = std::max(remembered, ExpectRecordWitnessed(s, formula));
+
+    // A scoped batch, every third one refuted: models found inside it
+    // satisfy the unscoped formula too, and closing keeps the record.
+    s.NewScope();
+    for (const auto& clause : shifted(RandomScopedBatch(
+             &rng, num_free, /*refute=*/cycle % 3 == 2))) {
+      (void)s.AddClause(clause);
+    }
+    (void)s.Solve();
+    (void)s.SolveWithAssumptions(
+        shifted({RandomAssumptions(&rng, num_free)})[0]);
+    ExpectRecordWitnessed(s, formula);
+    s.CloseScope();
+    ExpectRecordWitnessed(s, formula);
+
+    if (cycle % 2 == 1) {
+      // An unscoped unit against a literal the record has seen (both of
+      // its phases, so the formula stays satisfiable) excludes recorded
+      // models: the record must be gone.
+      std::vector<Lit> unit;
+      for (Var v = first_free; v < formula.num_vars && unit.empty(); ++v) {
+        if (s.SeenInModel(MakeLit(v)) && s.SeenInModel(MakeLit(v, true))) {
+          unit = {MakeLit(v, true)};
+        }
+      }
+      if (unit.empty()) unit = shifted(RandomClauses(&rng, num_free, 1))[0];
+      formula.AddClause(unit);
+      (void)s.AddClause(unit);
+      EXPECT_FALSE(s.HasRememberedModel());
+      for (Var v = 0; v < formula.num_vars; ++v) {
+        EXPECT_FALSE(s.SeenInModel(MakeLit(v)));
+        EXPECT_FALSE(s.SeenInModel(MakeLit(v, true)));
+      }
+    }
+  }
+  EXPECT_GT(remembered, 0) << "no model was ever remembered";
+  EXPECT_GT(s.stats().conflicts, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, RememberedModelProperty,
+                         ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace currency::sat

@@ -72,6 +72,91 @@ core::Specification MakeSpecWithOneComponentRelation() {
   return spec;
 }
 
+/// R(A, B) with `entities` SAT-routed entities e0, e1, ... of three tuples
+/// each (A = 5, 6, 7; B = 0), one coupling component per entity.  The
+/// constraints order A = 5 before A = 6 and deny A = 7 coming after both,
+/// so the A = 6 tuple is current in every completion — but no unit
+/// propagates that at build time, so the first probes that depend on it
+/// reach the solver.  `chase_entity` adds entity c0 with A = 1, 2: no
+/// constraint grounds on it, so it is a chase-routed component, and R is
+/// non-deterministic there.
+core::Specification MakeSearchSpec(int entities, bool chase_entity = false) {
+  core::Specification spec;
+  Schema rs = Schema::Make("R", {"A", "B"}).value();
+  Relation r(rs);
+  if (chase_entity) {
+    (void)r.AppendValues({Value("c0"), Value(1), Value(0)});
+    (void)r.AppendValues({Value("c0"), Value(2), Value(0)});
+  }
+  for (int e = 0; e < entities; ++e) {
+    Value eid("e" + std::to_string(e));
+    for (int a : {5, 6, 7}) (void)r.AppendValues({eid, Value(a), Value(0)});
+  }
+  (void)spec.AddInstance(core::TemporalInstance(std::move(r)));
+  EXPECT_TRUE(
+      spec.AddConstraintText("FORALL s, t IN R: s.A = 5 AND t.A = 6 -> "
+                             "s PREC[A] t")
+          .ok());
+  EXPECT_TRUE(spec.AddConstraintText(
+                      "FORALL s, t, w IN R: s.A = 5 AND t.A = 6 AND "
+                      "w.A = 7 AND s PREC[A] w AND t PREC[A] w -> "
+                      "s PREC[A] s")
+                  .ok());
+  return spec;
+}
+
+/// Every ordered pair (on A) of the three tuples starting at `first`.
+std::vector<core::CurrencyOrderQuery> EntityPairQueries(TupleId first) {
+  std::vector<core::CurrencyOrderQuery> queries;
+  for (TupleId u = first; u < first + 3; ++u) {
+    for (TupleId v = first; v < first + 3; ++v) {
+      if (u == v) continue;
+      core::CurrencyOrderQuery q;
+      q.relation = "R";
+      q.pairs = {core::RequiredPair{1, u, v}};
+      queries.push_back(q);
+    }
+  }
+  return queries;
+}
+
+/// The unlabelled value of a standalone session's counter family.
+int64_t CounterValue(CurrencySession* session, const char* family) {
+  return session->registry()->GetCounter(family, obs::Labels{})->Value();
+}
+
+/// Snapshot of the counters that show whether a batch reached a solver.
+struct SolverWork {
+  int64_t propagations = 0;
+  int64_t probe_solves = 0;
+  int64_t probes_settled = 0;
+
+  static SolverWork Of(CurrencySession* session) {
+    return {CounterValue(session, "currency_sat_propagations_total"),
+            CounterValue(session, "currency_serve_probe_solves_total"),
+            CounterValue(session, "currency_serve_probes_settled_total")};
+  }
+  SolverWork operator-(const SolverWork& before) const {
+    return {propagations - before.propagations,
+            probe_solves - before.probe_solves,
+            probes_settled - before.probes_settled};
+  }
+};
+
+/// Checks COP answers against the monolithic reference over the session's
+/// spec (it probes every pair with a solve, independently of the engine).
+void ExpectCopMatchesReference(CurrencySession* session,
+                               const std::vector<core::CurrencyOrderQuery>& qs,
+                               const std::vector<bool>& got) {
+  ASSERT_EQ(got.size(), qs.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(got[i], currency::testing::MonolithicCertainOrder(
+                          session->spec(), qs[i])
+                          .value())
+        << "query " << i;
+  }
+}
+
 /// Membership requests for every candidate value 0..3 plus the answer set.
 std::vector<CcqaRequest> AllCcqaRequests(const query::Query& q) {
   std::vector<CcqaRequest> requests;
@@ -219,6 +304,125 @@ TEST(CurrencySession, WarmRequestsServeFromTheResultCache) {
   q.pairs = {core::RequiredPair{1, 0, 1}};
   ASSERT_TRUE(session->CopBatch({q}).ok());
   EXPECT_EQ(session->stats().base_solves, solves);
+}
+
+TEST(CurrencySession, RepeatedWarmProbeBatchesAddNoSolverWork) {
+  auto session = MakeSession(MakeSearchSpec(2));
+  ASSERT_TRUE(session->CpsCheck().value());
+  std::vector<core::CurrencyOrderQuery> queries = EntityPairQueries(0);
+  for (const auto& q : EntityPairQueries(3)) queries.push_back(q);
+
+  SolverWork before = SolverWork::Of(session.get());
+  auto first = session->CopBatch(queries);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ExpectCopMatchesReference(session.get(), queries, *first);
+  SolverWork cold = SolverWork::Of(session.get()) - before;
+  EXPECT_GT(cold.probe_solves, 0) << "the certain pairs need a solve";
+  EXPECT_EQ(cold.probe_solves + cold.probes_settled,
+            static_cast<int64_t>(queries.size()));
+
+  // Every first probe left a remembered model (kSat) or a root literal
+  // (kUnsat), so the repeat is answered without touching a solver.
+  before = SolverWork::Of(session.get());
+  auto second = session->CopBatch(queries);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(*second, *first);
+  SolverWork warm = SolverWork::Of(session.get()) - before;
+  EXPECT_EQ(warm.propagations, 0);
+  EXPECT_EQ(warm.probe_solves, 0);
+  EXPECT_EQ(warm.probes_settled, static_cast<int64_t>(queries.size()));
+
+  auto dcip = session->DcipBatch({"R"});
+  ASSERT_TRUE(dcip.ok()) << dcip.status();
+  EXPECT_EQ((*dcip)[0],
+            currency::testing::MonolithicDeterministic(session->spec(), "R")
+                .value());
+  before = SolverWork::Of(session.get());
+  auto again = session->DcipBatch({"R"});
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(*again, *dcip);
+  warm = SolverWork::Of(session.get()) - before;
+  EXPECT_EQ(warm.propagations, 0);
+  EXPECT_EQ(warm.probe_solves, 0);
+}
+
+TEST(CurrencySession, DeterministicRelationsSecondDcipBatchSettlesFromRoot) {
+  auto session = MakeSession(MakeSearchSpec(2));
+  ASSERT_TRUE(session->CpsCheck().value());
+  ASSERT_TRUE(
+      currency::testing::MonolithicDeterministic(session->spec(), "R").value());
+
+  // Per entity, every remembered model makes A = 6 current, so the
+  // candidates are A = 5 (its selector is fixed false at build time) and
+  // A = 7 (fixed false by the base solve's learnt units, or else by the
+  // refuting probe).
+  SolverWork before = SolverWork::Of(session.get());
+  auto first = session->DcipBatch({"R"});
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE((*first)[0]);
+  SolverWork cold = SolverWork::Of(session.get()) - before;
+  EXPECT_EQ(cold.probe_solves + cold.probes_settled, 4);
+
+  // Both selectors of every entity are now fixed false at the root: the
+  // second batch settles every candidate there.
+  before = SolverWork::Of(session.get());
+  auto second = session->DcipBatch({"R"});
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE((*second)[0]);
+  SolverWork warm = SolverWork::Of(session.get()) - before;
+  EXPECT_EQ(warm.probe_solves, 0);
+  EXPECT_EQ(warm.probes_settled, 4);
+  EXPECT_EQ(warm.propagations, 0);
+}
+
+TEST(CurrencySession, AfterMutateOnlyTheReencodedComponentSolvesAgain) {
+  auto session = MakeSession(MakeSearchSpec(2));
+  const std::vector<core::CurrencyOrderQuery> e0 = EntityPairQueries(0);
+  const std::vector<core::CurrencyOrderQuery> e1 = EntityPairQueries(3);
+  std::vector<core::CurrencyOrderQuery> both = e0;
+  both.insert(both.end(), e1.begin(), e1.end());
+  ASSERT_TRUE(session->CopBatch(both).ok());
+  ASSERT_TRUE(session->DcipBatch({"R"}).ok());
+
+  // Editing e0's B re-encodes e0's component only; e1's encoder, with
+  // its remembered models and root literals, is adopted.
+  ASSERT_TRUE(session->Mutate({core::TupleEdit{0, 0, 2, Value(1)}}).ok());
+  EXPECT_EQ(session->stats().last_invalidated, 1);
+  ASSERT_TRUE(session->CpsCheck().value());  // e0's base solve
+
+  SolverWork before = SolverWork::Of(session.get());
+  auto adopted = session->CopBatch(e1);
+  ASSERT_TRUE(adopted.ok()) << adopted.status();
+  ExpectCopMatchesReference(session.get(), e1, *adopted);
+  SolverWork work = SolverWork::Of(session.get()) - before;
+  EXPECT_EQ(work.propagations, 0);
+  EXPECT_EQ(work.probe_solves, 0);
+
+  before = SolverWork::Of(session.get());
+  auto rebuilt = session->CopBatch(e0);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  ExpectCopMatchesReference(session.get(), e0, *rebuilt);
+  work = SolverWork::Of(session.get()) - before;
+  EXPECT_GT(work.probe_solves, 0) << "the re-encoded component solves again";
+  EXPECT_GT(work.propagations, 0);
+}
+
+TEST(CurrencySession, ChaseRefutedDcipItemLeavesSatSolversUntouched) {
+  auto session = MakeSession(MakeSearchSpec(2, /*chase_entity=*/true));
+  ASSERT_TRUE(session->CpsCheck().value());
+  ASSERT_GT(session->stats().chase_solves, 0);
+  ASSERT_GT(session->stats().base_solves, 0);
+
+  SolverWork before = SolverWork::Of(session.get());
+  auto dcip = session->DcipBatch({"R"});
+  ASSERT_TRUE(dcip.ok()) << dcip.status();
+  EXPECT_FALSE((*dcip)[0]) << "c0's current A is 1 or 2";
+  EXPECT_FALSE(
+      currency::testing::MonolithicDeterministic(session->spec(), "R").value());
+  SolverWork work = SolverWork::Of(session.get()) - before;
+  EXPECT_EQ(work.propagations, 0);
+  EXPECT_EQ(work.probe_solves, 0);
+  EXPECT_EQ(work.probes_settled, 0);
 }
 
 TEST(CurrencySession, NoOpMutateInvalidatesNothing) {

@@ -17,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/brute_force.h"
@@ -57,6 +58,22 @@ std::vector<core::CurrencyOrderQuery> MakeCopQueries() {
                  core::RequiredPair{1, 1, 0}};
   queries.push_back(std::move(multi));
   return queries;
+}
+
+/// R(A) with one constrained entity of tuples A = 0, 1, 2: A = 0 comes
+/// before A = 1, and nothing else is ordered.  Its single component is
+/// SAT-routed, tuples 1 and 2 are ordered each way in some completion, and
+/// A = 1 and A = 2 can each be current.
+core::Specification MakeOpenProbeSpec() {
+  core::Specification spec;
+  Relation r(Schema::Make("R", {"A"}).value());
+  for (int a = 0; a < 3; ++a) (void)r.AppendValues({Value("e0"), Value(a)});
+  (void)spec.AddInstance(core::TemporalInstance(std::move(r)));
+  EXPECT_TRUE(
+      spec.AddConstraintText("FORALL s, t IN R: s.A = 0 AND t.A = 1 -> "
+                             "s PREC[A] t")
+          .ok());
+  return spec;
 }
 
 /// Re-checks all four problems on the session against the monolithic
@@ -440,28 +457,54 @@ TEST(SessionEquivalence, PortfolioOnMatchesPortfolioOff) {
       } else if (variant == 3) {
         EXPECT_GT(races, 0) << "no base solve raced despite eligibility";
       }
-      // Served probes race too: on a warm session (base solves cached) a
-      // COP batch with a same-entity pair probes every dominant component
-      // it touches through a race, and so does a DCIP batch's phase-2
-      // probe of each alternative current value.
-      if (threads > 1 && variant == 3 && on->CpsCheck().value()) {
-        auto races_now = [&] {
-          return on->registry()
-              ->GetCounter("currency_sat_portfolio_races_total",
-                           obs::Labels{})
-              ->Value();
+      // Served probes race too.  A probe that the component solver's
+      // remembered models or root literals settle never reaches a solver,
+      // so each check drives a fresh session over MakeOpenProbeSpec —
+      // whose solver remembers one base model at most — with probes that
+      // must be solved, and confirms through
+      // currency_serve_probe_solves_total that they were.
+      if (threads > 1 && variant == 3) {
+        auto probed = [&](const auto& batch) {
+          SessionOptions options;
+          options.num_threads = threads;
+          options.portfolio.enabled = true;
+          options.portfolio.num_solvers = 3;
+          options.portfolio.min_component_size = 1;
+          auto session =
+              CurrencySession::Create(MakeOpenProbeSpec(), options).value();
+          auto counter = [&](const char* family) {
+            return session->registry()
+                ->GetCounter(family, obs::Labels{})
+                ->Value();
+          };
+          EXPECT_TRUE(session->CpsCheck().value());
+          const int64_t races = counter("currency_sat_portfolio_races_total");
+          const int64_t solves = counter("currency_serve_probe_solves_total");
+          batch(session.get());
+          return std::make_pair(
+              counter("currency_sat_portfolio_races_total") - races,
+              counter("currency_serve_probe_solves_total") - solves);
         };
-        core::CurrencyOrderQuery probe;
-        probe.relation = "R";
-        probe.pairs = {core::RequiredPair{1, 0, 1}};
-        ASSERT_TRUE(on->CopBatch({probe}).ok());
-        EXPECT_GT(races_now(), races)
-            << "no COP probe raced despite eligibility";
-        const int64_t after_cop = races_now();
-        auto dcip = on->DcipBatch({"R"});
-        ASSERT_TRUE(dcip.ok()) << dcip.status();
-        EXPECT_GT(races_now(), after_cop)
-            << "no DCIP probe raced despite eligibility";
+        // COP: tuples 1 and 2 are ordered each way in some completion, and
+        // one remembered model witnesses one direction only.
+        auto [cop_races, cop_solves] = probed([](CurrencySession* session) {
+          auto cop = session->CopBatch(
+              {core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 1, 2}}},
+               core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 2, 1}}}});
+          ASSERT_TRUE(cop.ok()) << cop.status();
+          EXPECT_EQ(*cop, std::vector<bool>({false, false}));
+        });
+        EXPECT_GT(cop_solves, 0) << "the COP probes were settled";
+        EXPECT_GT(cop_races, 0) << "no COP probe raced despite eligibility";
+        // DCIP: one remembered model makes one of A = 1 and A = 2 current;
+        // the other can be current too, so its probe needs a solve.
+        auto [dcip_races, dcip_solves] = probed([](CurrencySession* session) {
+          auto dcip = session->DcipBatch({"R"});
+          ASSERT_TRUE(dcip.ok()) << dcip.status();
+          EXPECT_FALSE(dcip->at(0));
+        });
+        EXPECT_GT(dcip_solves, 0) << "the DCIP probes were settled";
+        EXPECT_GT(dcip_races, 0) << "no DCIP probe raced despite eligibility";
       }
       int64_t off_races = off->registry()
                               ->GetCounter(

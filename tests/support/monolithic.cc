@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/core/ccqa.h"
-#include "src/core/deterministic.h"
 #include "src/core/encoder.h"
 #include "src/sat/model_enumerator.h"
 
@@ -25,6 +24,65 @@ std::vector<int> AllInstances(const core::Specification& spec) {
   std::vector<int> all(spec.num_instances());
   for (int i = 0; i < spec.num_instances(); ++i) all[i] = i;
   return all;
+}
+
+/// DCIP on the whole encoding by snapshot-then-probe: the baseline current
+/// tuple of every group is read off the model in hand, then every
+/// candidate carrying a different value is probed with a solve.  It reads
+/// one model and never the solver's remembered models or root literals,
+/// so it stays an independent algorithm next to core's DeterministicProbe.
+/// Requires the solver to currently hold a satisfying model.
+Result<bool> SnapshotThenProbe(const core::Specification& spec,
+                               core::Encoder* encoder, int inst) {
+  const core::TemporalInstance& instance = spec.instance(inst);
+  const Relation& rel = instance.relation();
+  // Phase 1 — snapshot every baseline from the model in hand, BEFORE any
+  // assumption solve: a kSat call overwrites the model, and nothing in
+  // the solver contract promises it survives a kUnsat call either, so no
+  // baseline may be read after solving resumes.
+  struct Probe {
+    AttrIndex attr;
+    TupleId candidate;
+  };
+  std::vector<Probe> probes;
+  for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
+    for (const auto& [eid, members] : rel.EntityGroups()) {
+      (void)eid;
+      if (members.size() <= 1) continue;
+      if (encoder->IsLastVar(inst, a, members[0]) < 0) {
+        continue;  // another component's group
+      }
+      // Baseline value: the tuple the model selects as most current.
+      TupleId baseline = -1;
+      for (TupleId u : members) {
+        if (encoder->solver().ModelValue(encoder->IsLastVar(inst, a, u))) {
+          baseline = u;
+          break;
+        }
+      }
+      if (baseline < 0) {
+        return Status::Internal("model selects no current tuple");
+      }
+      const Value& base_value = rel.tuple(baseline).at(a);
+      // Any candidate with a DIFFERENT value that can be most current
+      // witnesses non-determinism.  (Candidates with equal value cannot
+      // change the current instance.)
+      for (TupleId u : members) {
+        if (u == baseline || rel.tuple(u).at(a) == base_value) continue;
+        probes.push_back(Probe{a, u});
+      }
+    }
+  }
+  // Phase 2 — probe the alternatives.
+  for (const Probe& probe : probes) {
+    sat::Lit assume =
+        sat::MakeLit(encoder->IsLastVar(inst, probe.attr, probe.candidate));
+    if (encoder->solver().SolveWithAssumptions({assume}) ==
+        sat::SolveResult::kSat) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -65,7 +123,7 @@ Result<bool> MonolithicDeterministic(const core::Specification& spec,
   if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
     return true;  // vacuous
   }
-  return core::internal::DeterministicProbe(spec, encoder.get(), inst);
+  return SnapshotThenProbe(spec, encoder.get(), inst);
 }
 
 Result<std::set<Tuple>> MonolithicCertainAnswers(
