@@ -33,14 +33,17 @@
 # and exec suites plus obs_test, parallel_equivalence_test,
 # oracle_invariants_test, chase_routing_equivalence_test,
 # sat_metamorphic_test, portfolio_test (rival solver lifetimes end at
-# cancellation), wire_test and wal_recovery_test, so every equivalence
-# suite runs under both sanitizers: the engine moves encoders AND chase
-# fixpoints between epochs and hands borrowed pools/encoders across
-# threads, the SAT core's garbage collector relocates every clause and
-# rewrites watcher/reason references in place, and the wire/WAL parsers
-# walk length-prefixed frames of truncated and bit-flipped buffers —
-# exactly the lifetime and bounds traffic the sanitizers are built to
-# police.  (WAL tests write their log directories under the build tree's
+# cancellation), wire_test, wal_recovery_test, order_test (the
+# word-by-word bit scan of PartialOrder::Pairs across word boundaries),
+# encoder_chase_test and core_model_test (the encoder's per-group
+# is-last index and the order-free selectors behind every witness), so
+# every equivalence suite runs under both sanitizers: the engine moves
+# encoders AND chase fixpoints between epochs and hands borrowed
+# pools/encoders across threads, the SAT core's garbage collector
+# relocates every clause and rewrites watcher/reason references in
+# place, and the wire/WAL parsers walk length-prefixed frames of
+# truncated and bit-flipped buffers — exactly the lifetime and bounds
+# traffic the sanitizers are built to police.  (WAL tests write their log directories under the build tree's
 # cwd — wal_test_dirs/, gitignored.)
 #
 # Usage: scripts/check.sh [build-dir]    (default: build)
@@ -89,7 +92,8 @@ cmake --build "$asan_dir" -j "$(nproc)" \
   --target exec_test obs_test parallel_equivalence_test \
            oracle_invariants_test serve_test session_equivalence_test \
            concurrent_session_test chase_routing_equivalence_test \
-           sat_metamorphic_test portfolio_test wire_test wal_recovery_test
+           sat_metamorphic_test portfolio_test wire_test wal_recovery_test \
+           order_test encoder_chase_test core_model_test
 "$asan_dir/tests/exec_test"
 "$asan_dir/tests/obs_test"
 "$asan_dir/tests/parallel_equivalence_test"
@@ -100,4 +104,7 @@ cmake --build "$asan_dir" -j "$(nproc)" \
 "$asan_dir/tests/chase_routing_equivalence_test"
 "$asan_dir/tests/sat_metamorphic_test"
 "$asan_dir/tests/portfolio_test"
+"$asan_dir/tests/order_test"
+"$asan_dir/tests/encoder_chase_test"
+"$asan_dir/tests/core_model_test"
 (cd "$asan_dir/tests" && ./wire_test && ./wal_recovery_test)

@@ -36,30 +36,44 @@ Result<std::vector<bool>> CertainOrderProbes(
     const sat::PortfolioOptions* portfolio) {
   const Specification& spec = engine->spec();
   std::vector<bool> out(queries.size(), true);
+  ProbeTally total;
   // Structural refutations need no solver: a reflexive pair
   // (irreflexivity) or a cross-entity pair (no order variable relates
-  // tuples of distinct entities) can hold in no completion.
+  // tuples of distinct entities) can hold in no completion.  Nor does a
+  // pair on an order-free attribute: its order completes to any linear
+  // extension of the initial order, whatever the rest of the completion
+  // (Mod(S) ≠ ∅ here), so it is certain iff the initial order has it.
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Relation& rel = spec.instance(inst_of[i]).relation();
+    const TemporalInstance& instance = spec.instance(inst_of[i]);
+    const Relation& rel = instance.relation();
     for (const RequiredPair& p : queries[i].pairs) {
       if (p.before == p.after ||
           !(rel.tuple(p.before).eid() == rel.tuple(p.after).eid())) {
         out[i] = false;
         break;
       }
+      if (!spec.OrderBound(inst_of[i], p.attr)) {
+        ++total.settled;
+        if (!instance.order(p.attr).Less(p.before, p.after)) {
+          out[i] = false;
+          break;
+        }
+      }
     }
   }
-  // Route the remaining pairs to the component owning their entity, in
-  // batch order (so one component's item indices never decrease).
+  // Route the remaining order-bound pairs to the component owning their
+  // entity, in batch order (so one component's item indices never
+  // decrease).
   struct Probe {
     int item;
     const RequiredPair* pair;
   };
   std::map<int, std::vector<Probe>> by_component;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (!out[i]) continue;  // answer already settled structurally
+    if (!out[i]) continue;  // answer already settled without a solver
     const Relation& rel = spec.instance(inst_of[i]).relation();
     for (const RequiredPair& p : queries[i].pairs) {
+      if (!spec.OrderBound(inst_of[i], p.attr)) continue;  // settled above
       int c = engine->decomposition().ComponentOf(inst_of[i],
                                                   rel.tuple(p.before).eid());
       by_component[c].push_back(Probe{static_cast<int>(i), &p});
@@ -135,7 +149,6 @@ Result<std::vector<bool>> CertainOrderProbes(
             },
             portfolio, pool);
       }));
-  ProbeTally total;
   for (size_t k = 0; k < components.size(); ++k) {
     for (int item : refuted[k]) out[item] = false;
     total += tally[k];

@@ -84,8 +84,11 @@ Result<int> OrderQueryInstance(const Specification& spec,
 /// The COP probe phase shared by IsCertainOrder and serve's CopBatch:
 /// answers every query (`inst_of[i]` is its instance index) on an engine
 /// whose EnsureAllSolved returned true.  Reflexive and cross-entity pairs
-/// are refuted structurally; every other pair is decided inside the
-/// component owning its entity — by PO∞ membership on a chase-routed
+/// are refuted structurally, and a pair on an order-free attribute
+/// (Specification::OrderBound) is settled from the initial order — certain
+/// iff the order has it — and counted as settled.  Every other pair is
+/// decided inside the component owning its entity — by PO∞ membership on a
+/// chase-routed
 /// component, else from the component solver's own record when that
 /// settles it (sat::Solver's "Remembered models": ¬ord(u, v) seen in a
 /// remembered model refutes the pair, ord(u, v) fixed at the root makes it

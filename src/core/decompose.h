@@ -106,12 +106,16 @@ class Decomposition {
   /// on a member group (a grounding set is a function of the constraint
   /// text and the member values, which are hashed too; zero-grounding
   /// constraints contribute nothing to any path and are excluded so that
-  /// adding one invalidates nothing).  Fingerprints are comparable
-  /// across Decomposition rebuilds over a mutated specification: equal
-  /// fingerprints mean identical encoding inputs (modulo 64-bit hash
-  /// collisions), which is what lets the serving layer re-use component
-  /// encoders, cached results and chase fixpoints across Mutate epochs
-  /// and re-encode exactly the components an edit touched.
+  /// adding one invalidates nothing).  The encoder also reads which
+  /// attributes are order-bound (Specification::OrderBound), which is not
+  /// hashed: it depends only on the constraint texts and copy signatures
+  /// of the whole specification, which Mutate never edits.  Fingerprints
+  /// are comparable across Decomposition rebuilds over a mutated
+  /// specification: equal fingerprints mean identical encoding inputs
+  /// (modulo 64-bit hash collisions), which is what lets the serving
+  /// layer re-use component encoders, cached results and chase fixpoints
+  /// across Mutate epochs and re-encode exactly the components an edit
+  /// touched.
   uint64_t fingerprint(int c) const { return fingerprints_[c]; }
 
   /// True iff no denial constraint has any grounding on any entity group
@@ -141,10 +145,11 @@ class Decomposition {
   std::vector<char> chase_enumerable_;
 };
 
-/// How a COP/DCIP probe phase answered the probes it sent to SAT-routed
-/// components: `solves` reached the solver (or its portfolio race);
-/// `settled` were answered from the solver's remembered models or
-/// root-level literals without a solve (sat::Solver's "Remembered models").
+/// How a COP/DCIP probe phase answered its probes: `solves` reached a
+/// SAT-routed component's solver (or its portfolio race); `settled` were
+/// answered without a solve — from that solver's remembered models or
+/// root-level literals (sat::Solver's "Remembered models"), or, for a COP
+/// pair on an order-free attribute, from the initial order before routing.
 struct ProbeTally {
   int64_t solves = 0;
   int64_t settled = 0;
@@ -202,7 +207,7 @@ struct EngineCounters {
   /// Chase fixpoint work, sampled when a fixpoint is computed.
   obs::Counter* chase_passes = nullptr;
   obs::Counter* chase_edges_expanded = nullptr;
-  /// COP/DCIP probes on SAT-routed components (ProbeTally): solved, and
+  /// COP/DCIP probes (ProbeTally): solved on SAT-routed components, and
   /// settled without a solve.
   obs::Counter* probe_solves = nullptr;
   obs::Counter* probes_settled = nullptr;

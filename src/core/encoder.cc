@@ -1,5 +1,7 @@
 #include "src/core/encoder.h"
 
+#include <algorithm>
+#include <cassert>
 #include <functional>
 #include <utility>
 
@@ -34,13 +36,25 @@ bool Encoder::HasPairVar(int inst, TupleId u, TupleId v) const {
 sat::Lit Encoder::OrdLit(int inst, AttrIndex attr, TupleId u, TupleId v) const {
   auto key = Canonical(u, v);
   int base = pair_base_[inst].at(key);
-  sat::Var var = base + (attr - 1);
+  assert(bound_slot_[inst][attr] >= 0 && "OrdLit on an order-free attribute");
+  sat::Var var = base + bound_slot_[inst][attr];
   // Variable true ⇔ key.first ≺ key.second; flip when asking (v, u).
   return sat::MakeLit(var, /*negated=*/u != key.first);
 }
 
+int Encoder::LastRow(int inst, TupleId u) const {
+  if (inst < 0 || inst >= static_cast<int>(last_tuples_.size())) return -1;
+  const std::vector<TupleId>& ids = last_tuples_[inst];
+  auto it = std::lower_bound(ids.begin(), ids.end(), u);
+  return it == ids.end() || *it != u ? -1 : static_cast<int>(it - ids.begin());
+}
+
 sat::Var Encoder::IsLastVar(int inst, AttrIndex attr, TupleId u) const {
-  return is_last_var_[inst][attr][u];
+  const int row = LastRow(inst, u);
+  if (row < 0) return -1;
+  return is_last_var_[inst][static_cast<size_t>(row) *
+                                spec_->instance(inst).schema().arity() +
+                            attr];
 }
 
 CopyBucketIndex CopyBucketIndex::Build(const Specification& spec) {
@@ -89,19 +103,28 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
     }
   }
 
-  // 1. Order variables: one per (same-entity pair, data attribute).
+  // 1. Order variables: one per (same-entity pair, order-bound data
+  // attribute).  An order-free attribute gets none: nothing ties its order
+  // to another variable, so its is-last selectors are pinned directly by
+  // the initial order in step 6.
+  bound_slot_.resize(spec.num_instances());
   for (int i = 0; i < spec.num_instances(); ++i) {
     const TemporalInstance& inst = spec.instance(i);
-    int data_attrs = inst.schema().num_data_attributes();
+    int bound_attrs = 0;
+    bound_slot_[i].assign(inst.schema().arity(), -1);
+    for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
+      if (spec.OrderBound(i, a)) bound_slot_[i][a] = bound_attrs++;
+    }
+    if (bound_attrs == 0) continue;
     for (const auto& [eid, members] : active_groups_[i]) {
       (void)eid;
       for (size_t x = 0; x < members.size(); ++x) {
         for (size_t y = x + 1; y < members.size(); ++y) {
           auto key = Canonical(members[x], members[y]);
           int base = s.NumVars();
-          for (int a = 0; a < data_attrs; ++a) s.NewVar();
+          for (int a = 0; a < bound_attrs; ++a) s.NewVar();
           pair_base_[i][key] = base;
-          num_order_vars_ += data_attrs;
+          num_order_vars_ += bound_attrs;
         }
       }
     }
@@ -114,6 +137,7 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
       (void)eid;
       if (members.size() < 3) continue;
       for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
+        if (bound_slot_[i][a] < 0) continue;
         for (TupleId u : members) {
           for (TupleId v : members) {
             if (v == u) continue;
@@ -155,6 +179,10 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
       seed_with_chase = true;
     }
   }
+  auto initial_orders = [&](int i) -> const std::vector<PartialOrder>& {
+    return seed_with_chase ? chase->certain_orders[i]
+                           : spec.instance(i).orders();
+  };
   // Initial orders only relate same-entity tuples (TemporalInstance::
   // AddOrder and the chase both enforce this), so walking entity groups
   // and probing Less covers every pair — in Σ m² instead of the n²/64
@@ -162,12 +190,11 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   // built once per component.
   for (int i = 0; i < spec.num_instances(); ++i) {
     const TemporalInstance& inst = spec.instance(i);
-    const std::vector<PartialOrder>& initial =
-        seed_with_chase ? chase->certain_orders[i] : inst.orders();
     for (const auto& [eid, members] : active_groups_[i]) {
       (void)eid;
       for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
-        const PartialOrder& po = initial[a];
+        if (bound_slot_[i][a] < 0) continue;
+        const PartialOrder& po = initial_orders(i)[a];
         for (TupleId u : members) {
           for (TupleId v : members) {
             if (u == v || !po.Less(u, v)) continue;
@@ -279,21 +306,48 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
     }
   }
 
-  // 6. is-last selectors L(u) ⇔ ⋀_{v ≠ u, same entity} ord(v, u), plus
-  //    per-cell value selectors val(cell, k) ⇔ ⋁ {L(u) | u carries value k}.
+  // 6. is-last selectors L(u), plus per-cell value selectors
+  //    val(cell, k) ⇔ ⋁ {L(u) | u carries value k}.  On an order-bound
+  //    attribute L(u) ⇔ ⋀_{v ≠ u, same entity} ord(v, u).  On an
+  //    order-free one, the last tuple of a completion is exactly one
+  //    maximal member of the initial order (any linear extension can end
+  //    in any of them, independently of every other variable): ¬L(u) for
+  //    each non-maximal member, exactly-one over the maximal members.
   if (options.define_is_last) {
+    last_tuples_.resize(spec.num_instances());
     is_last_var_.resize(spec.num_instances());
     cell_index_.resize(spec.num_instances());
     for (int i = 0; i < spec.num_instances(); ++i) {
       const TemporalInstance& inst = spec.instance(i);
-      is_last_var_[i].assign(
-          inst.schema().arity(),
-          std::vector<sat::Var>(inst.relation().size(), -1));
+      const int arity = inst.schema().arity();
+      // Rows for this encoder's own tuples only (sorted for IsLastVar's
+      // lookup), so the index costs O(own content) like the rest.
       for (const auto& [eid, members] : active_groups_[i]) {
-        for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
+        (void)eid;
+        last_tuples_[i].insert(last_tuples_[i].end(), members.begin(),
+                               members.end());
+      }
+      std::sort(last_tuples_[i].begin(), last_tuples_[i].end());
+      is_last_var_[i].assign(last_tuples_[i].size() * arity, -1);
+      for (const auto& [eid, members] : active_groups_[i]) {
+        for (AttrIndex a = 1; a < arity; ++a) {
+          const bool bound = bound_slot_[i][a] >= 0;
+          const PartialOrder& po = initial_orders(i)[a];
+          std::vector<sat::Lit> maximal;  // L(u) of the maximal members
           for (TupleId u : members) {
             sat::Var lv = s.NewVar();
-            is_last_var_[i][a][u] = lv;
+            is_last_var_[i][static_cast<size_t>(LastRow(i, u)) * arity + a] =
+                lv;
+            if (!bound) {
+              bool has_successor = false;
+              for (TupleId v : members) has_successor |= po.Less(u, v);
+              if (has_successor) {
+                s.AddClause({sat::MakeLit(lv, true)});
+              } else {
+                maximal.push_back(sat::MakeLit(lv));
+              }
+              continue;
+            }
             std::vector<sat::Lit> back{sat::MakeLit(lv)};
             for (TupleId v : members) {
               if (v == u) continue;
@@ -303,6 +357,14 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
             }
             // (⋀ ord(v,u)) → L(u)
             s.AddClause(std::move(back));
+          }
+          if (!bound) {
+            for (size_t x = 0; x < maximal.size(); ++x) {
+              for (size_t y = x + 1; y < maximal.size(); ++y) {
+                s.AddClause({sat::Negate(maximal[x]), sat::Negate(maximal[y])});
+              }
+            }
+            s.AddClause(std::move(maximal));
           }
           // Cell: distinct values of this (attr, entity) with their vars.
           Cell cell;
@@ -320,8 +382,8 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
             // val ⇔ ⋁ L(u).
             std::vector<sat::Lit> def{sat::MakeLit(vv, true)};
             for (TupleId u : carriers) {
-              def.push_back(sat::MakeLit(is_last_var_[i][a][u]));
-              s.AddClause({sat::MakeLit(is_last_var_[i][a][u], true),
+              def.push_back(sat::MakeLit(IsLastVar(i, a, u)));
+              s.AddClause({sat::MakeLit(IsLastVar(i, a, u), true),
                            sat::MakeLit(vv)});
             }
             s.AddClause(std::move(def));
@@ -410,18 +472,39 @@ Completion Encoder::ExtractCompletion() const {
   completion.orders.resize(spec_->num_instances());
   for (int i = 0; i < spec_->num_instances(); ++i) {
     const TemporalInstance& inst = spec_->instance(i);
-    completion.orders[i].assign(inst.schema().arity(),
-                                PartialOrder(inst.relation().size()));
+    const int arity = inst.schema().arity();
+    std::vector<PartialOrder>& orders = completion.orders[i];
+    orders.assign(arity, PartialOrder(inst.relation().size()));
     for (const auto& [key, base] : pair_base_[i]) {
       auto [u, v] = key;
-      for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
-        bool u_before_v = solver_->ModelValue(base + (a - 1));
+      for (AttrIndex a = 1; a < arity; ++a) {
+        if (bound_slot_[i][a] < 0) continue;
+        bool u_before_v = solver_->ModelValue(base + bound_slot_[i][a]);
         // Completions are acyclic by construction (transitivity clauses),
         // so TryAdd cannot fail on a model.
         if (u_before_v) {
-          completion.orders[i][a].TryAdd(u, v);
+          orders[a].TryAdd(u, v);
         } else {
-          completion.orders[i][a].TryAdd(v, u);
+          orders[a].TryAdd(v, u);
+        }
+      }
+    }
+    // An order-free attribute completes to a linear extension of the
+    // initial order that ends in the model's last tuple (a maximal member,
+    // so moving it to the end keeps the extension), which keeps the
+    // completion's current instance equal to DecodeCurrentInstances.
+    for (AttrIndex a = 1; a < arity; ++a) {
+      if (bound_slot_[i][a] >= 0) continue;
+      for (const auto& [eid, members] : active_groups_[i]) {
+        (void)eid;
+        std::vector<TupleId> chain = inst.order(a).TopologicalOrder(members);
+        auto last = std::find_if(chain.begin(), chain.end(), [&](TupleId u) {
+          const sat::Var l = IsLastVar(i, a, u);
+          return l >= 0 && solver_->ModelValue(l);
+        });
+        if (last != chain.end()) std::rotate(last, last + 1, chain.end());
+        for (size_t k = 0; k + 1 < chain.size(); ++k) {
+          orders[a].TryAdd(chain[k], chain[k + 1]);
         }
       }
     }

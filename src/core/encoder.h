@@ -1,21 +1,37 @@
 // Order-literal SAT encoding of consistent completions.
 //
 // A completion chooses a total order per (instance, attribute, entity
-// group).  We introduce one Boolean variable per canonical same-entity
-// tuple pair (u < v): true means u ≺ v, false means v ≺ u — totality and
-// antisymmetry are built into the representation.  Clauses:
-//   * transitivity over every ordered triple of an entity group,
-//   * unit clauses for the initial partial orders,
+// group).  Only denial-constraint order atoms and copy ≺-compatibility tie
+// one attribute's order to another variable, so the encoding splits the
+// data attributes (Specification::OrderBound):
+//   * an *order-bound* attribute gets one Boolean variable per canonical
+//     same-entity tuple pair (u < v): true means u ≺ v, false means
+//     v ≺ u — totality and antisymmetry are built into the representation;
+//   * an *order-free* attribute gets no order variables at all: its
+//     completions on a group are the linear extensions of the initial
+//     order, whichever way every other variable is set.
+// Clauses:
+//   * transitivity over every ordered triple of an entity group (bound
+//     attributes),
+//   * unit clauses for the initial partial orders (bound attributes),
 //   * copy ≺-compatibility implications ord_src(s1,s2) → ord_tgt(t1,t2),
 //   * grounded denial constraints (premise literals → conclusion literal),
-//   * optional "is-last" selector variables L(u) ⇔ ⋀_{v≠u} ord(v,u), used
-//     by CCQA/DCIP to project models onto distinct current instances.
+//   * optional "is-last" selector variables L(u), used by CCQA/DCIP to
+//     project models onto distinct current instances: L(u) ⇔
+//     ⋀_{v≠u} ord(v,u) on a bound attribute; on a free one a unit ¬L(u)
+//     per member with a successor in the initial order, plus exactly-one
+//     over the maximal members (each ends some linear extension).
 //
-// Models of the encoding are exactly the consistent completions of the
-// specification (validated against the brute-force oracle in tests), so
-// CPS = SAT, COP = entailment checks, DCIP/CCQA = projected enumeration —
-// the CDCL solver plays the NP oracle of the paper's upper-bound proofs
-// (Theorems 3.1, 3.4, 3.5).
+// A model fixes every order-bound order and, per free attribute and
+// group, the last tuple; the consistent completions of the specification
+// are exactly the models completed by, per free attribute and group, any
+// linear extension of the initial order ending in that tuple (validated
+// against the brute-force oracle in tests; ExtractCompletion picks one).
+// So CPS = SAT, COP = entailment checks, DCIP/CCQA = projected
+// enumeration — the CDCL solver plays the NP oracle of the paper's
+// upper-bound proofs (Theorems 3.1, 3.4, 3.5) — and a COP pair on a free
+// attribute needs no solver: when Mod(S) ≠ ∅ it is certain iff the
+// initial order has it.
 
 #ifndef CURRENCY_SRC_CORE_ENCODER_H_
 #define CURRENCY_SRC_CORE_ENCODER_H_
@@ -106,15 +122,18 @@ class Encoder {
   /// The underlying solver (add clauses / solve / enumerate through it).
   sat::Solver& solver() { return *solver_; }
 
-  /// True iff tuples u and v of instance `inst` share an entity (and are
-  /// distinct), i.e. an order variable exists for them.
+  /// True iff tuples u and v of instance `inst` share an entity covered by
+  /// this encoder (and are distinct) and the instance has an order-bound
+  /// attribute, i.e. order variables exist for them.
   bool HasPairVar(int inst, TupleId u, TupleId v) const;
 
-  /// Literal asserting "u ≺_attr v" (requires HasPairVar(inst, u, v)).
+  /// Literal asserting "u ≺_attr v" (requires HasPairVar(inst, u, v) and
+  /// an order-bound `attr`; a free attribute has no order variables).
   sat::Lit OrdLit(int inst, AttrIndex attr, TupleId u, TupleId v) const;
 
   /// Selector variable "u is the most current tuple of its entity for
-  /// `attr`" (requires options.define_is_last).
+  /// `attr`", or -1 when undefined: u outside this encoder's groups, or
+  /// options.define_is_last off.
   sat::Var IsLastVar(int inst, AttrIndex attr, TupleId u) const;
 
   /// The entity groups of instance `inst` this encoder covers, as (entity,
@@ -157,10 +176,14 @@ class Encoder {
   Result<std::vector<Relation>> DecodeCurrentInstances() const;
 
   /// Extracts the completion from the solver's current model (valid right
-  /// after a kSat Solve call).
+  /// after a kSat Solve call).  An order-free attribute is completed on
+  /// each group as the initial order's TopologicalOrder with the model's
+  /// last tuple moved to the end, so the completion is consistent and its
+  /// current instance is the one DecodeCurrentInstances reads.
   Completion ExtractCompletion() const;
 
-  /// Number of order variables (for the benchmarks).
+  /// Number of order variables: same-entity pairs × order-bound
+  /// attributes (for the benchmarks).
   int num_order_vars() const { return num_order_vars_; }
 
   /// Repoints the encoder at `spec`, which must have the same shape as the
@@ -176,6 +199,8 @@ class Encoder {
   Encoder() = default;
 
   Status BuildImpl(const Specification& spec, const Options& options);
+  /// Row of tuple `u` in last_tuples_[inst], or -1 when it is not ours.
+  int LastRow(int inst, TupleId u) const;
 
   const Specification* spec_ = nullptr;
   std::unique_ptr<sat::Solver> solver_;
@@ -188,12 +213,18 @@ class Encoder {
   /// rather than O(specification).
   std::vector<std::vector<std::pair<Value, std::vector<TupleId>>>>
       active_groups_;
-  /// pair_var_[inst][key(u,v)] with u < v canonical.
+  /// pair_base_[inst][key(u,v)] with u < v canonical.
   std::vector<std::map<std::pair<TupleId, TupleId>, int>> pair_base_;
-  /// Var id = base + (attr - 1); one var per data attribute per pair.
+  /// bound_slot_[inst][attr]: the attribute's offset among the instance's
+  /// order-bound attributes, or -1 when it is order-free.  Var id = base +
+  /// slot; one var per order-bound attribute per pair.
+  std::vector<std::vector<int>> bound_slot_;
   int num_order_vars_ = 0;
-  /// is_last_var_[inst][attr][tuple]; -1 when undefined.
-  std::vector<std::vector<std::vector<sat::Var>>> is_last_var_;
+  /// last_tuples_[inst]: the member tuples of this encoder's own groups,
+  /// sorted; is_last_var_[inst][row * arity + attr] holds the selector of
+  /// last_tuples_[inst][row] (-1 at attr 0).
+  std::vector<std::vector<TupleId>> last_tuples_;
+  std::vector<std::vector<sat::Var>> is_last_var_;
   std::vector<Cell> cells_;
   /// cell_index_[inst] maps (attr, eid) -> index into cells_.
   std::vector<std::map<std::pair<AttrIndex, Value>, int>> cell_index_;

@@ -14,6 +14,7 @@ Status Specification::AddInstance(TemporalInstance instance) {
     return Status::InvalidArgument("duplicate relation '" + name +
                                    "' in specification");
   }
+  order_bound_.emplace_back(instance.schema().arity(), 0);
   instances_.push_back(std::move(instance));
   constraints_.emplace_back();
   return Status::OK();
@@ -21,6 +22,10 @@ Status Specification::AddInstance(TemporalInstance instance) {
 
 Status Specification::AddConstraint(constraints::DenialConstraint constraint) {
   ASSIGN_OR_RETURN(int i, InstanceIndex(constraint.relation_name()));
+  for (const constraints::OrderAtom& atom : constraint.order_premises()) {
+    order_bound_[i][atom.attr] = 1;
+  }
+  order_bound_[i][constraint.conclusion().attr] = 1;
   constraints_[i].push_back(std::move(constraint));
   return Status::OK();
 }
@@ -44,6 +49,12 @@ Status Specification::AddCopyFunction(copy::CopyFunction fn) {
                    InstanceIndex(fn.signature().source_relation));
   RETURN_IF_ERROR(
       fn.Validate(instances_[target].relation(), instances_[source].relation()));
+  ASSIGN_OR_RETURN(auto attrs, fn.ResolveAttrs(instances_[target].schema(),
+                                               instances_[source].schema()));
+  for (const auto& [a, b] : attrs) {
+    order_bound_[target][a] = 1;
+    order_bound_[source][b] = 1;
+  }
   CopyEdge edge;
   edge.source_instance = source;
   edge.target_instance = target;

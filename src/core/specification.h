@@ -82,6 +82,18 @@ class Specification {
   /// boundary of Section 6).
   bool HasDenialConstraints() const;
 
+  /// True iff data attribute `attr` of instance `i` is *order-bound*: a
+  /// denial constraint on the instance has an order atom (premise or
+  /// conclusion) on it, or a copy function reads or writes it.  Otherwise
+  /// it is *order-free*: no constraint or copy function ties ≺_attr to any
+  /// other order, so on each entity group its completions are exactly the
+  /// linear extensions of the initial order, and its possible most
+  /// current tuples are that order's maximal members.  A function of the
+  /// constraint texts and copy signatures only (cell edits never move it).
+  bool OrderBound(int i, AttrIndex attr) const {
+    return order_bound_[i][attr] != 0;
+  }
+
   const std::vector<CopyEdge>& copy_edges() const { return copy_edges_; }
   CopyEdge* mutable_copy_edge(int i) { return &copy_edges_[i]; }
 
@@ -121,6 +133,9 @@ class Specification {
   std::map<std::string, int> index_;
   std::vector<std::vector<constraints::DenialConstraint>> constraints_;
   std::vector<CopyEdge> copy_edges_;
+  /// order_bound_[i][attr]: see OrderBound.  Maintained by AddInstance,
+  /// AddConstraint and AddCopyFunction, the only writers of its inputs.
+  std::vector<std::vector<char>> order_bound_;
 };
 
 }  // namespace currency::core

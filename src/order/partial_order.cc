@@ -90,10 +90,14 @@ int64_t PartialOrder::NumPairs() const {
 }
 
 std::vector<std::pair<int, int>> PartialOrder::Pairs() const {
+  // Set bits of each row word, lowest first: the lexicographic order of
+  // the Less(u, v) double loop, which fingerprints and wire bytes rely on.
   std::vector<std::pair<int, int>> out;
   for (int u = 0; u < n_; ++u) {
-    for (int v = 0; v < n_; ++v) {
-      if (Less(u, v)) out.emplace_back(u, v);
+    for (int w = 0; w < words_; ++w) {
+      for (uint64_t bits = rows_[u][w]; bits != 0; bits &= bits - 1) {
+        out.emplace_back(u, w * 64 + __builtin_ctzll(bits));
+      }
     }
   }
   return out;

@@ -65,7 +65,8 @@ class PartialOrder {
   /// Number of ordered pairs u ≺ v.
   int64_t NumPairs() const;
 
-  /// All ordered pairs (u, v) with u ≺ v, lexicographically.
+  /// All ordered pairs (u, v) with u ≺ v, lexicographically, in
+  /// O(n²/64 + pairs) (a word-by-word scan of the row bitsets).
   std::vector<std::pair<int, int>> Pairs() const;
 
   /// Elements of `subset` with no successor inside `subset` (the "sinks"

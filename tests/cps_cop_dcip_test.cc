@@ -11,6 +11,7 @@
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
+#include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/monolithic.h"
 
@@ -200,6 +201,76 @@ TEST(CopTest, Example32CertainSalaryOrder) {
   q2.pairs = {{mgr_fn, 2, 3}};
   EXPECT_FALSE(IsCertainOrder(s0, q2).value());
   EXPECT_FALSE(BruteForceCertainOrder(s0, q2).value());
+
+  // Order-free pairs: no order atom or copy function mentions Emp.FN or
+  // Dept.mgrFN, so such a pair is certain iff the initial order has it,
+  // or vacuously when Mod(S) = ∅.  Mary's Emp group is copy-coupled to
+  // Dept's RnD group and ϕ1–ϕ4 ground on both, so every pair below lives
+  // on one SAT-routed component, one-shot and served alike.
+  AttrIndex fn = EmpAttr(s0, "FN");
+  AttrIndex salary = EmpAttr(s0, "salary");
+  Specification fn_ordered = MakeS0();
+  ASSERT_TRUE(fn_ordered.mutable_instance(0)->AddOrder(fn, 0, 1).ok());
+  Specification inconsistent = fn_ordered;
+  ASSERT_TRUE(inconsistent
+                  .AddConstraintText("FORALL s, t IN Emp: s.salary > t.salary "
+                                     "-> s PREC[salary] t")
+                  .ok());  // contradicts ϕ1 on s1, s3
+  ASSERT_FALSE(s0.OrderBound(0, fn));
+  ASSERT_FALSE(inconsistent.OrderBound(0, fn));
+  auto engine = DecomposedEncoder::Build(fn_ordered, {}, true).value();
+  EXPECT_FALSE(engine->chase_routed(
+      engine->decomposition().ComponentOf(0, Value("Mary"))));
+  EXPECT_EQ(engine->decomposition().ComponentOf(0, Value("Mary")),
+            engine->decomposition().ComponentOf(1, Value("RnD")));
+
+  auto emp = [](std::vector<RequiredPair> pairs) {
+    CurrencyOrderQuery q;
+    q.relation = "Emp";
+    q.pairs = std::move(pairs);
+    return q;
+  };
+  const std::vector<CurrencyOrderQuery> queries = {
+      emp({{fn, 0, 1}}),                   // initial: certain
+      emp({{fn, 1, 0}}),                   // reversed initial pair
+      emp({{fn, 0, 2}}),                   // incomparable initially
+      emp({{salary, 0, 2}, {fn, 0, 1}}),   // bound + free, both certain
+      emp({{fn, 0, 1}, {salary, 2, 0}}),   // the bound pair is refutable
+      q2,                                  // Dept.mgrFN, incomparable
+  };
+  const std::vector<bool> expected = {true, false, false, true, false, false};
+  for (const Specification* spec : {&fn_ordered, &inconsistent}) {
+    const bool vacuous = spec == &inconsistent;
+    SCOPED_TRACE(vacuous ? "Mod(S) = ∅" : "consistent");
+    // Brute force, one enumeration for the whole batch: a query is certain
+    // iff every consistent completion has all of its pairs.
+    std::vector<bool> brute(queries.size(), true);
+    ASSERT_TRUE(EnumerateConsistentCompletions(
+                    *spec,
+                    [&](const Completion& c) {
+                      for (size_t i = 0; i < queries.size(); ++i) {
+                        int inst = spec->InstanceIndex(queries[i].relation)
+                                       .value();
+                        for (const RequiredPair& p : queries[i].pairs) {
+                          if (!c.orders[inst][p.attr].Less(p.before,
+                                                           p.after)) {
+                            brute[i] = false;
+                          }
+                        }
+                      }
+                      return true;
+                    })
+                    .ok());
+    auto session = serve::CurrencySession::Create(*spec).value();
+    auto served = session->CopBatch(queries);
+    ASSERT_TRUE(served.ok()) << served.status();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const bool want = vacuous || expected[i];
+      EXPECT_EQ(brute[i], want) << i;
+      EXPECT_EQ(IsCertainOrder(*spec, queries[i]).value(), want) << i;
+      EXPECT_EQ((*served)[i], want) << i;
+    }
+  }
 }
 
 TEST(CopTest, CopiedOrderIsCertain) {

@@ -20,10 +20,26 @@ using currency::testing::MakeS0;
 
 TEST(EncoderTest, OrderVarCountsAndPairLookup) {
   Specification s0 = MakeS0();
+  // Order-bound attributes: Emp's LN, address, salary and status carry
+  // order atoms of ϕ1–ϕ3 (address is also ρ's source), Dept's mgrAddr
+  // (ρ's target, ϕ4) and budget (ϕ4).  Nothing mentions Emp.FN,
+  // Dept.mgrFN or Dept.mgrLN, so they are order-free.
+  const Schema& emp = s0.instance(0).schema();
+  const Schema& dept = s0.instance(1).schema();
+  for (const char* name : {"LN", "address", "salary", "status"}) {
+    EXPECT_TRUE(s0.OrderBound(0, emp.IndexOf(name).value())) << name;
+  }
+  for (const char* name : {"mgrAddr", "budget"}) {
+    EXPECT_TRUE(s0.OrderBound(1, dept.IndexOf(name).value())) << name;
+  }
+  EXPECT_FALSE(s0.OrderBound(0, emp.IndexOf("FN").value()));
+  EXPECT_FALSE(s0.OrderBound(1, dept.IndexOf("mgrFN").value()));
+  EXPECT_FALSE(s0.OrderBound(1, dept.IndexOf("mgrLN").value()));
   auto encoder = Encoder::Build(s0).value();
-  // Emp: Mary's group of 3 → 3 pairs × 5 attrs = 15; Dept: group of 4 →
-  // 6 pairs × 4 attrs = 24.
-  EXPECT_EQ(encoder->num_order_vars(), 15 + 24);
+  // Only order-bound attributes get order variables.  Emp: Mary's group
+  // of 3 → 3 pairs × 4 bound attrs = 12; Dept: group of 4 → 6 pairs × 2
+  // bound attrs = 12.
+  EXPECT_EQ(encoder->num_order_vars(), 12 + 12);
   EXPECT_TRUE(encoder->HasPairVar(0, 0, 2));   // Mary tuples
   EXPECT_TRUE(encoder->HasPairVar(0, 2, 0));   // symmetric query
   EXPECT_FALSE(encoder->HasPairVar(0, 2, 3));  // Mary vs Bob

@@ -107,6 +107,30 @@ TEST(PartialOrderTest, PairsAndToString) {
   EXPECT_EQ(po.ToString(), "{0≺2}");
 }
 
+// Pairs() scans row words bit by bit; it must list exactly the pairs of
+// the Less(u, v) double loop, in the same lexicographic order, including
+// at and across the 64-bit word boundaries.
+TEST(PartialOrderTest, PairsMatchesLessDoubleLoop) {
+  std::mt19937 rng(20261017);
+  for (int n : {0, 1, 63, 64, 65, 130}) {
+    for (int edges : {0, n / 4, 2 * n}) {
+      PartialOrder po(n);
+      if (n > 1) {
+        std::uniform_int_distribution<int> pick(0, n - 1);
+        for (int k = 0; k < edges; ++k) po.TryAdd(pick(rng), pick(rng));
+      }
+      std::vector<std::pair<int, int>> expected;
+      for (int u = 0; u < n; ++u) {
+        for (int v = 0; v < n; ++v) {
+          if (po.Less(u, v)) expected.emplace_back(u, v);
+        }
+      }
+      EXPECT_EQ(po.Pairs(), expected) << "n=" << n << " edges=" << edges;
+      EXPECT_EQ(static_cast<int64_t>(expected.size()), po.NumPairs());
+    }
+  }
+}
+
 TEST(LinearExtensionsTest, CountsMatchFactorialForEmptyOrder) {
   PartialOrder po(4);
   EXPECT_EQ(CountLinearExtensions(po, {0, 1, 2, 3}), 24);

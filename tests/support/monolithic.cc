@@ -104,6 +104,14 @@ Result<bool> MonolithicCertainOrder(const core::Specification& spec,
   }
   for (const core::RequiredPair& p : query.pairs) {
     if (p.before == p.after) return false;  // irreflexivity
+    if (!spec.OrderBound(inst, p.attr)) {
+      // No order variables: an order-free order completes to every linear
+      // extension of the initial one, so only initial pairs are certain.
+      if (!spec.instance(inst).order(p.attr).Less(p.before, p.after)) {
+        return false;
+      }
+      continue;
+    }
     if (!encoder->HasPairVar(inst, p.before, p.after)) {
       return false;  // cross-entity pairs are never comparable
     }
