@@ -28,12 +28,7 @@
 // UNSAT), and a DCIP/CCQA-flavored projected enumeration burst on the
 // selector variables.  propagations/sec is computed over the search
 // phases (solve + probes + enumeration), where the engines do identical
-// logical work modulo their own search choices.  A final pass-through
-// phase times warm assumption probes routed through an enabled
-// sat::Portfolio over a one-thread pool against the same probes called
-// directly — the width-1 race must be the single-solver path (zero
-// rivals, zero races, matching verdicts), and the measured overhead
-// ratio lands in the JSON as "portfolio_pass_through".
+// logical work modulo their own search choices.
 //
 // Flags: --entities=N --probes=Q --enum-budget=M --require-speedup=F
 //        --out=FILE
@@ -46,8 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
-#include "src/sat/portfolio.h"
 #include "src/sat/solver.h"
 #include "tests/support/legacy_solver.h"
 
@@ -296,86 +289,6 @@ EngineRun RunEngine(const char* name, const Workload& w, int probes,
   return run;
 }
 
-/// Portfolio pass-through overhead: with a single-threaded pool the race
-/// must BE the single-solver path (no rivals, no stop polling, no
-/// region), so warm assumption probes through a pass-through Portfolio
-/// are timed against the same probes called directly on the same warm
-/// solver.  Min-of-N sweeps on both sides squeeze scheduler noise the
-/// same way bench_obs_overhead does.
-struct PassThroughRun {
-  double direct_ms = 0;    // min over sweeps
-  double portfolio_ms = 0; // min over sweeps
-  int64_t races = 0;       // must stay 0
-  bool spawned = false;    // must stay false
-  bool verdicts_agree = true;
-  double Ratio() const {
-    return direct_ms > 0 ? portfolio_ms / direct_ms : 1.0;
-  }
-};
-
-PassThroughRun MeasurePassThrough(const Workload& w, int probes) {
-  PassThroughRun result;
-  sat::Solver solver;
-  for (int i = 0; i < w.num_vars; ++i) solver.NewVar();
-  for (const auto& clause : w.clauses) (void)solver.AddClause(clause);
-  (void)solver.Solve();
-
-  exec::ThreadPool pool(1);
-  sat::PortfolioOptions options;
-  options.enabled = true;  // enabled AND useless: one thread ⇒ width 1
-  options.num_solvers = 4;
-  sat::Portfolio portfolio(
-      &solver,
-      [&](int, const sat::Solver::Options&) -> Result<sat::Solver*> {
-        result.spawned = true;
-        return Status::Internal("pass-through must not spawn rivals");
-      },
-      options, &pool);
-
-  int num_entities = static_cast<int>(w.entities.size());
-  auto probe_lit = [&](int q) {
-    int e = static_cast<int>((static_cast<int64_t>(q) * num_entities) /
-                             (probes > 0 ? probes : 1));
-    return sat::MakeLit(w.entities[e].pair_a[PairIndex(0, 1)], true);
-  };
-  // Untimed verdict cross-check, which doubles as the warm-up sweep.
-  for (int q = 0; q < probes; ++q) {
-    std::vector<sat::Lit> assumptions{probe_lit(q)};
-    bool direct_sat =
-        solver.SolveWithAssumptions(assumptions) == sat::SolveResult::kSat;
-    auto verdict = portfolio.Solve(assumptions);
-    if (!verdict.ok() || (*verdict == sat::SolveResult::kSat) != direct_sat) {
-      result.verdicts_agree = false;
-    }
-  }
-  auto sweep = [&](bool through_portfolio) -> double {
-    double t0 = NowMs();
-    for (int q = 0; q < probes; ++q) {
-      std::vector<sat::Lit> assumptions{probe_lit(q)};
-      if (through_portfolio) {
-        auto verdict = portfolio.Solve(assumptions);
-        if (!verdict.ok()) result.verdicts_agree = false;
-      } else {
-        (void)solver.SolveWithAssumptions(assumptions);
-      }
-    }
-    return NowMs() - t0;
-  };
-  // Alternate timed sweeps so clock drift hits both sides equally.
-  result.direct_ms = -1;
-  result.portfolio_ms = -1;
-  for (int rep = 0; rep < 3; ++rep) {
-    double d = sweep(false);
-    double p = sweep(true);
-    if (result.direct_ms < 0 || d < result.direct_ms) result.direct_ms = d;
-    if (result.portfolio_ms < 0 || p < result.portfolio_ms) {
-      result.portfolio_ms = p;
-    }
-  }
-  result.races = solver.stats().portfolio_races;
-  return result;
-}
-
 int Fail(const char* what) {
   std::fprintf(stderr, "bench_sat_core: FAILED: %s\n", what);
   return 1;
@@ -410,7 +323,6 @@ int main(int argc, char** argv) {
   EngineRun arena = RunEngine<sat::Solver>("arena", w, probes, enum_budget);
   EngineRun legacy =
       RunEngine<sat::LegacySolver>("legacy", w, probes, enum_budget);
-  PassThroughRun pass_through = MeasurePassThrough(w, probes);
 
   // Self-checks: every search-path-independent output must agree.
   if (!arena.base_sat || !legacy.base_sat) {
@@ -427,14 +339,6 @@ int main(int argc, char** argv) {
     // nothing else compacts outside the test hooks).
     return Fail("arena compactions out of sync with ReduceDB runs");
   }
-  // A one-thread portfolio must be the single-solver path, literally:
-  // no rival spawned, no race recorded, verdicts identical.
-  if (pass_through.spawned || pass_through.races != 0) {
-    return Fail("one-thread portfolio spawned rivals or recorded races");
-  }
-  if (!pass_through.verdicts_agree) {
-    return Fail("pass-through portfolio verdicts diverge from direct solver");
-  }
 
   double speedup = legacy.PropsPerSec() > 0
                        ? arena.PropsPerSec() / legacy.PropsPerSec()
@@ -447,15 +351,9 @@ int main(int argc, char** argv) {
           ", \"enum_budget\": " + std::to_string(enum_budget) +
           "},\n  \"results\": [\n    " + arena.ToJson() + ",\n    " +
           legacy.ToJson() + "\n  ],\n";
-  char tail[256];
-  std::snprintf(tail, sizeof tail,
-                "  \"portfolio_pass_through\": {\"direct_ms\": %.2f, "
-                "\"portfolio_ms\": %.2f, \"overhead_ratio\": %.3f, "
-                "\"races\": %lld},\n"
-                "  \"speedup_props_per_sec\": %.2f\n}\n",
-                pass_through.direct_ms, pass_through.portfolio_ms,
-                pass_through.Ratio(),
-                static_cast<long long>(pass_through.races), speedup);
+  char tail[64];
+  std::snprintf(tail, sizeof tail, "  \"speedup_props_per_sec\": %.2f\n}\n",
+                speedup);
   json += tail;
   if (out_path.empty()) {
     std::fputs(json.c_str(), stdout);

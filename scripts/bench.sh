@@ -62,17 +62,15 @@
 #    1024-entity chained-component CPS/COP workload: propagations/sec,
 #    conflicts/sec, per-phase wall clock, arena bytes, learnt-clause
 #    minimization and per-tier clause-DB counts for the arena-backed
-#    solver AND the preserved legacy engine measured in the same run,
-#    plus the one-thread portfolio pass-through overhead ratio.
+#    solver AND the preserved legacy engine measured in the same run.
 #    bench_sat_core self-checks that every probe verdict and
-#    enumeration count agrees between the engines, that a width-1
-#    portfolio spawns no rivals and records no races, and enforces the
+#    enumeration count agrees between the engines, and enforces the
 #    >= 1.5x propagation-throughput floor (tiered clause DB + recursive
 #    learnt-clause minimization + blocker prefetch).
 #
-# Every report is stamped with a "host" object (nproc at run time plus
-# the standing 1-CPU-container caveat) so a reader of the checked-in
-# JSON knows which phases could not show parallel speedup.
+# Every report is stamped with a "host" object (nproc at run time, plus
+# a caveat when that is 1) so a reader of the checked-in JSON knows
+# which phases could not show parallel speedup.
 #
 # Either script failing means a real regression (wrong answers or lost
 # performance), not noise.
@@ -123,7 +121,7 @@ cmake --build "$obsoff_dir" -j "$(nproc)" --target bench_obs_overhead
 
 # Same three-attempt hygiene as the obs ceiling below: the propagation
 # throughput ratio swings ~±15% with cross-process scheduler noise on
-# this 1-CPU container, so a real regression fails all three attempts
+# a shared 4-vCPU host, so a real regression fails all three attempts
 # while a noise dip fails at most one.
 sat_ok=0
 for _ in 1 2 3; do
@@ -140,7 +138,7 @@ done
 # Compiled-out baseline first (its own JSON is throwaway), then the
 # instrumented run enforcing the warm-p50 overhead ceiling against it.
 # The quantities compared are ~0.4 µs, so cross-process scheduler noise on
-# this 1-CPU container can swing a single run's p50 well past 5% in
+# a shared 4-vCPU host can swing a single run's p50 well past 5% in
 # either direction.  Standard microbenchmark hygiene: take the MINIMUM
 # of three baseline p50s (the strictest, least-noisy comparison point)
 # and give the instrumented side three attempts to beat the ceiling —
@@ -172,13 +170,12 @@ done
 # Stamp every report with the measurement host: the benches themselves
 # stay host-agnostic, but the checked-in JSON must say how many CPUs the
 # numbers were taken on.  Only a 1-CPU host gets the caveat: there the
-# concurrent and portfolio phases can show overhead parity, never
-# parallel speedup.  Inserted right after the opening brace so it reads
+# concurrent phases can show overhead parity, never parallel speedup.  Inserted right after the opening brace so it reads
 # first.
 cores="$(nproc)"
 host="{\"nproc\": $cores}"
 if [ "$cores" -eq 1 ]; then
-  host="{\"nproc\": 1, \"caveat\": \"measured with 1 CPU: concurrent/portfolio phases show overhead parity, not parallel speedup\"}"
+  host="{\"nproc\": 1, \"caveat\": \"measured with 1 CPU: concurrent phases show overhead parity, not parallel speedup\"}"
 fi
 for report in BENCH_serve.json BENCH_chase.json BENCH_mt.json \
               BENCH_wal.json BENCH_sat.json BENCH_obs.json; do

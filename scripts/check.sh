@@ -20,8 +20,6 @@
 # chase_routing_equivalence_test (chase-routed vs forced-SAT answers,
 # including the per-component fixpoint slots confined to pool tasks),
 # sat_metamorphic_test (arena compaction inside pooled session tasks),
-# portfolio_test (first-verdict-wins races over the shared pool, where
-# the cancellation flag and verdict slots are the contended state),
 # wal_recovery_test (the durable commit path: concurrent reader
 # batches racing logged Mutates, where log_mu_ linearizes apply+append
 # against the snapshot-isolated readers), and obs_test (lock-free
@@ -32,11 +30,12 @@
 # The ASan+UBSan pass (CURRENCY_ASAN, a third build tree) runs the serve
 # and exec suites plus obs_test, parallel_equivalence_test,
 # oracle_invariants_test, chase_routing_equivalence_test,
-# sat_metamorphic_test, portfolio_test (rival solver lifetimes end at
-# cancellation), wire_test, wal_recovery_test, order_test (the
-# word-by-word bit scan of PartialOrder::Pairs across word boundaries),
-# encoder_chase_test and core_model_test (the encoder's per-group
-# is-last index and the order-free selectors behind every witness), so
+# sat_metamorphic_test, sat_test (the solver's variable set-up, branching
+# and restart schedule, and an interrupted SolveLimited), wire_test,
+# wal_recovery_test, order_test (the word-by-word bit scan of
+# PartialOrder::Pairs across word boundaries), encoder_chase_test and
+# core_model_test (the encoder's per-group is-last index and the
+# order-free selectors behind every witness), so
 # every equivalence suite runs under both sanitizers: the engine moves
 # encoders AND chase fixpoints between epochs and hands borrowed
 # pools/encoders across threads, the SAT core's garbage collector
@@ -69,7 +68,7 @@ cmake --build "$tsan_dir" -j "$(nproc)" \
            oracle_invariants_test serve_test \
            session_equivalence_test concurrent_session_test \
            chase_routing_equivalence_test sat_metamorphic_test \
-           portfolio_test wire_test wal_recovery_test
+           wire_test wal_recovery_test
 "$tsan_dir/tests/exec_test"
 "$tsan_dir/tests/obs_test"
 "$tsan_dir/tests/parallel_equivalence_test"
@@ -79,7 +78,6 @@ cmake --build "$tsan_dir" -j "$(nproc)" \
 "$tsan_dir/tests/concurrent_session_test"
 "$tsan_dir/tests/chase_routing_equivalence_test"
 "$tsan_dir/tests/sat_metamorphic_test"
-"$tsan_dir/tests/portfolio_test"
 (cd "$tsan_dir/tests" && ./wire_test && ./wal_recovery_test)
 
 asan_dir="${build_dir}-asan"
@@ -92,7 +90,7 @@ cmake --build "$asan_dir" -j "$(nproc)" \
   --target exec_test obs_test parallel_equivalence_test \
            oracle_invariants_test serve_test session_equivalence_test \
            concurrent_session_test chase_routing_equivalence_test \
-           sat_metamorphic_test portfolio_test wire_test wal_recovery_test \
+           sat_metamorphic_test sat_test wire_test wal_recovery_test \
            order_test encoder_chase_test core_model_test
 "$asan_dir/tests/exec_test"
 "$asan_dir/tests/obs_test"
@@ -103,7 +101,7 @@ cmake --build "$asan_dir" -j "$(nproc)" \
 "$asan_dir/tests/concurrent_session_test"
 "$asan_dir/tests/chase_routing_equivalence_test"
 "$asan_dir/tests/sat_metamorphic_test"
-"$asan_dir/tests/portfolio_test"
+"$asan_dir/tests/sat_test"
 "$asan_dir/tests/order_test"
 "$asan_dir/tests/encoder_chase_test"
 "$asan_dir/tests/core_model_test"

@@ -435,7 +435,7 @@ Result<int64_t> ForEachCurrentInstance(
           // blocking clauses go in under a solver scope, so the cached
           // encoder leaves as it came in.
           built = engine->WithComponentEncoder(
-              c, [&](Encoder* encoder, sat::Portfolio*) -> Status {
+              c, [&](Encoder* encoder) -> Status {
                 encoder->solver().NewScope();
                 auto enumerated = EnumerateEncoderCurrentInstances(
                     encoder, all, options.max_current_instances,

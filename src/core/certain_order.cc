@@ -32,8 +32,7 @@ Result<int> OrderQueryInstance(const Specification& spec,
 
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
-    const std::vector<int>& inst_of, exec::ThreadPool* pool,
-    const sat::PortfolioOptions* portfolio) {
+    const std::vector<int>& inst_of, exec::ThreadPool* pool) {
   const Specification& spec = engine->spec();
   std::vector<bool> out(queries.size(), true);
   ProbeTally total;
@@ -95,8 +94,8 @@ Result<std::vector<bool>> CertainOrderProbes(
   auto settled = [&](int k, int item) {
     return !refuted[k].empty() && refuted[k].back() == item;
   };
-  RETURN_IF_ERROR(engine->ForEachComponent(
-      components, pool, portfolio, [&](int k) -> Status {
+  RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(components.size()), [&](int k) -> Status {
         const int c = components[k];
         if (engine->chase_routed(c)) {
           // Lemma 6.2 on S|_c: the pair is certain iff it is in the
@@ -118,36 +117,20 @@ Result<std::vector<bool>> CertainOrderProbes(
         // Exclusive solver access for the whole probe sequence: a
         // concurrent batch probing the same component waits, keeping both
         // call sequences contiguous.
-        return engine->WithComponentEncoder(
-            c,
-            [&](Encoder* encoder, sat::Portfolio* race) -> Status {
-              const sat::Solver& solver = encoder->solver();
-              for (const Probe& probe : *probes[k]) {
-                if (settled(k, probe.item)) continue;
-                sat::Lit lit =
-                    encoder->OrdLit(inst_of[probe.item], probe.pair->attr,
-                                    probe.pair->before, probe.pair->after);
-                // The component is satisfiable, so a remembered model with
-                // ¬ord(u, v), or ¬ord(u, v) fixed at the root, witnesses a
-                // completion ordering them the other way; ord(u, v) fixed
-                // at the root holds in every completion.
-                const int root = solver.RootValue(lit);
-                if (root != 0 || solver.SeenInModel(sat::Negate(lit))) {
-                  ++tally[k].settled;
-                  if (root <= 0) refuted[k].push_back(probe.item);
-                  continue;
-                }
-                ++tally[k].solves;
-                ASSIGN_OR_RETURN(sat::SolveResult verdict,
-                                 race->Solve({sat::Negate(lit)}));
-                // kSat: a completion orders them the other way.
-                if (verdict == sat::SolveResult::kSat) {
-                  refuted[k].push_back(probe.item);
-                }
-              }
-              return Status::OK();
-            },
-            portfolio, pool);
+        return engine->WithComponentEncoder(c, [&](Encoder* encoder) {
+          for (const Probe& probe : *probes[k]) {
+            if (settled(k, probe.item)) continue;
+            sat::Lit lit =
+                encoder->OrdLit(inst_of[probe.item], probe.pair->attr,
+                                probe.pair->before, probe.pair->after);
+            // A completion with ¬ord(u, v) orders them the other way.
+            if (SomeCompletionSets(&encoder->solver(), sat::Negate(lit),
+                                   &tally[k])) {
+              refuted[k].push_back(probe.item);
+            }
+          }
+          return Status::OK();
+        });
       }));
   for (size_t k = 0; k < components.size(); ++k) {
     for (int item : refuted[k]) out[item] = false;
@@ -172,12 +155,11 @@ Result<bool> IsCertainOrder(const Specification& spec,
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  ASSIGN_OR_RETURN(bool consistent,
-                   engine->EnsureAllSolved(pool, &options.portfolio));
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
   if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
   ASSIGN_OR_RETURN(std::vector<bool> certain,
                    internal::CertainOrderProbes(engine.get(), {query}, {inst},
-                                                pool, &options.portfolio));
+                                                pool));
   return static_cast<bool>(certain[0]);
 }
 

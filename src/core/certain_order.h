@@ -16,7 +16,6 @@
 #include "src/common/result.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::exec {
 class ThreadPool;
@@ -55,13 +54,6 @@ struct CopOptions {
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): the vacuity base solves and the refutation probes of
-  /// components with at least `portfolio.min_component_size` entity
-  /// groups race diversified solvers, first verdict wins.  Probe answers
-  /// are SAT/UNSAT verdicts, so the COP answer is unchanged for every
-  /// thread count and seed set.
-  sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
 
@@ -88,20 +80,17 @@ Result<int> OrderQueryInstance(const Specification& spec,
 /// (Specification::OrderBound) is settled from the initial order — certain
 /// iff the order has it — and counted as settled.  Every other pair is
 /// decided inside the component owning its entity — by PO∞ membership on a
-/// chase-routed
-/// component, else from the component solver's own record when that
-/// settles it (sat::Solver's "Remembered models": ¬ord(u, v) seen in a
-/// remembered model refutes the pair, ord(u, v) fixed at the root makes it
-/// certain), else by the SAT probe ¬ord(u, v), raced on dominant
-/// components.  Pairs sharing a component probe its solver in batch
-/// order, components in parallel; a solver's record is a function of its
-/// own call sequence, so without racing that sequence (and hence its
-/// learnt-clause state) is the same for every thread count.  Probe solves
-/// and settled probes are counted into the engine's EngineCounters.
+/// chase-routed component, else by asking SomeCompletionSets whether some
+/// completion sets ¬ord(u, v), which the component solver's own record
+/// settles when it can and a SAT probe decides otherwise.  Pairs sharing a
+/// component probe its solver in batch order, components in parallel as
+/// tasks on `pool` (not null); a solver's record is a function of its own
+/// call sequence, so that sequence (and hence its learnt-clause state) is
+/// the same for every thread count.  Probe solves and settled probes are
+/// counted into the engine's EngineCounters.
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
-    const std::vector<int>& inst_of, exec::ThreadPool* pool,
-    const sat::PortfolioOptions* portfolio);
+    const std::vector<int>& inst_of, exec::ThreadPool* pool);
 
 }  // namespace internal
 

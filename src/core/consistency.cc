@@ -22,13 +22,7 @@ Result<CpsOutcome> DecideConsistency(const Specification& spec,
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  // Portfolio racing is verdict-only: a raced primary can report kSat
-  // without holding a model, so witness extraction keeps every component
-  // on the single-solver path.
-  ASSIGN_OR_RETURN(
-      outcome.consistent,
-      engine->EnsureAllSolved(
-          pool, options.want_witness ? nullptr : &options.portfolio));
+  ASSIGN_OR_RETURN(outcome.consistent, engine->EnsureAllSolved(pool));
   if (!outcome.consistent || !options.want_witness) return outcome;
   // Every component was SAT-solved exactly once above and still holds
   // that model; the per-component models merge into one completion.
@@ -41,7 +35,7 @@ Result<CpsOutcome> DecideConsistency(const Specification& spec,
   }
   for (int c = 0; c < engine->num_components(); ++c) {
     RETURN_IF_ERROR(engine->WithComponentEncoder(
-        c, [&](Encoder* encoder, sat::Portfolio*) -> Status {
+        c, [&](Encoder* encoder) -> Status {
           Completion part = encoder->ExtractCompletion();
           for (int i = 0; i < spec.num_instances(); ++i) {
             for (size_t a = 1; a < part.orders[i].size(); ++a) {

@@ -17,7 +17,6 @@
 #include "src/core/completion.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::exec {
 class ThreadPool;
@@ -47,12 +46,6 @@ struct CpsOptions {
   /// not owned — it must outlive the call and must not be inside a
   /// concurrent ParallelFor region.
   exec::ThreadPool* pool = nullptr;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): components with at least `portfolio.min_component_size`
-  /// entity groups race diversified solvers on the pool, first verdict
-  /// wins.  Verdict-only — ignored when `want_witness` (a raced primary
-  /// may hold no model), so answers and witnesses stay bit-identical.
-  sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
 

@@ -298,10 +298,6 @@ void EngineCounters::Bind(obs::Registry* registry, const obs::Labels& labels) {
   sat_minimized_literals =
       registry->GetCounter("currency_sat_minimized_literals_total", labels);
   sat_demotions = registry->GetCounter("currency_sat_demotions_total", labels);
-  sat_portfolio_races =
-      registry->GetCounter("currency_sat_portfolio_races_total", labels);
-  sat_portfolio_cancelled =
-      registry->GetCounter("currency_sat_portfolio_cancelled_total", labels);
   sat_arena_bytes = registry->GetGauge("currency_sat_arena_bytes", labels);
   sat_tier_core =
       registry->GetGauge("currency_sat_tier_clauses", with("tier", "core"));
@@ -345,10 +341,6 @@ void SampleSolverDelta(const EngineCounters& counters,
   bump(counters.sat_minimized_literals,
        after.minimized_literals - before.minimized_literals);
   bump(counters.sat_demotions, after.demotions - before.demotions);
-  bump(counters.sat_portfolio_races,
-       after.portfolio_races - before.portfolio_races);
-  bump(counters.sat_portfolio_cancelled,
-       after.portfolio_cancelled - before.portfolio_cancelled);
   shift(counters.sat_arena_bytes, after.arena_bytes - before.arena_bytes);
   shift(counters.sat_tier_core, after.tier_core - before.tier_core);
   shift(counters.sat_tier_mid, after.tier_tier2 - before.tier_tier2);
@@ -356,6 +348,16 @@ void SampleSolverDelta(const EngineCounters& counters,
 }
 
 }  // namespace
+
+bool SomeCompletionSets(sat::Solver* solver, sat::Lit lit, ProbeTally* tally) {
+  const int root = solver->RootValue(lit);
+  if (root != 0 || solver->SeenInModel(lit)) {
+    ++tally->settled;
+    return root >= 0;
+  }
+  ++tally->solves;
+  return solver->SolveWithAssumptions({lit}) == sat::SolveResult::kSat;
+}
 
 Result<std::unique_ptr<DecomposedEncoder>> DecomposedEncoder::Build(
     const Specification& spec, const Encoder::Options& options,
@@ -406,14 +408,13 @@ Result<ComponentChase> DecomposedEncoder::BuildComponentChase(int c) const {
 }
 
 Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildComponentEncoder(
-    int c, const sat::Solver::Options& solver_options) const {
+    int c) const {
   if (c < 0 || c >= num_components()) {
     return Status::InvalidArgument("component index out of range");
   }
   Encoder::Options options = options_;
   options.restrict_to = &filters_[c];
   options.copy_index = &copy_index_;
-  options.solver = solver_options;
   if (chase_seed_.has_value()) options.chase_seed = &*chase_seed_;
   return Encoder::Build(*spec_, options);
 }
@@ -433,42 +434,8 @@ Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildMergedEncoder(
   return Encoder::Build(*spec_, options);
 }
 
-bool DecomposedEncoder::PortfolioEligible(
-    int c, const sat::PortfolioOptions* portfolio,
-    const exec::ThreadPool* pool) const {
-  if (portfolio == nullptr || !portfolio->enabled) return false;
-  if (pool == nullptr || pool->num_threads() <= 1) return false;
-  if (c < 0 || c >= num_components() || chase_routed(c)) return false;
-  return static_cast<int>(decomposition_.component(c).size()) >=
-         portfolio->min_component_size;
-}
-
-Status DecomposedEncoder::ForEachComponent(
-    const std::vector<int>& components, exec::ThreadPool* pool,
-    const sat::PortfolioOptions* portfolio,
-    const std::function<Status(int k)>& task,
-    exec::CancellationToken* cancel) const {
-  std::optional<exec::ThreadPool> sequential;
-  pool = exec::ResolvePool(pool, 1, sequential);
-  std::vector<int> ordinary;
-  std::vector<int> dominant;
-  ordinary.reserve(components.size());
-  for (int k = 0; k < static_cast<int>(components.size()); ++k) {
-    (PortfolioEligible(components[k], portfolio, pool) ? dominant : ordinary)
-        .push_back(k);
-  }
-  RETURN_IF_ERROR(pool->ParallelFor(
-      static_cast<int>(ordinary.size()),
-      [&](int j) { return task(ordinary[j]); }, cancel));
-  for (int k : dominant) {
-    if (cancel != nullptr && cancel->cancelled()) break;
-    RETURN_IF_ERROR(task(k));
-  }
-  return Status::OK();
-}
-
-Status DecomposedEncoder::RunSampled(
-    Encoder* encoder, const std::function<Status(Encoder*)>& fn) const {
+Status DecomposedEncoder::RunSampled(Encoder* encoder,
+                                     const EncoderFn& fn) const {
   const sat::SolverStats before = encoder->solver().stats();
   Status status = fn(encoder);
   // The next holder of the slot must see only implied clauses: scoped
@@ -480,9 +447,7 @@ Status DecomposedEncoder::RunSampled(
   return status;
 }
 
-Status DecomposedEncoder::WithComponentEncoder(
-    int c, const EncoderFn& fn, const sat::PortfolioOptions* portfolio,
-    exec::ThreadPool* pool) {
+Status DecomposedEncoder::WithComponentEncoder(int c, const EncoderFn& fn) {
   Slot& slot = slots_[c];
   std::lock_guard<std::mutex> lock(slot.mu);
   if (slot.encoder == nullptr) {
@@ -490,37 +455,12 @@ Status DecomposedEncoder::WithComponentEncoder(
     // engine was still in use; rebuilding gives identical answers.
     ASSIGN_OR_RETURN(slot.encoder, BuildComponentEncoder(c));
   }
-  // Only a dominant component gets a spawn closure and live options; the
-  // pass-through front costs one branch per solve.
-  const bool dominant = PortfolioEligible(c, portfolio, pool);
-  sat::Portfolio::Spawn spawn;
-  if (dominant) {
-    spawn = [this, c, &slot](int config, const sat::Solver::Options& options)
-        -> Result<sat::Solver*> {
-      if (config <= static_cast<int>(slot.rivals.size())) {
-        return &slot.rivals[config - 1]->solver();
-      }
-      ASSIGN_OR_RETURN(std::unique_ptr<Encoder> rival,
-                       BuildComponentEncoder(c, options));
-      slot.rivals.push_back(std::move(rival));
-      return &slot.rivals.back()->solver();
-    };
-  }
-  sat::Portfolio race(&slot.encoder->solver(), std::move(spawn),
-                      dominant ? *portfolio : sat::PortfolioOptions{}, pool);
-  return RunSampled(slot.encoder.get(),
-                    [&](Encoder* encoder) { return fn(encoder, &race); });
+  return RunSampled(slot.encoder.get(), fn);
 }
 
-Status DecomposedEncoder::WithCcqaEncoder(
-    const std::vector<int>& components,
-    const std::function<Status(Encoder*)>& fn) {
-  if (components.size() == 1) {
-    return WithComponentEncoder(
-        components[0], [&](Encoder* encoder, sat::Portfolio*) {
-          return fn(encoder);
-        });
-  }
+Status DecomposedEncoder::WithCcqaEncoder(const std::vector<int>& components,
+                                          const EncoderFn& fn) {
+  if (components.size() == 1) return WithComponentEncoder(components[0], fn);
   MergedSlot* slot = nullptr;
   {
     std::lock_guard<std::mutex> lock(merged_mu_);
@@ -536,32 +476,26 @@ Status DecomposedEncoder::WithCcqaEncoder(
   return RunSampled(slot->encoder.get(), fn);
 }
 
-Result<bool> DecomposedEncoder::SolveComponentBase(
-    int c, const sat::PortfolioOptions* portfolio, exec::ThreadPool* pool) {
+Result<bool> DecomposedEncoder::SolveComponentBase(int c) {
   Slot& slot = slots_[c];
   bool sat = false;
-  RETURN_IF_ERROR(WithComponentEncoder(
-      c,
-      [&](Encoder*, sat::Portfolio* race) -> Status {
-        // A racing caller may have solved this component while we queued
-        // for the slot; its bit is authoritative and costs nothing.
-        int cached = slot.sat.load(std::memory_order_acquire);
-        if (cached >= 0) {
-          Count(&EngineCounters::cache_hits);
-          sat = cached == 1;
-          return Status::OK();
-        }
-        ASSIGN_OR_RETURN(sat::SolveResult verdict, race->Solve());
-        sat = verdict == sat::SolveResult::kSat;
-        Count(&EngineCounters::base_solves);
-        // A chase-routing engine reached the SAT path: the component
-        // carries a grounded denial constraint, so the polynomial route was
-        // unavailable.
-        if (use_chase_routing_) Count(&EngineCounters::chase_sat_fallbacks);
-        slot.sat.store(sat ? 1 : 0, std::memory_order_release);
-        return Status::OK();
-      },
-      portfolio, pool));
+  RETURN_IF_ERROR(WithComponentEncoder(c, [&](Encoder* encoder) -> Status {
+    // A racing caller may have solved this component while we queued for
+    // the slot; its bit is authoritative and costs nothing.
+    int cached = slot.sat.load(std::memory_order_acquire);
+    if (cached >= 0) {
+      Count(&EngineCounters::cache_hits);
+      sat = cached == 1;
+      return Status::OK();
+    }
+    sat = encoder->solver().Solve() == sat::SolveResult::kSat;
+    Count(&EngineCounters::base_solves);
+    // A chase-routing engine reached the SAT path: the component carries a
+    // grounded denial constraint, so the polynomial route was unavailable.
+    if (use_chase_routing_) Count(&EngineCounters::chase_sat_fallbacks);
+    slot.sat.store(sat ? 1 : 0, std::memory_order_release);
+    return Status::OK();
+  }));
   return sat;
 }
 
@@ -587,8 +521,7 @@ Result<const ComponentChase*> DecomposedEncoder::ChaseFixpoint(int c) {
   return slot.chase.get();
 }
 
-Result<bool> DecomposedEncoder::EnsureAllSolved(
-    exec::ThreadPool* pool, const sat::PortfolioOptions* portfolio) {
+Result<bool> DecomposedEncoder::EnsureAllSolved(exec::ThreadPool* pool) {
   int n = num_components();
   std::vector<int> todo;
   for (int c = 0; c < n; ++c) {
@@ -606,13 +539,14 @@ Result<bool> DecomposedEncoder::EnsureAllSolved(
   // measured ≈10% slower served CPS and COP on perfbench's
   // giant_component workload, where it moves the one big solve to the
   // end of the claim order.)  Per-task results land in their own
-  // slots; the first UNSAT cancels the unclaimed rest (dominant tail
-  // included), whose bits stay unknown — sound, since the answer is
-  // already false and a later call re-solves them through this same path.
+  // slots; the first UNSAT cancels the unclaimed rest, whose bits stay
+  // unknown — sound, since the answer is already false and a later call
+  // re-solves them through this same path.
   std::vector<std::optional<bool>> outcome(todo.size());
   exec::CancellationToken cancel;
-  RETURN_IF_ERROR(ForEachComponent(
-      todo, pool, portfolio,
+  std::optional<exec::ThreadPool> sequential;
+  RETURN_IF_ERROR(exec::ResolvePool(pool, 1, sequential)->ParallelFor(
+      static_cast<int>(todo.size()),
       [&](int k) -> Status {
         int c = todo[k];
         if (chase_routed(c)) {
@@ -623,7 +557,7 @@ Result<bool> DecomposedEncoder::EnsureAllSolved(
           Count(&EngineCounters::chase_solves);
           outcome[k] = chase->consistent;
         } else {
-          ASSIGN_OR_RETURN(bool sat, SolveComponentBase(c, portfolio, pool));
+          ASSIGN_OR_RETURN(bool sat, SolveComponentBase(c));
           outcome[k] = sat;
         }
         if (!*outcome[k]) cancel.Cancel();

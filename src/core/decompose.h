@@ -54,7 +54,7 @@
 #include "src/core/specification.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/sat/portfolio.h"
+#include "src/sat/solver.h"
 
 namespace currency::core {
 
@@ -146,10 +146,10 @@ class Decomposition {
 };
 
 /// How a COP/DCIP probe phase answered its probes: `solves` reached a
-/// SAT-routed component's solver (or its portfolio race); `settled` were
-/// answered without a solve — from that solver's remembered models or
-/// root-level literals (sat::Solver's "Remembered models"), or, for a COP
-/// pair on an order-free attribute, from the initial order before routing.
+/// SAT-routed component's solver; `settled` were answered without a
+/// solve — from that solver's remembered models or root-level literals
+/// (sat::Solver's "Remembered models"), or, for a COP pair on an
+/// order-free attribute, from the initial order before routing.
 struct ProbeTally {
   int64_t solves = 0;
   int64_t settled = 0;
@@ -160,6 +160,16 @@ struct ProbeTally {
     return *this;
   }
 };
+
+/// The one probe COP and DCIP put to a SAT-routed component's solver,
+/// whose formula is satisfiable: does some completion set `lit`?  The
+/// solver's own record settles it when it can (sat::Solver's "Remembered
+/// models"): no if `lit` is fixed false at the root; yes if it is fixed
+/// true there, or was true in a remembered model.  Otherwise one
+/// SolveWithAssumptions({lit}) decides it.  COP asks it of ¬ord(u, v), DCIP
+/// of each open is-last candidate.  Counts the probe in `tally` as settled
+/// or solved.
+bool SomeCompletionSets(sat::Solver* solver, sat::Lit lit, ProbeTally* tally);
 
 /// Registry instruments a DecomposedEncoder reports its cache and solver
 /// work into.  A serving session hands one set per tenant, shared by all
@@ -191,10 +201,6 @@ struct EngineCounters {
   /// TIER2 → LOCAL demotions of learnt clauses untouched across a
   /// ReduceDB cycle.
   obs::Counter* sat_demotions = nullptr;
-  /// Portfolio races completed / rival solvers cancelled mid-search by a
-  /// rival's (or the primary's) earlier verdict.
-  obs::Counter* sat_portfolio_races = nullptr;
-  obs::Counter* sat_portfolio_cancelled = nullptr;
   /// Aggregate clause-arena bytes across the cached solvers (signed
   /// deltas: GC shrinks it).
   obs::Gauge* sat_arena_bytes = nullptr;
@@ -294,72 +300,36 @@ class DecomposedEncoder {
 
   /// Builds a fresh encoder for exactly component `c` (the caller owns
   /// it; the cache slot is untouched).
-  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(int c) const {
-    return BuildComponentEncoder(c, options_.solver);
-  }
-
-  /// Same, with solver-diversification knobs overriding the shared
-  /// options — the portfolio's rival builds.  The CNF is a function of
-  /// the read-only inputs only, so rivals carry exactly the primary's
-  /// formula.
-  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(
-      int c, const sat::Solver::Options& solver_options) const;
+  Result<std::unique_ptr<Encoder>> BuildComponentEncoder(int c) const;
 
   /// A fresh encoder covering exactly the union of `components` (the
   /// caller owns it; WithCcqaEncoder caches one per component set).
   Result<std::unique_ptr<Encoder>> BuildMergedEncoder(
       const std::vector<int>& components) const;
 
-  /// The fan-out every per-component phase shares: runs `task(k)` for
-  /// each index k of `components`.  Ordinary components run as concurrent
-  /// tasks on `pool`; PortfolioEligible ("dominant") ones follow one at a
-  /// time from the calling thread, because their races own the pool and
-  /// ParallelFor regions must not nest.  A raised `cancel` (optional)
-  /// skips unclaimed ordinary tasks and the dominant tail.  A null `pool`
-  /// runs every task sequentially on the calling thread.
-  Status ForEachComponent(const std::vector<int>& components,
-                          exec::ThreadPool* pool,
-                          const sat::PortfolioOptions* portfolio,
-                          const std::function<Status(int k)>& task,
-                          exec::CancellationToken* cancel = nullptr) const;
-
   /// CPS, and the base step of every other procedure: ensures every
   /// component has a cached base-satisfiability bit and returns whether
-  /// all are satisfiable (Mod(S) ≠ ∅).  Unknown components are decided on
-  /// `pool`, in component order — chase-routed ones from their fixpoint,
-  /// the rest by a SAT solve, dominant ones by a portfolio race — with
-  /// first-UNSAT cancellation; components skipped by cancellation stay
-  /// unknown, which is sound because the answer is already false.
-  /// Verdicts are race-independent, so the answer never depends on
-  /// `portfolio`.
-  Result<bool> EnsureAllSolved(
-      exec::ThreadPool* pool,
-      const sat::PortfolioOptions* portfolio = nullptr);
+  /// all are satisfiable (Mod(S) ≠ ∅).  Unknown components are decided as
+  /// concurrent tasks on `pool` (a null pool runs them on the calling
+  /// thread), in component order — chase-routed ones from their fixpoint,
+  /// the rest by a SAT solve — with first-UNSAT cancellation; components
+  /// skipped by cancellation stay unknown, which is sound because the
+  /// answer is already false.
+  Result<bool> EnsureAllSolved(exec::ThreadPool* pool);
 
   /// The cached chase fixpoint of the chase-eligible component `c`,
   /// computed on first use.  The pointer stays valid for the engine's
   /// lifetime.  InvalidArgument for ineligible components.
   Result<const ComponentChase*> ChaseFixpoint(int c);
 
-  /// What WithComponentEncoder hands its callback: exclusive use of the
-  /// component's encoder and `race`, the verdict front of the encoder's
-  /// solver.  `race` races cached diversified rival solvers when the
-  /// component is PortfolioEligible for the call's (portfolio, pool), and
-  /// is a pass-through to the encoder's own solver otherwise.  Verdict-only
-  /// probes solve through `race`; after a real race the encoder's solver
-  /// may hold no model, so anything that reads a model solves on the
-  /// encoder directly.
-  using EncoderFn =
-      std::function<Status(Encoder* encoder, sat::Portfolio* race)>;
+  /// What the encoder-access methods hand their callback: exclusive use
+  /// of one cached encoder and its solver.
+  using EncoderFn = std::function<Status(Encoder* encoder)>;
 
   /// Runs `fn` with exclusive access to component `c`'s encoder, building
   /// it first if the slot is empty (first use, or Harvest moved it to a
-  /// successor).  `fn` must close every solver scope it opens.  A call
-  /// that can race must come from outside any ParallelFor region on
-  /// `pool` (ForEachComponent orders this).
-  Status WithComponentEncoder(int c, const EncoderFn& fn,
-                              const sat::PortfolioOptions* portfolio = nullptr,
-                              exec::ThreadPool* pool = nullptr);
+  /// successor).  `fn` must close every solver scope it opens.
+  Status WithComponentEncoder(int c, const EncoderFn& fn);
 
   /// CCQA's encoder access: runs `fn` with exclusive access to an encoder
   /// covering exactly `components` (sorted, as ComponentsOfInstances
@@ -368,7 +338,7 @@ class DecomposedEncoder {
   /// engine's merged slot for it, built on first use and counted in
   /// EngineCounters::merged_builds.  Same scope rule as above.
   Status WithCcqaEncoder(const std::vector<int>& components,
-                         const std::function<Status(Encoder*)>& fn);
+                         const EncoderFn& fn);
 
   /// What Harvest() extracts per component, for adoption by a successor.
   struct Harvested {
@@ -408,11 +378,8 @@ class DecomposedEncoder {
  private:
   /// One component's cache slot; see the class comment for the roles.
   struct Slot {
-    std::mutex mu;  // guards `encoder`, `rivals` and their solvers
+    std::mutex mu;  // guards `encoder` and its solver
     std::unique_ptr<Encoder> encoder;
-    /// Portfolio rivals over the same component, built on the first race
-    /// (config k at rivals[k - 1]) and kept warm for later races.
-    std::vector<std::unique_ptr<Encoder>> rivals;
     /// -1 unknown, 0 unsat, 1 sat.
     std::atomic<int> sat{-1};
     std::mutex chase_mu;  // serializes the one-time fixpoint compute
@@ -429,19 +396,10 @@ class DecomposedEncoder {
 
   DecomposedEncoder() = default;
 
-  /// True iff `c` is raced through the portfolio ("dominant"): the
-  /// options are given and enabled, the pool can actually race (> 1
-  /// thread), the component is not chase-routed, and its member count
-  /// reaches min_component_size.
-  bool PortfolioEligible(int c, const sat::PortfolioOptions* portfolio,
-                         const exec::ThreadPool* pool) const;
-
-  /// Solves component `c`'s base encoding under its slot mutex (racing it
-  /// when dominant) and caches the bit; returns the cached bit without
-  /// solving when another caller got there first.
-  Result<bool> SolveComponentBase(int c,
-                                  const sat::PortfolioOptions* portfolio,
-                                  exec::ThreadPool* pool);
+  /// Solves component `c`'s base encoding under its slot mutex and caches
+  /// the bit; returns the cached bit without solving when another caller
+  /// got there first.
+  Result<bool> SolveComponentBase(int c);
 
   /// Bumps one of counters_'s instruments; a no-op without instruments.
   void Count(obs::Counter* EngineCounters::*counter, int64_t delta = 1) const {
@@ -450,8 +408,7 @@ class DecomposedEncoder {
 
   /// Runs `fn` on a slot's encoder (the caller holds the slot mutex) and
   /// samples the solver work it did into counters_.
-  Status RunSampled(Encoder* encoder,
-                    const std::function<Status(Encoder*)>& fn) const;
+  Status RunSampled(Encoder* encoder, const EncoderFn& fn) const;
 
   const Specification* spec_ = nullptr;
   Encoder::Options options_;

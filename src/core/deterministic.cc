@@ -14,17 +14,16 @@ namespace currency::core {
 namespace internal {
 
 Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
-                                int inst, sat::Portfolio* portfolio,
-                                ProbeTally* tally) {
+                                int inst, ProbeTally* tally) {
   ProbeTally local;
   if (tally == nullptr) tally = &local;
   const TemporalInstance& instance = spec.instance(inst);
   const Relation& rel = instance.relation();
   sat::Solver& solver = encoder->solver();
   if (!solver.HasRememberedModel()) {
-    // No completion witnessed yet (a fresh or snapshot-seeded encoder, or
-    // a base solve a rival won): find one on the solver itself, so its
-    // phases are remembered.  The formula is known satisfiable.
+    // No completion witnessed yet (a fresh or snapshot-seeded encoder):
+    // find one, so its phases are remembered.  The formula is known
+    // satisfiable.
     ++tally->solves;
     if (solver.Solve() != sat::SolveResult::kSat) {
       return Status::Internal("cached-SAT component re-solved unsatisfiable");
@@ -65,24 +64,14 @@ Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
     }
   }
   // Pass 2 — probe the open candidates: any one that can be current
-  // witnesses non-determinism.  Each probe is a bare verdict, so racing it
-  // through a portfolio cannot change the answer.  A refuted candidate
-  // leaves its selector fixed false at the root, which may fix later
-  // ones too.
+  // witnesses non-determinism.  No remembered model selects an open
+  // candidate (pass 1 returned otherwise), so the helper settles one only
+  // when its selector is fixed false at the root.  A refuted candidate
+  // leaves its selector fixed false there, which may fix later ones too.
   for (sat::Var candidate : open) {
-    const sat::Lit assume = sat::MakeLit(candidate);
-    if (solver.RootValue(assume) < 0) {
-      ++tally->settled;
-      continue;
+    if (SomeCompletionSets(&solver, sat::MakeLit(candidate), tally)) {
+      return false;
     }
-    ++tally->solves;
-    sat::SolveResult verdict;
-    if (portfolio != nullptr) {
-      ASSIGN_OR_RETURN(verdict, portfolio->Solve({assume}));
-    } else {
-      verdict = solver.SolveWithAssumptions({assume});
-    }
-    if (verdict == sat::SolveResult::kSat) return false;
   }
   return true;
 }
@@ -109,7 +98,7 @@ bool DeterministicViaComponentChase(const Specification& spec,
 
 Result<std::vector<bool>> DeterminismProbes(
     DecomposedEncoder* engine, const std::vector<int>& instances,
-    exec::ThreadPool* pool, const sat::PortfolioOptions* portfolio) {
+    exec::ThreadPool* pool) {
   const Specification& spec = engine->spec();
   std::vector<bool> out(instances.size(), true);
   // Chase-routed components first, on the calling thread in component
@@ -148,20 +137,18 @@ Result<std::vector<bool>> DeterminismProbes(
   }
   std::vector<std::vector<int>> nondeterministic(components.size());
   std::vector<ProbeTally> tally(components.size());
-  RETURN_IF_ERROR(engine->ForEachComponent(
-      components, pool, portfolio, [&](int k) -> Status {
+  RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(components.size()), [&](int k) -> Status {
         return engine->WithComponentEncoder(
-            components[k],
-            [&](Encoder* encoder, sat::Portfolio* race) -> Status {
+            components[k], [&](Encoder* encoder) -> Status {
               for (const Request& req : *requests[k]) {
                 ASSIGN_OR_RETURN(bool deterministic,
                                  DeterministicProbe(spec, encoder, req.inst,
-                                                    race, &tally[k]));
+                                                    &tally[k]));
                 if (!deterministic) nondeterministic[k].push_back(req.item);
               }
               return Status::OK();
-            },
-            portfolio, pool);
+            });
       }));
   ProbeTally total;
   for (size_t k = 0; k < components.size(); ++k) {
@@ -188,12 +175,10 @@ Result<bool> DeterministicFor(const Specification& spec,
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  ASSIGN_OR_RETURN(bool consistent,
-                   engine->EnsureAllSolved(pool, &options.portfolio));
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
   if (!consistent) return true;  // vacuous
   ASSIGN_OR_RETURN(std::vector<bool> deterministic,
-                   internal::DeterminismProbes(engine.get(), instances, pool,
-                                               &options.portfolio));
+                   internal::DeterminismProbes(engine.get(), instances, pool));
   return std::all_of(deterministic.begin(), deterministic.end(),
                      [](bool d) { return d; });
 }

@@ -18,7 +18,6 @@
 #include "src/core/decompose.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::core {
 
@@ -36,14 +35,6 @@ struct DcipOptions {
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): the consistency pre-solve and the determinism probes of
-  /// components with at least `portfolio.min_component_size` entity
-  /// groups race diversified solvers, first verdict wins.  The baseline
-  /// comes from the primary solver's remembered models, which a plain
-  /// Solve on the primary supplies when a race left it none; the DCIP
-  /// answer is model-independent and thus unchanged.
-  sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
 
@@ -65,13 +56,12 @@ namespace internal {
 /// components go first, on the calling thread in component order, by sink
 /// agreement on their fixpoints; an item stops at its first refuting
 /// component.  Items still open then run DeterministicProbe on their
-/// SAT-routed components' encoders (raced on dominant components); a
-/// component probes its items in batch order, components in parallel.
-/// Probe solves and settled probes are counted into the engine's
-/// EngineCounters.
+/// SAT-routed components' encoders; a component probes its items in batch
+/// order, components in parallel as tasks on `pool` (not null).  Probe
+/// solves and settled probes are counted into the engine's EngineCounters.
 Result<std::vector<bool>> DeterminismProbes(
     DecomposedEncoder* engine, const std::vector<int>& instances,
-    exec::ThreadPool* pool, const sat::PortfolioOptions* portfolio);
+    exec::ThreadPool* pool);
 
 /// The SAT-path probe behind DeterminismProbes: decides determinism of the
 /// entity groups of `inst` that `encoder` covers (on a component encoder,
@@ -80,18 +70,14 @@ Result<std::vector<bool>> DeterminismProbes(
 /// "Remembered models"): two tuples of a group made current by remembered
 /// models with different values settle "non-deterministic" without a
 /// solve; otherwise each candidate carrying a value other than the
-/// remembered one is probed with a solve, unless its is-last selector is
-/// fixed false at the root.  The solver itself solves once first when it
-/// remembers no model.  The answer is model-independent: some
-/// alternative-value candidate is satisfiable iff the group's current
-/// instance is not unique.  When `portfolio` is non-null (its primary must
-/// be `encoder`'s solver), the candidate probes race diversified solvers
-/// — verdict-only, so the answer is identical.  `tally` (optional)
-/// accumulates the probes solved and settled.
+/// remembered one goes to SomeCompletionSets, which settles it when its
+/// is-last selector is fixed false at the root and probes it with a solve
+/// otherwise.  The solver itself solves once first when it remembers no
+/// model.  The answer is model-independent: some alternative-value
+/// candidate is satisfiable iff the group's current instance is not
+/// unique.  `tally` (optional) accumulates the probes solved and settled.
 Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
-                                int inst,
-                                sat::Portfolio* portfolio = nullptr,
-                                ProbeTally* tally = nullptr);
+                                int inst, ProbeTally* tally = nullptr);
 
 /// The chase-path check behind DeterminismProbes: for every entity group
 /// of `inst` inside the (chase-eligible) component, all certain sinks of

@@ -75,7 +75,7 @@ CopyBucketIndex CopyBucketIndex::Build(const Specification& spec) {
 
 Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   spec_ = &spec;
-  solver_ = std::make_unique<sat::Solver>(options.solver);
+  solver_ = std::make_unique<sat::Solver>();
   sat::Solver& s = *solver_;
   pair_base_.resize(spec.num_instances());
   if (options.restrict_to != nullptr) filter_ = *options.restrict_to;

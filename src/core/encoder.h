@@ -104,11 +104,6 @@ class Encoder {
     /// decomposition layer computes it once and shares it across all
     /// component builds.  Read only during Build, not retained.
     const ChaseResult* chase_seed = nullptr;
-    /// Search-diversification knobs for the underlying CDCL solver.  The
-    /// defaults reproduce the undiversified search bit-for-bit; the
-    /// portfolio layer (src/sat/portfolio.h) builds rival encoders over
-    /// the same component with different knobs.
-    sat::Solver::Options solver;
   };
 
   /// Builds the encoding.  Fails only on malformed specifications; an

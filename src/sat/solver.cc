@@ -109,18 +109,7 @@ Var Solver::NewVar() {
   reason_.push_back(kCRefUndef);
   level_.push_back(0);
   activity_.push_back(0.0);
-  int8_t init_phase = -1;
-  switch (options_.phase_init) {
-    case Options::PhaseInit::kNegative:
-      break;
-    case Options::PhaseInit::kPositive:
-      init_phase = 1;
-      break;
-    case Options::PhaseInit::kRandom:
-      init_phase = (rng_state_ != 0 && (NextRandom() & 1) != 0) ? 1 : -1;
-      break;
-  }
-  phase_.push_back(init_phase);
+  phase_.push_back(-1);
   seen_phase_.push_back(0);
   seen_.push_back(0);
   lit_stamp_.push_back(0);
@@ -721,14 +710,6 @@ void Solver::MinimizeWithBinaryResolution(std::vector<Lit>* learnt) {
 }
 
 Lit Solver::PickBranchLit() {
-  // Diversified solvers (rng_seed != 0) occasionally branch on a random
-  // variable instead of the VSIDS maximum — the classic portfolio
-  // decorrelator.  The default configuration never reaches this block,
-  // keeping the undiversified search bit-identical.
-  if (rng_state_ != 0 && (NextRandom() & 63u) == 0 && NumVars() > 0) {
-    Var v = static_cast<Var>(NextRandom() % static_cast<uint64_t>(NumVars()));
-    if (assign_[v] == 0) return MakeLit(v, phase_[v] < 0);
-  }
   while (!order_heap_.Empty()) {
     Var v = order_heap_.PopMax(activity_);
     if (assign_[v] == 0) return MakeLit(v, phase_[v] < 0);
@@ -752,19 +733,6 @@ double Solver::Luby(double y, int x) {
     x = x % size;
   }
   return std::pow(y, seq);
-}
-
-int64_t Solver::RestartInterval(int restart_count) const {
-  switch (options_.restart_profile) {
-    case Options::RestartProfile::kFastLuby:
-      return static_cast<int64_t>(32 * Luby(2.0, restart_count));
-    case Options::RestartProfile::kGeometric:
-      return static_cast<int64_t>(
-          100.0 * std::pow(1.5, std::min(restart_count, 40)));
-    case Options::RestartProfile::kLuby:
-      break;
-  }
-  return static_cast<int64_t>(100 * Luby(2.0, restart_count));
 }
 
 std::optional<SolveResult> Solver::SolveLimited(

@@ -131,11 +131,6 @@ struct SolverStats {
   /// TIER2 clauses demoted to LOCAL for going untouched across a
   /// reduction.
   int64_t demotions = 0;
-  /// Portfolio races this solver fronted as the primary, and rival
-  /// solvers cancelled (or skipped) once a verdict landed.  Bumped by
-  /// sat::Portfolio via RecordPortfolioRace, never by the solver itself.
-  int64_t portfolio_races = 0;
-  int64_t portfolio_cancelled = 0;
 };
 
 /// A CDCL solver.  Typical use:
@@ -145,27 +140,6 @@ struct SolverStats {
 ///   if (s.Solve() == SolveResult::kSat) { bool va = s.ModelValue(a); ... }
 class Solver {
  public:
-  /// Search-diversification knobs for portfolio solving.  The DEFAULTS
-  /// reproduce the undiversified search bit-for-bit (negative phase
-  /// init, Luby-100 restarts, no randomness): a default-constructed
-  /// Solver and a Solver(Options{}) run identical searches, which is
-  /// what keeps the single-solver determinism contracts (enumeration
-  /// order, GC transparency) intact everywhere the portfolio is off.
-  struct Options {
-    enum class PhaseInit { kNegative, kPositive, kRandom };
-    enum class RestartProfile { kLuby, kFastLuby, kGeometric };
-    /// 0 disables all randomness.  Nonzero seeds an xorshift64 stream
-    /// used for kRandom phase initialization and occasional random
-    /// branch picks — deterministic per seed, different across seeds.
-    uint64_t rng_seed = 0;
-    PhaseInit phase_init = PhaseInit::kNegative;
-    RestartProfile restart_profile = RestartProfile::kLuby;
-  };
-
-  Solver() = default;
-  explicit Solver(const Options& options)
-      : options_(options), rng_state_(options.rng_seed) {}
-
   /// Allocates a fresh variable and returns it.
   Var NewVar();
 
@@ -216,22 +190,10 @@ class Solver {
   /// unwinds to level 0 and returns nullopt — no verdict.  The solver
   /// stays fully usable: clauses learnt before the interrupt are implied
   /// by the formula, so later calls remain sound and verdict-correct.
-  /// This is the portfolio's first-verdict-wins cancellation hook; the
-  /// solver itself never depends on src/exec.
+  /// This is the hook a per-request deadline or conflict budget raises to
+  /// stop a solve.
   std::optional<SolveResult> SolveLimited(const std::vector<Lit>& assumptions,
                                           const std::atomic<bool>* stop);
-
-  /// Accounting hook for sat::Portfolio: records one verdict race
-  /// fronted by this (primary) solver and how many rival solvers were
-  /// cancelled or skipped once the verdict landed.  Lives in
-  /// SolverStats so the serving layer's solve-boundary delta sampling
-  /// exports portfolio counters with no extra plumbing.
-  void RecordPortfolioRace(int cancelled_rivals) {
-    ++stats_.portfolio_races;
-    stats_.portfolio_cancelled += cancelled_rivals;
-  }
-
-  const Options& options() const { return options_; }
 
   /// Value of `v` in the most recent satisfying model.  Requires the last
   /// Solve call to have returned kSat.
@@ -424,17 +386,9 @@ class Solver {
   void SyncArenaStats() { stats_.arena_bytes = arena_.size_bytes(); }
   /// Luby sequence value for restart scheduling.
   static double Luby(double y, int x);
-  /// Conflicts allotted to restart number `restart_count` under the
-  /// configured restart profile.
-  int64_t RestartInterval(int restart_count) const;
-  /// Deterministic xorshift64 stream; only called when rng_state_ != 0.
-  uint64_t NextRandom() {
-    uint64_t x = rng_state_;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    rng_state_ = x;
-    return x;
+  /// Conflicts allotted to restart number `restart_count` (Luby-100).
+  static int64_t RestartInterval(int restart_count) {
+    return static_cast<int64_t>(100 * Luby(2.0, restart_count));
   }
 
   bool ok_ = true;
@@ -488,9 +442,6 @@ class Solver {
   Var parked_scope_var_ = -1;
   /// Scratch: the scope literal followed by the caller's assumptions.
   std::vector<Lit> scoped_assumptions_;
-
-  Options options_;
-  uint64_t rng_state_ = 0;  ///< 0 = randomness disabled
 
   SolverStats stats_;
 

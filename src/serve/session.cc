@@ -79,7 +79,7 @@ std::shared_ptr<Epoch> CurrencySession::PinStage() const {
 
 Result<bool> CurrencySession::BaseSolveStage(Epoch& epoch) {
   obs::TraceSpan::Stage stage("base_solve", stage_counters_);
-  return epoch.engine().EnsureAllSolved(pool_, &options_.portfolio);
+  return epoch.engine().EnsureAllSolved(pool_);
 }
 
 const core::Specification& CurrencySession::spec() const {
@@ -112,7 +112,7 @@ Result<bool> CurrencySession::CpsCheck() {
   cps_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
   obs::TraceSpan::Stage stage("solve", stage_counters_);
-  return epoch->engine().EnsureAllSolved(pool_, &options_.portfolio);
+  return epoch->engine().EnsureAllSolved(pool_);
 }
 
 Result<std::vector<bool>> CurrencySession::CopBatch(
@@ -135,7 +135,7 @@ Result<std::vector<bool>> CurrencySession::CopBatch(
   if (!consistent) return std::vector<bool>(queries.size(), true);
   obs::TraceSpan::Stage stage("solve", stage_counters_);
   return core::internal::CertainOrderProbes(&epoch->engine(), queries, inst_of,
-                                            pool_, &options_.portfolio);
+                                            pool_);
 }
 
 Result<std::vector<bool>> CurrencySession::DcipBatch(
@@ -151,8 +151,7 @@ Result<std::vector<bool>> CurrencySession::DcipBatch(
   ASSIGN_OR_RETURN(bool consistent, BaseSolveStage(*epoch));
   if (!consistent) return std::vector<bool>(relations.size(), true);
   obs::TraceSpan::Stage stage("solve", stage_counters_);
-  return core::internal::DeterminismProbes(&epoch->engine(), inst_of, pool_,
-                                           &options_.portfolio);
+  return core::internal::DeterminismProbes(&epoch->engine(), inst_of, pool_);
 }
 
 Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(

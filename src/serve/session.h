@@ -49,12 +49,12 @@
 // satisfiability answers (learnt clauses are implied), and the COP/DCIP
 // probes are model-independent by construction: a warm probe that a
 // solver's remembered models or root literals settle (sat::Solver's
-// "Remembered models") gets the answer its solve would give, because a
-// remembered model is a model of the component's encoding and a root
-// literal is implied by it; (2) the only clauses
-// beyond the base encoding — CCQA's blocking clauses — are added under a
-// retractable solver scope (sat::Solver::NewScope) that is closed before
-// the encoder's slot lock is released.  Closing deletes every clause
+// "Remembered models", read in core::SomeCompletionSets) gets the answer
+// its solve would give, because a remembered model is a model of the
+// component's encoding and a root literal is implied by it; (2) the only
+// clauses beyond the base encoding — CCQA's blocking clauses — are added
+// under a retractable solver scope (sat::Solver::NewScope) that is closed
+// before the encoder's slot lock is released.  Closing deletes every clause
 // that mentions the scope literal: the blocking clauses themselves and
 // every learnt clause derived from one (the scope literal is an
 // assumption decision, which 1UIP analysis and minimization can neither
@@ -112,16 +112,6 @@ struct SessionOptions {
   /// fingerprint keying).  SAT remains the fallback for constrained
   /// components; answers are identical either way.
   bool use_chase_routing = true;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): base solves and COP/DCIP probes of components with at
-  /// least `portfolio.min_component_size` entity groups race diversified
-  /// rival solvers on the session pool, first verdict wins.  Verdict-only
-  /// — a rival's model is not remembered by the cached primary solver, so
-  /// a raced probe settles fewer later ones, and DCIP solves the primary
-  /// itself when it remembers no model.  Answers are bit-identical with
-  /// the racing off; pass-through (zero overhead) when the pool has one
-  /// thread.
-  sat::PortfolioOptions portfolio;
   /// Base encoder options.  define_is_last is forced on (one cached
   /// encoding serves CPS, COP, DCIP and CCQA); restrict_to / copy_index /
   /// chase_seed are session-managed and ignored.

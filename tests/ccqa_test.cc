@@ -4,12 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/chase.h"
 #include "src/core/sp_ccqa.h"
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 
 namespace currency::core {
 namespace {

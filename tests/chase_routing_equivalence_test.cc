@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
 #include "src/core/chase.h"
@@ -40,6 +39,7 @@
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 
 namespace currency::core {
 namespace {

@@ -4,11 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/brute_force.h"
 #include "src/core/completion.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 
 namespace currency::core {
 namespace {

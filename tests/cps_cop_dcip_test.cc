@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/brute_force.h"
 #include "src/core/certain_order.h"
 #include "src/core/chase.h"
 #include "src/core/consistency.h"
@@ -13,6 +12,7 @@
 #include "src/core/deterministic.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 #include "tests/support/monolithic.h"
 
 namespace currency::core {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/chase.h"
 #include "src/core/consistency.h"
@@ -12,6 +11,7 @@
 #include "src/core/sp_ccqa.h"
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 
 namespace currency::core {
 namespace {

@@ -12,15 +12,15 @@
 #include <string>
 #include <vector>
 
-#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
-#include "src/order/linear_extensions.h"
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
+#include "tests/support/linear_extensions.h"
 #include "tests/support/monolithic.h"
 
 namespace currency::core {

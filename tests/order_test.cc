@@ -6,8 +6,8 @@
 #include <random>
 #include <set>
 
-#include "src/order/linear_extensions.h"
 #include "src/order/partial_order.h"
+#include "tests/support/linear_extensions.h"
 
 namespace currency {
 namespace {

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
@@ -25,6 +24,7 @@
 #include "src/obs/trace.h"
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 
 namespace currency::core {
 namespace {
@@ -174,108 +174,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
       } else {
         ASSERT_TRUE(answers.ok()) << answers.status();
         EXPECT_EQ(*answers, *oracle_answers) << "threads=" << threads;
-      }
-    }
-  }
-}
-
-// Portfolio racing (sat::Portfolio) is verdict-deterministic: with the
-// component-size gate lowered so even these small random components
-// route through a race, every answer, witness, and enumeration order
-// must be bit-identical to the portfolio-off path — at every thread
-// count (1 thread is the pass-through, ≥2 race for real).
-TEST_P(ParallelEquivalence, PortfolioOnAnswersMatchPortfolioOff) {
-  sat::PortfolioOptions portfolio;
-  portfolio.enabled = true;
-  portfolio.num_solvers = 3;
-  portfolio.min_component_size = 1;  // route even single-group components
-  // Constraint-bearing variants only: constraint-free components are
-  // chase-routed and never portfolio-eligible anyway.
-  for (int variant : {2, 3, 5}) {
-    bool with_copy = variant & 1;
-    bool with_constraints = (variant & 2) || variant >= 4;
-    double free_fraction = variant >= 4 ? 0.5 : 0.0;
-    Specification spec = MakeRandomSpec(GetParam() * 911 + variant, with_copy,
-                                        with_constraints, free_fraction);
-    SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
-                 " variant=" + std::to_string(variant));
-
-    // --- CPS: verdicts vs oracle; witnesses vs the portfolio-off path
-    // (want_witness keeps every component single-solver by contract, so
-    // the completion must be bit-identical). ---
-    bool oracle_consistent = BruteForceConsistent(spec).value();
-    std::optional<std::string> witness_off;
-    for (int threads : kThreadCounts) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      CpsOptions cps;
-      cps.num_threads = threads;
-      cps.portfolio = portfolio;
-      auto outcome = DecideConsistency(spec, cps);
-      ASSERT_TRUE(outcome.ok()) << outcome.status();
-      EXPECT_EQ(outcome->consistent, oracle_consistent);
-
-      CpsOptions wit = cps;
-      wit.want_witness = true;
-      auto with_witness = DecideConsistency(spec, wit);
-      ASSERT_TRUE(with_witness.ok()) << with_witness.status();
-      EXPECT_EQ(with_witness->consistent, oracle_consistent);
-      if (with_witness->consistent) {
-        ASSERT_TRUE(with_witness->witness.has_value());
-        std::string canonical = CanonicalCompletion(*with_witness->witness);
-        if (!witness_off.has_value()) {
-          CpsOptions off = wit;
-          off.portfolio = sat::PortfolioOptions{};  // disabled
-          witness_off = CanonicalCompletion(
-              *DecideConsistency(spec, off)->witness);
-        }
-        EXPECT_EQ(canonical, *witness_off)
-            << "witness differs from the portfolio-off path";
-      }
-    }
-
-    // --- COP: raced refutation probes vs oracle. ---
-    CurrencyOrderQuery q;
-    q.relation = "R";
-    q.pairs = {RequiredPair{1, 0, 1}, RequiredPair{2, 2, 3},
-               RequiredPair{1, 1, 0}};
-    bool oracle_order = BruteForceCertainOrder(spec, q).value();
-    for (int threads : kThreadCounts) {
-      CopOptions cop;
-      cop.num_threads = threads;
-      cop.portfolio = portfolio;
-      EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle_order)
-          << "threads=" << threads;
-    }
-
-    // --- DCIP: raced phase-2 probes (model re-established first). ---
-    bool oracle_det = BruteForceDeterministic(spec, "R").value();
-    for (int threads : kThreadCounts) {
-      DcipOptions dcip;
-      dcip.num_threads = threads;
-      dcip.portfolio = portfolio;
-      EXPECT_EQ(IsDeterministicForRelation(spec, "R", dcip).value(),
-                oracle_det)
-          << "threads=" << threads;
-    }
-
-    // --- CCQA stays on the single-solver path by design (enumeration
-    // order is search-path-dependent); its order must be unchanged by
-    // other procedures having raced on the same spec. ---
-    std::optional<std::vector<std::string>> order_off;
-    for (int threads : kThreadCounts) {
-      CcqaOptions ccqa;
-      ccqa.num_threads = threads;
-      std::vector<std::string> order;
-      auto count = ForEachCurrentInstance(
-          spec, ccqa, [&](const query::Database& db) {
-            order.push_back(CanonicalDb(db));
-            return true;
-          });
-      ASSERT_TRUE(count.ok()) << count.status();
-      if (!order_off.has_value()) {
-        order_off = order;
-      } else {
-        EXPECT_EQ(order, *order_off) << "threads=" << threads;
       }
     }
   }

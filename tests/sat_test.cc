@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <random>
 #include <set>
 
@@ -469,6 +471,46 @@ TEST(SolverTest, SatisfiedAtLevelZeroClauseIsDropped) {
   ASSERT_TRUE(s.AddClause({MakeLit(a), MakeLit(b)}));
   EXPECT_EQ(s.stats().arena_bytes, bytes);
   EXPECT_EQ(s.Solve(), SolveResult::kSat);
+}
+
+/// Gated pigeonhole: UNSAT under the gate assumption, SAT without it.
+Var AddGatedPigeonhole(Solver* s, int pigeons, int holes) {
+  Var gate = s->NewVar();
+  std::vector<std::vector<Var>> x(pigeons, std::vector<Var>(holes));
+  for (int p = 0; p < pigeons; ++p) {
+    for (int h = 0; h < holes; ++h) x[p][h] = s->NewVar();
+  }
+  for (int p = 0; p < pigeons; ++p) {
+    std::vector<Lit> c{MakeLit(gate, true)};
+    for (int h = 0; h < holes; ++h) c.push_back(MakeLit(x[p][h]));
+    EXPECT_TRUE(s->AddClause(c));
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        EXPECT_TRUE(
+            s->AddClause({MakeLit(x[p1][h], true), MakeLit(x[p2][h], true)}));
+      }
+    }
+  }
+  return gate;
+}
+
+TEST(SolveLimitedTest, PreRaisedStopInterruptsAndLeavesSolverUsable) {
+  Solver solver;
+  Var gate = AddGatedPigeonhole(&solver, 6, 5);
+  std::atomic<bool> stop{true};  // raised before the solve starts
+  std::optional<SolveResult> interrupted =
+      solver.SolveLimited({MakeLit(gate)}, &stop);
+  EXPECT_FALSE(interrupted.has_value());
+  // The interrupted solver must be fully reusable, with no trace of the
+  // abandoned search in its answers.
+  EXPECT_EQ(solver.SolveWithAssumptions({MakeLit(gate)}), SolveResult::kUnsat);
+  EXPECT_EQ(solver.Solve(), SolveResult::kSat);
+  // And a null stop pointer means "never interrupt".
+  std::optional<SolveResult> ran = solver.SolveLimited({MakeLit(gate)}, nullptr);
+  ASSERT_TRUE(ran.has_value());
+  EXPECT_EQ(*ran, SolveResult::kUnsat);
 }
 
 TEST(ModelEnumeratorTest, EnumeratesAllProjectedModels) {

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
@@ -29,6 +28,7 @@
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/brute_force.h"
 #include "tests/support/monolithic.h"
 
 namespace currency::serve {
@@ -397,122 +397,45 @@ std::string BatchTranscript(CurrencySession* session) {
   return out;
 }
 
-// Portfolio racing must not perturb anything: a session with portfolio
-// racing enabled for base solves and COP/DCIP probes (and the
-// component-size gate lowered so these small random components actually
-// race) must produce a bit-identical
-// batch transcript — CPS, COP, DCIP, CCQA answer sets, memberships and
-// enumeration orders — to a portfolio-off session over the same
-// specification and edit sequence, at every thread count.
-TEST(SessionEquivalence, PortfolioOnMatchesPortfolioOff) {
-  // Variant 3: every component constrained, hence SAT-routed and (with
-  // the gate at 1) portfolio-eligible.  Variant 5: mixed chase/SAT.
-  for (int variant : {3, 5}) {
-    bool with_copy = variant & 1;
-    bool with_constraints = (variant & 2) || variant >= 4;
-    double free_fraction = variant >= 4 ? 0.5 : 0.0;
-    core::Specification spec =
-        MakeRandomSpec(77 * 1237 + variant, with_copy, with_constraints,
-                       free_fraction);
-    for (int threads : kThreadCounts) {
-      SCOPED_TRACE("variant=" + std::to_string(variant) +
-                   " threads=" + std::to_string(threads));
-      auto make_session = [&](bool portfolio_on) {
-        SessionOptions options;
-        options.num_threads = threads;
-        if (portfolio_on) {
-          options.portfolio.enabled = true;
-          options.portfolio.num_solvers = 3;
-          options.portfolio.min_component_size = 1;
-        }
-        auto session = CurrencySession::Create(spec, options);
-        EXPECT_TRUE(session.ok()) << session.status();
-        return std::move(session).value();
+// The probes a component solver's record leaves open must reach the
+// solver, at every thread count.  On MakeOpenProbeSpec the base solve
+// remembers one model: it witnesses one order of tuples 1 and 2 and makes
+// one of A = 1 and A = 2 current, so the other order and the other value
+// each need a solve, which currency_serve_probe_solves_total counts.
+TEST(SessionEquivalence, OpenProbesReachTheSolver) {
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto probe_solves = [&](const auto& batch) {
+      SessionOptions options;
+      options.num_threads = threads;
+      auto session =
+          CurrencySession::Create(MakeOpenProbeSpec(), options).value();
+      auto solves = [&] {
+        return session->registry()
+            ->GetCounter("currency_serve_probe_solves_total", obs::Labels{})
+            ->Value();
       };
-      auto off = make_session(false);
-      auto on = make_session(true);
-      if (::testing::Test::HasFailure()) return;
-
-      EXPECT_EQ(BatchTranscript(on.get()), BatchTranscript(off.get()));
-      std::mt19937 rng(variant * 101 + threads);
-      for (int round = 0; round < 2; ++round) {
-        std::vector<core::TupleEdit> edits = MakeRandomEdits(off->spec(),
-                                                             rng);
-        Status st_off = off->Mutate(edits);
-        Status st_on = on->Mutate(edits);
-        EXPECT_EQ(st_off.code(), st_on.code());
-        EXPECT_EQ(BatchTranscript(on.get()), BatchTranscript(off.get()))
-            << "round=" << round;
-      }
-      // Race accounting: pass-through at one thread records nothing (the
-      // single-solver path IS the portfolio path there); with real
-      // concurrency and every component eligible, the cold base solves
-      // must have raced.
-      int64_t races = on->registry()
-                          ->GetCounter("currency_sat_portfolio_races_total",
-                                       obs::Labels{})
-                          ->Value();
-      if (threads == 1) {
-        EXPECT_EQ(races, 0);
-      } else if (variant == 3) {
-        EXPECT_GT(races, 0) << "no base solve raced despite eligibility";
-      }
-      // Served probes race too.  A probe that the component solver's
-      // remembered models or root literals settle never reaches a solver,
-      // so each check drives a fresh session over MakeOpenProbeSpec —
-      // whose solver remembers one base model at most — with probes that
-      // must be solved, and confirms through
-      // currency_serve_probe_solves_total that they were.
-      if (threads > 1 && variant == 3) {
-        auto probed = [&](const auto& batch) {
-          SessionOptions options;
-          options.num_threads = threads;
-          options.portfolio.enabled = true;
-          options.portfolio.num_solvers = 3;
-          options.portfolio.min_component_size = 1;
-          auto session =
-              CurrencySession::Create(MakeOpenProbeSpec(), options).value();
-          auto counter = [&](const char* family) {
-            return session->registry()
-                ->GetCounter(family, obs::Labels{})
-                ->Value();
-          };
-          EXPECT_TRUE(session->CpsCheck().value());
-          const int64_t races = counter("currency_sat_portfolio_races_total");
-          const int64_t solves = counter("currency_serve_probe_solves_total");
-          batch(session.get());
-          return std::make_pair(
-              counter("currency_sat_portfolio_races_total") - races,
-              counter("currency_serve_probe_solves_total") - solves);
-        };
-        // COP: tuples 1 and 2 are ordered each way in some completion, and
-        // one remembered model witnesses one direction only.
-        auto [cop_races, cop_solves] = probed([](CurrencySession* session) {
-          auto cop = session->CopBatch(
-              {core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 1, 2}}},
-               core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 2, 1}}}});
-          ASSERT_TRUE(cop.ok()) << cop.status();
-          EXPECT_EQ(*cop, std::vector<bool>({false, false}));
-        });
-        EXPECT_GT(cop_solves, 0) << "the COP probes were settled";
-        EXPECT_GT(cop_races, 0) << "no COP probe raced despite eligibility";
-        // DCIP: one remembered model makes one of A = 1 and A = 2 current;
-        // the other can be current too, so its probe needs a solve.
-        auto [dcip_races, dcip_solves] = probed([](CurrencySession* session) {
-          auto dcip = session->DcipBatch({"R"});
-          ASSERT_TRUE(dcip.ok()) << dcip.status();
-          EXPECT_FALSE(dcip->at(0));
-        });
-        EXPECT_GT(dcip_solves, 0) << "the DCIP probes were settled";
-        EXPECT_GT(dcip_races, 0) << "no DCIP probe raced despite eligibility";
-      }
-      int64_t off_races = off->registry()
-                              ->GetCounter(
-                                  "currency_sat_portfolio_races_total",
-                                  obs::Labels{})
-                              ->Value();
-      EXPECT_EQ(off_races, 0);
-    }
+      EXPECT_TRUE(session->CpsCheck().value());
+      const int64_t before = solves();
+      batch(session.get());
+      return solves() - before;
+    };
+    // COP: tuples 1 and 2 are ordered each way in some completion.
+    const int64_t cop_solves = probe_solves([](CurrencySession* session) {
+      auto cop = session->CopBatch(
+          {core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 1, 2}}},
+           core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 2, 1}}}});
+      ASSERT_TRUE(cop.ok()) << cop.status();
+      EXPECT_EQ(*cop, std::vector<bool>({false, false}));
+    });
+    EXPECT_GT(cop_solves, 0) << "the COP probes were settled";
+    // DCIP: A = 1 and A = 2 can each be current.
+    const int64_t dcip_solves = probe_solves([](CurrencySession* session) {
+      auto dcip = session->DcipBatch({"R"});
+      ASSERT_TRUE(dcip.ok()) << dcip.status();
+      EXPECT_FALSE(dcip->at(0));
+    });
+    EXPECT_GT(dcip_solves, 0) << "the DCIP probes were settled";
   }
 }
 

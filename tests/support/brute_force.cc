@@ -1,9 +1,9 @@
-#include "src/core/brute_force.h"
+#include "tests/support/brute_force.h"
 
 #include <algorithm>
 
 #include "src/core/chase.h"
-#include "src/order/linear_extensions.h"
+#include "tests/support/linear_extensions.h"
 
 namespace currency::core {
 

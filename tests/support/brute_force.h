@@ -6,8 +6,8 @@
 // by IsConsistentCompletion, and exposes oracle versions of CPS, COP,
 // DCIP and CCQA.  Strictly exponential — use on small specifications.
 
-#ifndef CURRENCY_SRC_CORE_BRUTE_FORCE_H_
-#define CURRENCY_SRC_CORE_BRUTE_FORCE_H_
+#ifndef CURRENCY_TESTS_SUPPORT_BRUTE_FORCE_H_
+#define CURRENCY_TESTS_SUPPORT_BRUTE_FORCE_H_
 
 #include <cstdint>
 #include <functional>
@@ -57,4 +57,4 @@ Result<std::set<Tuple>> BruteForceCertainAnswers(
 
 }  // namespace currency::core
 
-#endif  // CURRENCY_SRC_CORE_BRUTE_FORCE_H_
+#endif  // CURRENCY_TESTS_SUPPORT_BRUTE_FORCE_H_

@@ -1,4 +1,4 @@
-#include "src/order/linear_extensions.h"
+#include "tests/support/linear_extensions.h"
 
 namespace currency {
 

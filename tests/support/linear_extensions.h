@@ -4,8 +4,8 @@
 // initial currency order on that entity's tuples; the brute-force oracle
 // and several tests enumerate them exhaustively.
 
-#ifndef CURRENCY_SRC_ORDER_LINEAR_EXTENSIONS_H_
-#define CURRENCY_SRC_ORDER_LINEAR_EXTENSIONS_H_
+#ifndef CURRENCY_TESTS_SUPPORT_LINEAR_EXTENSIONS_H_
+#define CURRENCY_TESTS_SUPPORT_LINEAR_EXTENSIONS_H_
 
 #include <cstdint>
 #include <functional>
@@ -30,4 +30,4 @@ int64_t CountLinearExtensions(const PartialOrder& order,
 
 }  // namespace currency
 
-#endif  // CURRENCY_SRC_ORDER_LINEAR_EXTENSIONS_H_
+#endif  // CURRENCY_TESTS_SUPPORT_LINEAR_EXTENSIONS_H_
