@@ -35,7 +35,9 @@
 # wal_recovery_test, order_test (the word-by-word bit scan of
 # PartialOrder::Pairs across word boundaries), encoder_chase_test and
 # core_model_test (the encoder's per-group is-last index and the
-# order-free selectors behind every witness), so
+# order-free selectors behind every witness), query_test (the pin
+# analysis reads renamed atoms kept alive in a side vector) and
+# ccqa_test (SP answers walk the component fixpoints' nodes), so
 # every equivalence suite runs under both sanitizers: the engine moves
 # encoders AND chase fixpoints between epochs and hands borrowed
 # pools/encoders across threads, the SAT core's garbage collector
@@ -91,7 +93,8 @@ cmake --build "$asan_dir" -j "$(nproc)" \
            oracle_invariants_test serve_test session_equivalence_test \
            concurrent_session_test chase_routing_equivalence_test \
            sat_metamorphic_test sat_test wire_test wal_recovery_test \
-           order_test encoder_chase_test core_model_test
+           order_test encoder_chase_test core_model_test query_test \
+           ccqa_test
 "$asan_dir/tests/exec_test"
 "$asan_dir/tests/obs_test"
 "$asan_dir/tests/parallel_equivalence_test"
@@ -105,4 +108,6 @@ cmake --build "$asan_dir" -j "$(nproc)" \
 "$asan_dir/tests/order_test"
 "$asan_dir/tests/encoder_chase_test"
 "$asan_dir/tests/core_model_test"
+"$asan_dir/tests/query_test"
+"$asan_dir/tests/ccqa_test"
 (cd "$asan_dir/tests" && ./wire_test && ./wal_recovery_test)

@@ -1,7 +1,9 @@
 #include "src/core/ccqa.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -107,6 +109,32 @@ Result<bool> CertainMemberLoop(Encoder* encoder, const Specification& spec,
   return true;  // every completion answers t
 }
 
+/// The components `q` can read (see CertainAnswerProbes).  Numeric ids
+/// stay unpinned: Value equality meets Int and Double, which the component
+/// index orders apart.
+std::vector<int> RelevantComponents(const DecomposedEncoder& engine,
+                                    const query::Query& q,
+                                    const std::vector<int>& instances) {
+  const Decomposition& decomposition = engine.decomposition();
+  std::map<std::string, std::set<Value>> pins = query::EidPins(q);
+  std::set<int> components;
+  for (int inst : instances) {
+    auto pinned = pins.find(engine.spec().instance(inst).name());
+    if (pinned == pins.end() ||
+        std::any_of(pinned->second.begin(), pinned->second.end(),
+                    [](const Value& eid) { return eid.is_numeric(); })) {
+      const std::vector<int>& all = decomposition.ComponentsOfInstance(inst);
+      components.insert(all.begin(), all.end());
+      continue;
+    }
+    for (const Value& eid : pinned->second) {
+      int c = decomposition.ComponentOf(inst, eid);
+      if (c >= 0) components.insert(c);
+    }
+  }
+  return std::vector<int>(components.begin(), components.end());
+}
+
 }  // namespace
 
 namespace internal {
@@ -177,24 +205,14 @@ Result<std::set<Tuple>> SpAnswersViaComponentChases(
     const std::function<Result<const ComponentChase*>(int)>& chase_for,
     const Specification& spec, const query::Query& q,
     const std::vector<int>& relevant) {
-  std::vector<std::string> rels = q.body->Relations();
-  if (rels.size() != 1) {
-    return Status::Unsupported("SP query must reference exactly one relation");
-  }
-  ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(rels[0]));
-  // Assemble the instance's PO∞ from its components' chase fixpoints.
-  // Declared currency orders only relate tuples of one entity, and the
-  // chase derives only within-group pairs, so the per-group fixpoints
-  // carry every certain pair of the instance.
-  std::vector<std::vector<PartialOrder>> orders(spec.num_instances());
-  const TemporalInstance& instance = spec.instance(inst);
-  orders[inst].assign(instance.schema().arity(),
-                      PartialOrder(instance.relation().size()));
+  std::vector<const ComponentChase::Node*> nodes;
   for (int c : relevant) {
     ASSIGN_OR_RETURN(const ComponentChase* chase, chase_for(c));
-    RETURN_IF_ERROR(MergeComponentOrdersInto(*chase, inst, &orders[inst]));
+    for (const ComponentChase::Node& node : chase->nodes) {
+      nodes.push_back(&node);
+    }
   }
-  return SpAnswersFromCertainOrders(spec, orders, q);
+  return SpAnswersFromChaseNodes(spec, nodes, q);
 }
 
 Result<std::vector<CcqaResponse>> CertainAnswerProbes(
@@ -203,17 +221,17 @@ Result<std::vector<CcqaResponse>> CertainAnswerProbes(
     exec::ThreadPool* pool) {
   const Specification& spec = engine->spec();
   // SP routing: a request answers from component chase fixpoints when its
-  // query is SP over one relation and every component that relation
-  // touches is chase-routed (Proposition 6.3 on those components; Mod(S)
-  // factors over components, so denial constraints elsewhere do not
-  // matter).  Decide that per request up front and warm the needed
-  // fixpoints: write-once publication makes the warm-up safe against
-  // concurrent callers, and the parallel tasks below then only read.
+  // query is SP over one relation and every relevant component is
+  // chase-routed (Proposition 6.3 on those components; Mod(S) factors over
+  // components, so denial constraints elsewhere do not matter).  Decide
+  // that per request up front and warm the needed fixpoints: write-once
+  // publication makes the warm-up safe against concurrent callers, and the
+  // parallel tasks below then only read.
   std::vector<std::vector<int>> relevant(requests.size());
   std::vector<char> sp_route(requests.size(), 0);
   for (size_t i = 0; i < requests.size(); ++i) {
-    relevant[i] = engine->decomposition().ComponentsOfInstances(instances[i]);
     const query::Query& q = requests[i].query;
+    relevant[i] = RelevantComponents(*engine, q, instances[i]);
     if (!query::IsSpQuery(q) || q.body->Relations().size() != 1) continue;
     if (!std::all_of(relevant[i].begin(), relevant[i].end(),
                      [&](int c) { return engine->chase_routed(c); })) {
@@ -312,25 +330,13 @@ Status AppendChaseFragments(DecomposedEncoder* engine, int c, int64_t budget,
   const ComponentChase::Node& node = chase->nodes.front();
   const Relation& rel = spec.instance(node.inst).relation();
   AttrIndex arity = spec.instance(node.inst).schema().arity();
-  std::vector<int> all(node.members.size());
-  for (size_t k = 0; k < all.size(); ++k) all[k] = static_cast<int>(k);
-  // attr_values[a-1]: the distinct possible current values of attribute
-  // a, in Value order.
-  std::vector<std::vector<Value>> attr_values;
-  for (AttrIndex a = 1; a < arity; ++a) {
-    std::set<Value> distinct;
-    for (int s : node.orders[a].SinksWithin(all)) {
-      distinct.insert(rel.tuple(node.members[s]).at(a));
-    }
-    attr_values.emplace_back(distinct.begin(), distinct.end());
-  }
-  std::vector<size_t> pick(attr_values.size(), 0);
+  std::vector<std::vector<Value>> possible =
+      PossibleCurrentValues(rel, node.members, node.orders, /*local=*/true);
+  std::vector<size_t> pick(arity, 0);
   while (static_cast<int64_t>(out->size()) < budget) {
     std::vector<Value> values(arity);
     values[0] = node.eid;
-    for (AttrIndex a = 1; a < arity; ++a) {
-      values[a] = attr_values[a - 1][pick[a - 1]];
-    }
+    for (AttrIndex a = 1; a < arity; ++a) values[a] = possible[a][pick[a]];
     std::vector<Relation> fragment;
     fragment.reserve(spec.num_instances());
     for (int i = 0; i < spec.num_instances(); ++i) {
@@ -340,12 +346,12 @@ Status AppendChaseFragments(DecomposedEncoder* engine, int c, int64_t budget,
         fragment[node.inst].Append(Tuple(std::move(values))).status());
     out->push_back(std::move(fragment));
     // Advance the odometer.
-    size_t a = 0;
-    for (; a < pick.size(); ++a) {
-      if (++pick[a] < attr_values[a].size()) break;
+    AttrIndex a = 1;
+    for (; a < arity; ++a) {
+      if (++pick[a] < possible[a].size()) break;
       pick[a] = 0;
     }
-    if (a == pick.size()) break;
+    if (a == arity) break;
   }
   return Status::OK();
 }

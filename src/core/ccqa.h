@@ -12,7 +12,7 @@
 // The general algorithm searches for a consistent completion whose
 // current instance does not answer a candidate, blocking each failed
 // attempt (the guess-and-check upper bound), on an encoder covering just
-// the components the query touches.  Current-instance enumeration walks
+// the components the query can read.  Current-instance enumeration walks
 // the cartesian product of per-component current fragments.
 
 #ifndef CURRENCY_SRC_CORE_CCQA_H_
@@ -128,19 +128,22 @@ Result<std::vector<std::vector<int>>> RequestInstances(
 /// The CCQA probe phase shared by the one-shot solvers and serve's
 /// CcqaBatch: answers `requests` (`instances[i]` from RequestInstances) on
 /// an engine whose EnsureAllSolved returned true, in parallel across
-/// requests on `pool`.  A request whose query is SP over one relation
-/// whose components are all chase-routed answers from the component
-/// fixpoints (Proposition 6.3); every other request runs on the engine's
-/// cached encoder for its component set (WithCcqaEncoder).  `options`
-/// supplies the iteration budget.
+/// requests on `pool`.  Each request reads only the components owning the
+/// (instance, EID) groups query::EidPins pins, plus every component of an
+/// unpinned relation: exact, as Q(D) reads only rows its atoms match and
+/// Mod(S) factors over components and is non-empty.  A request whose query
+/// is SP over one relation, with all those components chase-routed,
+/// answers from their fixpoints (Proposition 6.3); every other request
+/// runs on the engine's cached encoder for its component set
+/// (WithCcqaEncoder).  `options` supplies the iteration budget.
 Result<std::vector<CcqaResponse>> CertainAnswerProbes(
     DecomposedEncoder* engine, const std::vector<CcqaRequest>& requests,
     const std::vector<std::vector<int>>& instances, const CcqaOptions& options,
     exec::ThreadPool* pool);
 
 /// The conflict-driven certain-membership loop on an encoder covering
-/// every entity of the query's instances (a component encoder of the
-/// query's only component, or a merged encoder from
+/// every entity the query can read (CertainAnswerProbes' component set:
+/// one component's own encoder, or a merged encoder from
 /// DecomposedEncoder::BuildMergedEncoder).  The blocking clauses go in
 /// under a solver scope (sat::Solver::NewScope) that is closed on every
 /// return path, so the encoder's formula is left as it was found: any
@@ -169,12 +172,13 @@ Result<std::set<Tuple>> CertainAnswersVia(
     const Specification& spec, const query::Query& q,
     const std::vector<int>& instances, const CcqaOptions& options);
 
-/// The chase-routed SP path behind CertainAnswerProbes: assembles the
-/// query instance's PO∞ from the chase fixpoints of `relevant`, looked up
-/// through `chase_for`, and answers `q` via Proposition 6.3.
+/// The chase-routed SP path behind CertainAnswerProbes: answers `q` via
+/// Proposition 6.3 from the nodes of `relevant`'s chase fixpoints, looked
+/// up through `chase_for` (SpAnswersFromChaseNodes).
 /// Preconditions the caller must have established: Mod(S) ≠ ∅, `q` is SP
-/// over exactly one relation, and `relevant` is exactly that relation's
-/// components, all chase-eligible.
+/// over exactly one relation, and `relevant` holds every component owning
+/// an entity `q` can match (the scoped set, or all of the relation's
+/// components), all chase-eligible.
 Result<std::set<Tuple>> SpAnswersViaComponentChases(
     const std::function<Result<const ComponentChase*>(int)>& chase_for,
     const Specification& spec, const query::Query& q,

@@ -365,23 +365,4 @@ Result<ComponentChase> ChaseComponentOrders(
   return out;
 }
 
-Status MergeComponentOrdersInto(const ComponentChase& chase, int inst,
-                                std::vector<PartialOrder>* orders) {
-  for (const ComponentChase::Node& n : chase.nodes) {
-    if (n.inst != inst) continue;
-    for (size_t a = 1; a < n.orders.size(); ++a) {
-      if (a >= orders->size()) {
-        return Status::Internal("component orders exceed the instance arity");
-      }
-      for (const auto& [u, v] : n.orders[a].Pairs()) {
-        if (!(*orders)[a].TryAdd(n.members[u], n.members[v])) {
-          return Status::Internal(
-              "component orders contradict the accumulated orders");
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace currency::core

@@ -90,13 +90,6 @@ Result<ComponentChase> ChaseComponentOrders(
     const std::vector<std::pair<int, Value>>& nodes,
     const CopyBucketIndex* copy_index = nullptr);
 
-/// Merges a component chase's certain orders for instance `inst` into
-/// `orders` (per-attribute partial orders over global TupleIds, sized for
-/// the instance's relation).  Used to assemble instance-level PO∞ from
-/// per-component fixpoints for the SP CCQA pipeline.
-Status MergeComponentOrdersInto(const ComponentChase& chase, int inst,
-                                std::vector<PartialOrder>* orders);
-
 /// Runs the chase.  Fails (error Status) only on malformed specifications
 /// (unresolvable copy signatures); an inconsistent-but-well-formed
 /// specification yields consistent == false.

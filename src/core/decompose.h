@@ -24,7 +24,7 @@
 //     component encoder.
 //   * CCQA: the distinct current instances of S are the cartesian product
 //     of per-component current fragments; certain-membership checks run
-//     on an encoder covering just the components a query touches (the
+//     on an encoder covering just the components a query can read (the
 //     component's own when it is one, else a merged one).
 // A specification without denial constraints makes every component
 // chase-eligible, so with chase routing on these already apply Theorem
@@ -332,10 +332,10 @@ class DecomposedEncoder {
   Status WithComponentEncoder(int c, const EncoderFn& fn);
 
   /// CCQA's encoder access: runs `fn` with exclusive access to an encoder
-  /// covering exactly `components` (sorted, as ComponentsOfInstances
-  /// returns them).  One component uses its own slot, sharing the solver
-  /// the base solve and COP/DCIP probes warmed; any other set uses this
-  /// engine's merged slot for it, built on first use and counted in
+  /// covering exactly `components` (sorted and deduplicated).  One
+  /// component uses its own slot, sharing the solver the base solve and
+  /// COP/DCIP probes warmed; any other set uses this engine's merged slot
+  /// for it, built on first use and counted in
   /// EngineCounters::merged_builds.  Same scope rule as above.
   Status WithCcqaEncoder(const std::vector<int>& components,
                          const EncoderFn& fn);

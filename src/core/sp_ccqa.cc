@@ -1,5 +1,7 @@
 #include "src/core/sp_ccqa.h"
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "src/core/chase.h"
@@ -15,6 +17,55 @@ namespace {
 /// of the active domain.
 constexpr char kFreshPrefix[] = "\x01poss#";
 
+/// Appends entity `eid`'s poss(S) tuple, its group given as
+/// PossibleCurrentValues takes it: the unique possible value per
+/// attribute, or a fresh constant c_{e,A} numbered by `*fresh`.
+Status AppendPossTuple(const Value& eid, const Relation& rel,
+                       const std::vector<TupleId>& members,
+                       const std::vector<PartialOrder>& orders, bool local,
+                       int64_t* fresh, Relation* poss) {
+  std::vector<std::vector<Value>> possible =
+      PossibleCurrentValues(rel, members, orders, local);
+  std::vector<Value> values(possible.size());
+  values[0] = eid;
+  for (size_t a = 1; a < possible.size(); ++a) {
+    values[a] = possible[a].size() == 1
+                    ? possible[a][0]
+                    : Value(std::string(kFreshPrefix) +
+                            std::to_string((*fresh)++));
+  }
+  return poss->Append(Tuple(std::move(values))).status();
+}
+
+/// The instance an SP query reads; Unsupported unless `q` is SP over
+/// exactly one relation.
+Result<int> SpQueryInstance(const Specification& spec, const query::Query& q) {
+  if (!query::IsSpQuery(q)) {
+    return Status::Unsupported("Proposition 6.3 applies only to SP queries");
+  }
+  std::vector<std::string> rels = q.body->Relations();
+  if (rels.size() != 1) {
+    return Status::Unsupported("SP query must reference exactly one relation");
+  }
+  return spec.InstanceIndex(rels[0]);
+}
+
+/// Steps 3–4 of the proof: evaluates `q` on `poss` and discards result
+/// tuples carrying fresh constants.
+Result<std::set<Tuple>> SpAnswersOnPoss(const query::Query& q,
+                                        const Relation& poss) {
+  query::Database db{{poss.schema().relation_name(), &poss}};
+  ASSIGN_OR_RETURN(std::set<Tuple> raw, query::EvalQuery(q, db));
+  std::set<Tuple> out;
+  for (const Tuple& t : raw) {
+    if (std::none_of(t.values().begin(), t.values().end(),
+                     IsFreshPossConstant)) {
+      out.insert(t);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 bool IsFreshPossConstant(const Value& v) {
@@ -23,62 +74,49 @@ bool IsFreshPossConstant(const Value& v) {
   return s.rfind(kFreshPrefix, 0) == 0;
 }
 
+std::vector<std::vector<Value>> PossibleCurrentValues(
+    const Relation& rel, const std::vector<TupleId>& members,
+    const std::vector<PartialOrder>& orders, bool local) {
+  std::vector<int> within = members;
+  if (local) std::iota(within.begin(), within.end(), 0);
+  std::vector<std::vector<Value>> out(orders.size());
+  for (size_t a = 1; a < orders.size(); ++a) {
+    std::set<Value> distinct;
+    for (int s : orders[a].SinksWithin(within)) {
+      distinct.insert(rel.tuple(local ? members[s] : s).at(a));
+    }
+    out[a].assign(distinct.begin(), distinct.end());
+  }
+  return out;
+}
+
 Result<Relation> BuildPossRelation(
     const Specification& spec,
     const std::vector<std::vector<PartialOrder>>& certain_orders, int inst) {
-  const TemporalInstance& instance = spec.instance(inst);
-  const Relation& rel = instance.relation();
-  Relation poss(instance.schema());
-  int64_t fresh_counter = 0;
+  const Relation& rel = spec.instance(inst).relation();
+  Relation poss(rel.schema());
+  int64_t fresh = 0;
   for (const auto& [eid, members] : rel.EntityGroups()) {
-    std::vector<Value> values(instance.schema().arity());
-    values[0] = eid;
-    for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
-      const PartialOrder& po = certain_orders[inst][a];
-      std::vector<int> sinks = po.SinksWithin(members);
-      std::set<Value> possible;
-      for (int s : sinks) possible.insert(rel.tuple(s).at(a));
-      if (possible.size() == 1) {
-        values[a] = *possible.begin();
-      } else {
-        values[a] =
-            Value(std::string(kFreshPrefix) + std::to_string(fresh_counter++));
-      }
-    }
-    RETURN_IF_ERROR(poss.Append(Tuple(std::move(values))).status());
+    RETURN_IF_ERROR(AppendPossTuple(eid, rel, members, certain_orders[inst],
+                                    false, &fresh, &poss));
   }
   return poss;
 }
 
-Result<std::set<Tuple>> SpAnswersFromCertainOrders(
+Result<std::set<Tuple>> SpAnswersFromChaseNodes(
     const Specification& spec,
-    const std::vector<std::vector<PartialOrder>>& certain_orders,
+    const std::vector<const ComponentChase::Node*>& nodes,
     const query::Query& q) {
-  if (!query::IsSpQuery(q)) {
-    return Status::Unsupported("Proposition 6.3 applies only to SP queries");
+  ASSIGN_OR_RETURN(int inst, SpQueryInstance(spec, q));
+  const Relation& rel = spec.instance(inst).relation();
+  Relation poss(rel.schema());
+  int64_t fresh = 0;
+  for (const ComponentChase::Node* node : nodes) {
+    if (node->inst != inst) continue;
+    RETURN_IF_ERROR(AppendPossTuple(node->eid, rel, node->members,
+                                    node->orders, true, &fresh, &poss));
   }
-  std::vector<std::string> rels = q.body->Relations();
-  if (rels.size() != 1) {
-    return Status::Unsupported("SP query must reference exactly one relation");
-  }
-  ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(rels[0]));
-  ASSIGN_OR_RETURN(Relation poss,
-                   BuildPossRelation(spec, certain_orders, inst));
-  query::Database db{{rels[0], &poss}};
-  ASSIGN_OR_RETURN(std::set<Tuple> raw, query::EvalQuery(q, db));
-  // Discard tuples carrying fresh constants (Step 4 of the proof).
-  std::set<Tuple> out;
-  for (const Tuple& t : raw) {
-    bool fresh = false;
-    for (const Value& v : t.values()) {
-      if (IsFreshPossConstant(v)) {
-        fresh = true;
-        break;
-      }
-    }
-    if (!fresh) out.insert(t);
-  }
-  return out;
+  return SpAnswersOnPoss(q, poss);
 }
 
 Result<std::set<Tuple>> SpCertainCurrentAnswers(const Specification& spec,
@@ -89,18 +127,15 @@ Result<std::set<Tuple>> SpCertainCurrentAnswers(const Specification& spec,
   }
   // Validate before chasing so malformed queries fail the same way on
   // inconsistent specifications.
-  if (!query::IsSpQuery(q)) {
-    return Status::Unsupported("Proposition 6.3 applies only to SP queries");
-  }
-  if (q.body->Relations().size() != 1) {
-    return Status::Unsupported("SP query must reference exactly one relation");
-  }
+  ASSIGN_OR_RETURN(int inst, SpQueryInstance(spec, q));
   ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
   if (!chase.consistent) {
     return Status::Inconsistent(
         "Mod(S) is empty: every tuple is vacuously a certain answer");
   }
-  return SpAnswersFromCertainOrders(spec, chase.certain_orders, q);
+  ASSIGN_OR_RETURN(Relation poss,
+                   BuildPossRelation(spec, chase.certain_orders, inst));
+  return SpAnswersOnPoss(q, poss);
 }
 
 }  // namespace currency::core

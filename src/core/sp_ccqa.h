@@ -12,8 +12,10 @@
 #define CURRENCY_SRC_CORE_SP_CCQA_H_
 
 #include <set>
+#include <vector>
 
 #include "src/common/result.h"
+#include "src/core/chase.h"
 #include "src/core/specification.h"
 #include "src/query/ast.h"
 
@@ -25,19 +27,6 @@ namespace currency::core {
 Result<std::set<Tuple>> SpCertainCurrentAnswers(const Specification& spec,
                                                 const query::Query& q);
 
-/// The Proposition 6.3 pipeline downstream of the chase: builds poss(S)
-/// for the (single) relation `q` references from the given PO∞ and
-/// evaluates `q` on it, discarding fresh-constant tuples.  The caller
-/// supplies `certain_orders` — the whole-spec chase's, or instance orders
-/// assembled from per-component chase fixpoints (chase routing) — and
-/// must already have established Mod(S) ≠ ∅ and that no denial constraint
-/// grounds on the instance's entity groups.  Fails with Unsupported when
-/// `q` is not SP over exactly one relation.
-Result<std::set<Tuple>> SpAnswersFromCertainOrders(
-    const Specification& spec,
-    const std::vector<std::vector<PartialOrder>>& certain_orders,
-    const query::Query& q);
-
 /// Builds poss(S) for instance `inst` from the chase-certain orders (the
 /// c_{e,A} fresh constants are strings with an internal marker prefix).
 /// Exposed for tests and the Proposition 6.3 benchmarks.
@@ -45,7 +34,25 @@ Result<Relation> BuildPossRelation(
     const Specification& spec,
     const std::vector<std::vector<PartialOrder>>& certain_orders, int inst);
 
-/// True iff `v` is one of the fresh constants minted by BuildPossRelation.
+/// The pipeline above on per-component chase fixpoints (chase routing):
+/// poss(S) from the groups among `nodes` of `q`'s relation, each carrying
+/// its own PO∞.  The caller has established Mod(S) ≠ ∅, that no denial
+/// constraint grounds on those groups, and that they hold every entity `q`
+/// can match.  Unsupported unless `q` is SP over exactly one relation.
+Result<std::set<Tuple>> SpAnswersFromChaseNodes(
+    const Specification& spec,
+    const std::vector<const ComponentChase::Node*>& nodes,
+    const query::Query& q);
+
+/// S(e, A) for every data attribute A of one entity group: the distinct
+/// values of `rel` on the group's sinks under `orders[A]`, in Value order
+/// (entry 0 stays empty).  `orders` index the group by TupleId, or by
+/// position in `members` when `local` (a ComponentChase::Node's orders).
+std::vector<std::vector<Value>> PossibleCurrentValues(
+    const Relation& rel, const std::vector<TupleId>& members,
+    const std::vector<PartialOrder>& orders, bool local);
+
+/// True iff `v` is one of the fresh constants c_{e,A} minted for poss(S).
 bool IsFreshPossConstant(const Value& v);
 
 }  // namespace currency::core

@@ -217,25 +217,8 @@ class CqJoiner {
     support_out_ = out;
   }
 
-  /// Runs the join; returns false if the query is unsafe for this engine
-  /// (some head/compare variable never bound by an atom).
-  Result<bool> Run(std::set<Tuple>* out) {
-    // Safety pre-check: every head variable and compare variable must
-    // appear in some atom.
-    std::set<std::string> atom_vars;
-    for (const Formula* a : atoms_) {
-      for (const Term& t : a->args()) {
-        if (t.is_var()) atom_vars.insert(t.var);
-      }
-    }
-    for (const std::string& h : head_) {
-      if (!atom_vars.count(h)) return false;
-    }
-    for (const Formula* c : compares_) {
-      for (const Term* t : {&c->lhs(), &c->rhs()}) {
-        if (t->is_var() && !atom_vars.count(t->var)) return false;
-      }
-    }
+  /// Runs the join over a disjunct FlattenJoinable accepted.
+  Status Run(std::set<Tuple>* out) {
     // Validate relations and arities up front.
     for (const Formula* a : atoms_) {
       auto it = db_.find(a->relation());
@@ -249,8 +232,7 @@ class CqJoiner {
                                        it->second->schema().ToString());
       }
     }
-    RETURN_IF_ERROR(Recurse(0, out));
-    return true;
+    return Recurse(0, out);
   }
 
  private:
@@ -326,6 +308,63 @@ void CollectDisjuncts(const Formula& f, std::vector<const Formula*>* out) {
   out->push_back(&f);
 }
 
+/// One flattened CQ disjunct.
+struct FlatCq {
+  std::vector<const Formula*> atoms;
+  std::vector<const Formula*> compares;
+};
+
+/// Flattens `q`'s body into the disjuncts the backtracking join answers.
+/// False when `q` is outside that fragment — some disjunct is not
+/// CQ-shaped or not range-restricted — and needs the active-domain
+/// evaluator.  Renamed atoms and compares live in `keep_alive`.
+bool FlattenJoinable(const Query& q, std::vector<FormulaPtr>* keep_alive,
+                     std::vector<FlatCq>* out) {
+  std::vector<const Formula*> disjuncts;
+  CollectDisjuncts(*q.body, &disjuncts);
+  for (const Formula* d : disjuncts) {
+    FlatCq cq;
+    int counter = 0;
+    if (!FlattenCq(*d, {}, &counter, keep_alive, &cq.atoms, &cq.compares)) {
+      return false;
+    }
+    // Range restriction: every head and compare variable occurs in an
+    // atom, so the join binds it before reading it.
+    std::set<std::string> atom_vars;
+    for (const Formula* a : cq.atoms) {
+      for (const Term& t : a->args()) {
+        if (t.is_var()) atom_vars.insert(t.var);
+      }
+    }
+    for (const std::string& h : q.head) {
+      if (!atom_vars.count(h)) return false;
+    }
+    for (const Formula* c : cq.compares) {
+      for (const Term* t : {&c->lhs(), &c->rhs()}) {
+        if (t->is_var() && !atom_vars.count(t->var)) return false;
+      }
+    }
+    out->push_back(std::move(cq));
+  }
+  return true;
+}
+
+/// Answers `q` with backtracking joins into `out`, recording one witness
+/// derivation per answer into `support` when it is non-null; false when
+/// `q` is outside the join fragment (FlattenJoinable).
+Result<bool> JoinUcq(const Query& q, const Database& db, std::set<Tuple>* out,
+                     std::map<Tuple, std::vector<SupportRow>>* support) {
+  std::vector<FormulaPtr> keep_alive;
+  std::vector<FlatCq> cqs;
+  if (!FlattenJoinable(q, &keep_alive, &cqs)) return false;
+  for (const FlatCq& cq : cqs) {
+    CqJoiner joiner(db, cq.atoms, cq.compares, q.head);
+    joiner.set_support_out(support);
+    RETURN_IF_ERROR(joiner.Run(out));
+  }
+  return true;
+}
+
 std::vector<Value> ActiveDomain(const Database& db, const Formula& body) {
   std::set<Value> adom;
   for (const auto& [name, rel] : db) {
@@ -368,55 +407,55 @@ Result<std::set<Tuple>> EvalNaive(const Query& q, const Database& db,
 
 Result<std::set<Tuple>> EvalQuery(const Query& q, const Database& db) {
   if (!q.body) return Status::InvalidArgument("query has no body");
-  // Fast path: UCQ-shaped bodies via backtracking joins.
-  std::vector<const Formula*> disjuncts;
-  CollectDisjuncts(*q.body, &disjuncts);
-  bool all_cq = true;
+  // Fast path: backtracking joins; else active-domain FO semantics.
   std::set<Tuple> out;
-  std::vector<FormulaPtr> keep_alive;
-  for (const Formula* d : disjuncts) {
-    std::vector<const Formula*> atoms, compares;
-    int counter = 0;
-    if (!FlattenCq(*d, {}, &counter, &keep_alive, &atoms, &compares)) {
-      all_cq = false;
-      break;
-    }
-    CqJoiner joiner(db, atoms, compares, q.head);
-    ASSIGN_OR_RETURN(bool safe, joiner.Run(&out));
-    if (!safe) {
-      all_cq = false;
-      break;
-    }
-  }
-  if (all_cq) return out;
-  // General path: active-domain FO semantics.
+  ASSIGN_OR_RETURN(bool joined, JoinUcq(q, db, &out, nullptr));
+  if (joined) return out;
   return EvalNaive(q, db, ActiveDomain(db, *q.body));
 }
 
 Result<std::map<Tuple, std::vector<SupportRow>>> EvalQueryWithSupport(
     const Query& q, const Database& db) {
   if (!q.body) return Status::InvalidArgument("query has no body");
-  std::vector<const Formula*> disjuncts;
-  CollectDisjuncts(*q.body, &disjuncts);
   std::map<Tuple, std::vector<SupportRow>> support;
   std::set<Tuple> out;
-  std::vector<FormulaPtr> keep_alive;
-  for (const Formula* d : disjuncts) {
-    std::vector<const Formula*> atoms, compares;
-    int counter = 0;
-    if (!FlattenCq(*d, {}, &counter, &keep_alive, &atoms, &compares)) {
-      return Status::Unsupported(
-          "support extraction requires a UCQ-shaped body");
-    }
-    CqJoiner joiner(db, atoms, compares, q.head);
-    joiner.set_support_out(&support);
-    ASSIGN_OR_RETURN(bool safe, joiner.Run(&out));
-    if (!safe) {
-      return Status::Unsupported(
-          "support extraction requires a range-restricted body");
-    }
+  ASSIGN_OR_RETURN(bool joined, JoinUcq(q, db, &out, &support));
+  if (!joined) {
+    return Status::Unsupported(
+        "support extraction requires a range-restricted UCQ body");
   }
   return support;
+}
+
+std::map<std::string, std::set<Value>> EidPins(const Query& q) {
+  std::vector<FormulaPtr> keep_alive;
+  std::vector<FlatCq> cqs;
+  if (!q.body || !FlattenJoinable(q, &keep_alive, &cqs)) return {};
+  std::map<std::string, std::set<Value>> pins;
+  std::set<std::string> unpinned;
+  for (const FlatCq& cq : cqs) {
+    // Variables an `=` conjunct sets equal to a constant.
+    std::map<std::string, Value> fixed;
+    for (const Formula* c : cq.compares) {
+      if (c->cmp_op() != CmpOp::kEq) continue;
+      const Term& l = c->lhs();
+      const Term& r = c->rhs();
+      if (l.is_var() && !r.is_var()) fixed.emplace(l.var, r.constant);
+      if (r.is_var() && !l.is_var()) fixed.emplace(r.var, l.constant);
+    }
+    for (const Formula* atom : cq.atoms) {
+      const Term* eid = atom->args().empty() ? nullptr : &atom->args()[0];
+      if (eid != nullptr && !eid->is_var()) {
+        pins[atom->relation()].insert(eid->constant);
+      } else if (eid != nullptr && fixed.count(eid->var)) {
+        pins[atom->relation()].insert(fixed.at(eid->var));
+      } else {
+        unpinned.insert(atom->relation());
+      }
+    }
+  }
+  for (const std::string& relation : unpinned) pins.erase(relation);
+  return pins;
 }
 
 Result<bool> EvalClosedFormula(const FormulaPtr& formula, const Database& db) {

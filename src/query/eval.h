@@ -34,6 +34,15 @@ using Database = std::map<std::string, const Relation*>;
 /// fallback is fine: active domain is then just the query constants).
 Result<std::set<Tuple>> EvalQuery(const Query& q, const Database& db);
 
+/// The entity ids `q` can read, per relation, for a query EvalQuery answers
+/// with its backtracking join (every disjunct CQ-shaped and
+/// range-restricted), whose answers read only rows its atoms match.  An
+/// atom pins its EID (first argument) when that is a constant, or a
+/// variable an `=` conjunct of the same disjunct equates with a constant.
+/// Relations with an unpinned atom, and all of a query outside the
+/// fragment, are left out.
+std::map<std::string, std::set<Value>> EidPins(const Query& q);
+
 /// Evaluates a closed formula (no free variables) over `db`.
 Result<bool> EvalClosedFormula(const FormulaPtr& formula, const Database& db);
 
@@ -56,7 +65,8 @@ struct SupportRow {
 /// database agreeing with `db` on those rows produces the same answer
 /// tuple — the property the certain-answer solver's conflict-driven
 /// blocking relies on (src/core/ccqa.cc).  Fails with Unsupported for
-/// bodies outside the UCQ fragment (callers fall back to EvalQuery).
+/// bodies outside the range-restricted UCQ fragment (callers fall back to
+/// EvalQuery).
 Result<std::map<Tuple, std::vector<SupportRow>>> EvalQueryWithSupport(
     const Query& q, const Database& db);
 

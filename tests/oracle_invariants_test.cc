@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
 #include "src/query/parser.h"
+#include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
 #include "tests/support/linear_extensions.h"
@@ -219,6 +222,125 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Random, DecomposedVsMonolithic,
                          ::testing::Range(0, 25));
+
+// CCQA scoping: a request reads only the components owning the entity
+// ids its query pins (query::EidPins), plus every component of an
+// unpinned relation.  Every shape below, scoped or not, must answer as
+// the monolithic reference (one encoding of the whole specification,
+// never scoped) and, where it finishes, the brute-force oracle: the
+// answer set and every membership candidate, one-shot and through a
+// CurrencySession at 1, 2 and 8 threads.  Chase routing stays on, so SP
+// shapes take the fixpoint path on chase-eligible components.
+struct ScopingShape {
+  const char* name;
+  const char* text;
+};
+
+const ScopingShape kScopingShapes[] = {
+    // Scoped to the pinned entities' components.
+    {"ConstantEid", "Q(x) := EXISTS y: R('e0', x, y)"},
+    {"EqualityPin", "Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e1'"},
+    {"ReversedEqualityPin", "Q(x) := EXISTS e, y: R(e, x, y) AND 'e1' = e"},
+    {"AbsentEid", "Q(x) := EXISTS y: R('zz', x, y)"},
+    {"UcqPinsTwoEntities",
+     "Q(x) := (EXISTS y: R('e0', x, y)) OR "
+     "(EXISTS e, y: R(e, y, x) AND e = 'e1')"},
+    {"PinnedJoinsUnpinned", "Q(x) := EXISTS y, f: R('e0', x, y) AND R2(f, x)"},
+    // Unscoped: each can read rows of entities other than e0.
+    {"PinnedAndUnpinnedAtom",
+     "Q(x) := EXISTS y, e, z: R('e0', x, y) AND R(e, z, x)"},
+    {"PinnedAndUnpinnedDisjunct",
+     "Q(x) := (EXISTS y: R('e0', x, y)) OR (EXISTS e, y: R(e, x, y))"},
+    {"Negation",
+     "Q(x) := EXISTS y: R('e0', x, y) AND "
+     "NOT (EXISTS e, z: R(e, x, z) AND e != 'e0')"},
+    {"Forall",
+     "Q(x) := EXISTS y: R('e0', x, y) AND "
+     "(FORALL e, b: NOT R(e, x, b) OR e = 'e0')"},
+    {"OrderedCompare", "Q(x) := EXISTS e, y: R(e, x, y) AND e > 'e0'"},
+    {"HeadBoundByCompare", "Q(x) := EXISTS y, z: R('e0', y, z) AND x = y"},
+    // The active-domain evaluator ranges x over every current value.
+    {"HeadBoundByOrderedCompare",
+     "Q(x) := EXISTS y, z: R('e0', y, z) AND x > y"},
+};
+
+void PrintTo(const ScopingShape& shape, std::ostream* os) {
+  *os << shape.name;
+}
+
+class CcqaScoping : public ::testing::TestWithParam<ScopingShape> {};
+
+TEST_P(CcqaScoping, MatchesMonolithicAndBruteForce) {
+  const query::Query q = query::ParseQuery(GetParam().text).value();
+  std::vector<CcqaRequest> requests{{q, std::nullopt}};
+  for (int v = 0; v < 4; ++v) requests.push_back({q, Tuple({Value(v)})});
+  for (int seed = 0; seed < 12; ++seed) {
+    for (double free_fraction : {0.0, 0.5}) {
+      Specification spec =
+          MakeRandomSpec(seed * 577 + 3, /*with_copy=*/true,
+                         /*with_constraints=*/true, free_fraction);
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " free_fraction=" + std::to_string(free_fraction));
+      auto mono = currency::testing::MonolithicCertainAnswers(spec, q);
+      const bool vacuous =
+          !mono.ok() && mono.status().code() == StatusCode::kInconsistent;
+      ASSERT_TRUE(mono.ok() || vacuous) << mono.status();
+      BruteForceOptions brute_options;
+      brute_options.max_candidates = 20'000;
+      auto brute = BruteForceCertainAnswers(spec, q, brute_options);
+      if (brute.status().code() != StatusCode::kResourceExhausted) {
+        EXPECT_EQ(brute.status().code(), mono.status().code());
+        if (mono.ok() && brute.ok()) {
+          EXPECT_EQ(*brute, *mono);
+        }
+      }
+      auto certain = [&](const Tuple& t) {
+        return vacuous || mono->count(t) > 0;
+      };
+
+      // One-shot.
+      auto answers = CertainCurrentAnswers(spec, q);
+      EXPECT_EQ(answers.status().code(), mono.status().code());
+      if (mono.ok() && answers.ok()) {
+        EXPECT_EQ(*answers, *mono);
+      }
+      for (size_t i = 1; i < requests.size(); ++i) {
+        EXPECT_EQ(IsCertainCurrentAnswer(spec, q, *requests[i].candidate)
+                      .value(),
+                  certain(*requests[i].candidate))
+            << requests[i].candidate->ToString();
+      }
+
+      // Served.
+      for (int threads : {1, 2, 8}) {
+        serve::SessionOptions options;
+        options.num_threads = threads;
+        auto session = serve::CurrencySession::Create(spec, options);
+        ASSERT_TRUE(session.ok()) << session.status();
+        auto got = (*session)->CcqaBatch(requests);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(got->size(), requests.size());
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EXPECT_EQ((*got)[0].vacuous, vacuous);
+        if (!vacuous) {
+          ASSERT_TRUE((*got)[0].answers.has_value());
+          EXPECT_EQ(*(*got)[0].answers, *mono);
+        }
+        for (size_t i = 1; i < requests.size(); ++i) {
+          ASSERT_TRUE((*got)[i].is_certain.has_value());
+          EXPECT_EQ(*(*got)[i].is_certain, certain(*requests[i].candidate))
+              << "candidate " << requests[i].candidate->ToString();
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, CcqaScoping, ::testing::ValuesIn(kScopingShapes),
+    [](const ::testing::TestParamInfo<ScopingShape>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(DecompositionTest, CopyCouplingMergesComponents) {
   // S0's ρ maps three Dept tuples (entity RnD) from Mary's Emp tuples and

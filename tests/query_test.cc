@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "src/query/classify.h"
 #include "src/query/eval.h"
 #include "src/query/parser.h"
@@ -273,6 +277,83 @@ TEST(EvalTest, FreeVariablesAndConstantsApi) {
   ASSERT_EQ(consts.size(), 1u);
   EXPECT_EQ(consts[0], Value(5));
   EXPECT_EQ(f->Relations(), std::vector<std::string>{"R"});
+}
+
+// EidPins: the entity ids each relation's atoms pin, for queries the
+// backtracking join answers.  The scoped CCQA path (src/core/ccqa.cc)
+// reads only the components owning these ids; the oracle suite in
+// oracle_invariants_test.cc runs the same shapes end to end.
+using Pins = std::map<std::string, std::set<Value>>;
+
+Pins PinsOf(const std::string& text) {
+  auto q = ParseQuery(text);
+  EXPECT_TRUE(q.ok()) << text << ": " << q.status();
+  return q.ok() ? EidPins(*q) : Pins{};
+}
+
+TEST(EidPinsTest, ConstantEid) {
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y: R('e0', x, y)"),
+            (Pins{{"R", {Value("e0")}}}));
+}
+
+TEST(EidPinsTest, EqualityConjunctPinsEitherWayRound) {
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e1'"),
+            (Pins{{"R", {Value("e1")}}}));
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS e, y: R(e, x, y) AND 'e1' = e"),
+            (Pins{{"R", {Value("e1")}}}));
+}
+
+TEST(EidPinsTest, AbsentEidIsStillAPin) {
+  // The analysis does not know the specification: an id no entity has
+  // is a pin to no rows.
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y: R('zz', x, y)"),
+            (Pins{{"R", {Value("zz")}}}));
+}
+
+TEST(EidPinsTest, UcqCollectsEachDisjunctsPins) {
+  EXPECT_EQ(PinsOf("Q(x) := (EXISTS y: R('e0', x, y)) OR "
+                   "(EXISTS e, y: R(e, y, x) AND e = 'e1')"),
+            (Pins{{"R", {Value("e0"), Value("e1")}}}));
+}
+
+TEST(EidPinsTest, PinnedRelationJoinedWithUnpinnedOne) {
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y, f: R('e0', x, y) AND R2(f, x)"),
+            (Pins{{"R", {Value("e0")}}}));
+}
+
+TEST(EidPinsTest, OneUnpinnedAtomUnpinsItsRelation) {
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y, e, z: R('e0', x, y) AND R(e, z, x)"),
+            Pins{});
+  EXPECT_EQ(PinsOf("Q(x) := (EXISTS y: R('e0', x, y)) OR "
+                   "(EXISTS e, y: R(e, x, y))"),
+            Pins{});
+}
+
+TEST(EidPinsTest, QueriesOutsideTheJoinFragmentGetNoPins) {
+  // NOT and FORALL send EvalQuery to the active-domain evaluator.
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y: R('e0', x, y) AND "
+                   "NOT (EXISTS e, z: R(e, x, z) AND e != 'e0')"),
+            Pins{});
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y: R('e0', x, y) AND "
+                   "(FORALL e, b: NOT R(e, x, b) OR e = 'e0')"),
+            Pins{});
+  // A head variable bound only by a compare is not range-restricted.
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS y, z: R('e0', y, z) AND x = y"), Pins{});
+}
+
+TEST(EidPinsTest, OnlyEqualityPins) {
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS e, y: R(e, x, y) AND e > 'e0'"), Pins{});
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS e, y: R(e, x, y) AND e != 'e0'"), Pins{});
+}
+
+TEST(EidPinsTest, ShadowedEidVariableIsNotPinned) {
+  // The inner EXISTS rebinds e: its atom is not the one e = 'e0' pins.
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS e: R(e, x, x) AND e = 'e0' AND "
+                   "(EXISTS e: R2(e, x))"),
+            (Pins{{"R", {Value("e0")}}}));
+  EXPECT_EQ(PinsOf("Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e0' AND "
+                   "(EXISTS e, z: R(e, z, x))"),
+            Pins{});
 }
 
 }  // namespace
