@@ -34,7 +34,10 @@
 #    The JSON carries an explicit 1-CPU-container caveat: with a single
 #    core the concurrent phases measure snapshot/scheduling overhead
 #    (parity with the serialized baseline is the win), so no speedup
-#    floor is enforced.
+#    floor is enforced.  Each phase runs 20000 batches per thread: a
+#    warm batch takes microseconds, so with a handful of batches thread
+#    start-up dominated the wall clock and throughput read below
+#    serialized.
 #
 #  * BENCH_wal.json — durability: Mutate latency with and without the
 #    command log's append+fsync (the fsync overhead ratio), and
@@ -110,7 +113,7 @@ cmake --build "$obsoff_dir" -j "$(nproc)" --target bench_obs_overhead
   --out="$repo_root/BENCH_chase.json"
 
 "$build_dir/bench/bench_concurrent_serve" \
-  --entities=256 --queries=16 --iters=5 --readers=4 \
+  --entities=256 --queries=16 --iters=20000 --readers=4 \
   --out="$repo_root/BENCH_mt.json"
 
 "$build_dir/bench/bench_recovery" \

@@ -29,7 +29,9 @@
 #
 # The ASan+UBSan pass (CURRENCY_ASAN, a third build tree) runs the serve
 # and exec suites plus obs_test, parallel_equivalence_test,
-# oracle_invariants_test, chase_routing_equivalence_test,
+# oracle_invariants_test, cps_cop_dcip_test (the COP/DCIP probe phases:
+# the settle walk on the calling thread and the deferred pool tasks),
+# chase_routing_equivalence_test,
 # sat_metamorphic_test, sat_test (the solver's variable set-up, branching
 # and restart schedule, and an interrupted SolveLimited), wire_test,
 # wal_recovery_test, order_test (the word-by-word bit scan of
@@ -94,7 +96,7 @@ cmake --build "$asan_dir" -j "$(nproc)" \
            concurrent_session_test chase_routing_equivalence_test \
            sat_metamorphic_test sat_test wire_test wal_recovery_test \
            order_test encoder_chase_test core_model_test query_test \
-           ccqa_test
+           ccqa_test cps_cop_dcip_test
 "$asan_dir/tests/exec_test"
 "$asan_dir/tests/obs_test"
 "$asan_dir/tests/parallel_equivalence_test"
@@ -110,4 +112,5 @@ cmake --build "$asan_dir" -j "$(nproc)" \
 "$asan_dir/tests/core_model_test"
 "$asan_dir/tests/query_test"
 "$asan_dir/tests/ccqa_test"
+"$asan_dir/tests/cps_cop_dcip_test"
 (cd "$asan_dir/tests" && ./wire_test && ./wal_recovery_test)

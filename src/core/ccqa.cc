@@ -223,47 +223,41 @@ Result<std::vector<CcqaResponse>> CertainAnswerProbes(
   // SP routing: a request answers from component chase fixpoints when its
   // query is SP over one relation and every relevant component is
   // chase-routed (Proposition 6.3 on those components; Mod(S) factors over
-  // components, so denial constraints elsewhere do not matter).  Decide
-  // that per request up front and warm the needed fixpoints: write-once
-  // publication makes the warm-up safe against concurrent callers, and the
-  // parallel tasks below then only read.
+  // components, so denial constraints elsewhere do not matter).  Such a
+  // request is a read of cached fixpoints (write-once publication makes
+  // computing a missing one safe against concurrent callers), so it is
+  // answered here, on the calling thread; only the rest go to the pool.
+  std::vector<CcqaResponse> out(requests.size());
   std::vector<std::vector<int>> relevant(requests.size());
-  std::vector<char> sp_route(requests.size(), 0);
+  std::vector<int> sat_routed;
   for (size_t i = 0; i < requests.size(); ++i) {
-    const query::Query& q = requests[i].query;
+    const CcqaRequest& request = requests[i];
+    const query::Query& q = request.query;
     relevant[i] = RelevantComponents(*engine, q, instances[i]);
-    if (!query::IsSpQuery(q) || q.body->Relations().size() != 1) continue;
-    if (!std::all_of(relevant[i].begin(), relevant[i].end(),
+    if (!query::IsSpQuery(q) || q.body->Relations().size() != 1 ||
+        !std::all_of(relevant[i].begin(), relevant[i].end(),
                      [&](int c) { return engine->chase_routed(c); })) {
+      sat_routed.push_back(static_cast<int>(i));
       continue;
     }
-    sp_route[i] = 1;
-    for (int c : relevant[i]) {
-      RETURN_IF_ERROR(engine->ChaseFixpoint(c).status());
+    ASSIGN_OR_RETURN(std::set<Tuple> answers,
+                     SpAnswersViaComponentChases(
+                         [&](int c) { return engine->ChaseFixpoint(c); },
+                         spec, q, relevant[i]));
+    if (request.candidate.has_value()) {
+      out[i].is_certain = answers.count(*request.candidate) > 0;
+    } else {
+      out[i].answers = std::move(answers);
     }
   }
-  // Requests run in parallel and fill only their own response slot.
-  // SAT-routed requests run on a cached encoder under its slot mutex
-  // (requests sharing one serialize there); their blocking loops add
-  // clauses under a solver scope that is closed before the mutex is
-  // released.
-  std::vector<CcqaResponse> out(requests.size());
+  // SAT-routed requests run in parallel and fill only their own response
+  // slot, each on a cached encoder under its slot mutex (requests sharing
+  // one serialize there); their blocking loops add clauses under a solver
+  // scope that is closed before the mutex is released.
   RETURN_IF_ERROR(pool->ParallelFor(
-      static_cast<int>(requests.size()), [&](int i) -> Status {
+      static_cast<int>(sat_routed.size()), [&](int j) -> Status {
+        const int i = sat_routed[j];
         const CcqaRequest& request = requests[i];
-        if (sp_route[i]) {
-          ASSIGN_OR_RETURN(
-              std::set<Tuple> answers,
-              SpAnswersViaComponentChases(
-                  [&](int c) { return engine->ChaseFixpoint(c); }, spec,
-                  request.query, relevant[i]));
-          if (request.candidate.has_value()) {
-            out[i].is_certain = answers.count(*request.candidate) > 0;
-          } else {
-            out[i].answers = std::move(answers);
-          }
-          return Status::OK();
-        }
         return engine->WithCcqaEncoder(
             relevant[i], [&](Encoder* encoder) -> Status {
               if (request.candidate.has_value()) {

@@ -127,15 +127,16 @@ Result<std::vector<std::vector<int>>> RequestInstances(
 
 /// The CCQA probe phase shared by the one-shot solvers and serve's
 /// CcqaBatch: answers `requests` (`instances[i]` from RequestInstances) on
-/// an engine whose EnsureAllSolved returned true, in parallel across
-/// requests on `pool`.  Each request reads only the components owning the
-/// (instance, EID) groups query::EidPins pins, plus every component of an
-/// unpinned relation: exact, as Q(D) reads only rows its atoms match and
-/// Mod(S) factors over components and is non-empty.  A request whose query
-/// is SP over one relation, with all those components chase-routed,
-/// answers from their fixpoints (Proposition 6.3); every other request
-/// runs on the engine's cached encoder for its component set
-/// (WithCcqaEncoder).  `options` supplies the iteration budget.
+/// an engine whose EnsureAllSolved returned true.  Each request reads only
+/// the components owning the (instance, EID) groups query::EidPins pins,
+/// plus every component of an unpinned relation: exact, as Q(D) reads only
+/// rows its atoms match and Mod(S) factors over components and is
+/// non-empty.  A request whose query is SP over one relation, with all
+/// those components chase-routed, answers from their fixpoints
+/// (Proposition 6.3) on the calling thread.  Every other request runs on
+/// the engine's cached encoder for its component set (WithCcqaEncoder), in
+/// parallel across those requests on `pool`.  `options` supplies the
+/// iteration budget.
 Result<std::vector<CcqaResponse>> CertainAnswerProbes(
     DecomposedEncoder* engine, const std::vector<CcqaRequest>& requests,
     const std::vector<std::vector<int>>& instances, const CcqaOptions& options,

@@ -80,9 +80,11 @@ Result<std::vector<bool>> CertainOrderProbes(
   }
   std::vector<int> components;
   std::vector<const std::vector<Probe>*> probes;
+  int sat_components = 0;
   for (const auto& [c, list] : by_component) {
     components.push_back(c);
     probes.push_back(&list);
+    if (!engine->chase_routed(c)) ++sat_components;
   }
   // refuted[k]: the items component k refuted, in batch order.  A query
   // refuted by this component's own earlier probes is skipped
@@ -94,43 +96,76 @@ Result<std::vector<bool>> CertainOrderProbes(
   auto settled = [&](int k, int item) {
     return !refuted[k].empty() && refuted[k].back() == item;
   };
-  RETURN_IF_ERROR(pool->ParallelFor(
-      static_cast<int>(components.size()), [&](int k) -> Status {
-        const int c = components[k];
-        if (engine->chase_routed(c)) {
-          // Lemma 6.2 on S|_c: the pair is certain iff it is in the
-          // component's PO∞.  The fixpoint is read-only once published.
-          ASSIGN_OR_RETURN(const ComponentChase* chase,
-                           engine->ChaseFixpoint(c));
-          for (const Probe& probe : *probes[k]) {
-            if (settled(k, probe.item)) continue;
-            const Relation& rel = spec.instance(inst_of[probe.item]).relation();
-            if (!chase->CertainLess(inst_of[probe.item],
-                                    rel.tuple(probe.pair->before).eid(),
-                                    probe.pair->attr, probe.pair->before,
-                                    probe.pair->after)) {
-              refuted[k].push_back(probe.item);
-            }
-          }
-          return Status::OK();
+  // Probes component k's pairs in batch order.  A `walk` calls no solver:
+  // it returns false at the first pair the solver's record cannot settle,
+  // leaving partial results for the caller to drop.
+  auto probe_component = [&](int k, bool walk) -> Result<bool> {
+    const int c = components[k];
+    if (engine->chase_routed(c)) {
+      // Lemma 6.2 on S|_c: the pair is certain iff it is in the
+      // component's PO∞.  The fixpoint is read-only once published.
+      ASSIGN_OR_RETURN(const ComponentChase* chase, engine->ChaseFixpoint(c));
+      for (const Probe& probe : *probes[k]) {
+        if (settled(k, probe.item)) continue;
+        const Relation& rel = spec.instance(inst_of[probe.item]).relation();
+        if (!chase->CertainLess(inst_of[probe.item],
+                                rel.tuple(probe.pair->before).eid(),
+                                probe.pair->attr, probe.pair->before,
+                                probe.pair->after)) {
+          refuted[k].push_back(probe.item);
         }
-        // Exclusive solver access for the whole probe sequence: a
-        // concurrent batch probing the same component waits, keeping both
-        // call sequences contiguous.
-        return engine->WithComponentEncoder(c, [&](Encoder* encoder) {
-          for (const Probe& probe : *probes[k]) {
-            if (settled(k, probe.item)) continue;
-            sat::Lit lit =
-                encoder->OrdLit(inst_of[probe.item], probe.pair->attr,
-                                probe.pair->before, probe.pair->after);
-            // A completion with ¬ord(u, v) orders them the other way.
-            if (SomeCompletionSets(&encoder->solver(), sat::Negate(lit),
-                                   &tally[k])) {
-              refuted[k].push_back(probe.item);
-            }
-          }
-          return Status::OK();
-        });
+      }
+      return true;
+    }
+    // Exclusive solver access for the whole probe sequence: a concurrent
+    // batch probing the same component waits, keeping both call sequences
+    // contiguous.
+    bool complete = true;
+    RETURN_IF_ERROR(engine->WithComponentEncoder(c, [&](Encoder* encoder) {
+      sat::Solver* solver = &encoder->solver();
+      for (const Probe& probe : *probes[k]) {
+        if (settled(k, probe.item)) continue;
+        // A completion with ¬ord(u, v) orders them the other way.
+        const sat::Lit other_way = sat::Negate(
+            encoder->OrdLit(inst_of[probe.item], probe.pair->attr,
+                            probe.pair->before, probe.pair->after));
+        std::optional<bool> refutes =
+            walk ? SettledCompletionSets(*solver, other_way, &tally[k])
+                 : SomeCompletionSets(solver, other_way, &tally[k]);
+        if (!refutes.has_value()) {
+          complete = false;
+          break;
+        }
+        if (*refutes) refuted[k].push_back(probe.item);
+      }
+      return Status::OK();
+    }));
+    return complete;
+  };
+  // Settle walk, on the calling thread in component order: a chase-routed
+  // component is answered in full, and so is a SAT-routed one whose
+  // solver record settles every probe.  A component left with a probe
+  // that needs a solve drops its partial results and tally, and goes to
+  // the pool, which re-runs it from its first probe: the walk changes no
+  // solver state, so every call sequence and count is the one the pool
+  // alone would give.  A lone SAT-routed component skips the walk, since
+  // a one-task region runs inline anyway.
+  std::vector<int> deferred;
+  for (size_t k = 0; k < components.size(); ++k) {
+    const int task = static_cast<int>(k);
+    bool complete = false;
+    if (engine->chase_routed(components[k]) || sat_components >= 2) {
+      ASSIGN_OR_RETURN(complete, probe_component(task, /*walk=*/true));
+    }
+    if (!complete) {
+      refuted[k].clear();
+      tally[k] = ProbeTally{};
+      deferred.push_back(task);
+    }
+  }
+  RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(deferred.size()), [&](int j) -> Status {
+        return probe_component(deferred[j], /*walk=*/false).status();
       }));
   for (size_t k = 0; k < components.size(); ++k) {
     for (int item : refuted[k]) out[item] = false;

@@ -46,8 +46,8 @@ struct CopOptions {
   /// fallback for constrained components.
   bool use_chase_routing = true;
   /// Threads: the vacuity check solves components concurrently, then the
-  /// queried pairs are refuted in parallel per owning component (pairs
-  /// sharing a component stay in query order on that component's
+  /// pairs that need a solve are refuted in parallel per owning component
+  /// (pairs sharing a component stay in query order on that component's
   /// solver).  1 (the default) runs sequentially; the answer is
   /// bit-identical for every value.
   int num_threads = 1;
@@ -83,11 +83,16 @@ Result<int> OrderQueryInstance(const Specification& spec,
 /// chase-routed component, else by asking SomeCompletionSets whether some
 /// completion sets ¬ord(u, v), which the component solver's own record
 /// settles when it can and a SAT probe decides otherwise.  Pairs sharing a
-/// component probe its solver in batch order, components in parallel as
-/// tasks on `pool` (not null); a solver's record is a function of its own
-/// call sequence, so that sequence (and hence its learnt-clause state) is
-/// the same for every thread count.  Probe solves and settled probes are
-/// counted into the engine's EngineCounters.
+/// component probe its solver in batch order.  What is already cached is
+/// answered on the calling thread: every chase-routed component, and, when
+/// the batch reaches two or more SAT-routed components, each one whose
+/// solver record settles all of its pairs (SettledCompletionSets, under
+/// its slot lock).  Only components with a pair to solve go to `pool` (not
+/// null), as parallel tasks that probe from their first pair; the settle
+/// walk changes no solver, so each solver's call sequence (and hence its
+/// learnt-clause state and record) is the same for every thread count.
+/// Probe solves and settled probes are counted into the engine's
+/// EngineCounters, once per probe.
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
     const std::vector<int>& inst_of, exec::ThreadPool* pool);

@@ -349,12 +349,17 @@ void SampleSolverDelta(const EngineCounters& counters,
 
 }  // namespace
 
+std::optional<bool> SettledCompletionSets(const sat::Solver& solver,
+                                          sat::Lit lit, ProbeTally* tally) {
+  const int root = solver.RootValue(lit);
+  if (root == 0 && !solver.SeenInModel(lit)) return std::nullopt;
+  ++tally->settled;
+  return root >= 0;
+}
+
 bool SomeCompletionSets(sat::Solver* solver, sat::Lit lit, ProbeTally* tally) {
-  const int root = solver->RootValue(lit);
-  if (root != 0 || solver->SeenInModel(lit)) {
-    ++tally->settled;
-    return root >= 0;
-  }
+  std::optional<bool> settled = SettledCompletionSets(*solver, lit, tally);
+  if (settled.has_value()) return *settled;
   ++tally->solves;
   return solver->SolveWithAssumptions({lit}) == sat::SolveResult::kSat;
 }

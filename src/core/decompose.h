@@ -163,13 +163,21 @@ struct ProbeTally {
 
 /// The one probe COP and DCIP put to a SAT-routed component's solver,
 /// whose formula is satisfiable: does some completion set `lit`?  The
-/// solver's own record settles it when it can (sat::Solver's "Remembered
-/// models"): no if `lit` is fixed false at the root; yes if it is fixed
-/// true there, or was true in a remembered model.  Otherwise one
-/// SolveWithAssumptions({lit}) decides it.  COP asks it of ¬ord(u, v), DCIP
-/// of each open is-last candidate.  Counts the probe in `tally` as settled
-/// or solved.
+/// solver's own record settles it when it can (SettledCompletionSets);
+/// otherwise one SolveWithAssumptions({lit}) decides it.  COP asks it of
+/// ¬ord(u, v), DCIP of each open is-last candidate.  Counts the probe in
+/// `tally` as settled or solved.
 bool SomeCompletionSets(sat::Solver* solver, sat::Lit lit, ProbeTally* tally);
+
+/// SomeCompletionSets without the solve: what the solver's record says
+/// (sat::Solver's "Remembered models") — no if `lit` is fixed false at the
+/// root; yes if it is fixed true there, or was true in a remembered model
+/// — counted in `tally` as settled.  nullopt, counting nothing, when only
+/// a solve can tell.  A pure read of the solver, so the settle walks of
+/// CertainOrderProbes and DeterminismProbes can try a component's probes
+/// on the calling thread and leave its call sequence as it was.
+std::optional<bool> SettledCompletionSets(const sat::Solver& solver,
+                                          sat::Lit lit, ProbeTally* tally);
 
 /// Registry instruments a DecomposedEncoder reports its cache and solver
 /// work into.  A serving session hands one set per tenant, shared by all

@@ -13,14 +13,22 @@ namespace currency::core {
 
 namespace internal {
 
-Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
-                                int inst, ProbeTally* tally) {
-  ProbeTally local;
-  if (tally == nullptr) tally = &local;
+namespace {
+
+/// Whether S is deterministic for the groups a probe covers; nullopt when
+/// a walk left it open.
+using Verdict = std::optional<bool>;
+
+/// DeterministicProbe's body.  A `walk` calls no solver: it returns
+/// nullopt where DeterministicProbe would solve — on a solver that
+/// remembers no model, or at the first candidate the record leaves open.
+Result<Verdict> ProbeDeterminism(const Specification& spec, Encoder* encoder,
+                                 int inst, ProbeTally* tally, bool walk) {
   const TemporalInstance& instance = spec.instance(inst);
   const Relation& rel = instance.relation();
   sat::Solver& solver = encoder->solver();
   if (!solver.HasRememberedModel()) {
+    if (walk) return Verdict();
     // No completion witnessed yet (a fresh or snapshot-seeded encoder):
     // find one, so its phases are remembered.  The formula is known
     // satisfiable.
@@ -50,7 +58,7 @@ Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
           baseline = &value;
         } else if (!(value == *baseline)) {
           ++tally->settled;
-          return false;
+          return Verdict(false);
         }
       }
       if (baseline == nullptr) {
@@ -69,11 +77,26 @@ Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
   // when its selector is fixed false at the root.  A refuted candidate
   // leaves its selector fixed false there, which may fix later ones too.
   for (sat::Var candidate : open) {
-    if (SomeCompletionSets(&solver, sat::MakeLit(candidate), tally)) {
-      return false;
-    }
+    const sat::Lit lit = sat::MakeLit(candidate);
+    std::optional<bool> current =
+        walk ? SettledCompletionSets(solver, lit, tally)
+             : SomeCompletionSets(&solver, lit, tally);
+    if (!current.has_value()) return Verdict();
+    if (*current) return Verdict(false);
   }
-  return true;
+  return Verdict(true);
+}
+
+}  // namespace
+
+Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
+                                int inst, ProbeTally* tally) {
+  ProbeTally local;
+  ASSIGN_OR_RETURN(Verdict deterministic,
+                   ProbeDeterminism(spec, encoder, inst,
+                                    tally != nullptr ? tally : &local,
+                                    /*walk=*/false));
+  return *deterministic;
 }
 
 bool DeterministicViaComponentChase(const Specification& spec,
@@ -137,18 +160,49 @@ Result<std::vector<bool>> DeterminismProbes(
   }
   std::vector<std::vector<int>> nondeterministic(components.size());
   std::vector<ProbeTally> tally(components.size());
+  // Probes component k's items in batch order.  A `walk` calls no solver:
+  // it returns false at the first item the solver's record cannot settle,
+  // leaving partial results for the caller to drop.
+  auto probe_component = [&](int k, bool walk) -> Result<bool> {
+    bool complete = true;
+    RETURN_IF_ERROR(engine->WithComponentEncoder(
+        components[k], [&](Encoder* encoder) -> Status {
+          for (const Request& req : *requests[k]) {
+            ASSIGN_OR_RETURN(Verdict deterministic,
+                             ProbeDeterminism(spec, encoder, req.inst,
+                                              &tally[k], walk));
+            if (!deterministic.has_value()) {
+              complete = false;
+              break;
+            }
+            if (!*deterministic) nondeterministic[k].push_back(req.item);
+          }
+          return Status::OK();
+        }));
+    return complete;
+  };
+  // Settle walk, as in CertainOrderProbes: on the calling thread, each
+  // component whose solver record settles every item is answered under
+  // its slot lock; the rest drop their partial results and tally and go
+  // to the pool, which re-runs them from their first item, so every call
+  // sequence and count is the one the pool alone would give.  A lone
+  // component skips the walk, since a one-task region runs inline anyway.
+  std::vector<int> deferred;
+  for (size_t k = 0; k < components.size(); ++k) {
+    const int task = static_cast<int>(k);
+    bool complete = false;
+    if (components.size() >= 2) {
+      ASSIGN_OR_RETURN(complete, probe_component(task, /*walk=*/true));
+    }
+    if (!complete) {
+      nondeterministic[k].clear();
+      tally[k] = ProbeTally{};
+      deferred.push_back(task);
+    }
+  }
   RETURN_IF_ERROR(pool->ParallelFor(
-      static_cast<int>(components.size()), [&](int k) -> Status {
-        return engine->WithComponentEncoder(
-            components[k], [&](Encoder* encoder) -> Status {
-              for (const Request& req : *requests[k]) {
-                ASSIGN_OR_RETURN(bool deterministic,
-                                 DeterministicProbe(spec, encoder, req.inst,
-                                                    &tally[k]));
-                if (!deterministic) nondeterministic[k].push_back(req.item);
-              }
-              return Status::OK();
-            });
+      static_cast<int>(deferred.size()), [&](int j) -> Status {
+        return probe_component(deferred[j], /*walk=*/false).status();
       }));
   ProbeTally total;
   for (size_t k = 0; k < components.size(); ++k) {

@@ -28,9 +28,9 @@ struct DcipOptions {
   /// probes; SAT remains the fallback for constrained components.
   bool use_chase_routing = true;
   /// Threads: the consistency pre-solve and the per-component determinism
-  /// probes run concurrently (each component's probe sequence is confined
-  /// to one task).  1 (the default) runs sequentially; the answer is
-  /// bit-identical for every value.
+  /// probes that need a solve run concurrently (each component's probe
+  /// sequence is confined to one task).  1 (the default) runs
+  /// sequentially; the answer is bit-identical for every value.
   int num_threads = 1;
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
@@ -57,8 +57,14 @@ namespace internal {
 /// agreement on their fixpoints; an item stops at its first refuting
 /// component.  Items still open then run DeterministicProbe on their
 /// SAT-routed components' encoders; a component probes its items in batch
-/// order, components in parallel as tasks on `pool` (not null).  Probe
-/// solves and settled probes are counted into the engine's EngineCounters.
+/// order.  When two or more SAT-routed components take part, each one
+/// whose solver record settles every item — a remembered model to read,
+/// and no candidate that needs a solve — is answered on the calling thread
+/// under its slot lock.  Only components with a probe to solve go to
+/// `pool` (not null), as parallel tasks that probe from their first item,
+/// so each solver's call sequence is the same for every thread count.
+/// Probe solves and settled probes are counted into the engine's
+/// EngineCounters, once per probe.
 Result<std::vector<bool>> DeterminismProbes(
     DecomposedEncoder* engine, const std::vector<int>& instances,
     exec::ThreadPool* pool);

@@ -16,6 +16,8 @@
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
 #include "src/core/deterministic.h"
+#include "src/exec/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
@@ -387,6 +389,79 @@ TEST(CurrencySession, DeterministicRelationsSecondDcipBatchSettlesFromRoot) {
   EXPECT_EQ(warm.probe_solves, 0);
   EXPECT_EQ(warm.probes_settled, 4);
   EXPECT_EQ(warm.propagations, 0);
+}
+
+// Probes the component solvers' records settle are answered on the
+// calling thread: a warm COP or DCIP batch over two SAT-routed components
+// opens no pool region, while a batch leaving both components with open
+// probes fans out one task per component.
+TEST(CurrencySession, OnlyProbesThatNeedASolveReachThePool) {
+  obs::Registry registry;
+  exec::ThreadPool pool(4);
+  exec::ThreadPool::Instruments instruments;
+  instruments.regions = registry.GetCounter("currency_exec_pool_regions_total");
+  instruments.tasks = registry.GetCounter("currency_exec_pool_tasks_total");
+  pool.BindInstruments(instruments);
+  struct PoolWork {
+    int64_t regions = 0;
+    int64_t tasks = 0;
+  };
+  auto pool_work = [&](const auto& batch) {
+    const PoolWork before{instruments.regions->Value(),
+                          instruments.tasks->Value()};
+    batch();
+    return PoolWork{instruments.regions->Value() - before.regions,
+                    instruments.tasks->Value() - before.tasks};
+  };
+  SessionOptions options;
+  options.pool = &pool;
+  auto session = CurrencySession::Create(MakeSearchSpec(2), options).value();
+  ASSERT_TRUE(session->CpsCheck().value());
+  const core::Specification& spec = session->spec();
+  std::vector<core::CurrencyOrderQuery> queries = EntityPairQueries(0);
+  for (const auto& q : EntityPairQueries(3)) queries.push_back(q);
+  auto expect_references = [&](const std::vector<bool>& got) {
+    ExpectCopMatchesReference(session.get(), queries, got);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[i], core::IsCertainOrder(spec, queries[i]).value())
+          << "query " << i;
+    }
+  };
+
+  // Cold: both components' solvers are left with pairs to solve.
+  std::vector<bool> cold;
+  PoolWork work = pool_work([&] {
+    auto got = session->CopBatch(queries);
+    ASSERT_TRUE(got.ok()) << got.status();
+    cold = *got;
+  });
+  expect_references(cold);
+  EXPECT_EQ(work.regions, 1);
+  EXPECT_GE(work.tasks, 2);
+
+  // Warm: every pair is settled from the solvers' records.
+  work = pool_work([&] {
+    auto got = session->CopBatch(queries);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, cold);
+  });
+  EXPECT_EQ(work.regions, 0);
+  EXPECT_EQ(work.tasks, 0);
+
+  // DCIP: the first batch leaves the is-last selectors fixed at the root,
+  // so the second settles every candidate there.
+  const bool deterministic =
+      currency::testing::MonolithicDeterministic(spec, "R").value();
+  EXPECT_EQ(deterministic, core::IsDeterministicForRelation(spec, "R").value());
+  for (int round = 0; round < 2; ++round) {
+    work = pool_work([&] {
+      auto got = session->DcipBatch({"R"});
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ((*got)[0], deterministic);
+    });
+  }
+  EXPECT_EQ(work.regions, 0);
+  EXPECT_EQ(work.tasks, 0);
 }
 
 TEST(CurrencySession, AfterMutateOnlyTheReencodedComponentSolvesAgain) {

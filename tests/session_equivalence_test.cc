@@ -17,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -60,14 +61,18 @@ std::vector<core::CurrencyOrderQuery> MakeCopQueries() {
   return queries;
 }
 
-/// R(A) with one constrained entity of tuples A = 0, 1, 2: A = 0 comes
-/// before A = 1, and nothing else is ordered.  Its single component is
-/// SAT-routed, tuples 1 and 2 are ordered each way in some completion, and
-/// A = 1 and A = 2 can each be current.
-core::Specification MakeOpenProbeSpec() {
+/// R(A) with `entities` constrained entities e0, e1, ... of tuples A = 0,
+/// 1, 2 each: A = 0 comes before A = 1, and nothing else is ordered.  Each
+/// entity is its own SAT-routed component, where tuples 1 and 2 are
+/// ordered each way in some completion and A = 1 and A = 2 can each be
+/// current.
+core::Specification MakeOpenProbeSpec(int entities = 1) {
   core::Specification spec;
   Relation r(Schema::Make("R", {"A"}).value());
-  for (int a = 0; a < 3; ++a) (void)r.AppendValues({Value("e0"), Value(a)});
+  for (int e = 0; e < entities; ++e) {
+    Value eid("e" + std::to_string(e));
+    for (int a = 0; a < 3; ++a) (void)r.AppendValues({eid, Value(a)});
+  }
   (void)spec.AddInstance(core::TemporalInstance(std::move(r)));
   EXPECT_TRUE(
       spec.AddConstraintText("FORALL s, t IN R: s.A = 0 AND t.A = 1 -> "
@@ -398,44 +403,127 @@ std::string BatchTranscript(CurrencySession* session) {
 }
 
 // The probes a component solver's record leaves open must reach the
-// solver, at every thread count.  On MakeOpenProbeSpec the base solve
-// remembers one model: it witnesses one order of tuples 1 and 2 and makes
-// one of A = 1 and A = 2 current, so the other order and the other value
-// each need a solve, which currency_serve_probe_solves_total counts.
+// solver, with the same answers and the same probe counts at every thread
+// count.  On MakeOpenProbeSpec the base solve remembers one model per
+// component: it witnesses one order of tuples 1 and 2 and makes one of
+// A = 1 and A = 2 current, so the other order and the other value each
+// need a solve, which currency_serve_probe_solves_total counts.  With two
+// entities, both components keep an open probe after the settle walk of
+// CertainOrderProbes and DeterminismProbes, so both go to the pool.
 TEST(SessionEquivalence, OpenProbesReachTheSolver) {
+  struct ProbeCounts {
+    int64_t solves = 0;
+    int64_t settled = 0;
+  };
+  for (int entities : {1, 2}) {
+    SCOPED_TRACE("entities=" + std::to_string(entities));
+    // COP, per entity: (0, 1) is certain (a unit at the root), while
+    // tuples 1 and 2 are ordered each way in some completion.
+    std::vector<core::CurrencyOrderQuery> queries;
+    std::vector<bool> certain;
+    for (TupleId first = 0; first < 3 * entities; first += 3) {
+      for (auto [u, v, expected] : {std::tuple{0, 1, true},
+                                    std::tuple{1, 2, false},
+                                    std::tuple{2, 1, false}}) {
+        queries.push_back(core::CurrencyOrderQuery{
+            "R", {core::RequiredPair{1, first + u, first + v}}});
+        certain.push_back(expected);
+      }
+    }
+    std::optional<std::pair<ProbeCounts, ProbeCounts>> at_one_thread;
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      auto probe_counts = [&](const auto& batch) {
+        SessionOptions options;
+        options.num_threads = threads;
+        auto session =
+            CurrencySession::Create(MakeOpenProbeSpec(entities), options)
+                .value();
+        auto counts = [&] {
+          obs::Registry* registry = session->registry();
+          return ProbeCounts{
+              registry
+                  ->GetCounter("currency_serve_probe_solves_total",
+                               obs::Labels{})
+                  ->Value(),
+              registry
+                  ->GetCounter("currency_serve_probes_settled_total",
+                               obs::Labels{})
+                  ->Value()};
+        };
+        EXPECT_TRUE(session->CpsCheck().value());
+        const ProbeCounts before = counts();
+        batch(session.get());
+        const ProbeCounts after = counts();
+        return ProbeCounts{after.solves - before.solves,
+                           after.settled - before.settled};
+      };
+      const ProbeCounts cop = probe_counts([&](CurrencySession* session) {
+        auto got = session->CopBatch(queries);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, certain);
+      });
+      EXPECT_GT(cop.solves, 0) << "the COP probes were settled";
+      EXPECT_EQ(cop.solves + cop.settled,
+                static_cast<int64_t>(queries.size()))
+          << "every pair is probed exactly once";
+      // DCIP: A = 1 and A = 2 can each be current.
+      const ProbeCounts dcip = probe_counts([](CurrencySession* session) {
+        auto got = session->DcipBatch({"R"});
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_FALSE(got->at(0));
+      });
+      EXPECT_GT(dcip.solves, 0) << "the DCIP probes were settled";
+      if (!at_one_thread.has_value()) {
+        at_one_thread.emplace(cop, dcip);
+        continue;
+      }
+      const auto& [cop_one, dcip_one] = *at_one_thread;
+      EXPECT_EQ(std::tie(cop.solves, cop.settled),
+                std::tie(cop_one.solves, cop_one.settled))
+          << "COP (solves, settled) differ from one thread's";
+      EXPECT_EQ(std::tie(dcip.solves, dcip.settled),
+                std::tie(dcip_one.solves, dcip_one.settled))
+          << "DCIP (solves, settled) differ from one thread's";
+    }
+  }
+}
+
+// A session whose base verdicts were seeded from a snapshot
+// (AdoptSolvedVerdicts) builds its component encoders on first use, and
+// their solvers remember no model yet, so a settle walk has nothing to
+// read: DCIP must solve them, not settle them.  At every thread count the
+// seeded session answers as the monolithic reference does.
+TEST(SessionEquivalence, SeededVerdictsStillReachTheSolver) {
+  const core::Specification spec = MakeOpenProbeSpec(2);
+  const bool deterministic =
+      currency::testing::MonolithicDeterministic(spec, "R").value();
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto probe_solves = [&](const auto& batch) {
-      SessionOptions options;
-      options.num_threads = threads;
-      auto session =
-          CurrencySession::Create(MakeOpenProbeSpec(), options).value();
-      auto solves = [&] {
-        return session->registry()
-            ->GetCounter("currency_serve_probe_solves_total", obs::Labels{})
-            ->Value();
-      };
-      EXPECT_TRUE(session->CpsCheck().value());
-      const int64_t before = solves();
-      batch(session.get());
-      return solves() - before;
-    };
-    // COP: tuples 1 and 2 are ordered each way in some completion.
-    const int64_t cop_solves = probe_solves([](CurrencySession* session) {
-      auto cop = session->CopBatch(
-          {core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 1, 2}}},
-           core::CurrencyOrderQuery{"R", {core::RequiredPair{1, 2, 1}}}});
-      ASSERT_TRUE(cop.ok()) << cop.status();
-      EXPECT_EQ(*cop, std::vector<bool>({false, false}));
-    });
-    EXPECT_GT(cop_solves, 0) << "the COP probes were settled";
-    // DCIP: A = 1 and A = 2 can each be current.
-    const int64_t dcip_solves = probe_solves([](CurrencySession* session) {
-      auto dcip = session->DcipBatch({"R"});
-      ASSERT_TRUE(dcip.ok()) << dcip.status();
-      EXPECT_FALSE(dcip->at(0));
-    });
-    EXPECT_GT(dcip_solves, 0) << "the DCIP probes were settled";
+    SessionOptions options;
+    options.num_threads = threads;
+    auto solved = CurrencySession::Create(spec, options).value();
+    ASSERT_TRUE(solved->CpsCheck().value());
+    std::string spec_wire;
+    std::vector<std::pair<uint64_t, bool>> verdicts;
+    solved->ExportWarmState(&spec_wire, &verdicts);
+
+    auto seeded = CurrencySession::Create(spec, options).value();
+    EXPECT_EQ(seeded->AdoptSolvedVerdicts(verdicts), 2);
+    auto dcip = seeded->DcipBatch({"R"});
+    ASSERT_TRUE(dcip.ok()) << dcip.status();
+    EXPECT_EQ(dcip->at(0), deterministic);
+    EXPECT_EQ(seeded->stats().base_solves, 0) << "the verdicts were adopted";
+    for (TupleId u = 0; u < 6; ++u) {
+      for (TupleId v = 0; v < 6; ++v) {
+        core::CurrencyOrderQuery q{"R", {core::RequiredPair{1, u, v}}};
+        auto cop = seeded->CopBatch({q});
+        ASSERT_TRUE(cop.ok()) << cop.status();
+        EXPECT_EQ(cop->at(0),
+                  currency::testing::MonolithicCertainOrder(spec, q).value())
+            << "pair " << u << " < " << v;
+      }
+    }
   }
 }
 
