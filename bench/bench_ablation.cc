@@ -1,86 +1,21 @@
-// Ablations for the design choices called out in DESIGN.md §5:
-//   1. seeding the SAT encoder with the chase/Horn-closure certain prefix
-//      (on/off) on hard consistency instances;
-//   2. the Proposition 6.3 SP fast path vs the general CEGAR solver on
+// Ablations for the design choices described in docs/ARCHITECTURE.md
+// ("Two evaluation paths" and its "Routing" section):
+//   1. the Proposition 6.3 SP fast path vs the general CEGAR solver on
 //      identical SP workloads (the PTIME/exponential crossover);
-//   3. chase fixpoint cost as copy chains deepen (propagation distance).
+//   2. chase fixpoint cost as copy chains deepen (propagation distance).
 
 #include <benchmark/benchmark.h>
 
-#include <random>
-
 #include "src/core/ccqa.h"
 #include "src/core/chase.h"
-#include "src/core/consistency.h"
-#include "src/core/sp_ccqa.h"
 #include "src/query/parser.h"
-#include "src/reductions/to_cps.h"
+#include "tests/support/forced_sat.h"
 
 namespace {
 
 using namespace currency;  // NOLINT
 
-// --- 1. Encoder seeding ----------------------------------------------------
-//
-// Family: N employees with three stale records each under ϕ1–ϕ3 — the
-// Horn closure derives a dense certain prefix (salary units from ϕ1, then
-// address/status/LN pairs), which the seeded encoder receives as unit
-// clauses.  (On gadgets without value-derived units, e.g. Betweenness,
-// seeding is a no-op by construction.)
-
-core::Specification MakeConstraintRichSpec(int employees) {
-  core::Specification spec;
-  Schema schema =
-      Schema::Make("Emp", {"LN", "address", "salary", "status"}).value();
-  Relation emp(schema);
-  for (int e = 0; e < employees; ++e) {
-    Value eid("p" + std::to_string(e));
-    (void)emp.AppendValues(
-        {eid, Value("A"), Value("Old"), Value(50), Value("single")});
-    (void)emp.AppendValues(
-        {eid, Value("B"), Value("Mid"), Value(60), Value("married")});
-    (void)emp.AppendValues(
-        {eid, Value("B"), Value("New"), Value(80), Value("married")});
-  }
-  (void)spec.AddInstance(core::TemporalInstance(std::move(emp)));
-  (void)spec.AddConstraintText(
-      "FORALL s, t IN Emp: s.salary > t.salary -> t PREC[salary] s");
-  (void)spec.AddConstraintText(
-      "FORALL s, t IN Emp: s.status = 'married' AND t.status = 'single' "
-      "-> t PREC[LN] s");
-  (void)spec.AddConstraintText(
-      "FORALL s, t IN Emp: t PREC[salary] s -> t PREC[address] s");
-  return spec;
-}
-
-void RunCpsSeeding(benchmark::State& state, bool seed) {
-  const int employees = static_cast<int>(state.range(0));
-  core::Specification spec = MakeConstraintRichSpec(employees);
-  core::CpsOptions options;
-  options.encoder.seed_with_chase = seed;
-  for (auto _ : state) {
-    auto outcome = core::DecideConsistency(spec, options);
-    benchmark::DoNotOptimize(outcome);
-  }
-  state.SetLabel(seed ? "encoder seeded with certain prefix"
-                      : "raw encoder (no seeding)");
-}
-void BM_Ablation_SeededEncoder(benchmark::State& state) {
-  RunCpsSeeding(state, true);
-}
-void BM_Ablation_UnseededEncoder(benchmark::State& state) {
-  RunCpsSeeding(state, false);
-}
-BENCHMARK(BM_Ablation_SeededEncoder)
-    ->RangeMultiplier(4)
-    ->Range(8, 128)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Ablation_UnseededEncoder)
-    ->RangeMultiplier(4)
-    ->Range(8, 128)
-    ->Unit(benchmark::kMillisecond);
-
-// --- 2. SP fast path vs general solver -------------------------------------
+// --- 1. SP fast path vs general solver -------------------------------------
 
 core::Specification MakeSpWorkload(int entities) {
   core::Specification spec;
@@ -105,12 +40,13 @@ void RunSpPath(benchmark::State& state, bool fast) {
   query::Query q =
       query::ParseQuery("Q(x) := EXISTS e, y: R(e, x, y) AND x = 7").value();
   // Chase routing answers the SP query by Proposition 6.3 on every
-  // (constraint-free, hence chase-eligible) component; off, the same
-  // query runs the general blocking loop on SAT.
-  core::CcqaOptions options;
-  options.use_chase_routing = fast;
+  // (constraint-free, single-group, hence chase-enumerable) component;
+  // the forced-SAT reference runs the general blocking loop on the same
+  // query.
   for (auto _ : state) {
-    auto answers = core::CertainCurrentAnswers(spec, q, options);
+    auto answers =
+        fast ? core::CertainCurrentAnswers(spec, q)
+             : currency::testing::ForcedSatCertainAnswers(spec, q);
     benchmark::DoNotOptimize(answers);
   }
   state.SetLabel(fast ? "Prop 6.3 poss(S) fast path"
@@ -131,7 +67,7 @@ BENCHMARK(BM_Ablation_SpGeneralPath)
     ->Range(16, 256)
     ->Unit(benchmark::kMillisecond);
 
-// --- 3. Chase propagation depth ---------------------------------------------
+// --- 2. Chase propagation depth ---------------------------------------------
 
 void BM_Ablation_ChaseDepth(benchmark::State& state) {
   // A chain of `depth` relations, each copying from the previous; an

@@ -1,8 +1,8 @@
 // Chase-routing benchmark: a routed CurrencySession (chase-eligible
 // components served from the polynomial copy-order chase) against a
-// forced-SAT session (use_chase_routing = false) over the same
-// constraint-free sharded workload — the Theorem 6.1 fast path of
-// src/core/chase.h made measurable end to end.
+// forced-SAT session (CurrencySession::CreateForcedSatForTesting) over
+// the same constraint-free sharded workload — the Theorem 6.1 fast path
+// of src/core/chase.h made measurable end to end.
 //
 // Like bench_serve this is a plain binary (no Google Benchmark): it
 // reports latency percentiles and machine-readable JSON for
@@ -194,23 +194,22 @@ int main(int argc, char** argv) {
       MakeQueries(entities, queries);
 
   // Two sessions over the same specification: routed (default) and
-  // forced-SAT (the escape hatch the routed answers are diffed against).
-  serve::SessionOptions routed_opts;
-  routed_opts.num_threads = threads;
-  serve::SessionOptions forced_opts = routed_opts;
-  forced_opts.use_chase_routing = false;
+  // forced-SAT (the reference the routed answers are diffed against).
+  serve::SessionOptions options;
+  options.num_threads = threads;
 
   // Cold start: Create + first CpsCheck.  Routed chases every component;
   // forced builds and base-solves every SAT encoder.
   Series cold_routed{"cold_create_plus_cps_routed", {}};
   Series cold_forced{"cold_create_plus_cps_forced_sat", {}};
   double t0 = NowMs();
-  auto routed = serve::CurrencySession::Create(spec, routed_opts);
+  auto routed = serve::CurrencySession::Create(spec, options);
   if (!routed.ok()) return Fail(routed.status().ToString().c_str());
   auto routed_cps = (*routed)->CpsCheck();
   cold_routed.samples_ms.push_back(NowMs() - t0);
   t0 = NowMs();
-  auto forced = serve::CurrencySession::Create(spec, forced_opts);
+  auto forced =
+      serve::CurrencySession::CreateForcedSatForTesting(spec, options);
   if (!forced.ok()) return Fail(forced.status().ToString().c_str());
   auto forced_cps = (*forced)->CpsCheck();
   cold_forced.samples_ms.push_back(NowMs() - t0);

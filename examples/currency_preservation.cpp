@@ -70,7 +70,8 @@ Specification BuildS1() {
   add_mgr("Mary", "Smith", "2 Small St", 80, "divorced");  // s'3
   Check(spec.AddInstance(TemporalInstance(std::move(mgr))));
 
-  // ϕ1–ϕ3 on Emp, ϕ5 on Mgr and Emp (Example 4.1; see DESIGN.md §6).
+  // ϕ1–ϕ3 on Emp, ϕ5 on Mgr and Emp (Example 4.1; see the fixture notes
+  // in tests/fixtures.h).
   Check(spec.AddConstraintText(
       "FORALL s, t IN Emp: s.salary > t.salary -> t PREC[salary] s"));
   Check(spec.AddConstraintText(

@@ -170,9 +170,7 @@ int main() {
   // The serving contract: warm answers equal fresh one-shot solves on
   // the mutated specification.
   Check(spec.ApplyTupleEdits({TupleEdit{0, 4, 3, Value(60)}}));
-  CcqaOptions fresh;
-  fresh.use_chase_routing = false;
-  Expect(ccqa2[0].answers == Unwrap(CertainCurrentAnswers(spec, q1, fresh)),
+  Expect(ccqa2[0].answers == Unwrap(CertainCurrentAnswers(spec, q1)),
          "session answers must equal a fresh build's answers");
 
   std::cout << "Cleaning pass done: answers identical to a fresh build, "

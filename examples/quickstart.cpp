@@ -84,7 +84,8 @@ Specification BuildCompanyDatabase() {
   Check(spec.AddConstraintText(
       "FORALL s, t IN Emp: s.salary > t.salary -> t PREC[salary] s"));
   // ϕ2: married is later than single, and the later status carries the
-  // later last name (plus the status attribute itself: see DESIGN.md §6).
+  // later last name (plus the status attribute itself: see the S0
+  // fixture's notes in tests/fixtures.h).
   Check(spec.AddConstraintText(
       "FORALL s, t IN Emp: s.status = 'married' AND t.status = 'single' "
       "-> t PREC[LN] s"));

@@ -14,9 +14,10 @@
 #
 #  * BENCH_chase.json — routed-vs-forced chase routing on a 1024-entity
 #    constraint-free sharded workload: cold bring-up, warm COP batches
-#    and mutate-then-requery for a chase-routed session against the same
-#    session with use_chase_routing=false.  bench_chase_routing diffs
-#    every routed answer against the forced-SAT session, checks the
+#    and mutate-then-requery for a chase-routed session against a
+#    forced-SAT one (CurrencySession::CreateForcedSatForTesting) over the
+#    same workload.  bench_chase_routing diffs every routed answer
+#    against the forced-SAT session, checks the
 #    incremental-chase reuse counters, and enforces the >= 3x floor on
 #    the COLD bring-up ratio (chase fixpoints vs encoder builds + base
 #    solves).  The floor used to sit on the warm COP ratio; once warm

@@ -17,8 +17,9 @@
 # session_equivalence_test (the serving layer's shared-pool batches),
 # concurrent_session_test (reader batches racing a mutator across epoch
 # snapshots, multi-region pool sharing, SessionManager admission),
-# chase_routing_equivalence_test (chase-routed vs forced-SAT answers,
-# including the per-component fixpoint slots confined to pool tasks),
+# chase_routing_equivalence_test (chase-routed answers against the
+# forced-SAT reference, tests/support/forced_sat.h, including the
+# per-component fixpoint slots confined to pool tasks),
 # sat_metamorphic_test (arena compaction inside pooled session tasks),
 # wal_recovery_test (the durable commit path: concurrent reader
 # batches racing logged Mutates, where log_mu_ linearizes apply+append

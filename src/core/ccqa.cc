@@ -222,9 +222,9 @@ Result<std::vector<CcqaResponse>> CertainAnswerProbes(
   const Specification& spec = engine->spec();
   // SP routing: a request answers from component chase fixpoints when its
   // query is SP over one relation and every relevant component is
-  // chase-routed (Proposition 6.3 on those components; Mod(S) factors over
-  // components, so denial constraints elsewhere do not matter).  Such a
-  // request is a read of cached fixpoints (write-once publication makes
+  // chase-enumerable (Proposition 6.3 on those components; Mod(S) factors
+  // over components, so denial constraints elsewhere do not matter).  Such
+  // a request is a read of cached fixpoints (write-once publication makes
   // computing a missing one safe against concurrent callers), so it is
   // answered here, on the calling thread; only the rest go to the pool.
   std::vector<CcqaResponse> out(requests.size());
@@ -235,8 +235,9 @@ Result<std::vector<CcqaResponse>> CertainAnswerProbes(
     const query::Query& q = request.query;
     relevant[i] = RelevantComponents(*engine, q, instances[i]);
     if (!query::IsSpQuery(q) || q.body->Relations().size() != 1 ||
-        !std::all_of(relevant[i].begin(), relevant[i].end(),
-                     [&](int c) { return engine->chase_routed(c); })) {
+        !std::all_of(relevant[i].begin(), relevant[i].end(), [&](int c) {
+          return engine->chase_routed_enumerable(c);
+        })) {
       sat_routed.push_back(static_cast<int>(i));
       continue;
     }
@@ -386,21 +387,18 @@ void SortFragments(std::vector<std::vector<Relation>>* fragments) {
 
 }  // namespace
 
+namespace internal {
+
 /// The distinct current instances of S are the cartesian product of the
 /// per-component current fragments, so each component is enumerated once
 /// (small SAT instances, or the chase fixpoint directly for
 /// chase-enumerable components) and the fragments are recombined without
 /// further solving.
-Result<int64_t> ForEachCurrentInstance(
-    const Specification& spec, const CcqaOptions& options,
+Result<int64_t> EnumerateCurrentInstances(
+    DecomposedEncoder* engine, const CcqaOptions& options,
+    exec::ThreadPool* pool,
     const std::function<bool(const query::Database&)>& visit) {
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
-  ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
-                                    spec, enc, options.use_chase_routing));
-  std::optional<exec::ThreadPool> local_pool;
-  exec::ThreadPool* pool =
-      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  const Specification& spec = engine->spec();
   // A single UNSAT component empties Mod(S); detect that with one cheap
   // solve per component before enumerating any fragments (a huge earlier
   // component must not burn the budget when a later one is empty).
@@ -426,7 +424,7 @@ Result<int64_t> ForEachCurrentInstance(
       [&](int c) -> Status {
         Status built;
         if (engine->chase_routed_enumerable(c)) {
-          built = AppendChaseFragments(engine.get(), c,
+          built = AppendChaseFragments(engine, c,
                                        options.max_current_instances,
                                        &fragments[c]);
         } else {
@@ -501,6 +499,20 @@ Result<int64_t> ForEachCurrentInstance(
   }
 }
 
+}  // namespace internal
+
+Result<int64_t> ForEachCurrentInstance(
+    const Specification& spec, const CcqaOptions& options,
+    const std::function<bool(const query::Database&)>& visit) {
+  ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
+                                    spec, {}, /*use_chase_routing=*/true));
+  std::optional<exec::ThreadPool> local_pool;
+  return internal::EnumerateCurrentInstances(
+      engine.get(), options,
+      exec::ResolvePool(options.pool, options.num_threads, local_pool),
+      visit);
+}
+
 namespace {
 
 /// One CCQA request the one-shot way: a transient engine, its base solve,
@@ -510,10 +522,8 @@ Result<CcqaResponse> AnswerOneShot(const Specification& spec,
                                    const CcqaOptions& options) {
   ASSIGN_OR_RETURN(std::vector<std::vector<int>> instances,
                    internal::RequestInstances(spec, {request}));
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
-                                    spec, enc, options.use_chase_routing));
+                                    spec, {}, /*use_chase_routing=*/true));
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);

@@ -7,7 +7,10 @@
 // PSPACE-complete for FO.  With SP queries and no denial constraints the
 // problem is PTIME (Proposition 6.3, see sp_ccqa.h); chase routing applies
 // it to every SP query over one relation whose components are all
-// chase-eligible — which, without denial constraints, is every component.
+// chase-enumerable (uncoupled single entity groups no denial constraint
+// grounds on): a coupling copy bucket can tie two attributes' current
+// values together, which the construction's independence assumption
+// excludes.
 //
 // The general algorithm searches for a consistent completion whose
 // current instance does not answer a candidate, blocking each failed
@@ -51,15 +54,6 @@ struct CcqaOptions {
   /// that stop early still pay the per-component enumeration (never more
   /// than this budget).
   int64_t max_current_instances = 1'000'000;
-  /// Serve chase-eligible components (no denial constraint grounds on any
-  /// of their entity groups) from the polynomial chase fixpoint instead of
-  /// SAT: enumeration builds their current fragments directly from the
-  /// per-attribute certain sinks (singleton, uncoupled components), and SP
-  /// queries whose relevant components are all eligible answer via
-  /// Proposition 6.3 on the assembled component orders — even when the
-  /// specification carries denial constraints elsewhere.  SAT remains the
-  /// fallback.
-  bool use_chase_routing = true;
   /// Threads: consistency pre-solves and the per-component current-
   /// fragment enumerations run concurrently (one certain-membership loop
   /// stays sequential — it works one encoder).  1 (the default) runs
@@ -69,7 +63,6 @@ struct CcqaOptions {
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  Encoder::Options encoder;
 };
 
 /// One CCQA batch item: a full answer-set request (no candidate) or a
@@ -132,8 +125,9 @@ Result<std::vector<std::vector<int>>> RequestInstances(
 /// plus every component of an unpinned relation: exact, as Q(D) reads only
 /// rows its atoms match and Mod(S) factors over components and is
 /// non-empty.  A request whose query is SP over one relation, with all
-/// those components chase-routed, answers from their fixpoints
-/// (Proposition 6.3) on the calling thread.  Every other request runs on
+/// those components chase-enumerable (DecomposedEncoder::
+/// chase_routed_enumerable), answers from their fixpoints (Proposition
+/// 6.3) on the calling thread.  Every other request runs on
 /// the engine's cached encoder for its component set (WithCcqaEncoder), in
 /// parallel across those requests on `pool`.  `options` supplies the
 /// iteration budget.
@@ -179,11 +173,20 @@ Result<std::set<Tuple>> CertainAnswersVia(
 /// Preconditions the caller must have established: Mod(S) ≠ ∅, `q` is SP
 /// over exactly one relation, and `relevant` holds every component owning
 /// an entity `q` can match (the scoped set, or all of the relation's
-/// components), all chase-eligible.
+/// components), all chase-enumerable.  On a chase-eligible component that
+/// is not, the answer is a sound subset of the certain answers.
 Result<std::set<Tuple>> SpAnswersViaComponentChases(
     const std::function<Result<const ComponentChase*>(int)>& chase_for,
     const Specification& spec, const query::Query& q,
     const std::vector<int>& relevant);
+
+/// ForEachCurrentInstance on a built engine: its base solve, then the
+/// walk over the product of per-component current fragments, on `pool`
+/// (not null).  `options` supplies the budget.
+Result<int64_t> EnumerateCurrentInstances(
+    DecomposedEncoder* engine, const CcqaOptions& options,
+    exec::ThreadPool* pool,
+    const std::function<bool(const query::Database&)>& visit);
 
 }  // namespace internal
 

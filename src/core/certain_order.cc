@@ -80,11 +80,9 @@ Result<std::vector<bool>> CertainOrderProbes(
   }
   std::vector<int> components;
   std::vector<const std::vector<Probe>*> probes;
-  int sat_components = 0;
   for (const auto& [c, list] : by_component) {
     components.push_back(c);
     probes.push_back(&list);
-    if (!engine->chase_routed(c)) ++sat_components;
   }
   // refuted[k]: the items component k refuted, in batch order.  A query
   // refuted by this component's own earlier probes is skipped
@@ -96,9 +94,7 @@ Result<std::vector<bool>> CertainOrderProbes(
   auto settled = [&](int k, int item) {
     return !refuted[k].empty() && refuted[k].back() == item;
   };
-  // Probes component k's pairs in batch order.  A `walk` calls no solver:
-  // it returns false at the first pair the solver's record cannot settle,
-  // leaving partial results for the caller to drop.
+  // Probes component k's pairs in batch order (DecomposedEncoder::ProbeFn).
   auto probe_component = [&](int k, bool walk) -> Result<bool> {
     const int c = components[k];
     if (engine->chase_routed(c)) {
@@ -142,31 +138,13 @@ Result<std::vector<bool>> CertainOrderProbes(
     }));
     return complete;
   };
-  // Settle walk, on the calling thread in component order: a chase-routed
-  // component is answered in full, and so is a SAT-routed one whose
-  // solver record settles every probe.  A component left with a probe
-  // that needs a solve drops its partial results and tally, and goes to
-  // the pool, which re-runs it from its first probe: the walk changes no
-  // solver state, so every call sequence and count is the one the pool
-  // alone would give.  A lone SAT-routed component skips the walk, since
-  // a one-task region runs inline anyway.
-  std::vector<int> deferred;
-  for (size_t k = 0; k < components.size(); ++k) {
-    const int task = static_cast<int>(k);
-    bool complete = false;
-    if (engine->chase_routed(components[k]) || sat_components >= 2) {
-      ASSIGN_OR_RETURN(complete, probe_component(task, /*walk=*/true));
-    }
-    if (!complete) {
-      refuted[k].clear();
-      tally[k] = ProbeTally{};
-      deferred.push_back(task);
-    }
-  }
-  RETURN_IF_ERROR(pool->ParallelFor(
-      static_cast<int>(deferred.size()), [&](int j) -> Status {
-        return probe_component(deferred[j], /*walk=*/false).status();
-      }));
+  RETURN_IF_ERROR(engine->SettleWalk(
+      components, probe_component,
+      [&](int k) {
+        refuted[k].clear();
+        tally[k] = ProbeTally{};
+      },
+      pool));
   for (size_t k = 0; k < components.size(); ++k) {
     for (int item : refuted[k]) out[item] = false;
     total += tally[k];
@@ -184,9 +162,8 @@ Result<bool> IsCertainOrder(const Specification& spec,
   // Ot pair (u, v) is certain iff the encoding plus the assumption "v ≺ u
   // or incomparable" is unsatisfiable; with totality baked in, that
   // assumption is just ¬ord(u, v).
-  ASSIGN_OR_RETURN(auto engine,
-                   DecomposedEncoder::Build(spec, options.encoder,
-                                            options.use_chase_routing));
+  ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
+                                    spec, {}, /*use_chase_routing=*/true));
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);

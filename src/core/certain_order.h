@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/core/encoder.h"
 #include "src/core/specification.h"
 
 namespace currency::exec {
@@ -40,11 +39,6 @@ struct CurrencyOrderQuery {
 
 /// Options for IsCertainOrder.
 struct CopOptions {
-  /// Answer pairs owned by chase-eligible components from the component
-  /// chase fixpoint (pair certain iff it is in the component's PO∞ —
-  /// Lemma 6.2 applied to S|_c) instead of SAT probes; SAT remains the
-  /// fallback for constrained components.
-  bool use_chase_routing = true;
   /// Threads: the vacuity check solves components concurrently, then the
   /// pairs that need a solve are refuted in parallel per owning component
   /// (pairs sharing a component stay in query order on that component's
@@ -54,7 +48,6 @@ struct CopOptions {
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  Encoder::Options encoder;
 };
 
 /// Decides whether every pair of `query` holds in every consistent
@@ -83,16 +76,14 @@ Result<int> OrderQueryInstance(const Specification& spec,
 /// chase-routed component, else by asking SomeCompletionSets whether some
 /// completion sets ¬ord(u, v), which the component solver's own record
 /// settles when it can and a SAT probe decides otherwise.  Pairs sharing a
-/// component probe its solver in batch order.  What is already cached is
-/// answered on the calling thread: every chase-routed component, and, when
-/// the batch reaches two or more SAT-routed components, each one whose
-/// solver record settles all of its pairs (SettledCompletionSets, under
-/// its slot lock).  Only components with a pair to solve go to `pool` (not
-/// null), as parallel tasks that probe from their first pair; the settle
-/// walk changes no solver, so each solver's call sequence (and hence its
-/// learnt-clause state and record) is the same for every thread count.
-/// Probe solves and settled probes are counted into the engine's
-/// EngineCounters, once per probe.
+/// component probe its solver in batch order.  DecomposedEncoder::
+/// SettleWalk answers what is already cached on the calling thread (a
+/// walked SAT-routed component reads SettledCompletionSets under its slot
+/// lock) and sends only components with a pair to solve to `pool` (not
+/// null), so each solver's call sequence (and hence its learnt-clause
+/// state and record) is the same for every thread count.  Probe solves
+/// and settled probes are counted into the engine's EngineCounters, once
+/// per probe.
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
     const std::vector<int>& inst_of, exec::ThreadPool* pool);

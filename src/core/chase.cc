@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "src/core/encoder.h"
@@ -67,33 +66,20 @@ struct EdgePlan {
   std::vector<MappedPair> pairs;
 };
 
-Result<std::vector<EdgePlan>> BuildEdgePlans(const Specification& spec,
-                                             const CopyBucketIndex* shared) {
+Result<std::vector<EdgePlan>> BuildEdgePlans(const Specification& spec) {
   std::vector<EdgePlan> plans;
   // Mapped pairs only arise between two mappings agreeing on both the
   // target and the source entity, so expand (target entity, source
   // entity) buckets — Σ |bucket|² work — instead of the |ρ|² double loop
-  // over the raw mapping.  The bucket index is the same one the encoder
-  // walks (CopyBucketIndex, built per edge in spec.copy_edges() order),
-  // so the decomposition layer hands its prebuilt copy down instead of
-  // bucketing the mappings a second time.  The pair SET is identical to
-  // the raw double loop's, only its order differs (bucket-grouped
-  // instead of target-id-lexicographic), which the chase fixpoint is
-  // insensitive to: the closure is a least fixpoint of monotone rules,
-  // so certain_orders and consistency never depend on application order
-  // (tests/encoder_chase_test.cc proves this against a quadratic
-  // reference; only the pass counter may differ).
-  std::optional<CopyBucketIndex> local;
-  if (shared == nullptr) {
-    local = CopyBucketIndex::Build(spec);
-    shared = &*local;
-  } else if (shared->per_edge.size() != spec.copy_edges().size()) {
-    // Same loud failure the encoder gives a foreign index (the size check
-    // is the only validation there is — silently rebuilding would mask a
-    // caller bug).
-    return Status::Internal("copy-bucket index does not match the spec");
-  }
-  const CopyBucketIndex& index = *shared;
+  // over the raw mapping; the buckets are the encoder's
+  // (CopyBucketIndex, built per edge in spec.copy_edges() order).  The
+  // pair SET is identical to the raw double loop's, only its order
+  // differs (bucket-grouped instead of target-id-lexicographic), which
+  // the chase fixpoint is insensitive to: the closure is a least
+  // fixpoint of monotone rules, so certain_orders and consistency never
+  // depend on application order (tests/encoder_chase_test.cc proves this
+  // against a quadratic reference; only the pass counter may differ).
+  const CopyBucketIndex index = CopyBucketIndex::Build(spec);
   for (size_t edge_index = 0; edge_index < spec.copy_edges().size();
        ++edge_index) {
     const CopyEdge& edge = spec.copy_edges()[edge_index];
@@ -159,15 +145,13 @@ bool CopyPropagationPass(const std::vector<EdgePlan>& plans,
   return changed;
 }
 
-Result<ChaseResult> RunChase(const Specification& spec, bool with_denials,
-                             const CopyBucketIndex* copy_index) {
+Result<ChaseResult> RunChase(const Specification& spec, bool with_denials) {
   ChaseResult result;
   result.certain_orders.reserve(spec.num_instances());
   for (int i = 0; i < spec.num_instances(); ++i) {
     result.certain_orders.push_back(spec.instance(i).orders());
   }
-  ASSIGN_OR_RETURN(std::vector<EdgePlan> plans,
-                   BuildEdgePlans(spec, copy_index));
+  ASSIGN_OR_RETURN(std::vector<EdgePlan> plans, BuildEdgePlans(spec));
   bool inconsistent = false;
   bool changed = true;
   while (changed && !inconsistent) {
@@ -190,14 +174,12 @@ Result<ChaseResult> RunChase(const Specification& spec, bool with_denials,
 
 }  // namespace
 
-Result<ChaseResult> ChaseCopyOrders(const Specification& spec,
-                                    const CopyBucketIndex* copy_index) {
-  return RunChase(spec, /*with_denials=*/false, copy_index);
+Result<ChaseResult> ChaseCopyOrders(const Specification& spec) {
+  return RunChase(spec, /*with_denials=*/false);
 }
 
-Result<ChaseResult> CertainOrderPrefix(const Specification& spec,
-                                       const CopyBucketIndex* copy_index) {
-  return RunChase(spec, /*with_denials=*/true, copy_index);
+Result<ChaseResult> CertainOrderPrefix(const Specification& spec) {
+  return RunChase(spec, /*with_denials=*/true);
 }
 
 const ComponentChase::Node* ComponentChase::FindNode(int inst,
@@ -226,7 +208,7 @@ bool ComponentChase::CertainLess(int inst, const Value& eid, AttrIndex attr,
 Result<ComponentChase> ChaseComponentOrders(
     const Specification& spec,
     const std::vector<std::pair<int, Value>>& nodes,
-    const CopyBucketIndex* copy_index) {
+    const CopyBucketIndex& copy_index) {
   ComponentChase out;
   // Entity groups with the whole-spec initial orders restricted to their
   // members.  Members are COPIED out of the relation's group cache: a
@@ -276,11 +258,7 @@ Result<ComponentChase> ChaseComponentOrders(
     std::vector<std::pair<AttrIndex, AttrIndex>> attrs;
     std::vector<LocalPair> pairs;
   };
-  std::optional<CopyBucketIndex> local;
-  if (copy_index == nullptr) {
-    local = CopyBucketIndex::Build(spec);
-    copy_index = &*local;
-  } else if (copy_index->per_edge.size() != spec.copy_edges().size()) {
+  if (copy_index.per_edge.size() != spec.copy_edges().size()) {
     return Status::Internal("copy-bucket index does not match the spec");
   }
   std::vector<LocalPlan> plans;
@@ -288,7 +266,7 @@ Result<ComponentChase> ChaseComponentOrders(
     const CopyEdge& edge = spec.copy_edges()[e];
     std::vector<std::pair<AttrIndex, AttrIndex>> attrs;
     bool attrs_resolved = false;
-    for (const auto& [te, by_source] : copy_index->per_edge[e]) {
+    for (const auto& [te, by_source] : copy_index.per_edge[e]) {
       auto tgt_it = node_index.find({edge.target_instance, te});
       if (tgt_it == node_index.end()) continue;
       for (const auto& [se, mapped] : by_source) {

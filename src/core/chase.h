@@ -8,7 +8,7 @@
 // completed orders over all consistent completions (Lemma 6.2), which
 // makes CPS, COP and DCIP PTIME-decidable (Theorem 6.1); with denial
 // constraints it is still a sound pre-propagation (every derived pair is
-// certain), used to seed the SAT encoder (ablation option).
+// certain), which the brute-force oracle uses to prune its search.
 
 #ifndef CURRENCY_SRC_CORE_CHASE_H_
 #define CURRENCY_SRC_CORE_CHASE_H_
@@ -84,23 +84,17 @@ struct ComponentChase {
 /// component whose entity groups are `nodes` ((instance, eid) pairs):
 /// initial orders restricted to the groups, propagation along the copy
 /// buckets both of whose endpoints lie in the component.  `copy_index`
-/// as in ChaseCopyOrders.
+/// is the specification's CopyBucketIndex (the engine shares its own);
+/// read during set-up only, not retained.
 Result<ComponentChase> ChaseComponentOrders(
     const Specification& spec,
     const std::vector<std::pair<int, Value>>& nodes,
-    const CopyBucketIndex* copy_index = nullptr);
+    const CopyBucketIndex& copy_index);
 
 /// Runs the chase.  Fails (error Status) only on malformed specifications
 /// (unresolvable copy signatures); an inconsistent-but-well-formed
 /// specification yields consistent == false.
-///
-/// `copy_index` optionally supplies a prebuilt CopyBucketIndex for the
-/// specification (the same one the encoder shares); when null the chase
-/// buckets the copy mappings itself.  Read during set-up only, not
-/// retained.
-Result<ChaseResult> ChaseCopyOrders(const Specification& spec,
-                                    const CopyBucketIndex* copy_index =
-                                        nullptr);
+Result<ChaseResult> ChaseCopyOrders(const Specification& spec);
 
 /// Chase + denial-constraint Horn closure: additionally fires every
 /// grounded denial constraint whose order premises are already certain,
@@ -108,11 +102,9 @@ Result<ChaseResult> ChaseCopyOrders(const Specification& spec,
 /// Every derived pair holds in EVERY consistent completion (sound); the
 /// closure is not complete in general — with denial constraints, deciding
 /// certainty is coNP-hard (Theorem 3.4) — but it shrinks search spaces
-/// dramatically (used to seed the SAT encoder and the brute-force oracle).
+/// dramatically (the brute-force oracle prunes with it).
 /// Without denial constraints it coincides with ChaseCopyOrders.
-Result<ChaseResult> CertainOrderPrefix(const Specification& spec,
-                                       const CopyBucketIndex* copy_index =
-                                           nullptr);
+Result<ChaseResult> CertainOrderPrefix(const Specification& spec);
 
 }  // namespace currency::core
 

@@ -11,12 +11,10 @@ namespace currency::core {
 Result<CpsOutcome> DecideConsistency(const Specification& spec,
                                      const CpsOptions& options) {
   // Mod(S) factors over coupling components, so S is consistent iff every
-  // component is.
-  ASSIGN_OR_RETURN(
-      auto engine,
-      DecomposedEncoder::Build(
-          spec, options.encoder,
-          options.use_chase_routing && !options.want_witness));
+  // component is.  Chase-eligible components are decided by the chase
+  // (Theorem 6.1 on S|_c) unless a witness needs every component's model.
+  ASSIGN_OR_RETURN(auto engine,
+                   DecomposedEncoder::Build(spec, {}, !options.want_witness));
   CpsOutcome outcome;
   outcome.components = engine->num_components();
   std::optional<exec::ThreadPool> local_pool;

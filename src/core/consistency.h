@@ -15,7 +15,6 @@
 
 #include "src/common/result.h"
 #include "src/core/completion.h"
-#include "src/core/encoder.h"
 #include "src/core/specification.h"
 
 namespace currency::exec {
@@ -29,13 +28,6 @@ struct CpsOptions {
   /// Always construct a witness completion (routes every component
   /// through SAT: a chase fixpoint carries no witness).
   bool want_witness = false;
-  /// Decide chase-eligible components (no denial grounding touches them)
-  /// by the polynomial copy-order chase instead of building their SAT
-  /// encoders (Theorem 6.1 on S|_c); SAT remains the fallback for the
-  /// constrained components of the same specification.  Ignored when
-  /// `want_witness` forces full encoders.  Disable to force pure SAT
-  /// (equivalence testing / ablation).
-  bool use_chase_routing = true;
   /// Threads (src/exec/thread_pool.h): components are solved concurrently
   /// with first-UNSAT cancellation.  Counts the calling thread; 1 (the
   /// default) runs strictly sequentially.  Answers and witnesses are
@@ -46,7 +38,6 @@ struct CpsOptions {
   /// not owned — it must outlive the call and must not be inside a
   /// concurrent ParallelFor region.
   exec::ThreadPool* pool = nullptr;
-  Encoder::Options encoder;
 };
 
 /// Outcome of CPS.

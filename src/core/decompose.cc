@@ -1,5 +1,6 @@
 #include "src/core/decompose.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 #include <set>
@@ -157,11 +158,10 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
   // member values, and the values are hashed under 0xA0; constraints that
   // ground to nothing contribute no clauses and no closure rules, so
   // adding or removing one must not — and does not — move any
-  // fingerprint); chase seeding, when enabled, derives only from
-  // (b) + (c) inside the component.  Options and schemas are
-  // edit-invariant and deliberately not hashed.  The same grounding scan
-  // decides chase-eligibility: a component none of whose groups is
-  // touched by any grounding is effectively constraint-free.
+  // fingerprint).  Schemas are edit-invariant and deliberately not
+  // hashed.  The same grounding scan decides chase-eligibility: a
+  // component none of whose groups is touched by any grounding is
+  // effectively constraint-free.
   std::vector<Fingerprinter> fp(d.components_.size());
   std::vector<std::vector<std::string>> constraint_texts(spec.num_instances());
   for (int i = 0; i < spec.num_instances(); ++i) {
@@ -365,29 +365,18 @@ bool SomeCompletionSets(sat::Solver* solver, sat::Lit lit, ProbeTally* tally) {
 }
 
 Result<std::unique_ptr<DecomposedEncoder>> DecomposedEncoder::Build(
-    const Specification& spec, const Encoder::Options& options,
+    const Specification& spec, const Encoder::Options& /*options*/,
     bool use_chase_routing, const EngineCounters* counters) {
   std::unique_ptr<DecomposedEncoder> de(new DecomposedEncoder());
   de->spec_ = &spec;
-  de->options_ = options;
   de->use_chase_routing_ = use_chase_routing;
   de->counters_ = counters;
-  de->options_.restrict_to = nullptr;  // set per component below
-  de->options_.copy_index = nullptr;   // points into copy_index_ per build
-  de->options_.chase_seed = nullptr;   // points into chase_seed_ per build
   // Decomposition::Build touches every instance's EntityGroups(), which
   // warms the Relation-level lazy cache before any parallel work begins;
-  // from here on the specification, the decomposition, the copy index and
-  // the chase seed are read-only shared state (see the class comment).
+  // from here on the specification, the decomposition and the copy index
+  // are read-only shared state (see the class comment).
   ASSIGN_OR_RETURN(de->decomposition_, Decomposition::Build(spec));
   de->copy_index_ = CopyBucketIndex::Build(spec);
-  if (options.seed_with_chase) {
-    // The chase runs over the whole specification; compute it once here
-    // instead of once per component encoder, sharing the bucket index
-    // just built rather than bucketing the copy mappings again.
-    ASSIGN_OR_RETURN(de->chase_seed_,
-                     CertainOrderPrefix(spec, &de->copy_index_));
-  }
   int n = de->decomposition_.num_components();
   de->filters_.reserve(n);
   for (int c = 0; c < n; ++c) {
@@ -409,7 +398,7 @@ Result<ComponentChase> DecomposedEncoder::BuildComponentChase(int c) const {
   for (const EntityNode& node : decomposition_.component(c)) {
     nodes.emplace_back(node.inst, node.eid);
   }
-  return ChaseComponentOrders(*spec_, nodes, &copy_index_);
+  return ChaseComponentOrders(*spec_, nodes, copy_index_);
 }
 
 Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildComponentEncoder(
@@ -417,11 +406,7 @@ Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildComponentEncoder(
   if (c < 0 || c >= num_components()) {
     return Status::InvalidArgument("component index out of range");
   }
-  Encoder::Options options = options_;
-  options.restrict_to = &filters_[c];
-  options.copy_index = &copy_index_;
-  if (chase_seed_.has_value()) options.chase_seed = &*chase_seed_;
-  return Encoder::Build(*spec_, options);
+  return Encoder::Build(*spec_, Encoder::Options{&filters_[c], &copy_index_});
 }
 
 Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildMergedEncoder(
@@ -432,11 +417,7 @@ Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildMergedEncoder(
     }
   }
   EntityFilter filter = decomposition_.FilterFor(components);
-  Encoder::Options options = options_;
-  options.restrict_to = &filter;
-  options.copy_index = &copy_index_;
-  if (chase_seed_.has_value()) options.chase_seed = &*chase_seed_;
-  return Encoder::Build(*spec_, options);
+  return Encoder::Build(*spec_, Encoder::Options{&filter, &copy_index_});
 }
 
 Status DecomposedEncoder::RunSampled(Encoder* encoder,
@@ -580,6 +561,29 @@ Result<bool> DecomposedEncoder::EnsureAllSolved(exec::ThreadPool* pool) {
     }
   }
   return consistent;
+}
+
+Status DecomposedEncoder::SettleWalk(const std::vector<int>& components,
+                                     const ProbeFn& probe,
+                                     const std::function<void(int k)>& drop,
+                                     exec::ThreadPool* pool) {
+  const int sat_routed = static_cast<int>(std::count_if(
+      components.begin(), components.end(),
+      [&](int c) { return !chase_routed(c); }));
+  std::vector<int> deferred;
+  for (size_t k = 0; k < components.size(); ++k) {
+    const int task = static_cast<int>(k);
+    if (chase_routed(components[k]) || sat_routed >= 2) {
+      ASSIGN_OR_RETURN(bool complete, probe(task, /*walk=*/true));
+      if (complete) continue;
+      drop(task);
+    }
+    deferred.push_back(task);
+  }
+  return pool->ParallelFor(static_cast<int>(deferred.size()),
+                           [&](int j) -> Status {
+                             return probe(deferred[j], /*walk=*/false).status();
+                           });
 }
 
 std::map<uint64_t, DecomposedEncoder::Harvested> DecomposedEncoder::Harvest() {

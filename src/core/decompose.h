@@ -27,8 +27,9 @@
 //     on an encoder covering just the components a query can read (the
 //     component's own when it is one, else a merged one).
 // A specification without denial constraints makes every component
-// chase-eligible, so with chase routing on these already apply Theorem
-// 6.1, Lemma 6.2 and Proposition 6.3 component by component.
+// chase-eligible, so routing already applies Theorem 6.1 and Lemma 6.2
+// component by component, and Proposition 6.3 on every chase-enumerable
+// component.
 //
 // Equivalence with one monolithic encoding of the whole specification
 // (tests/support/monolithic.h) and with the brute-force oracle is
@@ -241,10 +242,10 @@ struct EngineCounters {
 ///
 /// Concurrency.  After Build, the specification (including each
 /// Relation's entity-group cache, warmed by Decomposition::Build), the
-/// options, the decomposition, the copy-bucket index, the chase seed and
-/// the per-component filters are read-only, so the Build* methods may run
-/// concurrently for any component mix.  The cache slots fill lazily under
-/// concurrent callers, each with its own synchronization:
+/// decomposition, the copy-bucket index and the per-component filters are
+/// read-only, so the Build* methods may run concurrently for any
+/// component mix.  The cache slots fill lazily under concurrent callers,
+/// each with its own synchronization:
 ///   * encoder slot: a per-component mutex, held by WithComponentEncoder
 ///     for the whole call — every use of a component's solver goes
 ///     through it.  Learnt clauses one caller leaves behind are implied
@@ -275,7 +276,9 @@ class DecomposedEncoder {
  public:
   /// `use_chase_routing` answers chase-eligible components from their
   /// chase fixpoints and never builds their encoders; off, every
-  /// component is SAT-routed.  `counters` (not owned; may be null)
+  /// component is SAT-routed, which only the forced-SAT test references
+  /// and CPS witnesses ask for.  `options` is ignored: the engine sets
+  /// both of its fields per build.  `counters` (not owned; may be null)
   /// receives the engine's cache and solver work.
   static Result<std::unique_ptr<DecomposedEncoder>> Build(
       const Specification& spec, const Encoder::Options& options,
@@ -374,6 +377,23 @@ class DecomposedEncoder {
   /// 0 unsat, 1 sat.  Lock-free.
   int CachedSat(int c) const;
 
+  /// A COP or DCIP probe phase's work on its k-th component, in batch
+  /// order.  A `walk` calls no solver: it returns false at the first probe
+  /// the solver's record cannot settle, leaving partial results behind.
+  using ProbeFn = std::function<Result<bool>(int k, bool walk)>;
+
+  /// The settle walk of CertainOrderProbes and DeterminismProbes.  On the
+  /// calling thread, in order, walks each chase-routed component of
+  /// `components`, and each SAT-routed one when there are two or more (a
+  /// lone one would run inline anyway).  A component the walk leaves open
+  /// calls `drop(k)` to discard its partial results and tally; it and
+  /// every unwalked one go to `pool` as tasks that call probe(k, false).
+  /// The walk changes no solver state, so every call sequence and count
+  /// is the one the pool alone would give.
+  Status SettleWalk(const std::vector<int>& components, const ProbeFn& probe,
+                    const std::function<void(int k)>& drop,
+                    exec::ThreadPool* pool);
+
   /// Adds a probe phase's tally to EngineCounters::probe_solves and
   /// probes_settled; a no-op without counters.
   void CountProbes(const ProbeTally& tally) const {
@@ -419,15 +439,11 @@ class DecomposedEncoder {
   Status RunSampled(Encoder* encoder, const EncoderFn& fn) const;
 
   const Specification* spec_ = nullptr;
-  Encoder::Options options_;
   bool use_chase_routing_ = false;
   const EngineCounters* counters_ = nullptr;
   Decomposition decomposition_;
   /// Copy-bucket index shared by every component build (built once).
   CopyBucketIndex copy_index_;
-  /// Chase result shared by every component build when the options ask
-  /// for chase seeding (the chase runs over the whole specification).
-  std::optional<ChaseResult> chase_seed_;
   /// Per-component filters (stable storage for lazily built encoders).
   std::vector<EntityFilter> filters_;
   std::unique_ptr<Slot[]> slots_;

@@ -160,9 +160,7 @@ Result<std::vector<bool>> DeterminismProbes(
   }
   std::vector<std::vector<int>> nondeterministic(components.size());
   std::vector<ProbeTally> tally(components.size());
-  // Probes component k's items in batch order.  A `walk` calls no solver:
-  // it returns false at the first item the solver's record cannot settle,
-  // leaving partial results for the caller to drop.
+  // Probes component k's items in batch order (DecomposedEncoder::ProbeFn).
   auto probe_component = [&](int k, bool walk) -> Result<bool> {
     bool complete = true;
     RETURN_IF_ERROR(engine->WithComponentEncoder(
@@ -181,29 +179,13 @@ Result<std::vector<bool>> DeterminismProbes(
         }));
     return complete;
   };
-  // Settle walk, as in CertainOrderProbes: on the calling thread, each
-  // component whose solver record settles every item is answered under
-  // its slot lock; the rest drop their partial results and tally and go
-  // to the pool, which re-runs them from their first item, so every call
-  // sequence and count is the one the pool alone would give.  A lone
-  // component skips the walk, since a one-task region runs inline anyway.
-  std::vector<int> deferred;
-  for (size_t k = 0; k < components.size(); ++k) {
-    const int task = static_cast<int>(k);
-    bool complete = false;
-    if (components.size() >= 2) {
-      ASSIGN_OR_RETURN(complete, probe_component(task, /*walk=*/true));
-    }
-    if (!complete) {
-      nondeterministic[k].clear();
-      tally[k] = ProbeTally{};
-      deferred.push_back(task);
-    }
-  }
-  RETURN_IF_ERROR(pool->ParallelFor(
-      static_cast<int>(deferred.size()), [&](int j) -> Status {
-        return probe_component(deferred[j], /*walk=*/false).status();
-      }));
+  RETURN_IF_ERROR(engine->SettleWalk(
+      components, probe_component,
+      [&](int k) {
+        nondeterministic[k].clear();
+        tally[k] = ProbeTally{};
+      },
+      pool));
   ProbeTally total;
   for (size_t k = 0; k < components.size(); ++k) {
     for (int item : nondeterministic[k]) out[item] = false;
@@ -222,10 +204,8 @@ namespace {
 Result<bool> DeterministicFor(const Specification& spec,
                               const std::vector<int>& instances,
                               const DcipOptions& options) {
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
-                                    spec, enc, options.use_chase_routing));
+                                    spec, {}, /*use_chase_routing=*/true));
   std::optional<exec::ThreadPool> local_pool;
   exec::ThreadPool* pool =
       exec::ResolvePool(options.pool, options.num_threads, local_pool);

@@ -23,10 +23,6 @@ namespace currency::core {
 
 /// Options for the DCIP solvers.
 struct DcipOptions {
-  /// Decide chase-eligible components by sink-agreement on the component
-  /// chase fixpoint (Theorem 6.1(3) applied to S|_c) instead of SAT
-  /// probes; SAT remains the fallback for constrained components.
-  bool use_chase_routing = true;
   /// Threads: the consistency pre-solve and the per-component determinism
   /// probes that need a solve run concurrently (each component's probe
   /// sequence is confined to one task).  1 (the default) runs
@@ -35,7 +31,6 @@ struct DcipOptions {
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  Encoder::Options encoder;
 };
 
 /// Decides whether S is deterministic for current `relation` instances.
@@ -57,12 +52,11 @@ namespace internal {
 /// agreement on their fixpoints; an item stops at its first refuting
 /// component.  Items still open then run DeterministicProbe on their
 /// SAT-routed components' encoders; a component probes its items in batch
-/// order.  When two or more SAT-routed components take part, each one
-/// whose solver record settles every item — a remembered model to read,
-/// and no candidate that needs a solve — is answered on the calling thread
-/// under its slot lock.  Only components with a probe to solve go to
-/// `pool` (not null), as parallel tasks that probe from their first item,
-/// so each solver's call sequence is the same for every thread count.
+/// order.  DecomposedEncoder::SettleWalk answers on the calling thread
+/// each component whose solver record settles every item — a remembered
+/// model to read, and no candidate that needs a solve — and sends only
+/// components with a probe to solve to `pool` (not null), so each solver's
+/// call sequence is the same for every thread count.
 /// Probe solves and settled probes are counted into the engine's
 /// EngineCounters, once per probe.
 Result<std::vector<bool>> DeterminismProbes(

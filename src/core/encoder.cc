@@ -5,7 +5,6 @@
 #include <functional>
 #include <utility>
 
-#include "src/core/chase.h"
 
 namespace currency::core {
 
@@ -153,38 +152,10 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
     }
   }
 
-  // 3. Initial partial orders (or the chase's strengthening of them).
-  // Borrowed, not copied: a PartialOrder is an O(n²) bit matrix, and a
-  // per-component build must not pay for the whole instance.
-  std::optional<ChaseResult> local_chase;
-  const ChaseResult* chase = options.chase_seed;
-  bool seed_with_chase = false;
-  if (options.seed_with_chase) {
-    // The full certain prefix (chase + denial Horn closure): every derived
-    // pair holds in all consistent completions, so adding them as units is
-    // sound and strengthens propagation.  The chase runs over the whole
-    // specification, so the decomposition layer precomputes it once
-    // (options.chase_seed) instead of once per component.
-    if (chase == nullptr) {
-      // options.copy_index (when given) spares the chase its own
-      // bucketing pass; it validates the edge count itself.
-      ASSIGN_OR_RETURN(local_chase,
-                       CertainOrderPrefix(spec, options.copy_index));
-      chase = &*local_chase;
-    }
-    if (!chase->consistent) {
-      // Encode inconsistency directly: empty clause.
-      s.AddClause({});
-    } else {
-      seed_with_chase = true;
-    }
-  }
-  auto initial_orders = [&](int i) -> const std::vector<PartialOrder>& {
-    return seed_with_chase ? chase->certain_orders[i]
-                           : spec.instance(i).orders();
-  };
-  // Initial orders only relate same-entity tuples (TemporalInstance::
-  // AddOrder and the chase both enforce this), so walking entity groups
+  // 3. Initial partial orders.  Read in place: a PartialOrder is an
+  // O(n²) bit matrix, and a per-component build must not pay for the
+  // whole instance.  Initial orders only relate same-entity tuples
+  // (TemporalInstance::AddOrder enforces this), so walking entity groups
   // and probing Less covers every pair — in Σ m² instead of the n²/64
   // full-matrix scan of Pairs(), which matters when a filtered encoder is
   // built once per component.
@@ -194,7 +165,7 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
       (void)eid;
       for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
         if (bound_slot_[i][a] < 0) continue;
-        const PartialOrder& po = initial_orders(i)[a];
+        const PartialOrder& po = inst.order(a);
         for (TupleId u : members) {
           for (TupleId v : members) {
             if (u == v || !po.Less(u, v)) continue;
@@ -313,84 +284,82 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   //    maximal member of the initial order (any linear extension can end
   //    in any of them, independently of every other variable): ¬L(u) for
   //    each non-maximal member, exactly-one over the maximal members.
-  if (options.define_is_last) {
-    last_tuples_.resize(spec.num_instances());
-    is_last_var_.resize(spec.num_instances());
-    cell_index_.resize(spec.num_instances());
-    for (int i = 0; i < spec.num_instances(); ++i) {
-      const TemporalInstance& inst = spec.instance(i);
-      const int arity = inst.schema().arity();
-      // Rows for this encoder's own tuples only (sorted for IsLastVar's
-      // lookup), so the index costs O(own content) like the rest.
-      for (const auto& [eid, members] : active_groups_[i]) {
-        (void)eid;
-        last_tuples_[i].insert(last_tuples_[i].end(), members.begin(),
-                               members.end());
-      }
-      std::sort(last_tuples_[i].begin(), last_tuples_[i].end());
-      is_last_var_[i].assign(last_tuples_[i].size() * arity, -1);
-      for (const auto& [eid, members] : active_groups_[i]) {
-        for (AttrIndex a = 1; a < arity; ++a) {
-          const bool bound = bound_slot_[i][a] >= 0;
-          const PartialOrder& po = initial_orders(i)[a];
-          std::vector<sat::Lit> maximal;  // L(u) of the maximal members
-          for (TupleId u : members) {
-            sat::Var lv = s.NewVar();
-            is_last_var_[i][static_cast<size_t>(LastRow(i, u)) * arity + a] =
-                lv;
-            if (!bound) {
-              bool has_successor = false;
-              for (TupleId v : members) has_successor |= po.Less(u, v);
-              if (has_successor) {
-                s.AddClause({sat::MakeLit(lv, true)});
-              } else {
-                maximal.push_back(sat::MakeLit(lv));
-              }
-              continue;
-            }
-            std::vector<sat::Lit> back{sat::MakeLit(lv)};
-            for (TupleId v : members) {
-              if (v == u) continue;
-              // L(u) → ord(v, u)
-              s.AddClause({sat::MakeLit(lv, true), OrdLit(i, a, v, u)});
-              back.push_back(sat::Negate(OrdLit(i, a, v, u)));
-            }
-            // (⋀ ord(v,u)) → L(u)
-            s.AddClause(std::move(back));
-          }
+  last_tuples_.resize(spec.num_instances());
+  is_last_var_.resize(spec.num_instances());
+  cell_index_.resize(spec.num_instances());
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    const TemporalInstance& inst = spec.instance(i);
+    const int arity = inst.schema().arity();
+    // Rows for this encoder's own tuples only (sorted for IsLastVar's
+    // lookup), so the index costs O(own content) like the rest.
+    for (const auto& [eid, members] : active_groups_[i]) {
+      (void)eid;
+      last_tuples_[i].insert(last_tuples_[i].end(), members.begin(),
+                             members.end());
+    }
+    std::sort(last_tuples_[i].begin(), last_tuples_[i].end());
+    is_last_var_[i].assign(last_tuples_[i].size() * arity, -1);
+    for (const auto& [eid, members] : active_groups_[i]) {
+      for (AttrIndex a = 1; a < arity; ++a) {
+        const bool bound = bound_slot_[i][a] >= 0;
+        const PartialOrder& po = inst.order(a);
+        std::vector<sat::Lit> maximal;  // L(u) of the maximal members
+        for (TupleId u : members) {
+          sat::Var lv = s.NewVar();
+          is_last_var_[i][static_cast<size_t>(LastRow(i, u)) * arity + a] =
+              lv;
           if (!bound) {
-            for (size_t x = 0; x < maximal.size(); ++x) {
-              for (size_t y = x + 1; y < maximal.size(); ++y) {
-                s.AddClause({sat::Negate(maximal[x]), sat::Negate(maximal[y])});
-              }
+            bool has_successor = false;
+            for (TupleId v : members) has_successor |= po.Less(u, v);
+            if (has_successor) {
+              s.AddClause({sat::MakeLit(lv, true)});
+            } else {
+              maximal.push_back(sat::MakeLit(lv));
             }
-            s.AddClause(std::move(maximal));
+            continue;
           }
-          // Cell: distinct values of this (attr, entity) with their vars.
-          Cell cell;
-          cell.inst = i;
-          cell.attr = a;
-          cell.eid = eid;
-          std::map<Value, std::vector<TupleId>> by_value;
-          for (TupleId u : members) {
-            by_value[inst.relation().tuple(u).at(a)].push_back(u);
+          std::vector<sat::Lit> back{sat::MakeLit(lv)};
+          for (TupleId v : members) {
+            if (v == u) continue;
+            // L(u) → ord(v, u)
+            s.AddClause({sat::MakeLit(lv, true), OrdLit(i, a, v, u)});
+            back.push_back(sat::Negate(OrdLit(i, a, v, u)));
           }
-          for (const auto& [v, carriers] : by_value) {
-            sat::Var vv = s.NewVar();
-            cell.values.push_back(v);
-            cell.value_vars.push_back(vv);
-            // val ⇔ ⋁ L(u).
-            std::vector<sat::Lit> def{sat::MakeLit(vv, true)};
-            for (TupleId u : carriers) {
-              def.push_back(sat::MakeLit(IsLastVar(i, a, u)));
-              s.AddClause({sat::MakeLit(IsLastVar(i, a, u), true),
-                           sat::MakeLit(vv)});
-            }
-            s.AddClause(std::move(def));
-          }
-          cell_index_[i][{a, eid}] = static_cast<int>(cells_.size());
-          cells_.push_back(std::move(cell));
+          // (⋀ ord(v,u)) → L(u)
+          s.AddClause(std::move(back));
         }
+        if (!bound) {
+          for (size_t x = 0; x < maximal.size(); ++x) {
+            for (size_t y = x + 1; y < maximal.size(); ++y) {
+              s.AddClause({sat::Negate(maximal[x]), sat::Negate(maximal[y])});
+            }
+          }
+          s.AddClause(std::move(maximal));
+        }
+        // Cell: distinct values of this (attr, entity) with their vars.
+        Cell cell;
+        cell.inst = i;
+        cell.attr = a;
+        cell.eid = eid;
+        std::map<Value, std::vector<TupleId>> by_value;
+        for (TupleId u : members) {
+          by_value[inst.relation().tuple(u).at(a)].push_back(u);
+        }
+        for (const auto& [v, carriers] : by_value) {
+          sat::Var vv = s.NewVar();
+          cell.values.push_back(v);
+          cell.value_vars.push_back(vv);
+          // val ⇔ ⋁ L(u).
+          std::vector<sat::Lit> def{sat::MakeLit(vv, true)};
+          for (TupleId u : carriers) {
+            def.push_back(sat::MakeLit(IsLastVar(i, a, u)));
+            s.AddClause({sat::MakeLit(IsLastVar(i, a, u), true),
+                         sat::MakeLit(vv)});
+          }
+          s.AddClause(std::move(def));
+        }
+        cell_index_[i][{a, eid}] = static_cast<int>(cells_.size());
+        cells_.push_back(std::move(cell));
       }
     }
   }

@@ -16,8 +16,8 @@
 //   * unit clauses for the initial partial orders (bound attributes),
 //   * copy ≺-compatibility implications ord_src(s1,s2) → ord_tgt(t1,t2),
 //   * grounded denial constraints (premise literals → conclusion literal),
-//   * optional "is-last" selector variables L(u), used by CCQA/DCIP to
-//     project models onto distinct current instances: L(u) ⇔
+//   * "is-last" selector variables L(u), used by CCQA/DCIP to project
+//     models onto distinct current instances: L(u) ⇔
 //     ⋀_{v≠u} ord(v,u) on a bound attribute; on a free one a unit ¬L(u)
 //     per member with a successor in the initial order, plus exactly-one
 //     over the maximal members (each ends some linear extension).
@@ -49,8 +49,6 @@
 #include "src/sat/solver.h"
 
 namespace currency::core {
-
-struct ChaseResult;
 
 /// A per-instance whitelist of entity groups.  The decomposition layer
 /// (src/core/decompose.h) passes one of these per coupling-graph component
@@ -86,12 +84,9 @@ struct CopyBucketIndex {
 /// Builds and owns the SAT encoding of a specification.
 class Encoder {
  public:
+  /// Engine-internal build inputs (DecomposedEncoder sets both per
+  /// component); a default Options encodes the whole specification.
   struct Options {
-    /// Seed the solver with the chase's certain orders as unit clauses
-    /// (sound strengthening; ablation knob for bench_ablation).
-    bool seed_with_chase = false;
-    /// Create the is-last selector variables (needed by CCQA and DCIP).
-    bool define_is_last = true;
     /// When set, encode only the listed entity groups.  The filter must be
     /// closed under copy coupling (Build fails otherwise); the pointed-to
     /// filter is copied at Build time and not retained.
@@ -99,11 +94,6 @@ class Encoder {
     /// Optional shared copy-bucket index (see CopyBucketIndex); when null
     /// the encoder builds its own.  Read only during Build, not retained.
     const CopyBucketIndex* copy_index = nullptr;
-    /// Optional precomputed chase result for seed_with_chase; when null
-    /// the encoder runs the (whole-specification) chase itself.  The
-    /// decomposition layer computes it once and shares it across all
-    /// component builds.  Read only during Build, not retained.
-    const ChaseResult* chase_seed = nullptr;
   };
 
   /// Builds the encoding.  Fails only on malformed specifications; an
@@ -127,8 +117,7 @@ class Encoder {
   sat::Lit OrdLit(int inst, AttrIndex attr, TupleId u, TupleId v) const;
 
   /// Selector variable "u is the most current tuple of its entity for
-  /// `attr`", or -1 when undefined: u outside this encoder's groups, or
-  /// options.define_is_last off.
+  /// `attr`", or -1 when u lies outside this encoder's groups.
   sat::Var IsLastVar(int inst, AttrIndex attr, TupleId u) const;
 
   /// The entity groups of instance `inst` this encoder covers, as (entity,
@@ -152,7 +141,7 @@ class Encoder {
     std::vector<sat::Var> value_vars;
   };
 
-  /// All cells (requires options.define_is_last).
+  /// All cells.
   const std::vector<Cell>& cells() const { return cells_; }
 
   /// Cell-value variables of the given instances, in layout order, for

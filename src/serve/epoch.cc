@@ -24,15 +24,14 @@ void SessionCounters::Bind(obs::Registry* registry,
 }
 
 Result<std::shared_ptr<Epoch>> Epoch::Build(
-    core::Specification spec, const core::Encoder::Options& enc,
-    bool use_chase_routing, int64_t version,
+    core::Specification spec, bool chase_routing, int64_t version,
     const core::EngineCounters* counters) {
   std::shared_ptr<Epoch> epoch(new Epoch(std::move(spec), version));
   // The engine retains a pointer to the specification, so it is built only
   // after the spec has settled at its final (heap) address.
   ASSIGN_OR_RETURN(epoch->engine_,
-                   core::DecomposedEncoder::Build(epoch->spec_, enc,
-                                                  use_chase_routing, counters));
+                   core::DecomposedEncoder::Build(epoch->spec_, {},
+                                                  chase_routing, counters));
   return epoch;
 }
 

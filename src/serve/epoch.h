@@ -67,10 +67,10 @@ class Epoch {
  public:
   /// Builds the snapshot over `spec` (moved in): coupling graph,
   /// fingerprints, filters, empty cache slots.  No SAT solving happens
-  /// here.  `counters` must outlive the epoch (the session owns both).
+  /// here.  `chase_routing` as in core::DecomposedEncoder::Build.
+  /// `counters` must outlive the epoch (the session owns both).
   static Result<std::shared_ptr<Epoch>> Build(
-      core::Specification spec, const core::Encoder::Options& enc,
-      bool use_chase_routing, int64_t version,
+      core::Specification spec, bool chase_routing, int64_t version,
       const core::EngineCounters* counters);
 
   const core::Specification& spec() const { return spec_; }

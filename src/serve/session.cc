@@ -8,15 +8,9 @@
 
 namespace currency::serve {
 
-CurrencySession::CurrencySession(const SessionOptions& options)
-    : options_(options), enc_(options.encoder) {
-  // One cached encoding serves all four problems: CPS and COP ignore the
-  // is-last selectors, DCIP and CCQA need them.
-  enc_.define_is_last = true;
-  // Session-managed knobs (DecomposedEncoder::Build sets these itself).
-  enc_.restrict_to = nullptr;
-  enc_.copy_index = nullptr;
-  enc_.chase_seed = nullptr;
+CurrencySession::CurrencySession(const SessionOptions& options,
+                                 bool chase_routing)
+    : options_(options), chase_routing_(chase_routing) {
   pool_ = exec::ResolvePool(options_.pool, options_.num_threads, own_pool_);
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
@@ -51,6 +45,18 @@ CurrencySession::CurrencySession(const SessionOptions& options)
 
 Result<std::unique_ptr<CurrencySession>> CurrencySession::Create(
     core::Specification spec, const SessionOptions& options) {
+  return CreateRouted(std::move(spec), options, /*chase_routing=*/true);
+}
+
+Result<std::unique_ptr<CurrencySession>>
+CurrencySession::CreateForcedSatForTesting(core::Specification spec,
+                                           const SessionOptions& options) {
+  return CreateRouted(std::move(spec), options, /*chase_routing=*/false);
+}
+
+Result<std::unique_ptr<CurrencySession>> CurrencySession::CreateRouted(
+    core::Specification spec, const SessionOptions& options,
+    bool chase_routing) {
   if (options.num_threads < 1 && options.pool == nullptr) {
     return Status::InvalidArgument("SessionOptions.num_threads must be >= 1");
   }
@@ -58,11 +64,11 @@ Result<std::unique_ptr<CurrencySession>> CurrencySession::Create(
     return Status::InvalidArgument(
         "SessionOptions.max_current_instances must be >= 1");
   }
-  std::unique_ptr<CurrencySession> session(new CurrencySession(options));
-  ASSIGN_OR_RETURN(
-      session->current_,
-      Epoch::Build(std::move(spec), session->enc_, options.use_chase_routing,
-                   /*version=*/0, &session->counters_.engine));
+  std::unique_ptr<CurrencySession> session(
+      new CurrencySession(options, chase_routing));
+  ASSIGN_OR_RETURN(session->current_,
+                   Epoch::Build(std::move(spec), chase_routing,
+                                /*version=*/0, &session->counters_.engine));
   session->counters_.epoch_publishes->Increment();  // the seed epoch
   return session;
 }
@@ -237,8 +243,7 @@ Status CurrencySession::Mutate(const std::vector<core::TupleEdit>& edits) {
   std::map<uint64_t, core::DecomposedEncoder::Harvested> cache =
       old->engine().Harvest();
   ASSIGN_OR_RETURN(std::shared_ptr<Epoch> epoch,
-                   Epoch::Build(std::move(next), enc_,
-                                options_.use_chase_routing,
+                   Epoch::Build(std::move(next), chase_routing_,
                                 old->version() + 1, &counters_.engine));
   core::DecomposedEncoder& engine = epoch->engine();
   int n = engine.num_components();

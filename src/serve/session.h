@@ -103,19 +103,6 @@ struct SessionOptions {
   exec::ThreadPool* pool = nullptr;
   /// Budget forwarded to CCQA's enumeration/blocking loops.
   int64_t max_current_instances = 1'000'000;
-  /// Serve chase-eligible components (no denial constraint grounds on any
-  /// of their entity groups) from the polynomial chase fixpoint instead of
-  /// a SAT encoder: consistency reads the fixpoint, COP pairs check
-  /// PO∞-membership, DCIP checks sink agreement, and SP-query CCQA
-  /// requests whose components are all eligible answer via Proposition
-  /// 6.3.  Cached fixpoints survive Mutate exactly like encoders do (same
-  /// fingerprint keying).  SAT remains the fallback for constrained
-  /// components; answers are identical either way.
-  bool use_chase_routing = true;
-  /// Base encoder options.  define_is_last is forced on (one cached
-  /// encoding serves CPS, COP, DCIP and CCQA); restrict_to / copy_index /
-  /// chase_seed are session-managed and ignored.
-  core::Encoder::Options encoder;
   /// Metrics registry the session publishes its currency_* instruments
   /// into (not owned; must outlive the session).  Null: the session
   /// creates a private registry — reachable via registry() — so
@@ -154,7 +141,7 @@ struct SessionStats {
   /// component's own encoder and build none.
   int64_t merged_builds = 0;
   /// Component chase fixpoints computed by consistency checks (cache
-  /// misses; chase-routed sessions only).
+  /// misses).
   int64_t chase_solves = 0;
   /// Components of the current epoch that re-used a previous epoch's
   /// encoder or result after the most recent Mutate (not monotonic).
@@ -164,11 +151,11 @@ struct SessionStats {
   int64_t last_invalidated = 0;
   /// Chase-eligible components of the current epoch that re-adopted a
   /// previous epoch's chase fixpoint after the most recent Mutate (not
-  /// monotonic; 0 when chase routing is off).
+  /// monotonic).
   int64_t last_chase_reused = 0;
   /// Chase-eligible components of the current epoch that could not adopt
   /// a cached fixpoint after the most recent Mutate and re-chase on next
-  /// use (not monotonic; 0 when chase routing is off).
+  /// use (not monotonic; 0 on a forced-SAT session).
   int64_t last_chase_rechased = 0;
 };
 
@@ -187,6 +174,11 @@ class CurrencySession {
   /// yet — base solves are paid by the first query batch.  Rejects
   /// num_threads < 1 and max_current_instances <= 0 with InvalidArgument.
   static Result<std::unique_ptr<CurrencySession>> Create(
+      core::Specification spec, const SessionOptions& options = {});
+
+  /// Test and bench seam: Create, with every component SAT-routed — the
+  /// forced-SAT reference that routed sessions are diffed against.
+  static Result<std::unique_ptr<CurrencySession>> CreateForcedSatForTesting(
       core::Specification spec, const SessionOptions& options = {});
 
   /// The current epoch's specification.  The reference is valid until the
@@ -264,7 +256,12 @@ class CurrencySession {
   Status Mutate(const std::vector<core::TupleEdit>& edits);
 
  private:
-  explicit CurrencySession(const SessionOptions& options);
+  CurrencySession(const SessionOptions& options, bool chase_routing);
+
+  /// Create's body; `chase_routing` off SAT-routes every component.
+  static Result<std::unique_ptr<CurrencySession>> CreateRouted(
+      core::Specification spec, const SessionOptions& options,
+      bool chase_routing);
 
   /// The current epoch, pinned (a batch holds the pin until it returns).
   std::shared_ptr<Epoch> Pin() const;
@@ -276,9 +273,8 @@ class CurrencySession {
   Result<bool> BaseSolveStage(Epoch& epoch);
 
   SessionOptions options_;
-  /// options_.encoder with define_is_last forced and the session-managed
-  /// pointer knobs cleared.
-  core::Encoder::Options enc_;
+  /// Passed to every epoch's engine (DecomposedEncoder::Build).
+  bool chase_routing_ = true;
   /// Owned pool when options_.pool is null.
   std::optional<exec::ThreadPool> own_pool_;
   exec::ThreadPool* pool_ = nullptr;

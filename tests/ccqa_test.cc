@@ -10,6 +10,7 @@
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
+#include "tests/support/forced_sat.h"
 
 namespace currency::core {
 namespace {
@@ -189,10 +190,8 @@ TEST(SpCcqaTest, SelectionOnUndeterminedAttributeYieldsNothing) {
   EXPECT_TRUE(sa->empty());
   EXPECT_EQ(*sb, std::set<Tuple>{Tuple({Value(10)})});
   // And both agree with the general path and the oracle.
-  CcqaOptions no_fast;
-  no_fast.use_chase_routing = false;
-  EXPECT_EQ(*sa, CertainCurrentAnswers(spec, qa, no_fast).value());
-  EXPECT_EQ(*sb, CertainCurrentAnswers(spec, qb, no_fast).value());
+  EXPECT_EQ(*sa, currency::testing::ForcedSatCertainAnswers(spec, qa).value());
+  EXPECT_EQ(*sb, currency::testing::ForcedSatCertainAnswers(spec, qb).value());
   EXPECT_EQ(*sa, BruteForceCertainAnswers(spec, qa).value());
   EXPECT_EQ(*sb, BruteForceCertainAnswers(spec, qb).value());
 }
@@ -201,7 +200,8 @@ TEST(SpCcqaTest, SelectionOnUndeterminedAttributeYieldsNothing) {
 // functions, the SP fast path, the general solver and the brute-force
 // oracle agree on SP queries.  (Copy functions here use distinct source
 // attributes per target attribute, so Proposition 6.3's independence
-// assumption holds; see DESIGN.md §6 for the shared-source corner.)
+// assumption holds; see the "Routing" section of docs/ARCHITECTURE.md
+// and SpCcqaCornerTest for the shared-source corner.)
 class SpVsGeneral : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpVsGeneral, AgreeOnSpQueries) {

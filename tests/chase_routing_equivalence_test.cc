@@ -5,7 +5,8 @@
 // is an implementation strategy, never a semantic switch, so every answer
 // — CPS (and its witness one-shots), COP, DCIP, CCQA answer sets and the
 // current-instance enumeration order — must be bit-identical to
-// (a) forced-SAT routing (use_chase_routing = false) and (b) the
+// (a) the forced-SAT reference (tests/support/forced_sat.h and
+// CurrencySession::CreateForcedSatForTesting) and (b) the
 // brute-force oracle, across thread counts, mixed
 // constrained/constraint-free specifications, and session Mutate rounds.
 // On constraint-free draws the one-shot answers must also equal the
@@ -40,10 +41,17 @@
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
+#include "tests/support/forced_sat.h"
 
 namespace currency::core {
 namespace {
 
+using currency::testing::ForcedSatCertainAnswers;
+using currency::testing::ForcedSatCertainOrder;
+using currency::testing::ForcedSatConsistency;
+using currency::testing::ForcedSatDeterministicForRelation;
+using currency::testing::ForcedSatForEachCurrentInstance;
+using currency::testing::ForcedSatIsCertainAnswer;
 using currency::testing::MakeRandomSpec;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
@@ -107,15 +115,16 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
     SCOPED_TRACE("cps threads=" + std::to_string(threads));
     for (bool routed : {true, false}) {
       CpsOptions cps;
-      cps.use_chase_routing = routed;
       cps.num_threads = threads;
-      auto outcome = DecideConsistency(spec, cps);
+      auto outcome = routed ? DecideConsistency(spec, cps)
+                            : ForcedSatConsistency(spec, cps);
       ASSERT_TRUE(outcome.ok()) << outcome.status();
       EXPECT_EQ(outcome->consistent, oracle_consistent)
           << "routed=" << routed;
 
       cps.want_witness = true;
-      auto with_witness = DecideConsistency(spec, cps);
+      auto with_witness = routed ? DecideConsistency(spec, cps)
+                                 : ForcedSatConsistency(spec, cps);
       ASSERT_TRUE(with_witness.ok()) << with_witness.status();
       EXPECT_EQ(with_witness->consistent, oracle_consistent);
       if (with_witness->consistent) {
@@ -142,9 +151,11 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         SCOPED_TRACE("cop threads=" + std::to_string(threads) +
                      " routed=" + std::to_string(routed));
         CopOptions cop;
-        cop.use_chase_routing = routed;
         cop.num_threads = threads;
-        EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle);
+        EXPECT_EQ((routed ? IsCertainOrder(spec, q, cop)
+                          : ForcedSatCertainOrder(spec, q, cop))
+                      .value(),
+                  oracle);
       }
     }
   }
@@ -158,9 +169,10 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         SCOPED_TRACE("dcip " + rel + " threads=" + std::to_string(threads) +
                      " routed=" + std::to_string(routed));
         DcipOptions dcip;
-        dcip.use_chase_routing = routed;
         dcip.num_threads = threads;
-        EXPECT_EQ(IsDeterministicForRelation(spec, rel, dcip).value(),
+        EXPECT_EQ((routed ? IsDeterministicForRelation(spec, rel, dcip)
+                          : ForcedSatDeterministicForRelation(spec, rel, dcip))
+                      .value(),
                   oracle);
       }
     }
@@ -175,14 +187,14 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
       SCOPED_TRACE("enum threads=" + std::to_string(threads) +
                    " routed=" + std::to_string(routed));
       CcqaOptions ccqa;
-      ccqa.use_chase_routing = routed;
       ccqa.num_threads = threads;
       std::vector<std::string> order;
-      auto count = ForEachCurrentInstance(
-          spec, ccqa, [&](const query::Database& db) {
-            order.push_back(CanonicalDb(db));
-            return true;
-          });
+      auto visit = [&](const query::Database& db) {
+        order.push_back(CanonicalDb(db));
+        return true;
+      };
+      auto count = routed ? ForEachCurrentInstance(spec, ccqa, visit)
+                          : ForcedSatForEachCurrentInstance(spec, ccqa, visit);
       ASSERT_TRUE(count.ok()) << count.status();
       if (!order_1.has_value()) {
         order_1 = order;
@@ -195,32 +207,37 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
     }
   }
 
-  // --- CCQA answer sets and membership, for a general and an SP query
-  // (the routed SP path must agree with the forced SAT blocking loop AND
-  // the oracle). ---
+  // --- CCQA answer sets and membership, for a general query and two SP
+  // queries, one selecting A = B (the routed SP path must agree with the
+  // forced SAT blocking loop AND the oracle). ---
+  std::vector<Tuple> candidates;
+  for (int k = 0; k < 4; ++k) candidates.push_back(Tuple({Value(k)}));
+  for (const char* eid : {"e0", "e1"}) {
+    candidates.push_back(Tuple({Value(eid)}));
+  }
   for (const char* text : {"Q(x) := EXISTS y: R('e0', x, y)",
-                           "Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e0'"}) {
+                           "Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e0'",
+                           "Q(e) := EXISTS x, y: R(e, x, y) AND x = y"}) {
     query::Query q = query::ParseQuery(text).value();
     auto oracle_answers = BruteForceCertainAnswers(spec, q);
     for (bool routed : {true, false}) {
       SCOPED_TRACE(std::string("ccqa ") + text +
                    " routed=" + std::to_string(routed));
-      CcqaOptions ccqa;
-      ccqa.use_chase_routing = routed;
-      auto answers = CertainCurrentAnswers(spec, q, ccqa);
+      auto answers = routed ? CertainCurrentAnswers(spec, q)
+                            : ForcedSatCertainAnswers(spec, q);
       if (!oracle_answers.ok()) {
         EXPECT_EQ(answers.status().code(), oracle_answers.status().code());
       } else {
         ASSERT_TRUE(answers.ok()) << answers.status();
         EXPECT_EQ(*answers, *oracle_answers);
       }
-      for (int k = 0; k < 4; ++k) {
-        Tuple t({Value(k)});
-        auto member = IsCertainCurrentAnswer(spec, q, t, ccqa);
+      for (const Tuple& t : candidates) {
+        auto member = routed ? IsCertainCurrentAnswer(spec, q, t)
+                             : ForcedSatIsCertainAnswer(spec, q, t);
         ASSERT_TRUE(member.ok()) << member.status();
         bool oracle_member =
             !oracle_answers.ok() || oracle_answers->count(t) > 0;
-        EXPECT_EQ(*member, oracle_member) << "candidate " << k;
+        EXPECT_EQ(*member, oracle_member) << "candidate " << t.ToString();
       }
     }
   }
@@ -364,6 +381,38 @@ TEST_P(ChaseRoutingEquivalence, RoutedEqualsForcedSatAndOracle) {
 INSTANTIATE_TEST_SUITE_P(Random, ChaseRoutingEquivalence,
                          ::testing::Range(0, 6));
 
+// The Proposition 6.3 corner (SpCcqaCornerTest): R's A and B both copy
+// S.C, so their current values move together and the SP selection A = B
+// is certain for e0.  The component {R e0, S s} is chase-eligible but not
+// chase-enumerable, so routing must answer it on SAT.
+TEST(ChaseRoutingCorner, SharedSourceCopyIsAnsweredExactly) {
+  Specification spec;
+  Relation r(Schema::Make("R", {"A", "B"}).value());
+  ASSERT_TRUE(r.AppendValues({Value("e0"), Value(1), Value(1)}).ok());
+  ASSERT_TRUE(r.AppendValues({Value("e0"), Value(2), Value(2)}).ok());
+  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r))).ok());
+  Relation s(Schema::Make("S", {"C"}).value());
+  ASSERT_TRUE(s.AppendValues({Value("s"), Value(1)}).ok());
+  ASSERT_TRUE(s.AppendValues({Value("s"), Value(2)}).ok());
+  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(s))).ok());
+  for (const char* attr : {"A", "B"}) {
+    copy::CopySignature sig;
+    sig.target_relation = "R";
+    sig.target_attrs = {attr};
+    sig.source_relation = "S";
+    sig.source_attrs = {"C"};
+    copy::CopyFunction fn(sig);
+    ASSERT_TRUE(fn.Map(0, 0).ok());
+    ASSERT_TRUE(fn.Map(1, 1).ok());
+    ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
+  }
+  const query::Query q =
+      query::ParseQuery("Q(e) := EXISTS x, y: R(e, x, y) AND x = y").value();
+  ASSERT_EQ(BruteForceCertainAnswers(spec, q).value(),
+            std::set<Tuple>{Tuple({Value("e0")})});
+  CheckRoutedEqualsForcedAndOracle(spec);
+}
+
 // ---------------------------------------------------------------------------
 // Sessions: routed and forced sessions over the same specification must
 // give element-wise equal batch answers across random accepted/rejected
@@ -460,12 +509,11 @@ TEST_P(ChaseRoutingSession, RoutedSessionMatchesForcedAcrossMutations) {
       SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
                    " variant=" + std::to_string(variant) +
                    " threads=" + std::to_string(threads));
-      serve::SessionOptions routed_opts;
-      routed_opts.num_threads = threads;
-      serve::SessionOptions forced_opts = routed_opts;
-      forced_opts.use_chase_routing = false;
-      auto routed = serve::CurrencySession::Create(spec, routed_opts);
-      auto forced = serve::CurrencySession::Create(spec, forced_opts);
+      serve::SessionOptions options;
+      options.num_threads = threads;
+      auto routed = serve::CurrencySession::Create(spec, options);
+      auto forced =
+          serve::CurrencySession::CreateForcedSatForTesting(spec, options);
       ASSERT_TRUE(routed.ok() && forced.ok())
           << routed.status() << " " << forced.status();
       CheckSessionsAgree(routed->get(), forced->get());
@@ -684,9 +732,8 @@ TEST(ChaseCounters, ComponentChaseCountsWorkAndSkipsEncoders) {
     ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r2))).ok());
     ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
   }
-  Encoder::Options enc;
-  enc.define_is_last = true;
-  auto decomposed = DecomposedEncoder::Build(spec, enc, /*use_chase_routing=*/true);
+  auto decomposed =
+      DecomposedEncoder::Build(spec, {}, /*use_chase_routing=*/true);
   ASSERT_TRUE(decomposed.ok()) << decomposed.status();
   ASSERT_TRUE((*decomposed)->chase_routing());
   ASSERT_TRUE((*decomposed)->EnsureAllSolved(nullptr).value());

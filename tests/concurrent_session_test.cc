@@ -338,8 +338,9 @@ TEST_P(ConcurrentLinearizability, BatchAnswersMatchSomeOverlappedEpoch) {
 
     SessionOptions options;
     options.num_threads = session_threads;
-    options.use_chase_routing = !on_r2;
-    auto created = CurrencySession::Create(spec, options);
+    auto created =
+        on_r2 ? CurrencySession::CreateForcedSatForTesting(spec, options)
+              : CurrencySession::Create(spec, options);
     ASSERT_TRUE(created.ok()) << created.status();
     CurrencySession* session = created->get();
 

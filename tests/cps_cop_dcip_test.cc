@@ -13,6 +13,7 @@
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
+#include "tests/support/forced_sat.h"
 #include "tests/support/monolithic.h"
 
 namespace currency::core {
@@ -381,9 +382,8 @@ TEST(DcipTest, BaselinesSnapshottedBeforeAssumptionSolves) {
   ASSERT_TRUE(inst.AddOrder(1, 0, 1).ok());  // e1 pinned: 1 ≺ 2
   ASSERT_TRUE(spec.AddInstance(std::move(inst)).ok());
 
-  DcipOptions options;
-  options.use_chase_routing = false;  // force the SAT path
-  auto det = IsDeterministicForRelation(spec, "R", options);
+  // Forced onto the SAT path.
+  auto det = currency::testing::ForcedSatDeterministicForRelation(spec, "R");
   ASSERT_TRUE(det.ok()) << det.status();
   EXPECT_FALSE(*det);  // e2 is free in both directions
   auto mono = currency::testing::MonolithicDeterministic(spec, "R");

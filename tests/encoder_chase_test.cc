@@ -1,17 +1,23 @@
 // Focused tests for the SAT encoder (cell semantics, completion
-// extraction, seeding) and the chase / certain-prefix machinery,
-// including the documented Proposition 6.3 corner case.
+// extraction) and the chase / certain-prefix machinery, including the
+// documented Proposition 6.3 corner case.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <set>
 
 #include "src/core/ccqa.h"
 #include "src/core/chase.h"
 #include "src/core/consistency.h"
+#include "src/core/decompose.h"
 #include "src/core/encoder.h"
 #include "src/core/sp_ccqa.h"
 #include "src/query/parser.h"
+#include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
+#include "tests/support/forced_sat.h"
 
 namespace currency::core {
 namespace {
@@ -89,36 +95,6 @@ TEST(EncoderTest, ModelDecodesToConsistentCompletionAndLst) {
   }
 }
 
-TEST(EncoderTest, SeedingPreservesModelsOnConstrainedSpec) {
-  Specification s0 = MakeS0();
-  Encoder::Options seeded;
-  seeded.seed_with_chase = true;
-  auto enc = Encoder::Build(s0, seeded).value();
-  EXPECT_EQ(enc->solver().Solve(), sat::SolveResult::kSat);
-  Completion c = enc->ExtractCompletion();
-  EXPECT_TRUE(IsConsistentCompletion(s0, c).value());
-}
-
-TEST(EncoderTest, SeedingDetectsInconsistencyAtBuildTime) {
-  // Contradictory value-derived units: the certain prefix already clashes.
-  Specification spec;
-  Schema rs = Schema::Make("R", {"A"}).value();
-  Relation r(rs);
-  ASSERT_TRUE(r.AppendValues({Value("e"), Value(1)}).ok());
-  ASSERT_TRUE(r.AppendValues({Value("e"), Value(2)}).ok());
-  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r))).ok());
-  ASSERT_TRUE(
-      spec.AddConstraintText("FORALL s, t IN R: s.A > t.A -> t PREC[A] s")
-          .ok());
-  ASSERT_TRUE(
-      spec.AddConstraintText("FORALL s, t IN R: s.A < t.A -> t PREC[A] s")
-          .ok());
-  Encoder::Options seeded;
-  seeded.seed_with_chase = true;
-  auto enc = Encoder::Build(spec, seeded).value();
-  EXPECT_EQ(enc->solver().Solve(), sat::SolveResult::kUnsat);
-}
-
 TEST(CertainPrefixTest, HornClosureDerivesConditionalOrders) {
   Specification s0 = MakeS0();
   auto prefix = CertainOrderPrefix(s0).value();
@@ -184,10 +160,12 @@ TEST(CertainPrefixTest, PureDenialWithCertainPremisesIsInconsistent) {
   EXPECT_FALSE(DecideConsistency(spec)->consistent);
 }
 
-// The documented Proposition 6.3 corner (DESIGN.md §6b): two target
-// attributes copied from the SAME source attribute are coupled, breaking
-// the proof's independence assumption.  The fast path then returns a
-// sound subset; the general solver is exact.
+// The documented Proposition 6.3 corner (docs/ARCHITECTURE.md, "Routing"):
+// two target attributes copied from the SAME source attribute are coupled,
+// breaking the proof's independence assumption.  The literal Prop 6.3
+// algorithm then returns a sound subset, so routing keeps such a
+// component (chase-eligible, but not chase-enumerable) on SAT, which is
+// exact.
 TEST(SpCcqaCornerTest, SharedSourceCouplingMakesFastPathConservative) {
   Specification spec;
   Schema src_schema = Schema::Make("Src", {"B"}).value();
@@ -225,16 +203,35 @@ TEST(SpCcqaCornerTest, SharedSourceCouplingMakesFastPathConservative) {
                 "Q(e) := EXISTS x, y: Tgt(e, x, y) AND x = y")
                 .value();
   ASSERT_TRUE(query::IsSpQuery(sp));
-  CcqaOptions no_fast;
-  no_fast.use_chase_routing = false;
-  auto exact = CertainCurrentAnswers(spec, sp, no_fast).value();
-  EXPECT_EQ(exact, std::set<Tuple>{Tuple({Value("f")})});
+  const std::set<Tuple> oracle = BruteForceCertainAnswers(spec, sp).value();
+  ASSERT_EQ(oracle, std::set<Tuple>{Tuple({Value("f")})});
+  auto exact = currency::testing::ForcedSatCertainAnswers(spec, sp).value();
+  EXPECT_EQ(exact, oracle);
   // ... while the literal Prop 6.3 algorithm reports the sound subset ∅
   // (both cells get fresh constants, the selection x = y fails).
   auto fast = SpCertainCurrentAnswers(spec, sp).value();
   EXPECT_TRUE(fast.empty());
   // Subset relation (soundness) holds.
   for (const Tuple& t : fast) EXPECT_TRUE(exact.count(t));
+
+  // The coupled component is chase-eligible but not chase-enumerable, so
+  // the default (routed) one-shots and a session answer it on SAT: exact.
+  const Decomposition d = Decomposition::Build(spec).value();
+  const int coupled = d.ComponentOf(1, Value("f"));
+  ASSERT_EQ(coupled, d.ComponentOf(0, Value("e")));
+  EXPECT_TRUE(d.chase_eligible(coupled));
+  EXPECT_FALSE(d.chase_enumerable(coupled));
+  const Tuple f({Value("f")});
+  EXPECT_EQ(CertainCurrentAnswers(spec, sp).value(), oracle);
+  EXPECT_TRUE(IsCertainCurrentAnswer(spec, sp, f).value());
+  auto session = serve::CurrencySession::Create(spec).value();
+  auto batch = session
+                   ->CcqaBatch({serve::CcqaRequest{sp, std::nullopt},
+                                serve::CcqaRequest{sp, f}})
+                   .value();
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].answers, std::optional<std::set<Tuple>>(oracle));
+  EXPECT_EQ(batch[1].is_certain, std::optional<bool>(true));
 }
 
 TEST(ChaseTest, PassesAreReported) {

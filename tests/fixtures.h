@@ -6,8 +6,7 @@
 // TupleIds 0..3, Mgr s'1..s'3 = TupleIds 0..2.
 //
 // Two deliberate additions relative to the paper's literal text, both
-// needed for the claims of its own examples to hold (documented in
-// DESIGN.md §6):
+// needed for the claims of its own examples to hold:
 //  * ϕ2b: the single→married rule also orders `status` itself (Example 3.3
 //    claims S0 deterministic for Emp, which needs the status attribute
 //    determined);

@@ -23,6 +23,7 @@
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
+#include "tests/support/forced_sat.h"
 #include "tests/support/linear_extensions.h"
 #include "tests/support/monolithic.h"
 
@@ -133,8 +134,9 @@ std::string CanonicalDb(const query::Database& db) {
 // coupling component) agree with the monolithic reference — one
 // unfiltered encoding of the whole specification — and with the
 // brute-force oracle on CPS, COP, DCIP, CCQA and current-instance
-// enumeration.  Chase routing is off so the SAT machinery is exercised
-// even on constraint-free draws.
+// enumeration.  The one-shots run on the forced-SAT reference
+// (tests/support/forced_sat.h), so the SAT machinery is exercised even on
+// constraint-free draws.
 class DecomposedVsMonolithic : public ::testing::TestWithParam<int> {};
 
 TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
@@ -146,10 +148,9 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
 
     // CPS, including witness validity on the decomposed path.
     CpsOptions cps_dec;
-    cps_dec.use_chase_routing = false;
     cps_dec.want_witness = true;
     auto mono = currency::testing::MonolithicConsistent(spec);
-    auto dec = DecideConsistency(spec, cps_dec);
+    auto dec = currency::testing::ForcedSatConsistency(spec, cps_dec);
     ASSERT_TRUE(mono.ok() && dec.ok());
     EXPECT_EQ(*mono, dec->consistent);
     EXPECT_EQ(*mono, BruteForceConsistent(spec).value());
@@ -166,17 +167,14 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
       CurrencyOrderQuery q;
       q.relation = "R";
       q.pairs = {pair};
-      CopOptions cop_dec;
-      cop_dec.use_chase_routing = false;
       const bool mono_cop =
           currency::testing::MonolithicCertainOrder(spec, q).value();
-      EXPECT_EQ(mono_cop, IsCertainOrder(spec, q, cop_dec).value());
+      EXPECT_EQ(mono_cop,
+                currency::testing::ForcedSatCertainOrder(spec, q).value());
       EXPECT_EQ(mono_cop, BruteForceCertainOrder(spec, q).value());
     }
 
     // DCIP per relation.
-    DcipOptions dcip_dec;
-    dcip_dec.use_chase_routing = false;
     bool mono_det = true;
     for (int i = 0; i < spec.num_instances(); ++i) {
       const std::string& rel = spec.instance(i).name();
@@ -185,11 +183,11 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
       EXPECT_EQ(det, BruteForceDeterministic(spec, rel).value()) << rel;
       mono_det = mono_det && det;
     }
-    EXPECT_EQ(mono_det, IsDeterministic(spec, dcip_dec).value());
+    EXPECT_EQ(mono_det,
+              currency::testing::ForcedSatDeterministic(spec).value());
 
     // Current-instance enumeration: same count, same set of databases.
     CcqaOptions ccqa_dec;
-    ccqa_dec.use_chase_routing = false;
     std::multiset<std::string> seen_mono, seen_dec;
     auto count_mono = currency::testing::MonolithicForEachCurrentInstance(
         spec, ccqa_dec.max_current_instances,
@@ -197,7 +195,7 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
           seen_mono.insert(CanonicalDb(db));
           return true;
         });
-    auto count_dec = ForEachCurrentInstance(
+    auto count_dec = currency::testing::ForcedSatForEachCurrentInstance(
         spec, ccqa_dec, [&](const query::Database& db) {
           seen_dec.insert(CanonicalDb(db));
           return true;
@@ -210,7 +208,7 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
     query::Query q =
         query::ParseQuery("Q(x) := EXISTS y: R('e0', x, y)").value();
     auto ans_mono = currency::testing::MonolithicCertainAnswers(spec, q);
-    auto ans_dec = CertainCurrentAnswers(spec, q, ccqa_dec);
+    auto ans_dec = currency::testing::ForcedSatCertainAnswers(spec, q);
     if (!ans_mono.ok()) {
       EXPECT_EQ(ans_mono.status().code(), ans_dec.status().code());
     } else {
@@ -230,7 +228,7 @@ INSTANTIATE_TEST_SUITE_P(Random, DecomposedVsMonolithic,
 // never scoped) and, where it finishes, the brute-force oracle: the
 // answer set and every membership candidate, one-shot and through a
 // CurrencySession at 1, 2 and 8 threads.  Chase routing stays on, so SP
-// shapes take the fixpoint path on chase-eligible components.
+// shapes take the fixpoint path on chase-enumerable components.
 struct ScopingShape {
   const char* name;
   const char* text;

@@ -21,6 +21,7 @@
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
+#include "tests/support/forced_sat.h"
 #include "tests/support/monolithic.h"
 
 namespace currency::serve {
@@ -294,15 +295,15 @@ TEST(CurrencySession, MatchesOneShotSolversOnS0) {
   requests.push_back(CcqaRequest{MakeQ1Trimmed(), Tuple({Value(80)})});
   auto ccqa = session->CcqaBatch(requests);
   ASSERT_TRUE(ccqa.ok()) << ccqa.status();
-  core::CcqaOptions copts;
-  copts.use_chase_routing = false;
   EXPECT_EQ(*(*ccqa)[0].answers,
-            core::CertainCurrentAnswers(spec, MakeQ1Trimmed(), copts).value());
+            currency::testing::ForcedSatCertainAnswers(spec, MakeQ1Trimmed())
+                .value());
   EXPECT_EQ(*(*ccqa)[1].answers,
-            core::CertainCurrentAnswers(spec, MakeQ4Trimmed(), copts).value());
+            currency::testing::ForcedSatCertainAnswers(spec, MakeQ4Trimmed())
+                .value());
   EXPECT_EQ(*(*ccqa)[2].is_certain,
-            core::IsCertainCurrentAnswer(spec, MakeQ1Trimmed(),
-                                         Tuple({Value(80)}), copts)
+            currency::testing::ForcedSatIsCertainAnswer(
+                spec, MakeQ1Trimmed(), Tuple({Value(80)}))
                 .value());
   EXPECT_EQ(session->stats().merged_builds, 0)
       << "Q1 and Q4 pin Mary and RnD, which share one component";

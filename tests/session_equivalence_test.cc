@@ -266,8 +266,8 @@ TEST_P(SessionEquivalence, BatchesMatchFreshSolvesAcrossMutations) {
 
 // Leak detection for CCQA's solver scopes.  R2's single entity f0 owns one
 // coupling component, so CCQA over R2 runs its blocking loops on the very
-// solver that COP and DCIP probe for that component (chase routing is off
-// to keep every component on SAT).  Membership requests interleave with
+// solver that COP and DCIP probe for that component (a forced-SAT session
+// keeps every component on SAT).  Membership requests interleave with
 // those probes before and after Mutate, and every answer is re-checked
 // against the brute-force oracle: a blocking clause or a learnt clause
 // derived from one that outlived its scope would remove completions and
@@ -288,8 +288,7 @@ TEST_P(SessionEquivalence, ScopedCcqaLeavesSharedComponentSolversExact) {
                    " threads=" + std::to_string(threads));
       SessionOptions options;
       options.num_threads = threads;
-      options.use_chase_routing = false;
-      auto created = CurrencySession::Create(spec, options);
+      auto created = CurrencySession::CreateForcedSatForTesting(spec, options);
       ASSERT_TRUE(created.ok()) << created.status();
       CurrencySession* session = created->get();
       std::mt19937 rng(GetParam() * 131 + variant * 17 + threads);

@@ -11,15 +11,6 @@ namespace currency::testing {
 
 namespace {
 
-/// The whole specification's encoding, with the is-last selectors DCIP
-/// and CCQA read.
-Result<std::unique_ptr<core::Encoder>> BuildWhole(
-    const core::Specification& spec) {
-  core::Encoder::Options options;
-  options.define_is_last = true;
-  return core::Encoder::Build(spec, options);
-}
-
 std::vector<int> AllInstances(const core::Specification& spec) {
   std::vector<int> all(spec.num_instances());
   for (int i = 0; i < spec.num_instances(); ++i) all[i] = i;
@@ -89,7 +80,7 @@ Result<bool> SnapshotThenProbe(const core::Specification& spec,
 
 Result<bool> MonolithicConsistent(const core::Specification& spec,
                                   core::Completion* witness) {
-  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
   if (encoder->solver().Solve() != sat::SolveResult::kSat) return false;
   if (witness != nullptr) *witness = encoder->ExtractCompletion();
   return true;
@@ -98,7 +89,7 @@ Result<bool> MonolithicConsistent(const core::Specification& spec,
 Result<bool> MonolithicCertainOrder(const core::Specification& spec,
                                     const core::CurrencyOrderQuery& query) {
   ASSIGN_OR_RETURN(int inst, core::internal::OrderQueryInstance(spec, query));
-  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
   if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
     return true;  // Mod(S) = ∅: vacuously certain
   }
@@ -127,7 +118,7 @@ Result<bool> MonolithicCertainOrder(const core::Specification& spec,
 Result<bool> MonolithicDeterministic(const core::Specification& spec,
                                      const std::string& relation) {
   ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
-  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
   if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
     return true;  // vacuous
   }
@@ -138,7 +129,7 @@ Result<std::set<Tuple>> MonolithicCertainAnswers(
     const core::Specification& spec, const query::Query& q) {
   ASSIGN_OR_RETURN(std::vector<int> instances,
                    core::internal::QueryInstances(spec, q));
-  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
   return core::internal::CertainAnswersVia(encoder.get(), nullptr, spec, q,
                                            instances, core::CcqaOptions{});
 }
@@ -147,7 +138,7 @@ Result<bool> MonolithicIsCertainAnswer(const core::Specification& spec,
                                        const query::Query& q, const Tuple& t) {
   ASSIGN_OR_RETURN(std::vector<int> instances,
                    core::internal::QueryInstances(spec, q));
-  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
   // The loop's first Solve is UNSAT on an inconsistent specification,
   // which answers true — the vacuous convention.
   return core::internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
@@ -157,7 +148,7 @@ Result<bool> MonolithicIsCertainAnswer(const core::Specification& spec,
 Result<int64_t> MonolithicForEachCurrentInstance(
     const core::Specification& spec, int64_t max_instances,
     const std::function<bool(const query::Database&)>& visit) {
-  ASSIGN_OR_RETURN(auto encoder, BuildWhole(spec));
+  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
   Status inner = Status::OK();
   ASSIGN_OR_RETURN(
       sat::ProjectedModelEnumeration enumeration,
