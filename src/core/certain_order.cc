@@ -94,7 +94,8 @@ Result<std::vector<bool>> CertainOrderProbes(
   auto settled = [&](int k, int item) {
     return !refuted[k].empty() && refuted[k].back() == item;
   };
-  // Probes component k's pairs in batch order (DecomposedEncoder::ProbeFn).
+  // Probes component k's pairs in batch order (the `probe` of
+  // DecomposedEncoder::SettleWalk).
   auto probe_component = [&](int k, bool walk) -> Result<bool> {
     const int c = components[k];
     if (engine->chase_routed(c)) {

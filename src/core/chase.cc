@@ -1,7 +1,6 @@
 #include "src/core/chase.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "src/core/encoder.h"
@@ -11,7 +10,8 @@ namespace currency::core {
 namespace {
 
 /// A mapped pair of target tuples with matching entity ids on both sides:
-/// the unit of ≺-compatibility propagation.
+/// the unit of ≺-compatibility propagation.  Tuple ids in the whole-spec
+/// chase, node-local indices in a component chase.
 struct MappedPair {
   TupleId t1, t2;  // target tuples (distinct, same EID)
   TupleId s1, s2;  // their sources (distinct, same EID)
@@ -60,6 +60,8 @@ Result<bool> DenialClosurePass(const Specification& spec,
 namespace {
 
 /// Pre-resolved copy edge: signature attribute pairs + mapped pairs.
+/// `source` and `target` index the orders a propagation pass updates:
+/// instances for the whole-spec chase, nodes for a component chase.
 struct EdgePlan {
   int source, target;
   std::vector<std::pair<AttrIndex, AttrIndex>> attrs;  // (target, source)
@@ -184,10 +186,13 @@ Result<ChaseResult> CertainOrderPrefix(const Specification& spec) {
 
 const ComponentChase::Node* ComponentChase::FindNode(int inst,
                                                      const Value& eid) const {
-  for (const Node& n : nodes) {
-    if (n.inst == inst && n.eid == eid) return &n;
-  }
-  return nullptr;
+  auto it = std::partition_point(nodes.begin(), nodes.end(),
+                                 [&](const Node& n) {
+                                   return n.inst < inst ||
+                                          (n.inst == inst && n.eid < eid);
+                                 });
+  if (it == nodes.end() || it->inst != inst || it->eid != eid) return nullptr;
+  return &*it;
 }
 
 bool ComponentChase::CertainLess(int inst, const Value& eid, AttrIndex attr,
@@ -206,72 +211,64 @@ bool ComponentChase::CertainLess(int inst, const Value& eid, AttrIndex attr,
 }
 
 Result<ComponentChase> ChaseComponentOrders(
-    const Specification& spec,
-    const std::vector<std::pair<int, Value>>& nodes,
+    const Specification& spec, const std::vector<EntityNode>& nodes,
     const CopyBucketIndex& copy_index) {
   ComponentChase out;
   // Entity groups with the whole-spec initial orders restricted to their
   // members.  Members are COPIED out of the relation's group cache: a
   // ComponentChase outlives its epoch (it is harvested and re-adopted
   // across Mutate), so it must not borrow from the specification.
-  std::map<std::pair<int, Value>, int> node_index;
-  for (const auto& [inst, eid] : nodes) {
-    if (node_index.count({inst, eid})) continue;
-    const Relation& rel = spec.instance(inst).relation();
-    const auto& groups = rel.EntityGroups();
-    auto git = groups.find(eid);
-    if (git == groups.end()) {
-      return Status::InvalidArgument(
-          "component node names an unknown entity group");
-    }
-    ComponentChase::Node n;
-    n.inst = inst;
-    n.eid = eid;
-    n.members = git->second;
+  // orders[k] is node k's, moved into out.nodes after the fixpoint.
+  ASSIGN_OR_RETURN(auto members, NodeMembers(spec, nodes));
+  std::vector<std::vector<PartialOrder>> orders;
+  for (size_t k = 0; k < nodes.size(); ++k) {
+    ComponentChase::Node& n = out.nodes.emplace_back();
+    n.inst = nodes[k].inst;
+    n.eid = nodes[k].eid;
+    n.members = *members[k];
     const int m = static_cast<int>(n.members.size());
-    n.orders.assign(rel.schema().arity(), PartialOrder(m));
-    const std::vector<PartialOrder>& init = spec.instance(inst).orders();
-    for (AttrIndex a = 1; a < rel.schema().arity(); ++a) {
+    const int arity = spec.instance(n.inst).schema().arity();
+    std::vector<PartialOrder>& po =
+        orders.emplace_back(arity, PartialOrder(m));
+    const std::vector<PartialOrder>& init = spec.instance(n.inst).orders();
+    for (AttrIndex a = 1; a < arity; ++a) {
       for (int i = 0; i < m; ++i) {
         for (int j = 0; j < m; ++j) {
           if (i != j && init[a].Less(n.members[i], n.members[j])) {
             // The restriction of a partial order cannot cycle.
-            n.orders[a].TryAdd(i, j);
+            po[a].TryAdd(i, j);
           }
         }
       }
     }
-    node_index[{inst, eid}] = static_cast<int>(out.nodes.size());
-    out.nodes.push_back(std::move(n));
   }
 
-  // Local propagation plans: the copy buckets both of whose endpoints lie
-  // in the component, with tuple ids rewritten to node-local indices.
-  // Buckets with only one endpoint inside are necessarily single-source
-  // (otherwise they would have united the endpoints into one component)
-  // and contribute no mapped pairs, so skipping them loses nothing.
-  struct LocalPair {
-    int t1, t2, s1, s2;
-  };
-  struct LocalPlan {
-    int tgt_node, src_node;
-    std::vector<std::pair<AttrIndex, AttrIndex>> attrs;
-    std::vector<LocalPair> pairs;
-  };
+  // Local propagation plans over node indices: walk the buckets of the
+  // component's own target groups, the way a component encoder does,
+  // rewriting tuple ids to node-local indices.  A bucket whose source
+  // group lies outside the component is necessarily single-source
+  // (otherwise it would have united the two groups into one component)
+  // and contributes no mapped pairs, so skipping it loses nothing.
   if (copy_index.per_edge.size() != spec.copy_edges().size()) {
     return Status::Internal("copy-bucket index does not match the spec");
   }
-  std::vector<LocalPlan> plans;
+  auto local_of = [](const std::vector<TupleId>& mem, TupleId id) {
+    return static_cast<int>(std::lower_bound(mem.begin(), mem.end(), id) -
+                            mem.begin());
+  };
+  std::vector<EdgePlan> plans;
   for (size_t e = 0; e < spec.copy_edges().size(); ++e) {
     const CopyEdge& edge = spec.copy_edges()[e];
     std::vector<std::pair<AttrIndex, AttrIndex>> attrs;
     bool attrs_resolved = false;
-    for (const auto& [te, by_source] : copy_index.per_edge[e]) {
-      auto tgt_it = node_index.find({edge.target_instance, te});
-      if (tgt_it == node_index.end()) continue;
-      for (const auto& [se, mapped] : by_source) {
-        auto src_it = node_index.find({edge.source_instance, se});
-        if (src_it == node_index.end()) continue;
+    for (size_t tn = 0; tn < out.nodes.size(); ++tn) {
+      if (out.nodes[tn].inst != edge.target_instance) continue;
+      auto bucket = copy_index.per_edge[e].find(out.nodes[tn].eid);
+      if (bucket == copy_index.per_edge[e].end()) continue;
+      for (const auto& [se, mapped] : bucket->second) {
+        const ComponentChase::Node* src =
+            out.FindNode(edge.source_instance, se);
+        if (src == nullptr) continue;
         if (!attrs_resolved) {
           const Relation& target =
               spec.instance(edge.target_instance).relation();
@@ -281,23 +278,17 @@ Result<ComponentChase> ChaseComponentOrders(
               attrs, edge.fn.ResolveAttrs(target.schema(), source.schema()));
           attrs_resolved = true;
         }
-        LocalPlan plan;
-        plan.tgt_node = tgt_it->second;
-        plan.src_node = src_it->second;
-        plan.attrs = attrs;
-        const std::vector<TupleId>& tmem = out.nodes[plan.tgt_node].members;
-        const std::vector<TupleId>& smem = out.nodes[plan.src_node].members;
-        auto local_of = [](const std::vector<TupleId>& mem, TupleId id) {
-          return static_cast<int>(
-              std::lower_bound(mem.begin(), mem.end(), id) - mem.begin());
-        };
+        EdgePlan plan{static_cast<int>(src - out.nodes.data()),
+                      static_cast<int>(tn), attrs, {}};
+        const std::vector<TupleId>& tmem = out.nodes[tn].members;
+        const std::vector<TupleId>& smem = src->members;
         for (const auto& [t1, s1] : mapped) {
           for (const auto& [t2, s2] : mapped) {
             if (t1 == t2 || s1 == s2) continue;
-            plan.pairs.push_back(LocalPair{local_of(tmem, t1),
-                                           local_of(tmem, t2),
-                                           local_of(smem, s1),
-                                           local_of(smem, s2)});
+            plan.pairs.push_back(MappedPair{local_of(tmem, t1),
+                                            local_of(tmem, t2),
+                                            local_of(smem, s1),
+                                            local_of(smem, s2)});
           }
         }
         if (!plan.pairs.empty()) plans.push_back(std::move(plan));
@@ -305,41 +296,18 @@ Result<ComponentChase> ChaseComponentOrders(
     }
   }
 
-  // Least fixpoint, mirroring CopyPropagationPass in local coordinates.
+  // Least fixpoint: the whole-spec propagation pass over node orders.
   bool inconsistent = false;
   bool changed = true;
   while (changed && !inconsistent) {
-    changed = false;
     ++out.passes;
-    for (const LocalPlan& plan : plans) {
-      for (const auto& [a, b] : plan.attrs) {
-        PartialOrder& tgt = out.nodes[plan.tgt_node].orders[a];
-        PartialOrder& src = out.nodes[plan.src_node].orders[b];
-        for (const LocalPair& p : plan.pairs) {
-          ++out.edges_expanded;
-          if (src.Less(p.s1, p.s2) && !tgt.Less(p.t1, p.t2)) {
-            if (!tgt.TryAdd(p.t1, p.t2)) {
-              inconsistent = true;
-              break;
-            }
-            ++out.derived_pairs;
-            changed = true;
-          }
-          if (tgt.Less(p.t1, p.t2) && !src.Less(p.s1, p.s2)) {
-            if (!src.TryAdd(p.s1, p.s2)) {
-              inconsistent = true;
-              break;
-            }
-            ++out.derived_pairs;
-            changed = true;
-          }
-        }
-        if (inconsistent) break;
-      }
-      if (inconsistent) break;
-    }
+    changed = CopyPropagationPass(plans, &orders, &inconsistent,
+                                  &out.edges_expanded, &out.derived_pairs);
   }
   out.consistent = !inconsistent;
+  for (size_t k = 0; k < out.nodes.size(); ++k) {
+    out.nodes[k].orders = std::move(orders[k]);
+  }
   return out;
 }
 

@@ -23,6 +23,7 @@
 namespace currency::core {
 
 struct CopyBucketIndex;  // src/core/encoder.h
+struct EntityNode;       // src/core/encoder.h
 
 /// Result of the copy-order chase.
 struct ChaseResult {
@@ -68,6 +69,7 @@ struct ComponentChase {
     std::vector<TupleId> members;
     std::vector<PartialOrder> orders;
   };
+  /// In (instance, entity) order, the order of the node list chased.
   std::vector<Node> nodes;
 
   /// The node for (inst, eid), or nullptr if the component has none.
@@ -81,14 +83,15 @@ struct ComponentChase {
 };
 
 /// Runs the copy-order chase over the sub-specification induced by the
-/// component whose entity groups are `nodes` ((instance, eid) pairs):
+/// component whose entity groups are `nodes` (Decomposition::component;
+/// InvalidArgument unless the list passes NodeMembers):
 /// initial orders restricted to the groups, propagation along the copy
-/// buckets both of whose endpoints lie in the component.  `copy_index`
-/// is the specification's CopyBucketIndex (the engine shares its own);
-/// read during set-up only, not retained.
+/// buckets of the component's own target groups whose source groups lie
+/// in the component too.  `copy_index` is the specification's
+/// CopyBucketIndex (the engine shares the decomposition's); read during
+/// set-up only, not retained.
 Result<ComponentChase> ChaseComponentOrders(
-    const Specification& spec,
-    const std::vector<std::pair<int, Value>>& nodes,
+    const Specification& spec, const std::vector<EntityNode>& nodes,
     const CopyBucketIndex& copy_index);
 
 /// Runs the chase.  Fails (error Status) only on malformed specifications

@@ -62,7 +62,9 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
   Decomposition d;
   d.num_instances_ = spec.num_instances();
 
-  // Nodes: one per (instance, entity) group, densely numbered.
+  // Nodes: one per (instance, entity) group, densely numbered in that
+  // order, which every component's node list keeps (the encoder and the
+  // chase require it).
   std::vector<EntityNode> nodes;
   d.node_component_.resize(spec.num_instances());
   std::vector<std::map<Value, int>> node_id(spec.num_instances());
@@ -94,20 +96,37 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
     }
     const Relation& target = spec.instance(edge.target_instance).relation();
     const Relation& source = spec.instance(edge.source_instance).relation();
-    std::map<std::pair<Value, Value>, std::set<TupleId>> bucket_sources;
     for (const auto& [t, s] : edge.fn.mapping()) {
       if (t < 0 || t >= target.size() || s < 0 || s >= source.size()) {
         return Status::Internal("copy mapping references an unknown tuple");
       }
-      bucket_sources[{target.tuple(t).eid(), source.tuple(s).eid()}].insert(s);
     }
-    for (const auto& [key, sources] : bucket_sources) {
-      if (sources.size() < 2) continue;  // no clause between these groups
-      int tn = node_id[edge.target_instance].at(key.first);
-      int sn = node_id[edge.source_instance].at(key.second);
-      uf.Unite(tn, sn);
-      coupled[tn] = 1;
-      coupled[sn] = 1;
+  }
+  d.copy_index_ = CopyBucketIndex::Build(spec);
+  // A coupling bucket, kept for its fingerprint contribution below.
+  struct CouplingBucket {
+    size_t edge;
+    const Value* target_eid;
+    const Value* source_eid;
+    const std::vector<std::pair<TupleId, TupleId>>* mapped;
+  };
+  std::vector<CouplingBucket> coupling;  // in edge, then bucket order
+  for (size_t e = 0; e < spec.copy_edges().size(); ++e) {
+    const CopyEdge& edge = spec.copy_edges()[e];
+    for (const auto& [te, by_source] : d.copy_index_.per_edge[e]) {
+      for (const auto& [se, mapped] : by_source) {
+        const TupleId s0 = mapped.front().second;
+        if (std::all_of(mapped.begin(), mapped.end(),
+                        [&](const auto& ts) { return ts.second == s0; })) {
+          continue;  // one source: no clause between these groups
+        }
+        int tn = node_id[edge.target_instance].at(te);
+        int sn = node_id[edge.source_instance].at(se);
+        uf.Unite(tn, sn);
+        coupled[tn] = 1;
+        coupled[sn] = 1;
+        coupling.push_back(CouplingBucket{e, &te, &se, &mapped});
+      }
     }
   }
 
@@ -214,30 +233,17 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
       }
     }
   }
-  for (size_t e = 0; e < spec.copy_edges().size(); ++e) {
-    const CopyEdge& edge = spec.copy_edges()[e];
-    const Relation& target = spec.instance(edge.target_instance).relation();
-    const Relation& source = spec.instance(edge.source_instance).relation();
-    std::map<std::pair<Value, Value>, std::vector<std::pair<TupleId, TupleId>>>
-        bucket_mapped;
-    std::map<std::pair<Value, Value>, std::set<TupleId>> bucket_srcs;
-    for (const auto& [t, s] : edge.fn.mapping()) {
-      auto key = std::make_pair(target.tuple(t).eid(), source.tuple(s).eid());
-      bucket_mapped[key].emplace_back(t, s);
-      bucket_srcs[key].insert(s);
-    }
-    for (const auto& [key, mapped] : bucket_mapped) {
-      if (bucket_srcs.at(key).size() < 2) continue;  // inert bucket
-      // A coupling bucket's target and source groups share a component.
-      int c = d.node_component_[edge.target_instance].at(key.first);
-      fp[c].Mix(0xC0);  // domain separator: coupling copy buckets
-      fp[c].Mix(e);
-      fp[c].MixValue(key.first);
-      fp[c].MixValue(key.second);
-      for (auto [t, s] : mapped) {
-        fp[c].Mix(static_cast<uint64_t>(t));
-        fp[c].Mix(static_cast<uint64_t>(s));
-      }
+  for (const CouplingBucket& bucket : coupling) {
+    // A coupling bucket's target and source groups share a component.
+    const int target = spec.copy_edges()[bucket.edge].target_instance;
+    Fingerprinter& f = fp[d.node_component_[target].at(*bucket.target_eid)];
+    f.Mix(0xC0);  // domain separator: coupling copy buckets
+    f.Mix(bucket.edge);
+    f.MixValue(*bucket.target_eid);
+    f.MixValue(*bucket.source_eid);
+    for (auto [t, s] : *bucket.mapped) {
+      f.Mix(static_cast<uint64_t>(t));
+      f.Mix(static_cast<uint64_t>(s));
     }
   }
   d.fingerprints_.resize(d.components_.size());
@@ -261,18 +267,6 @@ std::vector<int> Decomposition::ComponentsOfInstances(
                  instance_components_[i].end());
   }
   return std::vector<int>(comps.begin(), comps.end());
-}
-
-EntityFilter Decomposition::FilterFor(
-    const std::vector<int>& components) const {
-  EntityFilter filter;
-  filter.allowed.resize(num_instances_);
-  for (int c : components) {
-    for (const EntityNode& node : components_[c]) {
-      filter.allowed[node.inst].insert(node.eid);
-    }
-  }
-  return filter;
 }
 
 void EngineCounters::Bind(obs::Registry* registry, const obs::Labels& labels) {
@@ -373,16 +367,11 @@ Result<std::unique_ptr<DecomposedEncoder>> DecomposedEncoder::Build(
   de->counters_ = counters;
   // Decomposition::Build touches every instance's EntityGroups(), which
   // warms the Relation-level lazy cache before any parallel work begins;
-  // from here on the specification, the decomposition and the copy index
-  // are read-only shared state (see the class comment).
+  // from here on the specification and the decomposition (node lists and
+  // copy index) are read-only shared state (see the class comment).
   ASSIGN_OR_RETURN(de->decomposition_, Decomposition::Build(spec));
-  de->copy_index_ = CopyBucketIndex::Build(spec);
-  int n = de->decomposition_.num_components();
-  de->filters_.reserve(n);
-  for (int c = 0; c < n; ++c) {
-    de->filters_.push_back(de->decomposition_.FilterFor({c}));
-  }
-  de->slots_ = std::make_unique<Slot[]>(static_cast<size_t>(n));
+  de->slots_ = std::make_unique<Slot[]>(
+      static_cast<size_t>(de->decomposition_.num_components()));
   return de;
 }
 
@@ -394,11 +383,8 @@ Result<ComponentChase> DecomposedEncoder::BuildComponentChase(int c) const {
     return Status::InvalidArgument(
         "component " + std::to_string(c) + " is not chase-eligible");
   }
-  std::vector<std::pair<int, Value>> nodes;
-  for (const EntityNode& node : decomposition_.component(c)) {
-    nodes.emplace_back(node.inst, node.eid);
-  }
-  return ChaseComponentOrders(*spec_, nodes, copy_index_);
+  return ChaseComponentOrders(*spec_, decomposition_.component(c),
+                              decomposition_.copy_index());
 }
 
 Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildComponentEncoder(
@@ -406,18 +392,24 @@ Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildComponentEncoder(
   if (c < 0 || c >= num_components()) {
     return Status::InvalidArgument("component index out of range");
   }
-  return Encoder::Build(*spec_, Encoder::Options{&filters_[c], &copy_index_});
+  return Encoder::Build(*spec_,
+                        Encoder::Options{&decomposition_.component(c),
+                                         &decomposition_.copy_index()});
 }
 
 Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildMergedEncoder(
     const std::vector<int>& components) const {
+  std::vector<EntityNode> nodes;
   for (int c : components) {
     if (c < 0 || c >= num_components()) {
       return Status::InvalidArgument("component index out of range");
     }
+    const std::vector<EntityNode>& own = decomposition_.component(c);
+    nodes.insert(nodes.end(), own.begin(), own.end());
   }
-  EntityFilter filter = decomposition_.FilterFor(components);
-  return Encoder::Build(*spec_, Encoder::Options{&filter, &copy_index_});
+  std::sort(nodes.begin(), nodes.end());
+  return Encoder::Build(
+      *spec_, Encoder::Options{&nodes, &decomposition_.copy_index()});
 }
 
 Status DecomposedEncoder::RunSampled(Encoder* encoder,
@@ -561,29 +553,6 @@ Result<bool> DecomposedEncoder::EnsureAllSolved(exec::ThreadPool* pool) {
     }
   }
   return consistent;
-}
-
-Status DecomposedEncoder::SettleWalk(const std::vector<int>& components,
-                                     const ProbeFn& probe,
-                                     const std::function<void(int k)>& drop,
-                                     exec::ThreadPool* pool) {
-  const int sat_routed = static_cast<int>(std::count_if(
-      components.begin(), components.end(),
-      [&](int c) { return !chase_routed(c); }));
-  std::vector<int> deferred;
-  for (size_t k = 0; k < components.size(); ++k) {
-    const int task = static_cast<int>(k);
-    if (chase_routed(components[k]) || sat_routed >= 2) {
-      ASSIGN_OR_RETURN(bool complete, probe(task, /*walk=*/true));
-      if (complete) continue;
-      drop(task);
-    }
-    deferred.push_back(task);
-  }
-  return pool->ParallelFor(static_cast<int>(deferred.size()),
-                           [&](int j) -> Status {
-                             return probe(deferred[j], /*walk=*/false).status();
-                           });
 }
 
 std::map<uint64_t, DecomposedEncoder::Harvested> DecomposedEncoder::Harvest() {

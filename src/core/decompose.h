@@ -39,6 +39,7 @@
 #ifndef CURRENCY_SRC_CORE_DECOMPOSE_H_
 #define CURRENCY_SRC_CORE_DECOMPOSE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -59,12 +60,6 @@
 
 namespace currency::core {
 
-/// A node of the coupling graph: one entity group of one instance.
-struct EntityNode {
-  int inst = -1;
-  Value eid;
-};
-
 /// The partition of a specification's entity groups into independent
 /// coupling components.  Value-semantic and immutable once built.
 class Decomposition {
@@ -78,10 +73,17 @@ class Decomposition {
 
   int num_components() const { return static_cast<int>(components_.size()); }
 
-  /// The nodes of component `c`.
+  /// The nodes of component `c`, in (instance, entity) order: the one
+  /// description of a component, from which its encoder and its chase
+  /// are built.
   const std::vector<EntityNode>& component(int c) const {
     return components_[c];
   }
+
+  /// The specification's copy mappings bucketed by entity pair, built
+  /// once here; the coupling edges and fingerprints are read from it, and
+  /// the engine's encoders and chases share it.
+  const CopyBucketIndex& copy_index() const { return copy_index_; }
 
   /// Component owning (inst, eid), or -1 when the entity does not occur.
   int ComponentOf(int inst, const Value& eid) const;
@@ -94,9 +96,6 @@ class Decomposition {
   /// Sorted, deduplicated union of ComponentsOfInstance over `instances`.
   std::vector<int> ComponentsOfInstances(
       const std::vector<int>& instances) const;
-
-  /// An EntityFilter admitting exactly the nodes of the given components.
-  EntityFilter FilterFor(const std::vector<int>& components) const;
 
   /// Content fingerprint of component `c`: a 64-bit hash over every input
   /// a per-component encoder build reads — the member tuples (ids and
@@ -137,6 +136,7 @@ class Decomposition {
 
  private:
   int num_instances_ = 0;
+  CopyBucketIndex copy_index_;
   std::vector<std::vector<EntityNode>> components_;
   /// node_component_[i]: eid -> component id, per instance.
   std::vector<std::map<Value, int>> node_component_;
@@ -241,8 +241,8 @@ struct EngineCounters {
 /// keeps one per epoch.
 ///
 /// Concurrency.  After Build, the specification (including each
-/// Relation's entity-group cache, warmed by Decomposition::Build), the
-/// decomposition, the copy-bucket index and the per-component filters are
+/// Relation's entity-group cache, warmed by Decomposition::Build) and the
+/// decomposition (with its node lists and copy-bucket index) are
 /// read-only, so the Build* methods may run concurrently for any
 /// component mix.  The cache slots fill lazily under concurrent callers,
 /// each with its own synchronization:
@@ -305,16 +305,17 @@ class DecomposedEncoder {
     return decomposition_.fingerprint(c);
   }
 
-  /// Computes component `c`'s chase fixpoint without touching its cache
-  /// slot.  InvalidArgument for ineligible components.
+  /// Computes component `c`'s chase fixpoint from its node list without
+  /// touching its cache slot.  InvalidArgument for ineligible components.
   Result<ComponentChase> BuildComponentChase(int c) const;
 
-  /// Builds a fresh encoder for exactly component `c` (the caller owns
-  /// it; the cache slot is untouched).
+  /// Builds a fresh encoder for exactly component `c`'s node list (the
+  /// caller owns it; the cache slot is untouched).
   Result<std::unique_ptr<Encoder>> BuildComponentEncoder(int c) const;
 
-  /// A fresh encoder covering exactly the union of `components` (the
-  /// caller owns it; WithCcqaEncoder caches one per component set).
+  /// A fresh encoder covering exactly the union of the distinct
+  /// `components`, their node lists merged in (instance, entity) order
+  /// (the caller owns it; WithCcqaEncoder caches one per component set).
   Result<std::unique_ptr<Encoder>> BuildMergedEncoder(
       const std::vector<int>& components) const;
 
@@ -377,22 +378,42 @@ class DecomposedEncoder {
   /// 0 unsat, 1 sat.  Lock-free.
   int CachedSat(int c) const;
 
-  /// A COP or DCIP probe phase's work on its k-th component, in batch
-  /// order.  A `walk` calls no solver: it returns false at the first probe
-  /// the solver's record cannot settle, leaving partial results behind.
-  using ProbeFn = std::function<Result<bool>(int k, bool walk)>;
-
-  /// The settle walk of CertainOrderProbes and DeterminismProbes.  On the
-  /// calling thread, in order, walks each chase-routed component of
-  /// `components`, and each SAT-routed one when there are two or more (a
-  /// lone one would run inline anyway).  A component the walk leaves open
-  /// calls `drop(k)` to discard its partial results and tally; it and
-  /// every unwalked one go to `pool` as tasks that call probe(k, false).
-  /// The walk changes no solver state, so every call sequence and count
-  /// is the one the pool alone would give.
-  Status SettleWalk(const std::vector<int>& components, const ProbeFn& probe,
-                    const std::function<void(int k)>& drop,
-                    exec::ThreadPool* pool);
+  /// The settle walk of CertainOrderProbes and DeterminismProbes.
+  /// `probe(k, walk)` -> Result<bool> is a COP or DCIP probe phase's work
+  /// on its k-th component of `components`, in batch order; a `walk` calls
+  /// no solver and returns false at the first probe the solver's record
+  /// cannot settle, leaving partial results behind.  On the calling
+  /// thread, in order, walks each chase-routed component, and each
+  /// SAT-routed one when there are two or more (a lone one would run
+  /// inline anyway).  A component the walk leaves open calls `drop(k)` to
+  /// discard its partial results and tally; it and every unwalked one go
+  /// to `pool` as tasks that call probe(k, false).  The walk changes no
+  /// solver state, so every call sequence and count is the one the pool
+  /// alone would give.  The callables are template parameters: the COP
+  /// and DCIP probe closures outgrow std::function's small buffer, which
+  /// would heap-allocate on every phase.
+  template <typename Probe, typename Drop>
+  Status SettleWalk(const std::vector<int>& components, const Probe& probe,
+                    const Drop& drop, exec::ThreadPool* pool) {
+    const int sat_routed = static_cast<int>(std::count_if(
+        components.begin(), components.end(),
+        [&](int c) { return !chase_routed(c); }));
+    std::vector<int> deferred;
+    for (size_t k = 0; k < components.size(); ++k) {
+      const int task = static_cast<int>(k);
+      if (chase_routed(components[k]) || sat_routed >= 2) {
+        ASSIGN_OR_RETURN(bool complete, probe(task, /*walk=*/true));
+        if (complete) continue;
+        drop(task);
+      }
+      deferred.push_back(task);
+    }
+    return pool->ParallelFor(static_cast<int>(deferred.size()),
+                             [&](int j) -> Status {
+                               return probe(deferred[j], /*walk=*/false)
+                                   .status();
+                             });
+  }
 
   /// Adds a probe phase's tally to EngineCounters::probe_solves and
   /// probes_settled; a no-op without counters.
@@ -442,10 +463,6 @@ class DecomposedEncoder {
   bool use_chase_routing_ = false;
   const EngineCounters* counters_ = nullptr;
   Decomposition decomposition_;
-  /// Copy-bucket index shared by every component build (built once).
-  CopyBucketIndex copy_index_;
-  /// Per-component filters (stable storage for lazily built encoders).
-  std::vector<EntityFilter> filters_;
   std::unique_ptr<Slot[]> slots_;
   /// Guards the map only; each merged slot carries its own mutex.
   std::mutex merged_mu_;

@@ -160,7 +160,8 @@ Result<std::vector<bool>> DeterminismProbes(
   }
   std::vector<std::vector<int>> nondeterministic(components.size());
   std::vector<ProbeTally> tally(components.size());
-  // Probes component k's items in batch order (DecomposedEncoder::ProbeFn).
+  // Probes component k's items in batch order (the `probe` of
+  // DecomposedEncoder::SettleWalk).
   auto probe_component = [&](int k, bool walk) -> Result<bool> {
     bool complete = true;
     RETURN_IF_ERROR(engine->WithComponentEncoder(

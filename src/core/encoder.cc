@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+#include <optional>
 #include <utility>
-
 
 namespace currency::core {
 
@@ -56,6 +55,29 @@ sat::Var Encoder::IsLastVar(int inst, AttrIndex attr, TupleId u) const {
                             attr];
 }
 
+Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
+    const Specification& spec, const std::vector<EntityNode>& nodes) {
+  std::vector<const std::vector<TupleId>*> members;
+  members.reserve(nodes.size());
+  for (size_t k = 0; k < nodes.size(); ++k) {
+    const EntityNode& node = nodes[k];
+    if (k > 0 && !(nodes[k - 1] < node)) {
+      return Status::InvalidArgument(
+          "node list is not in (instance, entity) order");
+    }
+    if (node.inst < 0 || node.inst >= spec.num_instances()) {
+      return Status::InvalidArgument("node names an unknown instance");
+    }
+    const auto& groups = spec.instance(node.inst).relation().EntityGroups();
+    auto it = groups.find(node.eid);
+    if (it == groups.end()) {
+      return Status::InvalidArgument("node names an unknown entity group");
+    }
+    members.push_back(&it->second);
+  }
+  return members;
+}
+
 CopyBucketIndex CopyBucketIndex::Build(const Specification& spec) {
   CopyBucketIndex index;
   index.per_edge.reserve(spec.copy_edges().size());
@@ -77,30 +99,33 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   solver_ = std::make_unique<sat::Solver>();
   sat::Solver& s = *solver_;
   pair_base_.resize(spec.num_instances());
-  if (options.restrict_to != nullptr) filter_ = *options.restrict_to;
-  auto keep = [this](int i, const Value& eid) {
-    return !filter_.has_value() || filter_->Contains(i, eid);
-  };
 
-  // 0. Resolve the entity groups this encoder covers, iterating the
-  // filter (not the relations) so a component encoder's build cost is
+  // 0. Resolve the entity groups this encoder covers, iterating the node
+  // list (not the relations) so a component encoder's build cost is
   // proportional to its own content.
   active_groups_.resize(spec.num_instances());
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    const auto& groups = spec.instance(i).relation().EntityGroups();
-    if (!filter_.has_value()) {
-      for (const auto& [eid, members] : groups) {
+  if (options.nodes == nullptr) {
+    for (int i = 0; i < spec.num_instances(); ++i) {
+      for (const auto& [eid, members] :
+           spec.instance(i).relation().EntityGroups()) {
         active_groups_[i].emplace_back(eid, members);
       }
-    } else if (i < static_cast<int>(filter_->allowed.size())) {
-      for (const Value& eid : filter_->allowed[i]) {
-        auto it = groups.find(eid);
-        if (it != groups.end()) {
-          active_groups_[i].emplace_back(it->first, it->second);
-        }
-      }
+    }
+  } else {
+    ASSIGN_OR_RETURN(auto members, NodeMembers(spec, *options.nodes));
+    for (size_t k = 0; k < members.size(); ++k) {
+      const EntityNode& node = (*options.nodes)[k];
+      active_groups_[node.inst].emplace_back(node.eid, *members[k]);
     }
   }
+  // Whether (inst, eid) is one of this encoder's groups (entity order).
+  auto covers = [this](int inst, const Value& eid) {
+    const auto& groups = active_groups_[inst];
+    auto it = std::lower_bound(
+        groups.begin(), groups.end(), eid,
+        [](const auto& group, const Value& v) { return group.first < v; });
+    return it != groups.end() && it->first == eid;
+  };
 
   // 1. Order variables: one per (same-entity pair, order-bound data
   // attribute).  An order-free attribute gets none: nothing ties its order
@@ -157,8 +182,8 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   // whole instance.  Initial orders only relate same-entity tuples
   // (TemporalInstance::AddOrder enforces this), so walking entity groups
   // and probing Less covers every pair — in Σ m² instead of the n²/64
-  // full-matrix scan of Pairs(), which matters when a filtered encoder is
-  // built once per component.
+  // full-matrix scan of Pairs(), which matters when an encoder is built
+  // once per component.
   for (int i = 0; i < spec.num_instances(); ++i) {
     const TemporalInstance& inst = spec.instance(i);
     for (const auto& [eid, members] : active_groups_[i]) {
@@ -179,9 +204,11 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   // 4. Copy ≺-compatibility: ord_src(s1,s2) → ord_tgt(t1,t2).  Clauses
   // only arise between mappings agreeing on both the target and the
   // source entity, so encoding walks (target entity, source entity)
-  // buckets — Σ |bucket|² instead of |ρ|² work.  A filtered encoder only
-  // visits buckets of its own target entities; the decomposition layer
-  // shares one prebuilt index across all component builds.
+  // buckets — Σ |bucket|² instead of |ρ|² work — and only those of its
+  // own target groups.  A bucket whose target group lies outside but
+  // whose source group is inside cannot couple (the decomposition would
+  // have merged the two), so skipping it is sound.  The engine shares
+  // the decomposition's prebuilt index across all builds.
   std::optional<CopyBucketIndex> local_index;
   const CopyBucketIndex* copy_index = options.copy_index;
   if (copy_index == nullptr) {
@@ -199,25 +226,22 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
     ASSIGN_OR_RETURN(auto attrs,
                      edge.fn.ResolveAttrs(target.schema(), source.schema()));
     const CopyBuckets& buckets = copy_index->per_edge[edge_index];
-    auto encode_bucket =
-        [&](const Value& te,
-            const std::map<Value, std::vector<std::pair<TupleId, TupleId>>>&
-                by_source) -> Status {
-      bool t_in = keep(edge.target_instance, te);
-      for (const auto& [se, mapped] : by_source) {
-        bool s_in = keep(edge.source_instance, se);
+    for (const auto& group : active_groups_[edge.target_instance]) {
+      auto bucket = buckets.find(group.first);
+      if (bucket == buckets.end()) continue;
+      for (const auto& [se, mapped] : bucket->second) {
+        const bool s_in = covers(edge.source_instance, se);
         for (size_t x = 0; x < mapped.size(); ++x) {
           for (size_t y = 0; y < mapped.size(); ++y) {
             auto [t1, s1] = mapped[x];
             auto [t2, s2] = mapped[y];
             if (t1 == t2 || s1 == s2) continue;
-            // A clause couples the two entity groups, so a valid
-            // decomposition filter keeps either both or neither.
-            if (t_in != s_in) {
+            // A clause couples the two entity groups, so a valid node
+            // list holds either both or neither.
+            if (!s_in) {
               return Status::Internal(
-                  "entity filter splits a copy-coupled entity pair");
+                  "node list splits a copy-coupled entity pair");
             }
-            if (!t_in) continue;
             for (const auto& [a, b] : attrs) {
               s.AddClause(
                   {sat::Negate(OrdLit(edge.source_instance, b, s1, s2)),
@@ -225,25 +249,6 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
             }
           }
         }
-      }
-      return Status::OK();
-    };
-    if (filter_.has_value()) {
-      // Walk the filter's target entities only.  Buckets whose target
-      // entity lies outside the filter but whose source entity is inside
-      // cannot couple (the decomposition would have merged them), so
-      // skipping them is sound.
-      if (edge.target_instance <
-          static_cast<int>(filter_->allowed.size())) {
-        for (const Value& te : filter_->allowed[edge.target_instance]) {
-          auto it = buckets.find(te);
-          if (it == buckets.end()) continue;
-          RETURN_IF_ERROR(encode_bucket(it->first, it->second));
-        }
-      }
-    } else {
-      for (const auto& [te, by_source] : buckets) {
-        RETURN_IF_ERROR(encode_bucket(te, by_source));
       }
     }
   }

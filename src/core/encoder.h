@@ -38,8 +38,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -50,31 +48,38 @@
 
 namespace currency::core {
 
-/// A per-instance whitelist of entity groups.  The decomposition layer
-/// (src/core/decompose.h) passes one of these per coupling-graph component
-/// to carve a small per-component SAT instance out of a specification.
-struct EntityFilter {
-  /// allowed[i]: entities of instance i to keep.  Instances beyond the
-  /// vector's size keep nothing.
-  std::vector<std::set<Value>> allowed;
-
-  bool Contains(int inst, const Value& eid) const {
-    return inst >= 0 && inst < static_cast<int>(allowed.size()) &&
-           allowed[inst].count(eid) > 0;
-  }
+/// One entity group of one instance: a node of the coupling graph
+/// (src/core/decompose.h).  A coupling component is described by its
+/// node list in (instance, entity) order, which is what the encoder and
+/// the component chase take.
+struct EntityNode {
+  int inst = -1;
+  Value eid;
 };
+
+/// (instance, entity) order.
+inline bool operator<(const EntityNode& a, const EntityNode& b) {
+  return a.inst < b.inst || (a.inst == b.inst && a.eid < b.eid);
+}
+
+/// The member tuples of each entity group `nodes` names, in list order
+/// (pointers into the relations' group caches).  InvalidArgument unless
+/// every group exists and the list is in strictly increasing (instance,
+/// entity) order, as Decomposition::component gives it.
+Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
+    const Specification& spec, const std::vector<EntityNode>& nodes);
 
 /// Copy-function mappings bucketed by entity pair: for one copy edge,
 /// buckets[target_eid][source_eid] lists the mapped (target, source)
 /// tuple pairs.  ≺-compatibility clauses only arise inside a bucket, so
-/// encoding walks buckets instead of the |ρ|² mapping square — and a
-/// filtered encoder walks only its own target entities.
+/// encoding walks buckets instead of the |ρ|² mapping square — and an
+/// encoder over a node list walks only its own target entities.
 using CopyBuckets =
     std::map<Value, std::map<Value, std::vector<std::pair<TupleId, TupleId>>>>;
 
 /// Bucket indexes for every copy edge of a specification, in
-/// spec.copy_edges() order.  The decomposition layer builds this once and
-/// shares it across all per-component encoder builds.
+/// spec.copy_edges() order.  Decomposition::Build builds the one index an
+/// engine uses, and every component's encoder and chase read it.
 struct CopyBucketIndex {
   std::vector<CopyBuckets> per_edge;
 
@@ -87,10 +92,13 @@ class Encoder {
   /// Engine-internal build inputs (DecomposedEncoder sets both per
   /// component); a default Options encodes the whole specification.
   struct Options {
-    /// When set, encode only the listed entity groups.  The filter must be
-    /// closed under copy coupling (Build fails otherwise); the pointed-to
-    /// filter is copied at Build time and not retained.
-    const EntityFilter* restrict_to = nullptr;
+    /// When set, encode only these entity groups: a coupling component's
+    /// node list (Decomposition::component), or several merged.  The list
+    /// must pass NodeMembers (else InvalidArgument) and be closed under
+    /// copy coupling: Build returns Internal when a listed group's
+    /// coupling bucket maps from an unlisted source group.  Read only
+    /// during Build, not retained.
+    const std::vector<EntityNode>* nodes = nullptr;
     /// Optional shared copy-bucket index (see CopyBucketIndex); when null
     /// the encoder builds its own.  Read only during Build, not retained.
     const CopyBucketIndex* copy_index = nullptr;
@@ -122,7 +130,7 @@ class Encoder {
 
   /// The entity groups of instance `inst` this encoder covers, as (entity,
   /// member tuples) in entity order: every group of the instance, or only
-  /// the filter's on a restricted encoder.
+  /// the listed ones on an encoder over a node list.
   const std::vector<std::pair<Value, std::vector<TupleId>>>& Groups(
       int inst) const {
     return active_groups_[inst];
@@ -154,9 +162,10 @@ class Encoder {
                                 const Value& v) const;
 
   /// Decodes the solver's current model into current instances, one
-  /// Relation per instance (valid right after a kSat Solve call).  On a
-  /// filtered encoder, only the filter's entities appear in the output
-  /// (the relations of untouched instances may be partial or empty).
+  /// Relation per instance (valid right after a kSat Solve call).  On an
+  /// encoder over a node list, only the listed entities appear in the
+  /// output (the relations of untouched instances may be partial or
+  /// empty).
   Result<std::vector<Relation>> DecodeCurrentInstances() const;
 
   /// Extracts the completion from the solver's current model (valid right
@@ -188,13 +197,10 @@ class Encoder {
 
   const Specification* spec_ = nullptr;
   std::unique_ptr<sat::Solver> solver_;
-  /// Copy of options.restrict_to (when given): the encoding covers only
-  /// these entity groups.
-  std::optional<EntityFilter> filter_;
-  /// The entity groups this encoder covers, per instance — the filter's
-  /// groups, or all of them.  Build and decode iterate this instead of
-  /// the relations, so a component encoder costs O(its own content)
-  /// rather than O(specification).
+  /// The entity groups this encoder covers, per instance, in entity order
+  /// — the node list's groups, or all of them.  Build and decode iterate
+  /// this instead of the relations, so a component encoder costs O(its own
+  /// content) rather than O(specification).
   std::vector<std::vector<std::pair<Value, std::vector<TupleId>>>>
       active_groups_;
   /// pair_base_[inst][key(u,v)] with u < v canonical.

@@ -194,14 +194,6 @@ Status Specification::ApplyTupleEdits(const std::vector<TupleEdit>& edits) {
   return Status::OK();
 }
 
-query::Database Specification::EmbeddedDatabase() const {
-  query::Database db;
-  for (const TemporalInstance& inst : instances_) {
-    db[inst.name()] = &inst.relation();
-  }
-  return db;
-}
-
 int64_t Specification::TotalTuples() const {
   int64_t total = 0;
   for (const TemporalInstance& inst : instances_) {

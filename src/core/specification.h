@@ -121,10 +121,6 @@ class Specification {
   /// serving layer's Mutate path builds on this.
   Status ApplyTupleEdits(const std::vector<TupleEdit>& edits);
 
-  /// View of the embedded normal instances as a query::Database
-  /// (borrowed pointers into this specification).
-  query::Database EmbeddedDatabase() const;
-
   /// Total size of the specification (tuples across instances).
   int64_t TotalTuples() const;
 

@@ -5,8 +5,8 @@
 // The decomposition layer (src/core/decompose.h) turns one specification
 // into many independent sub-problems — Mod(S) ≅ Π_c Mod(S|_c) — and every
 // per-component object (Encoder, sat::Solver) is confined to exactly one
-// task, while the shared inputs (Specification, Decomposition,
-// CopyBucketIndex, entity-group caches) are read-only after
+// task, while the shared inputs (Specification, Decomposition with its
+// node lists and CopyBucketIndex, entity-group caches) are read-only after
 // DecomposedEncoder::Build.  Under that confinement discipline, parallel
 // execution is a pure scheduling change: ParallelFor claims task indices
 // from an atomic counter, every task writes only its own result slot, and

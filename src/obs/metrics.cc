@@ -123,11 +123,6 @@ const std::vector<int64_t>& LatencyBucketsNs() {
   return buckets;
 }
 
-Registry* Registry::Default() {
-  static Registry* registry = new Registry();
-  return registry;
-}
-
 Registry::Series* Registry::GetSeries(const std::string& name, Kind kind,
                                       const Labels& labels,
                                       std::vector<int64_t> bounds) {

@@ -145,11 +145,6 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// The process-wide registry, for callers with no injected instance.
-  /// Sessions and managers default to private registries instead, so
-  /// tests never see each other's numbers.
-  static Registry* Default();
-
   /// At most this many distinct label sets per family; the rest coalesce
   /// into the overflow series.
   static constexpr int kMaxSeriesPerFamily = 64;

@@ -73,12 +73,6 @@ class PartialOrder {
   /// of Theorem 6.1's algorithm: candidates for the most current tuple).
   std::vector<int> SinksWithin(const std::vector<int>& subset) const;
 
-  /// Elements of `subset` that are maximal: no other subset element is
-  /// greater.  Alias of SinksWithin for readability at call sites.
-  std::vector<int> MaximaWithin(const std::vector<int>& subset) const {
-    return SinksWithin(subset);
-  }
-
   /// True iff `subset` is totally ordered by this order.
   bool TotalOn(const std::vector<int>& subset) const;
 

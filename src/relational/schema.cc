@@ -42,12 +42,6 @@ Result<AttrIndex> Schema::IndexOf(const std::string& name) const {
   return it->second;
 }
 
-std::vector<AttrIndex> Schema::DataAttributes() const {
-  std::vector<AttrIndex> out;
-  for (int i = 1; i < arity(); ++i) out.push_back(i);
-  return out;
-}
-
 std::string Schema::ToString() const {
   return relation_name_ + "(" + Join(names_, ", ") + ")";
 }

@@ -54,9 +54,6 @@ class Schema {
     return index_.count(name) > 0;
   }
 
-  /// Indices of the data attributes: 1..arity()-1.
-  std::vector<AttrIndex> DataAttributes() const;
-
   /// "R(EID, A1, ..., An)".
   std::string ToString() const;
 

@@ -18,7 +18,10 @@
 // additions — a zero-grounding constraint, a single-source copy bucket —
 // must not flip eligibility or fingerprints; a real grounding must flip
 // exactly its component), the ChaseResult/ComponentChase work counters,
-// and the session's chase-fixpoint reuse accounting across Mutate.
+// the session's chase-fixpoint reuse accounting across Mutate, and the
+// component node lists both builders take: every component fixpoint
+// equals the whole-specification chase restricted to its groups, and an
+// encoder over one side of a coupling bucket fails.
 // scripts/check.sh re-runs this suite under ASan/UBSan and TSan.
 
 #include <gtest/gtest.h>
@@ -799,6 +802,133 @@ TEST(ChaseCounters, SessionReusesFixpointsAcrossMutate) {
   ASSERT_TRUE((*session)->Mutate({TupleEdit{0, 0, 2, Value(77)}}).ok());
   EXPECT_EQ((*session)->stats().last_chase_reused, 1);
   EXPECT_EQ((*session)->stats().last_chase_rechased, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Component node lists: the chase and the encoder both build from
+// Decomposition::component(c).
+
+/// bench_chase_routing's shape, small: R's entities e<k> each copy two
+/// tuples into R2's f<k> through ONE copy edge, so every (f<k>, e<k>)
+/// bucket couples its pair of groups and the edge spans `entities`
+/// components.  Planted A orders t0 ≺ t1 ≺ t2 propagate into R2; with
+/// `cycle`, f0's initial order runs against them and entity 0's
+/// component is inconsistent.
+Specification MakeShardedCopySpec(int entities, bool cycle) {
+  Specification spec;
+  Relation r(Schema::Make("R", {"A", "B"}).value());
+  for (int e = 0; e < entities; ++e) {
+    for (int k = 0; k < 3; ++k) {
+      (void)r.AppendValues(
+          {Value("e" + std::to_string(e)), Value(k), Value(k % 2)});
+    }
+  }
+  TemporalInstance inst(std::move(r));
+  for (int e = 0; e < entities; ++e) {
+    (void)inst.AddOrder(1, 3 * e, 3 * e + 1);
+    (void)inst.AddOrder(1, 3 * e + 1, 3 * e + 2);
+  }
+  (void)spec.AddInstance(std::move(inst));
+  Relation r2(Schema::Make("R2", {"C"}).value());
+  copy::CopySignature sig;
+  sig.target_relation = "R2";
+  sig.target_attrs = {"C"};
+  sig.source_relation = "R";
+  sig.source_attrs = {"A"};
+  copy::CopyFunction fn(sig);
+  for (int e = 0; e < entities; ++e) {
+    Value eid("f" + std::to_string(e));
+    TupleId t0 = r2.AppendValues({eid, Value(0)}).value();
+    TupleId t1 = r2.AppendValues({eid, Value(1)}).value();
+    (void)fn.Map(t0, 3 * e);
+    (void)fn.Map(t1, 3 * e + 1);
+  }
+  TemporalInstance target(std::move(r2));
+  if (cycle) (void)target.AddOrder(1, 1, 0);
+  (void)spec.AddInstance(std::move(target));
+  (void)spec.AddCopyFunction(std::move(fn));
+  return spec;
+}
+
+/// Every component fixpoint equals the whole-specification chase (the
+/// Theorem 6.1 reference) restricted to the component's groups, pair for
+/// pair, and the consistency bits agree.  Requires a spec whose every
+/// component is chase-eligible.
+void ExpectComponentChasesMatchWholeSpec(const Specification& spec) {
+  const ChaseResult whole = ChaseCopyOrders(spec).value();
+  auto engine =
+      DecomposedEncoder::Build(spec, {}, /*use_chase_routing=*/true).value();
+  bool all_consistent = true;
+  for (int c = 0; c < engine->num_components(); ++c) {
+    const Result<ComponentChase> chase = engine->BuildComponentChase(c);
+    ASSERT_TRUE(chase.ok()) << chase.status();
+    all_consistent = all_consistent && chase->consistent;
+    // An inconsistent whole-spec chase stops mid-way; only the verdicts
+    // compare then.
+    if (!whole.consistent) continue;
+    ASSERT_EQ(chase->nodes.size(),
+              engine->decomposition().component(c).size());
+    for (const ComponentChase::Node& node : chase->nodes) {
+      const int m = static_cast<int>(node.members.size());
+      for (AttrIndex a = 1; a < static_cast<AttrIndex>(node.orders.size());
+           ++a) {
+        const PartialOrder& reference = whole.certain_orders[node.inst][a];
+        for (int x = 0; x < m; ++x) {
+          for (int y = 0; y < m; ++y) {
+            EXPECT_EQ(node.orders[a].Less(x, y),
+                      reference.Less(node.members[x], node.members[y]))
+                << "component " << c << " node " << node.eid.ToString()
+                << " attr " << a << " pair " << x << "," << y;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(all_consistent, whole.consistent);
+}
+
+TEST(ComponentNodeLists, ComponentChasesMatchWholeSpecChase) {
+  for (unsigned seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectComponentChasesMatchWholeSpec(
+        MakeRandomSpec(seed, /*with_copy=*/true, /*with_constraints=*/false));
+    ExpectComponentChasesMatchWholeSpec(
+        MakeRandomSpec(seed, /*with_copy=*/true, /*with_constraints=*/true,
+                       /*constraint_free_fraction=*/1.0));
+  }
+  for (bool cycle : {false, true}) {
+    SCOPED_TRACE(cycle ? "sharded, cycle" : "sharded");
+    const Specification spec = MakeShardedCopySpec(12, cycle);
+    ASSERT_EQ(Decomposition::Build(spec).value().num_components(), 12);
+    ASSERT_EQ(ChaseCopyOrders(spec).value().consistent, !cycle);
+    ExpectComponentChasesMatchWholeSpec(spec);
+  }
+}
+
+TEST(ComponentNodeLists, EncoderRejectsOneSideOfCouplingBucket) {
+  const Specification spec = MakeShardedCopySpec(3, /*cycle=*/false);
+  const Decomposition d = Decomposition::Build(spec).value();
+  const std::vector<EntityNode>& nodes =
+      d.component(d.ComponentOf(1, Value("f1")));
+  ASSERT_EQ(nodes.size(), 2u);
+  // The (f1, e1) bucket maps two source tuples, so f1 alone splits it.
+  const std::vector<EntityNode> target_only = {nodes[1]};
+  ASSERT_EQ(target_only[0].inst, 1);
+  auto split = Encoder::Build(
+      spec, Encoder::Options{&target_only, &d.copy_index()});
+  EXPECT_EQ(split.status().code(), StatusCode::kInternal) << split.status();
+  EXPECT_TRUE(
+      Encoder::Build(spec, Encoder::Options{&nodes, &d.copy_index()}).ok());
+  // Both builders take the list in (instance, entity) order only.
+  const std::vector<EntityNode> reversed = {nodes[1], nodes[0]};
+  EXPECT_EQ(Encoder::Build(spec, Encoder::Options{&reversed, nullptr})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ChaseComponentOrders(spec, reversed, d.copy_index())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

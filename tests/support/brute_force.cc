@@ -18,33 +18,34 @@ struct Slot {
   std::vector<std::vector<TupleId>> extensions;  // all linear extensions
 };
 
-/// Definitive-violation check on partial orders: a grounded denial
-/// constraint is hopeless once its premises are present and its conclusion
-/// is absent-forever (pure denial, or the reverse pair already holds).
-/// Sound for pruning because partial orders only grow along a branch.
-bool DefinitelyViolated(const Specification& spec, int inst,
-                        const std::vector<std::vector<PartialOrder>>& orders) {
-  const Relation& rel = spec.instance(inst).relation();
-  for (const auto& dc : spec.constraints_for(inst)) {
-    bool violated = false;
-    dc.EnumerateGroundings(rel, [&](const constraints::Grounding& g) {
-      if (violated) return;
-      for (const auto& p : g.premises) {
-        if (!orders[inst][p.attr].Less(p.before, p.after)) return;
-      }
-      if (!g.conclusion.has_value()) {
-        violated = true;
-        return;
-      }
-      if (orders[inst][g.conclusion->attr].Less(g.conclusion->after,
-                                                g.conclusion->before)) {
-        violated = true;
-      }
-    });
-    if (violated) return true;
+/// One ≺-compatibility obligation of a copy edge: source pair (s1, s2)
+/// on attribute b, target pair (t1, t2) on attribute a, with matching
+/// entities on both sides.
+struct CopyObligation {
+  int source_inst, target_inst;
+  AttrIndex a, b;
+  TupleId t1, t2, s1, s2;
+};
+
+/// What the pruning check reads, computed once per enumeration: it
+/// depends only on values, never on the orders a branch chooses.
+struct PruneInputs {
+  /// groundings[i]: every grounding of instance i's denial constraints.
+  std::vector<std::vector<constraints::Grounding>> groundings;
+  std::vector<CopyObligation> copies;
+};
+
+PruneInputs GroundOnce(const Specification& spec) {
+  PruneInputs in;
+  in.groundings.resize(spec.num_instances());
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    const Relation& rel = spec.instance(i).relation();
+    for (const auto& dc : spec.constraints_for(i)) {
+      dc.EnumerateGroundings(rel, [&](const constraints::Grounding& g) {
+        in.groundings[i].push_back(g);
+      });
+    }
   }
-  // ≺-compatibility: a source pair whose target pair is reversed (or vice
-  // versa) can never be repaired.
   for (const CopyEdge& edge : spec.copy_edges()) {
     const Relation& target = spec.instance(edge.target_instance).relation();
     const Relation& source = spec.instance(edge.source_instance).relation();
@@ -56,12 +57,43 @@ bool DefinitelyViolated(const Specification& spec, int inst,
         if (!(target.tuple(t1).eid() == target.tuple(t2).eid())) continue;
         if (!(source.tuple(s1).eid() == source.tuple(s2).eid())) continue;
         for (const auto& [a, b] : *attrs) {
-          if (orders[edge.source_instance][b].Less(s1, s2) &&
-              orders[edge.target_instance][a].Less(t2, t1)) {
-            return true;
-          }
+          in.copies.push_back(CopyObligation{edge.source_instance,
+                                             edge.target_instance, a, b, t1,
+                                             t2, s1, s2});
         }
       }
+    }
+  }
+  return in;
+}
+
+/// Definitive-violation check on partial orders: a grounded denial
+/// constraint is hopeless once its premises are present and its conclusion
+/// is absent-forever (pure denial, or the reverse pair already holds).
+/// Sound for pruning because partial orders only grow along a branch.
+bool DefinitelyViolated(const PruneInputs& in, int inst,
+                        const std::vector<std::vector<PartialOrder>>& orders) {
+  for (const constraints::Grounding& g : in.groundings[inst]) {
+    bool premises = true;
+    for (const auto& p : g.premises) {
+      if (!orders[inst][p.attr].Less(p.before, p.after)) {
+        premises = false;
+        break;
+      }
+    }
+    if (!premises) continue;
+    if (!g.conclusion.has_value()) return true;
+    if (orders[inst][g.conclusion->attr].Less(g.conclusion->after,
+                                              g.conclusion->before)) {
+      return true;
+    }
+  }
+  // ≺-compatibility: a source pair whose target pair is reversed (or vice
+  // versa) can never be repaired.
+  for (const CopyObligation& c : in.copies) {
+    if (orders[c.source_inst][c.b].Less(c.s1, c.s2) &&
+        orders[c.target_inst][c.a].Less(c.t2, c.t1)) {
+      return true;
     }
   }
   return false;
@@ -112,13 +144,15 @@ Result<int64_t> EnumerateConsistentCompletions(
   }
 
   // Base completion: the certain prefix (covers singleton groups).
-  Completion base;
-  base.orders = prefix.certain_orders;
+  Completion partial;
+  partial.orders = prefix.certain_orders;
+  const PruneInputs prune = GroundOnce(spec);
 
   int64_t visited = 0;
   bool stop = false;
-  std::function<Status(size_t, Completion&)> rec =
-      [&](size_t k, Completion& partial) -> Status {
+  // Backtracks in place: each slot saves the one order it writes and
+  // restores it before trying the next extension.
+  std::function<Status(size_t)> rec = [&](size_t k) -> Status {
     if (stop) return Status::OK();
     if (k == slots.size()) {
       ASSIGN_OR_RETURN(bool ok, IsConsistentCompletion(spec, partial));
@@ -129,9 +163,9 @@ Result<int64_t> EnumerateConsistentCompletions(
       return Status::OK();
     }
     const Slot& slot = slots[k];
+    PartialOrder& po = partial.orders[slot.inst][slot.attr];
+    const PartialOrder saved = po;
     for (const auto& seq : slot.extensions) {
-      Completion next = partial;  // copy: undo-free backtracking
-      PartialOrder& po = next.orders[slot.inst][slot.attr];
       bool feasible = true;
       for (size_t j = 0; j + 1 < seq.size(); ++j) {
         if (!po.TryAdd(seq[j], seq[j + 1])) {
@@ -139,14 +173,15 @@ Result<int64_t> EnumerateConsistentCompletions(
           break;
         }
       }
-      if (!feasible) continue;
-      if (DefinitelyViolated(spec, slot.inst, next.orders)) continue;
-      RETURN_IF_ERROR(rec(k + 1, next));
+      if (feasible && !DefinitelyViolated(prune, slot.inst, partial.orders)) {
+        RETURN_IF_ERROR(rec(k + 1));
+      }
+      po = saved;
       if (stop) return Status::OK();
     }
     return Status::OK();
   };
-  RETURN_IF_ERROR(rec(0, base));
+  RETURN_IF_ERROR(rec(0));
   return visited;
 }
 
