@@ -39,11 +39,14 @@
 # PartialOrder::Pairs across word boundaries), encoder_chase_test and
 # core_model_test (the encoder's per-group is-last index and the
 # order-free selectors behind every witness), query_test (the pin
-# analysis reads renamed atoms kept alive in a side vector) and
-# ccqa_test (SP answers walk the component fixpoints' nodes), so
-# every equivalence suite runs under both sanitizers: the engine moves
-# encoders AND chase fixpoints between epochs and hands borrowed
-# pools/encoders across threads, the SAT core's garbage collector
+# analysis reads renamed atoms kept alive in a side vector), ccqa_test
+# (SP answers walk the component fixpoints' nodes), preservation_test
+# (the CPP/BCP lattice walk, one transient engine per node),
+# reductions_test (the lower-bound gadgets and their QBF evaluation) and
+# common_test (the relational primitives under every engine), so every
+# equivalence suite runs under both sanitizers: a successor engine takes
+# over its predecessor's encoders AND chase fixpoints, the engine hands
+# borrowed pools/encoders across threads, the SAT core's garbage collector
 # relocates every clause and rewrites watcher/reason references in
 # place, and the wire/WAL parsers walk length-prefixed frames of
 # truncated and bit-flipped buffers — exactly the lifetime and bounds
@@ -97,7 +100,8 @@ cmake --build "$asan_dir" -j "$(nproc)" \
            concurrent_session_test chase_routing_equivalence_test \
            sat_metamorphic_test sat_test wire_test wal_recovery_test \
            order_test encoder_chase_test core_model_test query_test \
-           ccqa_test cps_cop_dcip_test
+           ccqa_test cps_cop_dcip_test preservation_test reductions_test \
+           common_test
 "$asan_dir/tests/exec_test"
 "$asan_dir/tests/obs_test"
 "$asan_dir/tests/parallel_equivalence_test"
@@ -114,4 +118,7 @@ cmake --build "$asan_dir" -j "$(nproc)" \
 "$asan_dir/tests/query_test"
 "$asan_dir/tests/ccqa_test"
 "$asan_dir/tests/cps_cop_dcip_test"
+"$asan_dir/tests/preservation_test"
+"$asan_dir/tests/reductions_test"
+"$asan_dir/tests/common_test"
 (cd "$asan_dir/tests" && ./wire_test && ./wal_recovery_test)

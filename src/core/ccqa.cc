@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -506,11 +505,9 @@ Result<int64_t> ForEachCurrentInstance(
     const std::function<bool(const query::Database&)>& visit) {
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
-  std::optional<exec::ThreadPool> local_pool;
-  return internal::EnumerateCurrentInstances(
-      engine.get(), options,
-      exec::ResolvePool(options.pool, options.num_threads, local_pool),
-      visit);
+  exec::ThreadPool pool(options.num_threads);
+  return internal::EnumerateCurrentInstances(engine.get(), options, &pool,
+                                             visit);
 }
 
 namespace {
@@ -524,10 +521,8 @@ Result<CcqaResponse> AnswerOneShot(const Specification& spec,
                    internal::RequestInstances(spec, {request}));
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
-  std::optional<exec::ThreadPool> local_pool;
-  exec::ThreadPool* pool =
-      exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+  exec::ThreadPool pool(options.num_threads);
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(&pool));
   if (!consistent) {
     CcqaResponse vacuous;
     vacuous.vacuous = true;
@@ -535,7 +530,7 @@ Result<CcqaResponse> AnswerOneShot(const Specification& spec,
   }
   ASSIGN_OR_RETURN(std::vector<CcqaResponse> responses,
                    internal::CertainAnswerProbes(engine.get(), {request},
-                                                 instances, options, pool));
+                                                 instances, options, &pool));
   return std::move(responses[0]);
 }
 

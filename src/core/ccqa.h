@@ -60,9 +60,6 @@ struct CcqaOptions {
   /// sequentially; answers, counts and enumeration order are bit-identical
   /// for every value.
   int num_threads = 1;
-  /// Optional caller-owned pool reused across calls (overrides
-  /// `num_threads`; not owned).  See CpsOptions::pool.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// One CCQA batch item: a full answer-set request (no candidate) or a

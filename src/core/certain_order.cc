@@ -165,14 +165,12 @@ Result<bool> IsCertainOrder(const Specification& spec,
   // assumption is just ¬ord(u, v).
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
-  std::optional<exec::ThreadPool> local_pool;
-  exec::ThreadPool* pool =
-      exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+  exec::ThreadPool pool(options.num_threads);
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(&pool));
   if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
   ASSIGN_OR_RETURN(std::vector<bool> certain,
                    internal::CertainOrderProbes(engine.get(), {query}, {inst},
-                                                pool));
+                                                &pool));
   return static_cast<bool>(certain[0]);
 }
 

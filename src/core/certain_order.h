@@ -45,9 +45,6 @@ struct CopOptions {
   /// solver).  1 (the default) runs sequentially; the answer is
   /// bit-identical for every value.
   int num_threads = 1;
-  /// Optional caller-owned pool reused across calls (overrides
-  /// `num_threads`; not owned).  See CpsOptions::pool.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Decides whether every pair of `query` holds in every consistent

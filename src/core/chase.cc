@@ -216,10 +216,10 @@ Result<ComponentChase> ChaseComponentOrders(
   ComponentChase out;
   // Entity groups with the whole-spec initial orders restricted to their
   // members.  Members are COPIED out of the relation's group cache: a
-  // ComponentChase outlives its epoch (it is harvested and re-adopted
+  // ComponentChase outlives its engine (a successor engine shares it
   // across Mutate), so it must not borrow from the specification.
   // orders[k] is node k's, moved into out.nodes after the fixpoint.
-  ASSIGN_OR_RETURN(auto members, NodeMembers(spec, nodes));
+  ASSIGN_OR_RETURN(auto members, NodeMembers(spec, nodes, copy_index));
   std::vector<std::vector<PartialOrder>> orders;
   for (size_t k = 0; k < nodes.size(); ++k) {
     ComponentChase::Node& n = out.nodes.emplace_back();
@@ -246,12 +246,9 @@ Result<ComponentChase> ChaseComponentOrders(
   // Local propagation plans over node indices: walk the buckets of the
   // component's own target groups, the way a component encoder does,
   // rewriting tuple ids to node-local indices.  A bucket whose source
-  // group lies outside the component is necessarily single-source
-  // (otherwise it would have united the two groups into one component)
-  // and contributes no mapped pairs, so skipping it loses nothing.
-  if (copy_index.per_edge.size() != spec.copy_edges().size()) {
-    return Status::Internal("copy-bucket index does not match the spec");
-  }
+  // group lies outside the list is single-source (NodeMembers rejects a
+  // list that splits a coupling bucket) and contributes no mapped pairs,
+  // so skipping it loses nothing.
   auto local_of = [](const std::vector<TupleId>& mem, TupleId id) {
     return static_cast<int>(std::lower_bound(mem.begin(), mem.end(), id) -
                             mem.begin());

@@ -84,7 +84,7 @@ struct ComponentChase {
 
 /// Runs the copy-order chase over the sub-specification induced by the
 /// component whose entity groups are `nodes` (Decomposition::component;
-/// InvalidArgument unless the list passes NodeMembers):
+/// fails unless the list passes NodeMembers):
 /// initial orders restricted to the groups, propagation along the copy
 /// buckets of the component's own target groups whose source groups lie
 /// in the component too.  `copy_index` is the specification's

@@ -1,6 +1,5 @@
 #include "src/core/consistency.h"
 
-#include <optional>
 #include <utility>
 
 #include "src/core/decompose.h"
@@ -17,10 +16,8 @@ Result<CpsOutcome> DecideConsistency(const Specification& spec,
                    DecomposedEncoder::Build(spec, {}, !options.want_witness));
   CpsOutcome outcome;
   outcome.components = engine->num_components();
-  std::optional<exec::ThreadPool> local_pool;
-  exec::ThreadPool* pool =
-      exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  ASSIGN_OR_RETURN(outcome.consistent, engine->EnsureAllSolved(pool));
+  exec::ThreadPool pool(options.num_threads);
+  ASSIGN_OR_RETURN(outcome.consistent, engine->EnsureAllSolved(&pool));
   if (!outcome.consistent || !options.want_witness) return outcome;
   // Every component was SAT-solved exactly once above and still holds
   // that model; the per-component models merge into one completion.

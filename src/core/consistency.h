@@ -29,15 +29,10 @@ struct CpsOptions {
   /// through SAT: a chase fixpoint carries no witness).
   bool want_witness = false;
   /// Threads (src/exec/thread_pool.h): components are solved concurrently
-  /// with first-UNSAT cancellation.  Counts the calling thread; 1 (the
-  /// default) runs strictly sequentially.  Answers and witnesses are
-  /// bit-identical for every value.
+  /// with first-UNSAT cancellation, on a pool built for the call.  Counts
+  /// the calling thread; 1 (the default) runs strictly sequentially.
+  /// Answers and witnesses are bit-identical for every value.
   int num_threads = 1;
-  /// Optional caller-owned pool, reused across calls instead of spawning
-  /// pool threads per invocation.  When set it overrides `num_threads`;
-  /// not owned — it must outlive the call and must not be inside a
-  /// concurrent ParallelFor region.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Outcome of CPS.

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace currency::core {
@@ -86,7 +87,8 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
   // (t1 ⇐ s1), (t2 ⇐ s2) exactly when t1, t2 share a target entity,
   // s1, s2 share a source entity, and s1 ≠ s2 (target tuples are always
   // distinct).  So a (target entity, source entity) bucket couples its
-  // two groups iff it maps from at least two distinct source tuples.
+  // two groups iff it maps from at least two distinct source tuples
+  // (CopyBucketIndex::Couples).
   for (const CopyEdge& edge : spec.copy_edges()) {
     if (edge.source_instance < 0 ||
         edge.source_instance >= spec.num_instances() ||
@@ -115,11 +117,7 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
     const CopyEdge& edge = spec.copy_edges()[e];
     for (const auto& [te, by_source] : d.copy_index_.per_edge[e]) {
       for (const auto& [se, mapped] : by_source) {
-        const TupleId s0 = mapped.front().second;
-        if (std::all_of(mapped.begin(), mapped.end(),
-                        [&](const auto& ts) { return ts.second == s0; })) {
-          continue;  // one source: no clause between these groups
-        }
+        if (!CopyBucketIndex::Couples(mapped)) continue;
         int tn = node_id[edge.target_instance].at(te);
         int sn = node_id[edge.source_instance].at(se);
         uf.Unite(tn, sn);
@@ -191,7 +189,8 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
   d.chase_eligible_.assign(d.components_.size(), 1);
   for (size_t c = 0; c < d.components_.size(); ++c) {
     for (const EntityNode& node : d.components_[c]) {
-      const Relation& rel = spec.instance(node.inst).relation();
+      const TemporalInstance& inst = spec.instance(node.inst);
+      const Relation& rel = inst.relation();
       const std::vector<TupleId>& members = rel.EntityGroups().at(node.eid);
       fp[c].Mix(0xA0);  // domain separator: nodes + members
       fp[c].Mix(static_cast<uint64_t>(node.inst));
@@ -207,6 +206,22 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
         fp[c].Mix(static_cast<uint64_t>(t));
         for (const Value& v : rel.tuple(t).values()) fp[c].MixValue(v);
       }
+      // Initial orders relate same-entity tuples only (the AddOrder
+      // invariant), so probing the members with Less covers every pair —
+      // Σ m² probes, read the way encoder step 3 and the component chase
+      // read them, instead of a scan of each attribute's n×n bit matrix.
+      for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
+        const PartialOrder& po = inst.order(a);
+        for (TupleId u : members) {
+          for (TupleId v : members) {
+            if (u == v || !po.Less(u, v)) continue;
+            fp[c].Mix(0xB0);  // domain separator: initial orders
+            fp[c].Mix(static_cast<uint64_t>(a));
+            fp[c].Mix(static_cast<uint64_t>(u));
+            fp[c].Mix(static_cast<uint64_t>(v));
+          }
+        }
+      }
     }
   }
   d.chase_enumerable_.assign(d.components_.size(), 0);
@@ -217,20 +232,6 @@ Result<Decomposition> Decomposition::Build(const Specification& spec) {
     // (target and source the same group) couples its attributes.
     if (!coupled[node_id[node.inst].at(node.eid)]) {
       d.chase_enumerable_[c] = 1;
-    }
-  }
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    const TemporalInstance& inst = spec.instance(i);
-    for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
-      for (auto [u, v] : inst.order(a).Pairs()) {
-        // Both endpoints share an entity (the AddOrder invariant), so the
-        // pair lands in exactly one component.
-        int c = d.node_component_[i].at(inst.relation().tuple(u).eid());
-        fp[c].Mix(0xB0);  // domain separator: initial orders
-        fp[c].Mix(static_cast<uint64_t>(a));
-        fp[c].Mix(static_cast<uint64_t>(u));
-        fp[c].Mix(static_cast<uint64_t>(v));
-      }
     }
   }
   for (const CouplingBucket& bucket : coupling) {
@@ -306,6 +307,14 @@ void EngineCounters::Bind(obs::Registry* registry, const obs::Labels& labels) {
       registry->GetCounter("currency_serve_probe_solves_total", labels);
   probes_settled =
       registry->GetCounter("currency_serve_probes_settled_total", labels);
+  last_reused =
+      registry->GetGauge("currency_serve_components_last_reused", labels);
+  last_invalidated =
+      registry->GetGauge("currency_serve_components_last_invalidated", labels);
+  last_chase_reused =
+      registry->GetGauge("currency_serve_chase_components_last_reused", labels);
+  last_chase_rechased = registry->GetGauge(
+      "currency_serve_chase_components_last_rechased", labels);
 }
 
 namespace {
@@ -375,6 +384,64 @@ Result<std::unique_ptr<DecomposedEncoder>> DecomposedEncoder::Build(
   return de;
 }
 
+Result<std::unique_ptr<DecomposedEncoder>> DecomposedEncoder::BuildSuccessor(
+    const Specification& edited, DecomposedEncoder& predecessor) {
+  ASSIGN_OR_RETURN(std::unique_ptr<DecomposedEncoder> de,
+                   Build(edited, {}, predecessor.use_chase_routing_,
+                         predecessor.counters_));
+  // Distinct components differ in content (each entity group belongs to
+  // exactly one), so fingerprints collide only as 64-bit hash accidents;
+  // the first component wins, and is erased once taken.
+  std::unordered_map<uint64_t, int> untaken;
+  for (int p = 0; p < predecessor.num_components(); ++p) {
+    untaken.emplace(predecessor.component_fingerprint(p), p);
+  }
+  int64_t reused = 0;
+  int64_t chase_reused = 0;
+  int64_t eligible = 0;
+  for (int c = 0; c < de->num_components(); ++c) {
+    if (de->decomposition_.chase_eligible(c)) ++eligible;
+    auto it = untaken.find(de->component_fingerprint(c));
+    if (it == untaken.end()) continue;
+    Slot& from = predecessor.slots_[it->second];
+    untaken.erase(it);
+    Slot& to = de->slots_[c];
+    bool took = false;
+    // try_lock: never wait on a caller mid-solve on this component, and
+    // never take an encoder with an open scope.
+    if (from.mu.try_lock()) {
+      to.encoder = std::move(from.encoder);
+      from.mu.unlock();
+      if (to.encoder != nullptr) {
+        to.encoder->RebindSpec(edited);
+        took = true;
+      }
+    }
+    // Shared, not moved: the predecessor's readers keep their pointers.
+    if (de->chase_routed(c) &&
+        from.chase_ready.load(std::memory_order_acquire)) {
+      to.chase = from.chase;
+      to.chase_ready.store(true, std::memory_order_release);
+      ++chase_reused;
+      took = true;
+    }
+    const int sat = from.sat.load(std::memory_order_acquire);
+    if (sat >= 0) {
+      to.sat.store(sat, std::memory_order_release);
+      took = true;
+    }
+    if (took) ++reused;
+  }
+  if (de->counters_ != nullptr) {
+    de->counters_->last_reused->Set(reused);
+    de->counters_->last_invalidated->Set(de->num_components() - reused);
+    de->counters_->last_chase_reused->Set(chase_reused);
+    de->counters_->last_chase_rechased->Set(
+        de->use_chase_routing_ ? eligible - chase_reused : 0);
+  }
+  return de;
+}
+
 Result<ComponentChase> DecomposedEncoder::BuildComponentChase(int c) const {
   if (c < 0 || c >= num_components()) {
     return Status::InvalidArgument("component index out of range");
@@ -429,8 +496,8 @@ Status DecomposedEncoder::WithComponentEncoder(int c, const EncoderFn& fn) {
   Slot& slot = slots_[c];
   std::lock_guard<std::mutex> lock(slot.mu);
   if (slot.encoder == nullptr) {
-    // First use, or Harvest moved the encoder into a successor while this
-    // engine was still in use; rebuilding gives identical answers.
+    // First use, or a successor took the encoder while this engine was
+    // still in use; rebuilding gives identical answers.
     ASSIGN_OR_RETURN(slot.encoder, BuildComponentEncoder(c));
   }
   return RunSampled(slot.encoder.get(), fn);
@@ -553,49 +620,6 @@ Result<bool> DecomposedEncoder::EnsureAllSolved(exec::ThreadPool* pool) {
     }
   }
   return consistent;
-}
-
-std::map<uint64_t, DecomposedEncoder::Harvested> DecomposedEncoder::Harvest() {
-  std::map<uint64_t, Harvested> cache;
-  for (int c = 0; c < num_components(); ++c) {
-    Slot& slot = slots_[c];
-    Harvested h;
-    // try_lock: never wait on a caller that is mid-solve on this
-    // component; an unharvested encoder just rebuilds lazily in the
-    // successor.
-    if (slot.mu.try_lock()) {
-      h.encoder = std::move(slot.encoder);
-      slot.mu.unlock();
-    }
-    {
-      // The chase shared_ptr is COPIED: readers of this engine keep their
-      // raw pointers valid while the successor shares the fixpoint.
-      std::lock_guard<std::mutex> lock(slot.chase_mu);
-      if (slot.chase_ready.load(std::memory_order_relaxed)) {
-        h.chase = slot.chase;
-      }
-    }
-    int s = slot.sat.load(std::memory_order_acquire);
-    if (s >= 0) h.sat = (s == 1);
-    if (h.encoder != nullptr || h.chase != nullptr || h.sat.has_value()) {
-      // Distinct components always differ in content (each entity group
-      // belongs to exactly one), so fingerprints collide only as 64-bit
-      // hash accidents; a first-wins map is the pragmatic resolution.
-      cache.emplace(component_fingerprint(c), std::move(h));
-    }
-  }
-  return cache;
-}
-
-void DecomposedEncoder::AdoptEncoder(int c, std::unique_ptr<Encoder> encoder) {
-  encoder->RebindSpec(*spec_);
-  slots_[c].encoder = std::move(encoder);
-}
-
-void DecomposedEncoder::AdoptChase(
-    int c, std::shared_ptr<const ComponentChase> chase) {
-  slots_[c].chase = std::move(chase);
-  slots_[c].chase_ready.store(true, std::memory_order_release);
 }
 
 void DecomposedEncoder::AdoptSat(int c, bool sat) {

@@ -112,10 +112,10 @@ class Decomposition {
   /// of the whole specification, which Mutate never edits.  Fingerprints
   /// are comparable across Decomposition rebuilds over a mutated
   /// specification: equal fingerprints mean identical encoding inputs
-  /// (modulo 64-bit hash collisions), which is what lets the serving
-  /// layer re-use component encoders, cached results and chase fixpoints
-  /// across Mutate epochs and re-encode exactly the components an edit
-  /// touched.
+  /// (modulo 64-bit hash collisions), which is what lets a successor
+  /// engine (DecomposedEncoder::BuildSuccessor) take over component
+  /// encoders, cached results and chase fixpoints and re-encode exactly
+  /// the components an edit touched.
   uint64_t fingerprint(int c) const { return fingerprints_[c]; }
 
   /// True iff no denial constraint has any grounding on any entity group
@@ -226,6 +226,14 @@ struct EngineCounters {
   /// settled without a solve.
   obs::Counter* probe_solves = nullptr;
   obs::Counter* probes_settled = nullptr;
+  /// What the most recent BuildSuccessor took over (gauges, not
+  /// monotonic): components that took any of encoder, fixpoint or bit;
+  /// the rest; fixpoints taken; and chase-eligible components left to
+  /// re-chase (0 on a forced-SAT engine).
+  obs::Gauge* last_reused = nullptr;
+  obs::Gauge* last_invalidated = nullptr;
+  obs::Gauge* last_chase_reused = nullptr;
+  obs::Gauge* last_chase_rechased = nullptr;
 
   /// Resolves every handle in `registry` under `labels` (a tenant label,
   /// or none); every pointer is non-null afterwards.
@@ -254,8 +262,8 @@ struct EngineCounters {
 ///     solver scope that is closed before the mutex is released; closing
 ///     deletes them with every learnt clause derived from one.
 ///   * merged slots: one per multi-component set a CCQA query touches,
-///     created on first use and never harvested, with the same
-///     mutex-plus-scope discipline.
+///     created on first use and never taken over by a successor, with
+///     the same mutex-plus-scope discipline.
 ///   * base-sat bit: an atomic tri-state (unknown / unsat / sat).  Reads
 ///     are lock-free; the writer re-checks under the encoder mutex, so
 ///     racing callers solve a component once.
@@ -263,15 +271,16 @@ struct EngineCounters {
 ///     a per-component mutex, stored as shared_ptr<const ComponentChase>
 ///     and flagged ready with a release store; readers acquire the flag
 ///     and read the pointer lock-free.  The shared_ptr is what lets a
-///     successor engine adopt the fixpoint while readers of this one keep
+///     successor engine share the fixpoint while readers of this one keep
 ///     their pointers.
 ///
-/// Cross-engine reuse: Harvest() extracts the caches keyed by component
-/// fingerprint, and a successor engine over an edited specification
-/// adopts every entry whose fingerprint is unchanged.  Harvest try_locks
-/// the encoder slots, so it never waits on a busy component (whose
-/// encoder simply rebuilds lazily in the successor) and never takes an
-/// encoder with an open scope.
+/// Cross-engine reuse.  Since Mod(S) ≅ Π_c Mod(S|_c), an edit to the
+/// specification changes only the components it touches, and every other
+/// component's encoder, fixpoint and verdict stay exactly what a fresh
+/// build would produce.  BuildSuccessor carries them into the engine over
+/// the next version of the specification, matching components by content
+/// fingerprint; the predecessor stays usable by its own readers
+/// throughout.
 class DecomposedEncoder {
  public:
   /// `use_chase_routing` answers chase-eligible components from their
@@ -283,6 +292,27 @@ class DecomposedEncoder {
   static Result<std::unique_ptr<DecomposedEncoder>> Build(
       const Specification& spec, const Encoder::Options& options,
       bool use_chase_routing = false, const EngineCounters* counters = nullptr);
+
+  /// The engine over `edited`, the next version of `predecessor`'s
+  /// specification: it differs in tuples, initial orders or copy mappings
+  /// only (ApplyTupleEdits; an extension atom), never in schemas,
+  /// constraints or copy signatures, which fix the order-bound attributes
+  /// an encoder's layout depends on and the fingerprint does not hash.
+  /// Inherits the predecessor's routing and counters.  Once the new
+  /// decomposition is built, each component whose content fingerprint a
+  /// predecessor component shares takes over that component's work,
+  /// reading its slots directly, and each predecessor component is taken
+  /// at most once:
+  ///   * the encoder, under try_lock, rebound to `edited`; a busy slot is
+  ///     skipped and its encoder rebuilds lazily here;
+  ///   * the chase fixpoint, shared, on a chase-routed component;
+  ///   * the base-sat bit.
+  /// The predecessor keeps every other cache, and all of them when the
+  /// build fails.  Safe while other callers use the predecessor; `edited`
+  /// must outlive the successor.  Reports the takeover in the counters'
+  /// last_* gauges.
+  static Result<std::unique_ptr<DecomposedEncoder>> BuildSuccessor(
+      const Specification& edited, DecomposedEncoder& predecessor);
 
   const Specification& spec() const { return *spec_; }
   const Decomposition& decomposition() const { return decomposition_; }
@@ -339,8 +369,8 @@ class DecomposedEncoder {
   using EncoderFn = std::function<Status(Encoder* encoder)>;
 
   /// Runs `fn` with exclusive access to component `c`'s encoder, building
-  /// it first if the slot is empty (first use, or Harvest moved it to a
-  /// successor).  `fn` must close every solver scope it opens.
+  /// it first if the slot is empty (first use, or a successor took it).
+  /// `fn` must close every solver scope it opens.
   Status WithComponentEncoder(int c, const EncoderFn& fn);
 
   /// CCQA's encoder access: runs `fn` with exclusive access to an encoder
@@ -352,26 +382,9 @@ class DecomposedEncoder {
   Status WithCcqaEncoder(const std::vector<int>& components,
                          const EncoderFn& fn);
 
-  /// What Harvest() extracts per component, for adoption by a successor.
-  struct Harvested {
-    std::unique_ptr<Encoder> encoder;
-    std::shared_ptr<const ComponentChase> chase;
-    std::optional<bool> sat;
-  };
-
-  /// Extracts the caches keyed by content fingerprint.  Safe while other
-  /// callers still use this engine: busy encoder slots are skipped
-  /// (try_lock) and chase fixpoints are shared, not moved.
-  std::map<uint64_t, Harvested> Harvest();
-
-  /// Adoption hooks.  The caller guarantees the fingerprint match.
-  /// AdoptEncoder and AdoptChase run only before the engine is shared
-  /// (no synchronization); AdoptEncoder rebinds the encoder to this
-  /// engine's specification.  AdoptSat is a release store into the atomic
-  /// bit and is safe at any time — recovery seeds snapshot verdicts
-  /// through it.
-  void AdoptEncoder(int c, std::unique_ptr<Encoder> encoder);
-  void AdoptChase(int c, std::shared_ptr<const ComponentChase> chase);
+  /// Seeds component `c`'s base-satisfiability bit: a release store into
+  /// the atomic bit, safe at any time (recovery seeds snapshot verdicts
+  /// through it).  The caller guarantees the verdict is `c`'s.
   void AdoptSat(int c, bool sat);
 
   /// The cached base-satisfiability bit of component `c`: -1 unknown,

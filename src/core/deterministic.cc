@@ -207,13 +207,11 @@ Result<bool> DeterministicFor(const Specification& spec,
                               const DcipOptions& options) {
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
-  std::optional<exec::ThreadPool> local_pool;
-  exec::ThreadPool* pool =
-      exec::ResolvePool(options.pool, options.num_threads, local_pool);
-  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+  exec::ThreadPool pool(options.num_threads);
+  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(&pool));
   if (!consistent) return true;  // vacuous
   ASSIGN_OR_RETURN(std::vector<bool> deterministic,
-                   internal::DeterminismProbes(engine.get(), instances, pool));
+                   internal::DeterminismProbes(engine.get(), instances, &pool));
   return std::all_of(deterministic.begin(), deterministic.end(),
                      [](bool d) { return d; });
 }

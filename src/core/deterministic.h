@@ -28,9 +28,6 @@ struct DcipOptions {
   /// sequence is confined to one task).  1 (the default) runs
   /// sequentially; the answer is bit-identical for every value.
   int num_threads = 1;
-  /// Optional caller-owned pool reused across calls (overrides
-  /// `num_threads`; not owned).  See CpsOptions::pool.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Decides whether S is deterministic for current `relation` instances.

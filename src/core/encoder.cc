@@ -55,8 +55,40 @@ sat::Var Encoder::IsLastVar(int inst, AttrIndex attr, TupleId u) const {
                             attr];
 }
 
+CopyBucketIndex CopyBucketIndex::Build(const Specification& spec) {
+  CopyBucketIndex index;
+  index.per_edge.reserve(spec.copy_edges().size());
+  index.coupled_targets.reserve(spec.copy_edges().size());
+  for (const CopyEdge& edge : spec.copy_edges()) {
+    const Relation& target = spec.instance(edge.target_instance).relation();
+    const Relation& source = spec.instance(edge.source_instance).relation();
+    CopyBuckets buckets;
+    for (const auto& [t, src] : edge.fn.mapping()) {
+      buckets[target.tuple(t).eid()][source.tuple(src).eid()].emplace_back(
+          t, src);
+    }
+    std::map<Value, std::vector<Value>> coupled;
+    for (const auto& [te, by_source] : buckets) {
+      for (const auto& [se, mapped] : by_source) {
+        if (Couples(mapped)) coupled[se].push_back(te);
+      }
+    }
+    index.per_edge.push_back(std::move(buckets));
+    index.coupled_targets.push_back(std::move(coupled));
+  }
+  return index;
+}
+
+bool CopyBucketIndex::Couples(
+    const std::vector<std::pair<TupleId, TupleId>>& mapped) {
+  return std::any_of(mapped.begin(), mapped.end(), [&](const auto& ts) {
+    return ts.second != mapped.front().second;
+  });
+}
+
 Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
-    const Specification& spec, const std::vector<EntityNode>& nodes) {
+    const Specification& spec, const std::vector<EntityNode>& nodes,
+    const CopyBucketIndex& copy_index) {
   std::vector<const std::vector<TupleId>*> members;
   members.reserve(nodes.size());
   for (size_t k = 0; k < nodes.size(); ++k) {
@@ -75,23 +107,47 @@ Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
     }
     members.push_back(&it->second);
   }
-  return members;
-}
-
-CopyBucketIndex CopyBucketIndex::Build(const Specification& spec) {
-  CopyBucketIndex index;
-  index.per_edge.reserve(spec.copy_edges().size());
-  for (const CopyEdge& edge : spec.copy_edges()) {
-    const Relation& target = spec.instance(edge.target_instance).relation();
-    const Relation& source = spec.instance(edge.source_instance).relation();
-    CopyBuckets buckets;
-    for (const auto& [t, src] : edge.fn.mapping()) {
-      buckets[target.tuple(t).eid()][source.tuple(src).eid()].emplace_back(
-          t, src);
-    }
-    index.per_edge.push_back(std::move(buckets));
+  if (copy_index.per_edge.size() != spec.copy_edges().size()) {
+    return Status::Internal("copy-bucket index does not match the spec");
   }
-  return index;
+  // A coupling bucket's clauses and chase derivations relate its target
+  // and its source group, so a list holds both or neither.  Each listed
+  // group looks up only its own buckets, from either side.
+  auto listed = [&](int inst, const Value& eid) {
+    auto it = std::partition_point(
+        nodes.begin(), nodes.end(), [&](const EntityNode& n) {
+          return n.inst < inst || (n.inst == inst && n.eid < eid);
+        });
+    return it != nodes.end() && it->inst == inst && it->eid == eid;
+  };
+  auto split = [] {
+    return Status::Internal("node list splits a copy-coupled entity pair");
+  };
+  for (const EntityNode& node : nodes) {
+    for (size_t e = 0; e < spec.copy_edges().size(); ++e) {
+      const CopyEdge& edge = spec.copy_edges()[e];
+      if (node.inst == edge.target_instance) {
+        auto bucket = copy_index.per_edge[e].find(node.eid);
+        if (bucket != copy_index.per_edge[e].end()) {
+          for (const auto& [se, mapped] : bucket->second) {
+            if (CopyBucketIndex::Couples(mapped) &&
+                !listed(edge.source_instance, se)) {
+              return split();
+            }
+          }
+        }
+      }
+      if (node.inst == edge.source_instance) {
+        auto targets = copy_index.coupled_targets[e].find(node.eid);
+        if (targets != copy_index.coupled_targets[e].end()) {
+          for (const Value& te : targets->second) {
+            if (!listed(edge.target_instance, te)) return split();
+          }
+        }
+      }
+    }
+  }
+  return members;
 }
 
 Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
@@ -102,9 +158,19 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
 
   // 0. Resolve the entity groups this encoder covers, iterating the node
   // list (not the relations) so a component encoder's build cost is
-  // proportional to its own content.
+  // proportional to its own content.  The engine shares the
+  // decomposition's prebuilt copy-bucket index across all builds.
+  std::optional<CopyBucketIndex> local_index;
+  const CopyBucketIndex* copy_index = options.copy_index;
+  if (copy_index == nullptr) {
+    local_index = CopyBucketIndex::Build(spec);
+    copy_index = &*local_index;
+  }
   active_groups_.resize(spec.num_instances());
   if (options.nodes == nullptr) {
+    if (copy_index->per_edge.size() != spec.copy_edges().size()) {
+      return Status::Internal("copy-bucket index does not match the spec");
+    }
     for (int i = 0; i < spec.num_instances(); ++i) {
       for (const auto& [eid, members] :
            spec.instance(i).relation().EntityGroups()) {
@@ -112,20 +178,13 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
       }
     }
   } else {
-    ASSIGN_OR_RETURN(auto members, NodeMembers(spec, *options.nodes));
+    ASSIGN_OR_RETURN(auto members,
+                     NodeMembers(spec, *options.nodes, *copy_index));
     for (size_t k = 0; k < members.size(); ++k) {
       const EntityNode& node = (*options.nodes)[k];
       active_groups_[node.inst].emplace_back(node.eid, *members[k]);
     }
   }
-  // Whether (inst, eid) is one of this encoder's groups (entity order).
-  auto covers = [this](int inst, const Value& eid) {
-    const auto& groups = active_groups_[inst];
-    auto it = std::lower_bound(
-        groups.begin(), groups.end(), eid,
-        [](const auto& group, const Value& v) { return group.first < v; });
-    return it != groups.end() && it->first == eid;
-  };
 
   // 1. Order variables: one per (same-entity pair, order-bound data
   // attribute).  An order-free attribute gets none: nothing ties its order
@@ -205,19 +264,8 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   // only arise between mappings agreeing on both the target and the
   // source entity, so encoding walks (target entity, source entity)
   // buckets — Σ |bucket|² instead of |ρ|² work — and only those of its
-  // own target groups.  A bucket whose target group lies outside but
-  // whose source group is inside cannot couple (the decomposition would
-  // have merged the two), so skipping it is sound.  The engine shares
-  // the decomposition's prebuilt index across all builds.
-  std::optional<CopyBucketIndex> local_index;
-  const CopyBucketIndex* copy_index = options.copy_index;
-  if (copy_index == nullptr) {
-    local_index = CopyBucketIndex::Build(spec);
-    copy_index = &*local_index;
-  }
-  if (copy_index->per_edge.size() != spec.copy_edges().size()) {
-    return Status::Internal("copy-bucket index does not match the spec");
-  }
+  // own target groups.  NodeMembers has checked that the groups are
+  // closed under coupling buckets, so every clause stays inside them.
   for (size_t edge_index = 0; edge_index < spec.copy_edges().size();
        ++edge_index) {
     const CopyEdge& edge = spec.copy_edges()[edge_index];
@@ -230,18 +278,12 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
       auto bucket = buckets.find(group.first);
       if (bucket == buckets.end()) continue;
       for (const auto& [se, mapped] : bucket->second) {
-        const bool s_in = covers(edge.source_instance, se);
+        (void)se;
         for (size_t x = 0; x < mapped.size(); ++x) {
           for (size_t y = 0; y < mapped.size(); ++y) {
             auto [t1, s1] = mapped[x];
             auto [t2, s2] = mapped[y];
             if (t1 == t2 || s1 == s2) continue;
-            // A clause couples the two entity groups, so a valid node
-            // list holds either both or neither.
-            if (!s_in) {
-              return Status::Internal(
-                  "node list splits a copy-coupled entity pair");
-            }
             for (const auto& [a, b] : attrs) {
               s.AddClause(
                   {sat::Negate(OrdLit(edge.source_instance, b, s1, s2)),

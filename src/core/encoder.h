@@ -62,13 +62,6 @@ inline bool operator<(const EntityNode& a, const EntityNode& b) {
   return a.inst < b.inst || (a.inst == b.inst && a.eid < b.eid);
 }
 
-/// The member tuples of each entity group `nodes` names, in list order
-/// (pointers into the relations' group caches).  InvalidArgument unless
-/// every group exists and the list is in strictly increasing (instance,
-/// entity) order, as Decomposition::component gives it.
-Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
-    const Specification& spec, const std::vector<EntityNode>& nodes);
-
 /// Copy-function mappings bucketed by entity pair: for one copy edge,
 /// buckets[target_eid][source_eid] lists the mapped (target, source)
 /// tuple pairs.  ≺-compatibility clauses only arise inside a bucket, so
@@ -82,9 +75,28 @@ using CopyBuckets =
 /// engine uses, and every component's encoder and chase read it.
 struct CopyBucketIndex {
   std::vector<CopyBuckets> per_edge;
+  /// Per edge, each source entity's coupled target entities (those whose
+  /// bucket from it Couples), in entity order.
+  std::vector<std::map<Value, std::vector<Value>>> coupled_targets;
 
   static CopyBucketIndex Build(const Specification& spec);
+
+  /// True iff a bucket maps from at least two distinct source tuples: only
+  /// then do two of its mappings yield a ≺-compatibility clause (target
+  /// tuples are always distinct), which couples its two entity groups.
+  static bool Couples(const std::vector<std::pair<TupleId, TupleId>>& mapped);
 };
+
+/// The member tuples of each entity group `nodes` names, in list order
+/// (pointers into the relations' group caches).  InvalidArgument unless
+/// every group exists and the list is in strictly increasing (instance,
+/// entity) order, as Decomposition::component gives it; Internal unless
+/// the list is closed under `copy_index`'s coupling buckets (it holds
+/// either both groups of each or neither), or the index is not the
+/// specification's.
+Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
+    const Specification& spec, const std::vector<EntityNode>& nodes,
+    const CopyBucketIndex& copy_index);
 
 /// Builds and owns the SAT encoding of a specification.
 class Encoder {
@@ -93,11 +105,9 @@ class Encoder {
   /// component); a default Options encodes the whole specification.
   struct Options {
     /// When set, encode only these entity groups: a coupling component's
-    /// node list (Decomposition::component), or several merged.  The list
-    /// must pass NodeMembers (else InvalidArgument) and be closed under
-    /// copy coupling: Build returns Internal when a listed group's
-    /// coupling bucket maps from an unlisted source group.  Read only
-    /// during Build, not retained.
+    /// node list (Decomposition::component), or several merged.  Build
+    /// fails unless the list passes NodeMembers.  Read only during Build,
+    /// not retained.
     const std::vector<EntityNode>* nodes = nullptr;
     /// Optional shared copy-bucket index (see CopyBucketIndex); when null
     /// the encoder builds its own.  Read only during Build, not retained.
@@ -179,13 +189,14 @@ class Encoder {
   /// attributes (for the benchmarks).
   int num_order_vars() const { return num_order_vars_; }
 
-  /// Repoints the encoder at `spec`, which must have the same shape as the
-  /// specification it was built from: same instances, schemas, tuple ids,
-  /// and entity groups (value edits only).  The retained specification is
-  /// read only by DecodeCurrentInstances/ExtractCompletion, and those
-  /// consult shape, not values — so an encoder harvested across engines
-  /// (DecomposedEncoder::AdoptEncoder) stays valid after rebinding to the
-  /// new engine's deep-copied specification.
+  /// Repoints the encoder at `spec`, which must have the instances and
+  /// schemas of the specification it was built from, and the same member
+  /// tuples and initial orders in this encoder's own groups — what an
+  /// unchanged component fingerprint certifies.  The retained
+  /// specification is read only by DecodeCurrentInstances and
+  /// ExtractCompletion, which read nothing else, so an encoder a successor
+  /// engine takes over (DecomposedEncoder::BuildSuccessor) stays valid
+  /// after rebinding to the successor's specification.
   void RebindSpec(const Specification& spec) { spec_ = &spec; }
 
  private:

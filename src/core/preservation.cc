@@ -14,10 +14,9 @@ struct CertainAnswersOrInconsistent {
 };
 
 Result<CertainAnswersOrInconsistent> CertainOrInconsistent(
-    const Specification& spec, const query::Query& q,
-    const CcqaOptions& ccqa) {
+    const Specification& spec, const query::Query& q) {
   CertainAnswersOrInconsistent out;
-  auto answers = CertainCurrentAnswers(spec, q, ccqa);
+  auto answers = CertainCurrentAnswers(spec, q);
   if (!answers.ok()) {
     if (answers.status().code() == StatusCode::kInconsistent) {
       out.consistent = false;
@@ -155,7 +154,7 @@ Result<bool> IsCurrencyPreserving(const Specification& spec,
                                   const query::Query& q,
                                   const PreservationOptions& options) {
   ASSIGN_OR_RETURN(CertainAnswersOrInconsistent base,
-                   CertainOrInconsistent(spec, q, options.ccqa));
+                   CertainOrInconsistent(spec, q));
   if (!base.consistent) return false;  // definition condition (a)
 
   ASSIGN_OR_RETURN(std::vector<ExtensionAtom> atoms,
@@ -181,7 +180,7 @@ Result<bool> IsCurrencyPreserving(const Specification& spec,
         return child.status();
       }
       ASSIGN_OR_RETURN(CertainAnswersOrInconsistent ext,
-                       CertainOrInconsistent(*child, q, options.ccqa));
+                       CertainOrInconsistent(*child, q));
       if (!ext.consistent) continue;  // prune: supersets stay inconsistent
       if (ext.answers != base.answers) {
         preserving = false;

@@ -65,7 +65,6 @@ struct PreservationOptions {
   bool skip_duplicate_imports = false;
   /// Optional cost assignment for BCP (defaults to ExtensionAtom::cost).
   std::function<int(const ExtensionAtom&)> atom_cost;
-  CcqaOptions ccqa;
 };
 
 /// Enumerates the extension-atom space of `spec` (see file comment).

@@ -1,5 +1,5 @@
-// Admission-control primitives for shared-pool serving: a counting
-// semaphore and a bounded-queue admission gate.
+// Admission control for shared-pool serving: a bounded-queue admission
+// gate, a counting semaphore whose waiters are capped.
 //
 // The thread pool (thread_pool.h) makes *execution* fair — workers rotate
 // round-robin across concurrently open regions — but fairness at the
@@ -24,52 +24,6 @@
 #include "src/obs/metrics.h"
 
 namespace currency::exec {
-
-/// A plain counting semaphore (C++20's counting_semaphore carries a
-/// compile-time ceiling and no TryAcquire-with-queue semantics, so the
-/// serving layer uses this mutex-based one; contention here is per batch,
-/// not per task, so the mutex cost is irrelevant).
-class Semaphore {
- public:
-  explicit Semaphore(int count) : count_(count < 0 ? 0 : count) {}
-
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  /// Blocks until a permit is available, then takes it.
-  void Acquire() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return count_ > 0; });
-    --count_;
-  }
-
-  /// Takes a permit iff one is available right now.
-  bool TryAcquire() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (count_ <= 0) return false;
-    --count_;
-    return true;
-  }
-
-  /// Returns a permit, waking one waiter.
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++count_;
-    }
-    cv_.notify_one();
-  }
-
-  int available() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int count_;
-};
 
 /// Bounded admission: at most `max_active` concurrent holders, at most
 /// `max_waiting` callers blocked waiting for a slot; any caller beyond

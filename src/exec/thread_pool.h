@@ -156,11 +156,9 @@ class ThreadPool {
 };
 
 /// Resolves an optional caller-owned pool: returns `pool` when non-null
-/// (the serving layer passes its long-lived session pool this way),
+/// (the SessionManager lends every tenant session its pool this way),
 /// otherwise emplaces a fresh pool of `num_threads` into `local` and
-/// returns that.  The decision procedures call this instead of
-/// constructing a pool per invocation, so pool threads are spawned once
-/// per session rather than once per query when a caller provides one.
+/// returns that.
 inline ThreadPool* ResolvePool(ThreadPool* pool, int num_threads,
                                std::optional<ThreadPool>& local) {
   if (pool != nullptr) return pool;

@@ -53,18 +53,6 @@ bool PartialOrder::TryAdd(int u, int v) {
   return true;
 }
 
-Status PartialOrder::Merge(const PartialOrder& other) {
-  if (other.n_ != n_) {
-    return Status::InvalidArgument("merging orders of different sizes");
-  }
-  for (int u = 0; u < n_; ++u) {
-    for (int v = 0; v < n_; ++v) {
-      if (other.Less(u, v)) RETURN_IF_ERROR(Add(u, v));
-    }
-  }
-  return Status::OK();
-}
-
 bool PartialOrder::ContainedIn(const PartialOrder& other) const {
   if (other.n_ != n_) return false;
   for (int u = 0; u < n_; ++u) {

@@ -51,10 +51,6 @@ class PartialOrder {
   /// allocating an error message (hot path in solvers).
   bool TryAdd(int u, int v);
 
-  /// Unions `other` (same carrier size) into this order.
-  /// Fails if the union would contain a cycle.
-  Status Merge(const PartialOrder& other);
-
   /// True iff every pair of this order also holds in `other`
   /// (i.e. this ⊆ other, the containment used by COP, Section 3).
   bool ContainedIn(const PartialOrder& other) const;

@@ -127,17 +127,4 @@ bool IsSpQuery(const Query& q) {
   return true;
 }
 
-bool IsIdentityQuery(const Query& q) {
-  if (q.body->kind() != Formula::Kind::kAtom) return false;
-  const Formula& atom = *q.body;
-  if (atom.args().size() != q.head.size()) return false;
-  std::set<std::string> seen;
-  for (size_t i = 0; i < q.head.size(); ++i) {
-    const Term& t = atom.args()[i];
-    if (!t.is_var() || t.var != q.head[i]) return false;
-    if (!seen.insert(t.var).second) return false;
-  }
-  return true;
-}
-
 }  // namespace currency::query

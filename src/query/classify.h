@@ -27,10 +27,6 @@ QueryLanguage Classify(const Query& q);
 /// drawn from the atom.
 bool IsSpQuery(const Query& q);
 
-/// True iff `q` is an identity query: a single atom with distinct variable
-/// arguments, the head listing exactly the atom's arguments (ψ = true).
-bool IsIdentityQuery(const Query& q);
-
 }  // namespace currency::query
 
 #endif  // CURRENCY_SRC_QUERY_CLASSIFY_H_

@@ -48,24 +48,12 @@ const std::map<Value, std::vector<TupleId>>& Relation::EntityGroups() const {
   return *entity_groups_;
 }
 
-std::vector<TupleId> Relation::TuplesOf(const Value& eid) const {
-  std::vector<TupleId> out;
-  for (TupleId id = 0; id < size(); ++id) {
-    if (tuples_[id].eid() == eid) out.push_back(id);
-  }
-  return out;
-}
-
 std::set<Value> Relation::ActiveDomain() const {
   std::set<Value> out;
   for (const Tuple& t : tuples_) {
     for (const Value& v : t.values()) out.insert(v);
   }
   return out;
-}
-
-bool Relation::ContainsValue(const Tuple& t) const {
-  return std::find(tuples_.begin(), tuples_.end(), t) != tuples_.end();
 }
 
 std::string Relation::ToString() const {

@@ -62,14 +62,8 @@ class Relation {
   /// reference is invalidated by the next Append.
   const std::map<Value, std::vector<TupleId>>& EntityGroups() const;
 
-  /// Tuple ids pertaining to `eid` (empty if the entity is absent).
-  std::vector<TupleId> TuplesOf(const Value& eid) const;
-
   /// All constants occurring in the instance (the active domain).
   std::set<Value> ActiveDomain() const;
-
-  /// True iff some tuple equals `t` (by value).
-  bool ContainsValue(const Tuple& t) const;
 
   /// Pretty table rendering for examples and debugging.
   std::string ToString() const;

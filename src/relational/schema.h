@@ -49,11 +49,6 @@ class Schema {
   /// Index of `name`, or error if absent.
   Result<AttrIndex> IndexOf(const std::string& name) const;
 
-  /// True iff `name` is an attribute of this schema.
-  bool HasAttribute(const std::string& name) const {
-    return index_.count(name) > 0;
-  }
-
   /// "R(EID, A1, ..., An)".
   std::string ToString() const;
 

@@ -48,8 +48,8 @@ struct TenantQuotas {
   /// components than this (0 = unlimited).  Components are the unit of
   /// solver work, so this caps the tenant's standing footprint.
   int max_components = 0;
-  /// Clamp on the tenant session's CCQA enumeration budget (0 = keep the
-  /// manager's session default).
+  /// Clamp on the tenant session's CCQA enumeration budget (0 = keep
+  /// SessionOptions' default).
   int64_t max_current_instances = 0;
 };
 

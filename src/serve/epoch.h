@@ -13,12 +13,13 @@
 // after Build, but the engine's per-component caches — SAT encoders whose
 // solvers accumulate learnt clauses, base-satisfiability bits, chase
 // fixpoints — fill in lazily under concurrent batches, each slot with its
-// own synchronization (see core::DecomposedEncoder).  Mutate harvests the
-// outgoing epoch's caches by component content fingerprint and the next
-// epoch adopts every entry whose fingerprint is unchanged; adopted
-// encoders are re-pointed at the new epoch's specification copy (a
-// fingerprint match means the component's content is identical, so the
-// encoding is byte-for-byte what a fresh build would produce).
+// own synchronization (see core::DecomposedEncoder).  Mutate builds the
+// next epoch with BuildSuccessor, whose engine takes over every component
+// of this one whose content fingerprint is unchanged
+// (core::DecomposedEncoder::BuildSuccessor); a taken encoder is
+// re-pointed at the new epoch's specification copy (a fingerprint match
+// means the component's content is identical, so the encoding is
+// byte-for-byte what a fresh build would produce).
 
 #ifndef CURRENCY_SRC_SERVE_EPOCH_H_
 #define CURRENCY_SRC_SERVE_EPOCH_H_
@@ -47,13 +48,10 @@ namespace currency::serve {
 struct SessionCounters {
   obs::Counter* mutations = nullptr;
   obs::Counter* epoch_publishes = nullptr;
-  // Last-Mutate adoption snapshot (gauges: not monotonic).
-  obs::Gauge* last_reused = nullptr;
-  obs::Gauge* last_invalidated = nullptr;
-  obs::Gauge* last_chase_reused = nullptr;
-  obs::Gauge* last_chase_rechased = nullptr;
   obs::Gauge* epoch_version = nullptr;
-  /// Cache and solver work, handed to every epoch's engine.
+  /// Cache and solver work, handed to the seed epoch's engine and
+  /// inherited by every successor (which also sets the last-Mutate
+  /// gauges).
   core::EngineCounters engine;
 
   /// Resolves every handle in `registry`, labelled {tenant=`tenant`}
@@ -65,13 +63,22 @@ struct SessionCounters {
 /// over it.  Refcounted via shared_ptr; see the file comment.
 class Epoch {
  public:
-  /// Builds the snapshot over `spec` (moved in): coupling graph,
-  /// fingerprints, filters, empty cache slots.  No SAT solving happens
-  /// here.  `chase_routing` as in core::DecomposedEncoder::Build.
-  /// `counters` must outlive the epoch (the session owns both).
+  /// Builds the seed snapshot (version 0) over `spec` (moved in):
+  /// coupling graph, fingerprints, empty cache slots.  No SAT solving
+  /// happens here.  `chase_routing` as in core::DecomposedEncoder::Build.
+  /// `counters` must outlive the epoch and every successor (the session
+  /// owns both).
   static Result<std::shared_ptr<Epoch>> Build(
-      core::Specification spec, bool chase_routing, int64_t version,
+      core::Specification spec, bool chase_routing,
       const core::EngineCounters* counters);
+
+  /// Builds the snapshot after `predecessor` (version + 1) over `edited`
+  /// (moved in), whose engine inherits the predecessor's routing and
+  /// counters and takes over its unchanged components
+  /// (core::DecomposedEncoder::BuildSuccessor).  On failure the
+  /// predecessor keeps every cache.
+  static Result<std::shared_ptr<Epoch>> BuildSuccessor(
+      core::Specification edited, const Epoch& predecessor);
 
   const core::Specification& spec() const { return spec_; }
   /// The engine over spec(); its caches are safe to use concurrently.

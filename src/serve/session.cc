@@ -8,9 +8,8 @@
 
 namespace currency::serve {
 
-CurrencySession::CurrencySession(const SessionOptions& options,
-                                 bool chase_routing)
-    : options_(options), chase_routing_(chase_routing) {
+CurrencySession::CurrencySession(const SessionOptions& options)
+    : options_(options) {
   pool_ = exec::ResolvePool(options_.pool, options_.num_threads, own_pool_);
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
@@ -64,11 +63,10 @@ Result<std::unique_ptr<CurrencySession>> CurrencySession::CreateRouted(
     return Status::InvalidArgument(
         "SessionOptions.max_current_instances must be >= 1");
   }
-  std::unique_ptr<CurrencySession> session(
-      new CurrencySession(options, chase_routing));
+  std::unique_ptr<CurrencySession> session(new CurrencySession(options));
   ASSIGN_OR_RETURN(session->current_,
                    Epoch::Build(std::move(spec), chase_routing,
-                                /*version=*/0, &session->counters_.engine));
+                                &session->counters_.engine));
   session->counters_.epoch_publishes->Increment();  // the seed epoch
   return session;
 }
@@ -99,10 +97,10 @@ SessionStats CurrencySession::stats() const {
   s.base_solves = counters_.engine.base_solves->Value();
   s.merged_builds = counters_.engine.merged_builds->Value();
   s.chase_solves = counters_.engine.chase_solves->Value();
-  s.last_reused = counters_.last_reused->Value();
-  s.last_invalidated = counters_.last_invalidated->Value();
-  s.last_chase_reused = counters_.last_chase_reused->Value();
-  s.last_chase_rechased = counters_.last_chase_rechased->Value();
+  s.last_reused = counters_.engine.last_reused->Value();
+  s.last_invalidated = counters_.engine.last_invalidated->Value();
+  s.last_chase_reused = counters_.engine.last_chase_reused->Value();
+  s.last_chase_rechased = counters_.engine.last_chase_rechased->Value();
   return s;
 }
 
@@ -225,52 +223,15 @@ Status CurrencySession::Mutate(const std::vector<core::TupleEdit>& edits) {
   // queue here while batches keep running on the published epoch.
   std::lock_guard<std::mutex> writer(writer_mu_);
   std::shared_ptr<Epoch> old = Pin();
-  // Copy-then-edit keeps the published epoch bit-frozen: a rejected batch
-  // discards the copy and changes nothing, preserving the atomicity
-  // contract of the in-place path.
+  // Copy-then-edit keeps the published epoch bit-frozen: a rejected edit
+  // or a failed successor build discards the copy and changes nothing,
+  // caches included.
   core::Specification next = old->spec();
   RETURN_IF_ERROR(next.ApplyTupleEdits(edits));
   counters_.mutations->Increment();
   obs::TraceSpan::Stage stage("epoch_build");
-  // Harvest the outgoing epoch into a fingerprint-keyed cache, then adopt
-  // every component of the successor whose content fingerprint is
-  // unchanged: its encoder (clauses, learnt clauses, variable layout),
-  // chase fixpoint, and base-solve result are still exactly what a fresh
-  // build would produce and solve.  The fingerprint covers member tuples,
-  // coupling copy buckets, AND the texts of the denial constraints with
-  // at least one grounding on the component, so a fingerprint match also
-  // preserves chase eligibility.
-  std::map<uint64_t, core::DecomposedEncoder::Harvested> cache =
-      old->engine().Harvest();
   ASSIGN_OR_RETURN(std::shared_ptr<Epoch> epoch,
-                   Epoch::Build(std::move(next), chase_routing_,
-                                old->version() + 1, &counters_.engine));
-  core::DecomposedEncoder& engine = epoch->engine();
-  int n = engine.num_components();
-  int64_t reused = 0;
-  int64_t chase_reused = 0;
-  int64_t eligible = 0;
-  for (int c = 0; c < n; ++c) {
-    if (engine.decomposition().chase_eligible(c)) ++eligible;
-    auto it = cache.find(engine.component_fingerprint(c));
-    if (it == cache.end()) continue;
-    if (it->second.encoder != nullptr) {
-      engine.AdoptEncoder(c, std::move(it->second.encoder));
-    }
-    if (it->second.chase != nullptr &&
-        engine.decomposition().chase_eligible(c)) {
-      engine.AdoptChase(c, std::move(it->second.chase));
-      ++chase_reused;
-    }
-    if (it->second.sat.has_value()) engine.AdoptSat(c, *it->second.sat);
-    ++reused;
-    cache.erase(it);
-  }
-  counters_.last_reused->Set(reused);
-  counters_.last_invalidated->Set(n - reused);
-  counters_.last_chase_reused->Set(chase_reused);
-  counters_.last_chase_rechased->Set(
-      engine.chase_routing() ? eligible - chase_reused : 0);
+                   Epoch::BuildSuccessor(std::move(next), *old));
   counters_.epoch_version->Set(epoch->version());
   counters_.epoch_publishes->Increment();
   {

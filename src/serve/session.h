@@ -18,15 +18,15 @@
 //     base solves are cached, so a warm CpsCheck is a cache scan with
 //     zero solver calls.
 //   * One exec::ThreadPool is owned by (or lent to) the session and
-//     shared by every request (the one-shot APIs take a matching
-//     CpsOptions::pool knob so they can borrow a caller's pool the same
-//     way).
-//   * Mutate(edits) snapshots the specification with the edits applied,
-//     re-derives the coupling graph, fingerprints every component
-//     (Decomposition::fingerprint) and re-adopts the encoder, chase
+//     shared by every request (the one-shot APIs build a local pool of
+//     their num_threads per call).
+//   * Mutate(edits) snapshots the specification with the edits applied
+//     and builds the successor engine over it, which re-derives the
+//     coupling graph, fingerprints every component
+//     (Decomposition::fingerprint) and takes over the encoder, chase
 //     fixpoint and cached result of every component whose fingerprint is
-//     unchanged — exactly the components an edit touched are re-encoded
-//     and re-solved.
+//     unchanged (core::DecomposedEncoder::BuildSuccessor) — exactly the
+//     components an edit touched are re-encoded and re-solved.
 //
 // Each batch runs the procedure's two steps inside its trace stages:
 // "base_solve" (DecomposedEncoder::EnsureAllSolved, the Mod(S) = ∅
@@ -143,19 +143,20 @@ struct SessionStats {
   /// Component chase fixpoints computed by consistency checks (cache
   /// misses).
   int64_t chase_solves = 0;
-  /// Components of the current epoch that re-used a previous epoch's
-  /// encoder or result after the most recent Mutate (not monotonic).
+  /// Components of the current epoch that took over the previous epoch's
+  /// encoder, chase fixpoint or result at the most recent Mutate (not
+  /// monotonic).
   int64_t last_reused = 0;
   /// Components of the current epoch that the most recent Mutate
   /// invalidated — i.e. must rebuild and re-solve (not monotonic).
   int64_t last_invalidated = 0;
-  /// Chase-eligible components of the current epoch that re-adopted a
-  /// previous epoch's chase fixpoint after the most recent Mutate (not
+  /// Chase-routed components of the current epoch that took over the
+  /// previous epoch's chase fixpoint at the most recent Mutate (not
   /// monotonic).
   int64_t last_chase_reused = 0;
-  /// Chase-eligible components of the current epoch that could not adopt
-  /// a cached fixpoint after the most recent Mutate and re-chase on next
-  /// use (not monotonic; 0 on a forced-SAT session).
+  /// Chase-eligible components of the current epoch that took over no
+  /// fixpoint at the most recent Mutate and re-chase on next use (not
+  /// monotonic; 0 on a forced-SAT session).
   int64_t last_chase_rechased = 0;
 };
 
@@ -170,8 +171,8 @@ using core::CcqaResponse;
 class CurrencySession {
  public:
   /// Registers `spec` (moved in) and builds the first epoch: coupling
-  /// graph, fingerprints, per-component filters.  No SAT solving happens
-  /// yet — base solves are paid by the first query batch.  Rejects
+  /// graph, fingerprints, empty per-component cache slots.  No SAT solving
+  /// happens yet — base solves are paid by the first query batch.  Rejects
   /// num_threads < 1 and max_current_instances <= 0 with InvalidArgument.
   static Result<std::unique_ptr<CurrencySession>> Create(
       core::Specification spec, const SessionOptions& options = {});
@@ -248,15 +249,15 @@ class CurrencySession {
       const std::vector<std::pair<uint64_t, bool>>& verdicts);
 
   /// Applies `edits` to a copy of the current epoch's specification (see
-  /// Specification::ApplyTupleEdits for the validated invariants; on
-  /// validation failure nothing changes, including the caches and the
-  /// published epoch), builds the next epoch, adopts every component
-  /// whose content fingerprint is unchanged, and publishes atomically.
-  /// In-flight batches finish on the epoch they pinned.
+  /// Specification::ApplyTupleEdits for the validated invariants), builds
+  /// the successor epoch, which takes over every component whose content
+  /// fingerprint is unchanged, and publishes it atomically.  On a rejected
+  /// edit or a failed build nothing changes, including the caches and the
+  /// published epoch.  In-flight batches finish on the epoch they pinned.
   Status Mutate(const std::vector<core::TupleEdit>& edits);
 
  private:
-  CurrencySession(const SessionOptions& options, bool chase_routing);
+  explicit CurrencySession(const SessionOptions& options);
 
   /// Create's body; `chase_routing` off SAT-routes every component.
   static Result<std::unique_ptr<CurrencySession>> CreateRouted(
@@ -273,8 +274,6 @@ class CurrencySession {
   Result<bool> BaseSolveStage(Epoch& epoch);
 
   SessionOptions options_;
-  /// Passed to every epoch's engine (DecomposedEncoder::Build).
-  bool chase_routing_ = true;
   /// Owned pool when options_.pool is null.
   std::optional<exec::ThreadPool> own_pool_;
   exec::ThreadPool* pool_ = nullptr;

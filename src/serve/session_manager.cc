@@ -108,7 +108,7 @@ Status SessionManager::ApplyCommand(Command command) {
                                        "' is already registered");
         }
       }
-      SessionOptions session_options = options_.session;
+      SessionOptions session_options;
       session_options.pool = &pool_;
       session_options.num_threads = pool_.num_threads();
       // Every tenant session publishes into the manager's registry,

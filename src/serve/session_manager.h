@@ -79,9 +79,6 @@ struct ManagerOptions {
   /// Size of the one pool every tenant shares (counts the calling
   /// thread).
   int num_threads = 1;
-  /// Defaults for every tenant's session.  `pool` and `num_threads` in
-  /// here are ignored — the manager always lends its own pool.
-  SessionOptions session;
   /// Durable managers only: write a warm snapshot automatically after
   /// this many logged commands (0 = only on explicit Snapshot()).
   /// Snapshots bound replay length and prune covered log segments.

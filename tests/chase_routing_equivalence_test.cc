@@ -735,8 +735,11 @@ TEST(ChaseCounters, ComponentChaseCountsWorkAndSkipsEncoders) {
     ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r2))).ok());
     ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
   }
-  auto decomposed =
-      DecomposedEncoder::Build(spec, {}, /*use_chase_routing=*/true);
+  obs::Registry registry;
+  EngineCounters counters;
+  counters.Bind(&registry, {});
+  auto decomposed = DecomposedEncoder::Build(
+      spec, {}, /*use_chase_routing=*/true, &counters);
   ASSERT_TRUE(decomposed.ok()) << decomposed.status();
   ASSERT_TRUE((*decomposed)->chase_routing());
   ASSERT_TRUE((*decomposed)->EnsureAllSolved(nullptr).value());
@@ -749,18 +752,22 @@ TEST(ChaseCounters, ComponentChaseCountsWorkAndSkipsEncoders) {
   EXPECT_GT((*chase)->derived_pairs, 0)
       << "the initial order must propagate into R2";
   // A routed base solve never builds encoders for chase-eligible
-  // components: their harvested caches hold a verdict and a fixpoint but
-  // no encoder.
-  auto harvested = (*decomposed)->Harvest();
+  // components: each one holds a verdict and a cached fixpoint, and the
+  // base solve reached no encoder slot (every slot visit counts a SAT
+  // solve or a cache hit).
+  const int64_t passes = counters.chase_passes->Value();
+  int64_t eligible = 0;
   for (int c = 0; c < (*decomposed)->num_components(); ++c) {
     if ((*decomposed)->decomposition().chase_eligible(c)) {
-      auto it = harvested.find((*decomposed)->component_fingerprint(c));
-      ASSERT_NE(it, harvested.end()) << "component " << c;
-      EXPECT_EQ(it->second.sat, std::optional<bool>(true));
-      EXPECT_NE(it->second.chase, nullptr) << "component " << c;
-      EXPECT_EQ(it->second.encoder, nullptr) << "component " << c;
+      ++eligible;
+      EXPECT_EQ((*decomposed)->CachedSat(c), 1) << "component " << c;
+      EXPECT_TRUE((*decomposed)->ChaseFixpoint(c).ok()) << "component " << c;
     }
   }
+  EXPECT_EQ(counters.chase_passes->Value(), passes) << "fixpoints are cached";
+  EXPECT_EQ(counters.chase_solves->Value(), eligible);
+  EXPECT_EQ(counters.base_solves->Value(), 0);
+  EXPECT_EQ(counters.cache_hits->Value(), 0);
   // The whole-specification chase mirrors the counters.
   auto whole = ChaseCopyOrders(spec);
   ASSERT_TRUE(whole.ok());
@@ -919,6 +926,20 @@ TEST(ComponentNodeLists, EncoderRejectsOneSideOfCouplingBucket) {
   EXPECT_EQ(split.status().code(), StatusCode::kInternal) << split.status();
   EXPECT_TRUE(
       Encoder::Build(spec, Encoder::Options{&nodes, &d.copy_index()}).ok());
+  // e1 alone splits it from the source side; the chase rejects both.
+  const std::vector<EntityNode> source_only = {nodes[0]};
+  ASSERT_EQ(source_only[0].inst, 0);
+  EXPECT_EQ(Encoder::Build(spec, Encoder::Options{&source_only, nullptr})
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  for (const std::vector<EntityNode>* one_side : {&target_only, &source_only}) {
+    EXPECT_EQ(ChaseComponentOrders(spec, *one_side, d.copy_index())
+                  .status()
+                  .code(),
+              StatusCode::kInternal);
+  }
+  EXPECT_TRUE(ChaseComponentOrders(spec, nodes, d.copy_index()).ok());
   // Both builders take the list in (instance, entity) order only.
   const std::vector<EntityNode> reversed = {nodes[1], nodes[0]};
   EXPECT_EQ(Encoder::Build(spec, Encoder::Options{&reversed, nullptr})

@@ -44,19 +44,8 @@ namespace {
 using currency::testing::MakeRandomSpec;
 
 // ---------------------------------------------------------------------------
-// exec::Semaphore / exec::AdmissionGate
+// exec::AdmissionGate
 // ---------------------------------------------------------------------------
-
-TEST(SemaphoreTest, AcquireReleaseCounts) {
-  exec::Semaphore sem(2);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_EQ(sem.available(), 1);
-  sem.Acquire();
-  EXPECT_FALSE(sem.TryAcquire());
-}
 
 TEST(AdmissionGateTest, RejectsBeyondQueue) {
   exec::AdmissionGate gate(/*max_active=*/1, /*max_waiting=*/0);

@@ -136,11 +136,6 @@ TEST(ClassifyTest, SpQueries) {
   // Identity query is SP.
   auto ident = ParseQuery("Q(x, y) := RN(x, y)").value();
   EXPECT_TRUE(IsSpQuery(ident));
-  EXPECT_TRUE(IsIdentityQuery(ident));
-  EXPECT_FALSE(IsIdentityQuery(q1));
-  // Head order must match for identity.
-  auto swapped = ParseQuery("Q(y, x) := RN(x, y)").value();
-  EXPECT_FALSE(IsIdentityQuery(swapped));
 }
 
 TEST(EvalTest, SelectionProjection) {

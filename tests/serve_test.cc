@@ -2,14 +2,17 @@
 // lifecycle, batch routing and request-order results, warm-cache
 // behaviour, Mutate's component-precise invalidation (no-op edits,
 // value edits, EID-driven component split/merge), rejected edit batches,
-// and the vacuous (Mod(S) = ∅) conventions.  The randomized
+// and the vacuous (Mod(S) = ∅) conventions; and the successor engine
+// Mutate builds (core::DecomposedEncoder::BuildSuccessor).  The randomized
 // session-vs-fresh sweep lives in session_equivalence_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/ccqa.h"
@@ -689,6 +692,189 @@ TEST(CurrencySession, ValidatesInputsUpFront) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session->DcipBatch({"Nope"}).status().code(),
             StatusCode::kNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// The successor engine, driven directly.
+
+/// An engine over `spec` that reports into its own registry.
+struct CountedEngine {
+  obs::Registry registry;
+  core::EngineCounters counters;
+  std::unique_ptr<core::DecomposedEncoder> engine;
+
+  explicit CountedEngine(const core::Specification& spec) {
+    counters.Bind(&registry, {});
+    engine = core::DecomposedEncoder::Build(spec, {},
+                                            /*use_chase_routing=*/true,
+                                            &counters)
+                 .value();
+  }
+};
+
+/// MakeSearchSpec(2, /*chase_entity=*/true): c0 (tuples 0-1, chase-routed),
+/// e0 (2-4) and e1 (5-7), SAT-routed.  COP asks every pair of every
+/// entity on A.
+std::vector<core::CurrencyOrderQuery> SearchSpecPairQueries() {
+  std::vector<core::CurrencyOrderQuery> queries = EntityPairQueries(2);
+  const std::vector<core::CurrencyOrderQuery> e1 = EntityPairQueries(5);
+  queries.insert(queries.end(), e1.begin(), e1.end());
+  for (auto [u, v] : {std::pair<TupleId, TupleId>{0, 1}, {1, 0}}) {
+    core::CurrencyOrderQuery q;
+    q.relation = "R";
+    q.pairs = {core::RequiredPair{1, u, v}};
+    queries.push_back(q);
+  }
+  return queries;
+}
+
+/// CPS, COP over SearchSpecPairQueries and DCIP for R, on `engine`.
+struct EngineAnswers {
+  bool consistent = false;
+  std::vector<bool> cop;
+  std::vector<bool> dcip;
+
+  static EngineAnswers Of(core::DecomposedEncoder* engine,
+                          exec::ThreadPool* pool) {
+    const std::vector<core::CurrencyOrderQuery> queries =
+        SearchSpecPairQueries();
+    EngineAnswers a;
+    a.consistent = engine->EnsureAllSolved(pool).value();
+    a.cop = core::internal::CertainOrderProbes(
+                engine, queries, std::vector<int>(queries.size(), 0), pool)
+                .value();
+    a.dcip = core::internal::DeterminismProbes(engine, {0}, pool).value();
+    return a;
+  }
+  bool operator==(const EngineAnswers& o) const {
+    return consistent == o.consistent && cop == o.cop && dcip == o.dcip;
+  }
+};
+
+/// The encoder in component `c`'s slot, built there if it is empty.
+core::Encoder* SlotEncoder(core::DecomposedEncoder* engine, int c) {
+  core::Encoder* encoder = nullptr;
+  EXPECT_TRUE(engine
+                  ->WithComponentEncoder(c,
+                                         [&](core::Encoder* e) {
+                                           encoder = e;
+                                           return Status::OK();
+                                         })
+                  .ok());
+  return encoder;
+}
+
+TEST(SuccessorEngine, UnchangedSpecTakesOverEveryCachedComponent) {
+  const core::Specification spec = MakeSearchSpec(2, /*chase_entity=*/true);
+  exec::ThreadPool pool(2);
+  CountedEngine old(spec);
+  const EngineAnswers warm = EngineAnswers::Of(old.engine.get(), &pool);
+  ASSERT_TRUE(warm.consistent);
+  const int n = old.engine->num_components();
+  ASSERT_EQ(n, 3);
+
+  const core::Specification copy = spec;
+  auto next = core::DecomposedEncoder::BuildSuccessor(copy, *old.engine);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(old.counters.last_reused->Value(), n);
+  EXPECT_EQ(old.counters.last_invalidated->Value(), 0);
+  EXPECT_EQ(old.counters.last_chase_reused->Value(), 1);
+  EXPECT_EQ(old.counters.last_chase_rechased->Value(), 0);
+
+  const int64_t base_solves = old.counters.base_solves->Value();
+  const int64_t chase_solves = old.counters.chase_solves->Value();
+  const int64_t probe_solves = old.counters.probe_solves->Value();
+  EXPECT_TRUE(EngineAnswers::Of(next->get(), &pool) == warm);
+  EXPECT_EQ(old.counters.base_solves->Value(), base_solves);
+  EXPECT_EQ(old.counters.chase_solves->Value(), chase_solves);
+  EXPECT_EQ(old.counters.probe_solves->Value(), probe_solves)
+      << "the taken encoders carry their remembered models";
+}
+
+TEST(SuccessorEngine, OneTupleEditTakesEveryComponentButTheTouchedOne) {
+  const core::Specification spec = MakeSearchSpec(2, /*chase_entity=*/true);
+  exec::ThreadPool pool(2);
+  CountedEngine old(spec);
+  ASSERT_TRUE(EngineAnswers::Of(old.engine.get(), &pool).consistent);
+
+  // e0's tuple 2 gets B = 1: e0's component alone changes content.
+  core::Specification edited = spec;
+  ASSERT_TRUE(edited.ApplyTupleEdits({core::TupleEdit{0, 2, 2, Value(1)}})
+                  .ok());
+  auto next = core::DecomposedEncoder::BuildSuccessor(edited, *old.engine);
+  ASSERT_TRUE(next.ok()) << next.status();
+  const int n = (*next)->num_components();
+  EXPECT_EQ(old.counters.last_reused->Value(), n - 1);
+  EXPECT_EQ(old.counters.last_invalidated->Value(), 1);
+  EXPECT_EQ(old.counters.last_chase_reused->Value(), 1);
+  EXPECT_EQ(old.counters.last_chase_rechased->Value(), 0);
+  const int touched = (*next)->decomposition().ComponentOf(0, Value("e0"));
+  for (int c = 0; c < n; ++c) {
+    EXPECT_EQ((*next)->CachedSat(c) < 0, c == touched) << "component " << c;
+  }
+
+  const int64_t base_solves = old.counters.base_solves->Value();
+  CountedEngine fresh(edited);
+  EXPECT_TRUE(EngineAnswers::Of(next->get(), &pool) ==
+              EngineAnswers::Of(fresh.engine.get(), &pool));
+  EXPECT_EQ(old.counters.base_solves->Value(), base_solves + 1)
+      << "exactly the touched component solves again";
+
+  // A forced-SAT engine never reads a fixpoint, so its successor takes
+  // none, even one computed on demand.
+  auto forced = core::DecomposedEncoder::Build(
+      spec, {}, /*use_chase_routing=*/false, &old.counters);
+  ASSERT_TRUE(forced.ok());
+  const int c0 = (*forced)->decomposition().ComponentOf(0, Value("c0"));
+  ASSERT_TRUE((*forced)->ChaseFixpoint(c0).ok());
+  ASSERT_TRUE((*forced)->EnsureAllSolved(&pool).value());
+  auto forced_next = core::DecomposedEncoder::BuildSuccessor(spec, **forced);
+  ASSERT_TRUE(forced_next.ok());
+  EXPECT_FALSE((*forced_next)->chase_routing());
+  EXPECT_EQ(old.counters.last_reused->Value(), n);
+  EXPECT_EQ(old.counters.last_chase_reused->Value(), 0);
+  EXPECT_EQ(old.counters.last_chase_rechased->Value(), 0);
+}
+
+TEST(SuccessorEngine, BusyPredecessorSlotIsSkippedAndRebuiltLazily) {
+  const core::Specification spec = MakeSearchSpec(2, /*chase_entity=*/true);
+  exec::ThreadPool pool(2);
+  CountedEngine old(spec);
+  const EngineAnswers warm = EngineAnswers::Of(old.engine.get(), &pool);
+  const int busy = old.engine->decomposition().ComponentOf(0, Value("e0"));
+  const int idle = old.engine->decomposition().ComponentOf(0, Value("e1"));
+  core::Encoder* const busy_encoder = SlotEncoder(old.engine.get(), busy);
+  core::Encoder* const idle_encoder = SlotEncoder(old.engine.get(), idle);
+
+  // Another thread holds e0's slot for the whole successor build.
+  std::promise<void> held;
+  std::promise<void> release;
+  std::thread holder([&] {
+    EXPECT_TRUE(old.engine
+                    ->WithComponentEncoder(busy,
+                                           [&](core::Encoder*) {
+                                             held.set_value();
+                                             release.get_future().wait();
+                                             return Status::OK();
+                                           })
+                    .ok());
+  });
+  held.get_future().wait();
+  const core::Specification copy = spec;
+  auto next = core::DecomposedEncoder::BuildSuccessor(copy, *old.engine);
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(old.counters.last_reused->Value(), 3)
+      << "e0's verdict is taken without its encoder";
+
+  EXPECT_EQ(SlotEncoder(next->get(), idle), idle_encoder);
+  core::Encoder* const rebuilt = SlotEncoder(next->get(), busy);
+  EXPECT_NE(rebuilt, busy_encoder);
+  EXPECT_EQ(SlotEncoder(old.engine.get(), busy), busy_encoder)
+      << "the predecessor keeps the encoder it was not asked for";
+  EXPECT_TRUE(EngineAnswers::Of(next->get(), &pool) == warm);
+  EXPECT_TRUE(EngineAnswers::Of(old.engine.get(), &pool) == warm);
 }
 
 }  // namespace

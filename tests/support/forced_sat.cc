@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,9 +21,8 @@ Result<T> OnForcedEngine(
                                   exec::ThreadPool*)>& run) {
   ASSIGN_OR_RETURN(auto engine, core::DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/false));
-  std::optional<exec::ThreadPool> local_pool;
-  return run(engine.get(),
-             exec::ResolvePool(options.pool, options.num_threads, local_pool));
+  exec::ThreadPool pool(options.num_threads);
+  return run(engine.get(), &pool);
 }
 
 Result<bool> DeterministicFor(const core::Specification& spec,
