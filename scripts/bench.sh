@@ -32,10 +32,10 @@
 #    with concurrent readers, and with concurrent readers against a live
 #    mutator on one snapshot-isolated session.  bench_concurrent_serve
 #    self-checks every concurrent answer against the one-shot solver.
-#    The JSON carries an explicit 1-CPU-container caveat: with a single
-#    core the concurrent phases measure snapshot/scheduling overhead
-#    (parity with the serialized baseline is the win), so no speedup
-#    floor is enforced.  Each phase runs 20000 batches per thread: a
+#    No speedup floor is enforced: with a single core the concurrent
+#    phases measure snapshot/scheduling overhead (parity with the
+#    serialized baseline is the win), which the host stamp below says
+#    when nproc = 1.  Each phase runs 20000 batches per thread: a
 #    warm batch takes microseconds, so with a handful of batches thread
 #    start-up dominated the wall clock and throughput read below
 #    serialized.
@@ -46,9 +46,8 @@
 #    over the same logged history).  bench_recovery self-checks every
 #    recovered state (spec bytes, CPS answer, zero base solves after a
 #    snapshot restore) against the live manager and enforces the >= 3x
-#    snapshot-restart speedup floor.  The JSON carries the 1-CPU caveat:
-#    restart phases run sequentially, but the replay-vs-snapshot ratio
-#    is thread-independent.
+#    snapshot-restart speedup floor.  The replay-vs-snapshot ratio is
+#    thread-independent.
 #
 #  * BENCH_obs.json — observability overhead: warm COP p50 (per query
 #    in a batch, plus loop-of-singles) for a tracer-absent session, a
@@ -74,7 +73,9 @@
 #
 # Every report is stamped with a "host" object (nproc at run time, plus
 # a caveat when that is 1) so a reader of the checked-in JSON knows
-# which phases could not show parallel speedup.
+# which phases could not show parallel speedup.  The stamp is the one
+# place a report describes its host: no bench emits a CPU caveat of
+# its own.
 #
 # Either script failing means a real regression (wrong answers or lost
 # performance), not noise.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI-style verification: configure with strict warnings, build everything,
-# run all test suites from a clean build tree, then re-run the threading
-# tests under ThreadSanitizer. Exits nonzero on the first failure.
+# run all test suites from a clean build tree, build perfbench, then
+# re-run the threading tests under ThreadSanitizer and the memory-safety
+# set under ASan+UBSan. Exits nonzero on the first failure.
 #
 # -Wall -Wextra -Werror is applied to currency targets only (see
 # CURRENCY_STRICT_WARNINGS in the top-level CMakeLists), so dead-store
@@ -53,6 +54,13 @@
 # traffic the sanitizers are built to police.  (WAL tests write their log directories under the build tree's
 # cwd — wal_test_dirs/, gitignored.)
 #
+# The perfbench build step configures perfbench's own CMake project
+# (perfbench/CMakeLists.txt, Release, over the library sources in src/)
+# into ${build_dir}-perfbench and builds perfbench_e2e without running
+# it, so a library change that breaks the end-to-end benchmark fails
+# here rather than at its next benchmark run (≈1 min from clean on
+# 4 vCPUs).
+#
 # Usage: scripts/check.sh [build-dir]    (default: build)
 set -euo pipefail
 
@@ -64,6 +72,11 @@ rm -rf "$build_dir"
 cmake -B "$build_dir" -S . -DCURRENCY_STRICT_WARNINGS=ON
 cmake --build "$build_dir" -j "$(nproc)"
 (cd "$build_dir" && ctest --output-on-failure -j "$(nproc)")
+
+perfbench_dir="${build_dir}-perfbench"
+rm -rf "$perfbench_dir"
+cmake -S perfbench -B "$perfbench_dir" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$perfbench_dir" -j "$(nproc)" --target perfbench_e2e
 
 tsan_dir="${build_dir}-tsan"
 rm -rf "$tsan_dir"

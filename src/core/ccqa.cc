@@ -9,6 +9,7 @@
 #include "src/core/decompose.h"
 #include "src/core/sp_ccqa.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/trace.h"
 #include "src/sat/model_enumerator.h"
 
 namespace currency::core {
@@ -148,21 +149,6 @@ Result<std::vector<int>> QueryInstances(const Specification& spec,
   return out;
 }
 
-Result<std::vector<std::vector<int>>> RequestInstances(
-    const Specification& spec, const std::vector<CcqaRequest>& requests) {
-  std::vector<std::vector<int>> instances(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].candidate.has_value() &&
-        static_cast<size_t>(requests[i].candidate->arity()) !=
-            requests[i].query.head.size()) {
-      return Status::InvalidArgument(
-          "candidate tuple arity does not match query head");
-    }
-    ASSIGN_OR_RETURN(instances[i], QueryInstances(spec, requests[i].query));
-  }
-  return instances;
-}
-
 Result<bool> CheckCertainMemberWith(Encoder* encoder,
                                     const Specification& spec,
                                     const query::Query& q, const Tuple& t,
@@ -216,9 +202,34 @@ Result<std::set<Tuple>> SpAnswersViaComponentChases(
 
 Result<std::vector<CcqaResponse>> CertainAnswerProbes(
     DecomposedEncoder* engine, const std::vector<CcqaRequest>& requests,
-    const std::vector<std::vector<int>>& instances, const CcqaOptions& options,
-    exec::ThreadPool* pool) {
+    const CcqaOptions& options, exec::ThreadPool* pool) {
   const Specification& spec = engine->spec();
+  std::vector<std::vector<int>> instances(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const CcqaRequest& request = requests[i];
+    if (request.candidate.has_value() &&
+        static_cast<size_t>(request.candidate->arity()) !=
+            request.query.head.size()) {
+      return Status::InvalidArgument(
+          "candidate tuple arity does not match query head");
+    }
+    ASSIGN_OR_RETURN(instances[i], QueryInstances(spec, request.query));
+  }
+  std::vector<CcqaResponse> out(requests.size());
+  {
+    obs::TraceSpan::Stage stage("base_solve", engine->stage_counters());
+    ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+    if (!consistent) {
+      // Mod(S) = ∅: membership is vacuously true; the answer set is not a
+      // finite object (the one-shot API reports Status::Inconsistent).
+      for (size_t i = 0; i < requests.size(); ++i) {
+        out[i].vacuous = true;
+        if (requests[i].candidate.has_value()) out[i].is_certain = true;
+      }
+      return out;
+    }
+  }
+  obs::TraceSpan::Stage stage("solve", engine->stage_counters());
   // SP routing: a request answers from component chase fixpoints when its
   // query is SP over one relation and every relevant component is
   // chase-enumerable (Proposition 6.3 on those components; Mod(S) factors
@@ -226,7 +237,6 @@ Result<std::vector<CcqaResponse>> CertainAnswerProbes(
   // a request is a read of cached fixpoints (write-once publication makes
   // computing a missing one safe against concurrent callers), so it is
   // answered here, on the calling thread; only the rest go to the pool.
-  std::vector<CcqaResponse> out(requests.size());
   std::vector<std::vector<int>> relevant(requests.size());
   std::vector<int> sat_routed;
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -512,25 +522,17 @@ Result<int64_t> ForEachCurrentInstance(
 
 namespace {
 
-/// One CCQA request the one-shot way: a transient engine, its base solve,
-/// and one probe phase.  The response is `vacuous` when Mod(S) = ∅.
+/// One CCQA request the one-shot way: a transient engine and one
+/// CertainAnswerProbes call.  The response is `vacuous` when Mod(S) = ∅.
 Result<CcqaResponse> AnswerOneShot(const Specification& spec,
                                    const CcqaRequest& request,
                                    const CcqaOptions& options) {
-  ASSIGN_OR_RETURN(std::vector<std::vector<int>> instances,
-                   internal::RequestInstances(spec, {request}));
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
   exec::ThreadPool pool(options.num_threads);
-  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(&pool));
-  if (!consistent) {
-    CcqaResponse vacuous;
-    vacuous.vacuous = true;
-    return vacuous;
-  }
   ASSIGN_OR_RETURN(std::vector<CcqaResponse> responses,
                    internal::CertainAnswerProbes(engine.get(), {request},
-                                                 instances, options, &pool));
+                                                 options, &pool));
   return std::move(responses[0]);
 }
 

@@ -109,29 +109,31 @@ namespace internal {
 Result<std::vector<int>> QueryInstances(const Specification& spec,
                                         const query::Query& q);
 
-/// Validates a CCQA batch — every candidate's arity matches its query
-/// head, every relation exists — and returns each request's
-/// QueryInstances.  Shared by the one-shot solvers and serve's CcqaBatch.
-Result<std::vector<std::vector<int>>> RequestInstances(
-    const Specification& spec, const std::vector<CcqaRequest>& requests);
-
-/// The CCQA probe phase shared by the one-shot solvers and serve's
-/// CcqaBatch: answers `requests` (`instances[i]` from RequestInstances) on
-/// an engine whose EnsureAllSolved returned true.  Each request reads only
-/// the components owning the (instance, EID) groups query::EidPins pins,
-/// plus every component of an unpinned relation: exact, as Q(D) reads only
-/// rows its atoms match and Mod(S) factors over components and is
-/// non-empty.  A request whose query is SP over one relation, with all
+/// One CCQA request on a built engine — the whole of the one-shot
+/// solvers, serve's CcqaBatch and the forced-SAT reference — answered in
+/// request order:
+///   1. every request is validated first — its candidate's arity matches
+///      its query head, every relation it names exists — so a malformed
+///      one fails the batch before any solve;
+///   2. the base solve (EnsureAllSolved) runs inside the calling
+///      request's "base_solve" trace stage, and when Mod(S) = ∅ every
+///      response is `vacuous` (membership requests also get is_certain =
+///      true);
+///   3. otherwise the requests are answered inside the "solve" stage.
+/// Both stages carry the engine's stage_counters().  Each request reads
+/// only the components owning the (instance, EID) groups query::EidPins
+/// pins, plus every component of an unpinned relation: exact, as Q(D)
+/// reads only rows its atoms match and Mod(S) factors over components and
+/// is non-empty.  A request whose query is SP over one relation, with all
 /// those components chase-enumerable (DecomposedEncoder::
 /// chase_routed_enumerable), answers from their fixpoints (Proposition
-/// 6.3) on the calling thread.  Every other request runs on
-/// the engine's cached encoder for its component set (WithCcqaEncoder), in
-/// parallel across those requests on `pool`.  `options` supplies the
+/// 6.3) on the calling thread.  Every other request runs on the engine's
+/// cached encoder for its component set (WithCcqaEncoder), in parallel
+/// across those requests on `pool` (not null).  `options` supplies the
 /// iteration budget.
 Result<std::vector<CcqaResponse>> CertainAnswerProbes(
     DecomposedEncoder* engine, const std::vector<CcqaRequest>& requests,
-    const std::vector<std::vector<int>>& instances, const CcqaOptions& options,
-    exec::ThreadPool* pool);
+    const CcqaOptions& options, exec::ThreadPool* pool);
 
 /// The conflict-driven certain-membership loop on an encoder covering
 /// every entity the query can read (CertainAnswerProbes' component set:

@@ -8,6 +8,7 @@
 #include "src/core/chase.h"
 #include "src/core/decompose.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/trace.h"
 
 namespace currency::core {
 
@@ -32,9 +33,19 @@ Result<int> OrderQueryInstance(const Specification& spec,
 
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
-    const std::vector<int>& inst_of, exec::ThreadPool* pool) {
+    exec::ThreadPool* pool) {
   const Specification& spec = engine->spec();
+  std::vector<int> inst_of(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSIGN_OR_RETURN(inst_of[i], OrderQueryInstance(spec, queries[i]));
+  }
   std::vector<bool> out(queries.size(), true);
+  {
+    obs::TraceSpan::Stage stage("base_solve", engine->stage_counters());
+    ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+    if (!consistent) return out;  // Mod(S) = ∅: vacuously certain
+  }
+  obs::TraceSpan::Stage stage("solve", engine->stage_counters());
   ProbeTally total;
   // Structural refutations need no solver: a reflexive pair
   // (irreflexivity) or a cross-entity pair (no order variable relates
@@ -159,18 +170,14 @@ Result<std::vector<bool>> CertainOrderProbes(
 Result<bool> IsCertainOrder(const Specification& spec,
                             const CurrencyOrderQuery& query,
                             const CopOptions& options) {
-  ASSIGN_OR_RETURN(int inst, internal::OrderQueryInstance(spec, query));
   // Ot pair (u, v) is certain iff the encoding plus the assumption "v ≺ u
   // or incomparable" is unsatisfiable; with totality baked in, that
   // assumption is just ¬ord(u, v).
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
   exec::ThreadPool pool(options.num_threads);
-  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(&pool));
-  if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
   ASSIGN_OR_RETURN(std::vector<bool> certain,
-                   internal::CertainOrderProbes(engine.get(), {query}, {inst},
-                                                &pool));
+                   internal::CertainOrderProbes(engine.get(), {query}, &pool));
   return static_cast<bool>(certain[0]);
 }
 

@@ -58,32 +58,38 @@ Result<bool> IsCertainOrder(const Specification& spec,
 namespace internal {
 
 /// Validates `query` against `spec` — known relation, attributes and tuple
-/// ids in range — and returns its instance index.  Shared by
-/// IsCertainOrder and serve's CopBatch.
+/// ids in range — and returns its instance index.
 Result<int> OrderQueryInstance(const Specification& spec,
                                const CurrencyOrderQuery& query);
 
-/// The COP probe phase shared by IsCertainOrder and serve's CopBatch:
-/// answers every query (`inst_of[i]` is its instance index) on an engine
-/// whose EnsureAllSolved returned true.  Reflexive and cross-entity pairs
-/// are refuted structurally, and a pair on an order-free attribute
-/// (Specification::OrderBound) is settled from the initial order — certain
-/// iff the order has it — and counted as settled.  Every other pair is
-/// decided inside the component owning its entity — by PO∞ membership on a
-/// chase-routed component, else by asking SomeCompletionSets whether some
-/// completion sets ¬ord(u, v), which the component solver's own record
-/// settles when it can and a SAT probe decides otherwise.  Pairs sharing a
-/// component probe its solver in batch order.  DecomposedEncoder::
-/// SettleWalk answers what is already cached on the calling thread (a
-/// walked SAT-routed component reads SettledCompletionSets under its slot
-/// lock) and sends only components with a pair to solve to `pool` (not
-/// null), so each solver's call sequence (and hence its learnt-clause
-/// state and record) is the same for every thread count.  Probe solves
-/// and settled probes are counted into the engine's EngineCounters, once
-/// per probe.
+/// One COP request on a built engine — the whole of IsCertainOrder,
+/// serve's CopBatch and the forced-SAT reference — answered in query
+/// order:
+///   1. every query is validated (OrderQueryInstance), so a malformed one
+///      fails the batch before any solve;
+///   2. the base solve (EnsureAllSolved) runs inside the calling
+///      request's "base_solve" trace stage, and when Mod(S) = ∅ every
+///      answer is vacuously true;
+///   3. otherwise the probes run inside the "solve" stage.
+/// Both stages carry the engine's stage_counters().  Reflexive and
+/// cross-entity pairs are refuted structurally, and a pair on an
+/// order-free attribute (Specification::OrderBound) is settled from the
+/// initial order — certain iff the order has it — and counted as settled.
+/// Every other pair is decided inside the component owning its entity —
+/// by PO∞ membership on a chase-routed component, else by asking
+/// SomeCompletionSets whether some completion sets ¬ord(u, v), which the
+/// component solver's own record settles when it can and a SAT probe
+/// decides otherwise.  Pairs sharing a component probe its solver in
+/// batch order.  DecomposedEncoder::SettleWalk answers what is already
+/// cached on the calling thread (a walked SAT-routed component reads
+/// SettledCompletionSets under its slot lock) and sends only components
+/// with a pair to solve to `pool` (not null), so each solver's call
+/// sequence (and hence its learnt-clause state and record) is the same
+/// for every thread count.  Probe solves and settled probes are counted
+/// into the engine's EngineCounters, once per probe.
 Result<std::vector<bool>> CertainOrderProbes(
     DecomposedEncoder* engine, const std::vector<CurrencyOrderQuery>& queries,
-    const std::vector<int>& inst_of, exec::ThreadPool* pool);
+    exec::ThreadPool* pool);
 
 }  // namespace internal
 

@@ -56,6 +56,7 @@
 #include "src/core/specification.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/sat/solver.h"
 
 namespace currency::core {
@@ -426,6 +427,15 @@ class DecomposedEncoder {
                                return probe(deferred[j], /*walk=*/false)
                                    .status();
                              });
+  }
+
+  /// The counters a request's trace stages snapshot for their deltas
+  /// (SAT propagations and conflicts, chase passes); none without
+  /// counters.
+  obs::StageCounters stage_counters() const {
+    if (counters_ == nullptr) return {};
+    return {counters_->sat_propagations, counters_->sat_conflicts,
+            counters_->chase_passes};
   }
 
   /// Adds a probe phase's tally to EngineCounters::probe_solves and

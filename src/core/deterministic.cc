@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/core/chase.h"
 #include "src/core/decompose.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/trace.h"
 
 namespace currency::core {
 
@@ -120,10 +122,20 @@ bool DeterministicViaComponentChase(const Specification& spec,
 }
 
 Result<std::vector<bool>> DeterminismProbes(
-    DecomposedEncoder* engine, const std::vector<int>& instances,
+    DecomposedEncoder* engine, const std::vector<std::string>& relation_names,
     exec::ThreadPool* pool) {
   const Specification& spec = engine->spec();
+  std::vector<int> instances(relation_names.size());
+  for (size_t i = 0; i < relation_names.size(); ++i) {
+    ASSIGN_OR_RETURN(instances[i], spec.InstanceIndex(relation_names[i]));
+  }
   std::vector<bool> out(instances.size(), true);
+  {
+    obs::TraceSpan::Stage stage("base_solve", engine->stage_counters());
+    ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
+    if (!consistent) return out;  // Mod(S) = ∅: vacuously deterministic
+  }
+  obs::TraceSpan::Stage stage("solve", engine->stage_counters());
   // Chase-routed components first, on the calling thread in component
   // order: Theorem 6.1(3) on S|_c is a pure read of the cached fixpoint,
   // and an item stops at its first refuting component.
@@ -200,18 +212,17 @@ Result<std::vector<bool>> DeterminismProbes(
 
 namespace {
 
-/// Whether S is deterministic for every instance of `instances`: a
-/// transient engine, its base solve, and one probe phase.
+/// Whether S is deterministic for every relation of `relation_names`: a
+/// transient engine and one DeterminismProbes call.
 Result<bool> DeterministicFor(const Specification& spec,
-                              const std::vector<int>& instances,
+                              const std::vector<std::string>& relation_names,
                               const DcipOptions& options) {
   ASSIGN_OR_RETURN(auto engine, DecomposedEncoder::Build(
                                     spec, {}, /*use_chase_routing=*/true));
   exec::ThreadPool pool(options.num_threads);
-  ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(&pool));
-  if (!consistent) return true;  // vacuous
-  ASSIGN_OR_RETURN(std::vector<bool> deterministic,
-                   internal::DeterminismProbes(engine.get(), instances, &pool));
+  ASSIGN_OR_RETURN(
+      std::vector<bool> deterministic,
+      internal::DeterminismProbes(engine.get(), relation_names, &pool));
   return std::all_of(deterministic.begin(), deterministic.end(),
                      [](bool d) { return d; });
 }
@@ -221,14 +232,15 @@ Result<bool> DeterministicFor(const Specification& spec,
 Result<bool> IsDeterministicForRelation(const Specification& spec,
                                         const std::string& relation,
                                         const DcipOptions& options) {
-  ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
-  return DeterministicFor(spec, {inst}, options);
+  return DeterministicFor(spec, {relation}, options);
 }
 
 Result<bool> IsDeterministic(const Specification& spec,
                              const DcipOptions& options) {
-  std::vector<int> all(spec.num_instances());
-  for (int i = 0; i < spec.num_instances(); ++i) all[i] = i;
+  std::vector<std::string> all;
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    all.push_back(spec.instance(i).name());
+  }
   return DeterministicFor(spec, all, options);
 }
 

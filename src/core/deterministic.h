@@ -41,23 +41,31 @@ Result<bool> IsDeterministic(const Specification& spec,
 
 namespace internal {
 
-/// The DCIP probe phase shared by the one-shot solvers and serve's
-/// DcipBatch: for each instance index of `instances`, whether S is
-/// deterministic for it, on an engine whose EnsureAllSolved returned true.
-/// Each item is decided per component of its instance.  Chase-routed
-/// components go first, on the calling thread in component order, by sink
-/// agreement on their fixpoints; an item stops at its first refuting
-/// component.  Items still open then run DeterministicProbe on their
-/// SAT-routed components' encoders; a component probes its items in batch
-/// order.  DecomposedEncoder::SettleWalk answers on the calling thread
-/// each component whose solver record settles every item — a remembered
-/// model to read, and no candidate that needs a solve — and sends only
-/// components with a probe to solve to `pool` (not null), so each solver's
-/// call sequence is the same for every thread count.
-/// Probe solves and settled probes are counted into the engine's
+/// One DCIP request on a built engine — the whole of the one-shot
+/// solvers, serve's DcipBatch and the forced-SAT reference: for each of
+/// `relation_names`, in order, whether S is deterministic for its current
+/// instances.
+///   1. every name is resolved first, so an unknown one fails the batch
+///      (NotFound) before any solve;
+///   2. the base solve (EnsureAllSolved) runs inside the calling
+///      request's "base_solve" trace stage, and when Mod(S) = ∅ every
+///      answer is vacuously true;
+///   3. otherwise the probes run inside the "solve" stage.
+/// Both stages carry the engine's stage_counters().  Each item is decided
+/// per component of its instance.  Chase-routed components go first, on
+/// the calling thread in component order, by sink agreement on their
+/// fixpoints; an item stops at its first refuting component.  Items
+/// still open then run DeterministicProbe on their SAT-routed
+/// components' encoders; a component probes its items in batch order.
+/// DecomposedEncoder::SettleWalk answers on the calling thread each
+/// component whose solver record settles every item — a remembered model
+/// to read, and no candidate that needs a solve — and sends only
+/// components with a probe to solve to `pool` (not null), so each
+/// solver's call sequence is the same for every thread count.  Probe
+/// solves and settled probes are counted into the engine's
 /// EngineCounters, once per probe.
 Result<std::vector<bool>> DeterminismProbes(
-    DecomposedEncoder* engine, const std::vector<int>& instances,
+    DecomposedEncoder* engine, const std::vector<std::string>& relation_names,
     exec::ThreadPool* pool);
 
 /// The SAT-path probe behind DeterminismProbes: decides determinism of the

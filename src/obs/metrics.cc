@@ -39,26 +39,6 @@ std::string CanonicalLabelString(const Labels& labels) {
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 const Labels& OverflowLabels() {
   static const Labels labels = {{"overflow", "true"}};
   return labels;
@@ -140,19 +120,14 @@ Registry::Series* Registry::GetSeries(const std::string& name, Kind kind,
   std::string key = CanonicalLabelString(labels);
   auto sit = family.series.find(key);
   if (sit == family.series.end()) {
-    const Labels* use = &labels;
     if (static_cast<int>(family.series.size()) >= kMaxSeriesPerFamily) {
       // Cardinality cap: coalesce into the overflow series (creating it
       // once; it does not count against the cap a second time).
-      use = &OverflowLabels();
-      key = CanonicalLabelString(*use);
+      key = CanonicalLabelString(OverflowLabels());
       sit = family.series.find(key);
     }
     if (sit == family.series.end()) {
       auto series = std::make_unique<Series>();
-      series->labels = *use;
-      std::sort(series->labels.begin(), series->labels.end(),
-                [](const Label& a, const Label& b) { return a.key < b.key; });
       switch (kind) {
         case Kind::kCounter:
           series->counter = std::make_unique<Counter>();
@@ -237,62 +212,6 @@ std::string Registry::ExposeText() const {
       }
     }
   }
-  return out;
-}
-
-std::string Registry::ExposeJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"metrics\": [";
-  bool first = true;
-  for (const auto& [name, family] : families_) {
-    for (const auto& [label_string, series] : family.series) {
-      (void)label_string;
-      if (!first) out += ',';
-      first = false;
-      out += "\n  {\"name\": \"" + JsonEscape(name) + "\", \"type\": \"";
-      switch (family.kind) {
-        case Kind::kCounter:
-          out += "counter";
-          break;
-        case Kind::kGauge:
-          out += "gauge";
-          break;
-        case Kind::kHistogram:
-          out += "histogram";
-          break;
-      }
-      out += "\", \"labels\": {";
-      for (size_t i = 0; i < series->labels.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += '"' + JsonEscape(series->labels[i].key) + "\": \"" +
-               JsonEscape(series->labels[i].value) + '"';
-      }
-      out += '}';
-      if (family.kind == Kind::kHistogram) {
-        const Histogram& h = *series->histogram;
-        std::vector<int64_t> counts = h.BucketCounts();
-        out += ", \"count\": " + std::to_string(h.Count()) +
-               ", \"sum\": " + std::to_string(h.Sum()) + ", \"buckets\": [";
-        for (size_t i = 0; i < counts.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += std::to_string(counts[i]);
-        }
-        out += "], \"bounds\": [";
-        for (size_t i = 0; i < h.bounds().size(); ++i) {
-          if (i > 0) out += ", ";
-          out += std::to_string(h.bounds()[i]);
-        }
-        out += ']';
-      } else {
-        int64_t value = family.kind == Kind::kCounter
-                            ? series->counter->Value()
-                            : series->gauge->Value();
-        out += ", \"value\": " + std::to_string(value);
-      }
-      out += '}';
-    }
-  }
-  out += "\n]}\n";
   return out;
 }
 

@@ -1,7 +1,7 @@
 // obs::Registry — the process's one vocabulary for numbers that describe
 // the runtime: monotonic counters, gauges, and fixed-bucket latency
 // histograms, each addressed by (family name, label set) and exposed as
-// one coherent snapshot in Prometheus text format or JSON.
+// one coherent snapshot in Prometheus text format.
 //
 // Before this layer, telemetry was fragmented: SessionStats, TenantStats,
 // SolverStats and the chase counters each lived in their own struct with
@@ -133,9 +133,6 @@ struct Label {
 };
 using Labels = std::vector<Label>;
 
-/// Exposition formats for Registry snapshots.
-enum class ExpositionFormat { kText, kJson };
-
 /// The instrument directory; see the file comment.  Get* calls are
 /// get-or-create and idempotent; returned pointers are stable until the
 /// registry is destroyed and are safe to update from any thread.
@@ -160,16 +157,10 @@ class Registry {
   /// line each, series sorted by label string, histograms as cumulative
   /// _bucket{le=...} plus _sum and _count.
   std::string ExposeText() const;
-  /// The same snapshot as JSON: {"metrics": [{name, type, labels, ...}]}.
-  std::string ExposeJson() const;
-  std::string Expose(ExpositionFormat format) const {
-    return format == ExpositionFormat::kText ? ExposeText() : ExposeJson();
-  }
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Series {
-    Labels labels;  // canonical (sorted by key)
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;

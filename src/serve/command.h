@@ -42,14 +42,16 @@ struct TenantQuotas {
   /// rejects Register otherwise).
   int max_active_batches = 2;
   /// Batches allowed to block waiting for an active slot; one more is
-  /// rejected with ResourceExhausted.
+  /// rejected with ResourceExhausted.  ≥ 0; Register rejects a negative
+  /// value.
   int max_queued_batches = 8;
   /// Reject Register when the specification decomposes into more coupling
   /// components than this (0 = unlimited).  Components are the unit of
-  /// solver work, so this caps the tenant's standing footprint.
+  /// solver work, so this caps the tenant's standing footprint.  ≥ 0;
+  /// Register rejects a negative value.
   int max_components = 0;
   /// Clamp on the tenant session's CCQA enumeration budget (0 = keep
-  /// SessionOptions' default).
+  /// SessionOptions' default).  ≥ 0; Register rejects a negative value.
   int64_t max_current_instances = 0;
 };
 

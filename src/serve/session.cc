@@ -37,9 +37,6 @@ CurrencySession::CurrencySession(const SessionOptions& options)
   dcip_ = procedure("dcip");
   ccqa_ = procedure("ccqa");
   mutate_ = procedure("mutate");
-  stage_counters_ = {counters_.engine.sat_propagations,
-                     counters_.engine.sat_conflicts,
-                     counters_.engine.chase_passes};
 }
 
 Result<std::unique_ptr<CurrencySession>> CurrencySession::Create(
@@ -81,11 +78,6 @@ std::shared_ptr<Epoch> CurrencySession::PinStage() const {
   return Pin();
 }
 
-Result<bool> CurrencySession::BaseSolveStage(Epoch& epoch) {
-  obs::TraceSpan::Stage stage("base_solve", stage_counters_);
-  return epoch.engine().EnsureAllSolved(pool_);
-}
-
 const core::Specification& CurrencySession::spec() const {
   return Pin()->spec();
 }
@@ -115,7 +107,7 @@ Result<bool> CurrencySession::CpsCheck() {
                       cps_.latency, clock_);
   cps_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
-  obs::TraceSpan::Stage stage("solve", stage_counters_);
+  obs::TraceSpan::Stage stage("solve", epoch->engine().stage_counters());
   return epoch->engine().EnsureAllSolved(pool_);
 }
 
@@ -125,21 +117,7 @@ Result<std::vector<bool>> CurrencySession::CopBatch(
                       cop_.latency, clock_);
   cop_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
-  // Validate the whole batch up front, mirroring the one-shot API's
-  // InvalidArgument behaviour (a malformed item fails the batch before
-  // any solving).
-  std::vector<int> inst_of(queries.size(), -1);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSIGN_OR_RETURN(inst_of[i],
-                     core::internal::OrderQueryInstance(epoch->spec(),
-                                                        queries[i]));
-  }
-  ASSIGN_OR_RETURN(bool consistent, BaseSolveStage(*epoch));
-  // Mod(S) = ∅: every order vacuously certain.
-  if (!consistent) return std::vector<bool>(queries.size(), true);
-  obs::TraceSpan::Stage stage("solve", stage_counters_);
-  return core::internal::CertainOrderProbes(&epoch->engine(), queries, inst_of,
-                                            pool_);
+  return core::internal::CertainOrderProbes(&epoch->engine(), queries, pool_);
 }
 
 Result<std::vector<bool>> CurrencySession::DcipBatch(
@@ -148,14 +126,8 @@ Result<std::vector<bool>> CurrencySession::DcipBatch(
                       dcip_.latency, clock_);
   dcip_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
-  std::vector<int> inst_of(relations.size(), -1);
-  for (size_t i = 0; i < relations.size(); ++i) {
-    ASSIGN_OR_RETURN(inst_of[i], epoch->spec().InstanceIndex(relations[i]));
-  }
-  ASSIGN_OR_RETURN(bool consistent, BaseSolveStage(*epoch));
-  if (!consistent) return std::vector<bool>(relations.size(), true);
-  obs::TraceSpan::Stage stage("solve", stage_counters_);
-  return core::internal::DeterminismProbes(&epoch->engine(), inst_of, pool_);
+  return core::internal::DeterminismProbes(&epoch->engine(), relations,
+                                           pool_);
 }
 
 Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(
@@ -164,24 +136,10 @@ Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(
                       ccqa_.latency, clock_);
   ccqa_.batches->Increment();
   std::shared_ptr<Epoch> epoch = PinStage();
-  ASSIGN_OR_RETURN(std::vector<std::vector<int>> instances,
-                   core::internal::RequestInstances(epoch->spec(), requests));
-  ASSIGN_OR_RETURN(bool consistent, BaseSolveStage(*epoch));
-  if (!consistent) {
-    // Mod(S) = ∅: membership is vacuously true; the answer set is not a
-    // finite object (the one-shot API reports Status::Inconsistent).
-    std::vector<CcqaResponse> out(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      out[i].vacuous = true;
-      if (requests[i].candidate.has_value()) out[i].is_certain = true;
-    }
-    return out;
-  }
   core::CcqaOptions ccqa;
   ccqa.max_current_instances = options_.max_current_instances;
-  obs::TraceSpan::Stage stage("solve", stage_counters_);
-  return core::internal::CertainAnswerProbes(&epoch->engine(), requests,
-                                             instances, ccqa, pool_);
+  return core::internal::CertainAnswerProbes(&epoch->engine(), requests, ccqa,
+                                             pool_);
 }
 
 void CurrencySession::ExportWarmState(

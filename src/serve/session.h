@@ -28,9 +28,13 @@
 //     unchanged (core::DecomposedEncoder::BuildSuccessor) — exactly the
 //     components an edit touched are re-encoded and re-solved.
 //
-// Each batch runs the procedure's two steps inside its trace stages:
-// "base_solve" (DecomposedEncoder::EnsureAllSolved, the Mod(S) = ∅
-// vacuity check) and "solve" (the procedure's probe phase).
+// A COP, DCIP or CCQA batch pins the current epoch and makes one call to
+// the procedure's request function in src/core (CertainOrderProbes,
+// DeterminismProbes, CertainAnswerProbes), the same one the one-shot
+// APIs make: it validates the batch, runs the base solve in a
+// "base_solve" trace stage, answers vacuously when Mod(S) = ∅, and
+// otherwise probes in a "solve" stage.  CpsCheck is the base solve alone,
+// in one "solve" stage.
 //
 // Threading: batches and Mutate may be called concurrently from any
 // number of threads.  The session keeps its state in refcounted immutable
@@ -268,10 +272,6 @@ class CurrencySession {
   std::shared_ptr<Epoch> Pin() const;
   /// Pin() inside the calling batch's "epoch_pin" trace stage.
   std::shared_ptr<Epoch> PinStage() const;
-  /// The first step of every query batch, inside its "base_solve" trace
-  /// stage: the epoch's per-component base solves, whose conjunction is
-  /// Mod(S) ≠ ∅.
-  Result<bool> BaseSolveStage(Epoch& epoch);
 
   SessionOptions options_;
   /// Owned pool when options_.pool is null.
@@ -288,8 +288,6 @@ class CurrencySession {
     obs::Histogram* latency = nullptr;  // currency_serve_batch_latency_ns
   };
   ProcedureInstruments cps_, cop_, dcip_, ccqa_, mutate_;
-  /// Counter handles the solve stages snapshot for their trace deltas.
-  obs::StageCounters stage_counters_;
   /// Guards current_ (pin = shared_ptr copy, publish = swap).
   mutable std::mutex epoch_mu_;
   std::shared_ptr<Epoch> current_;

@@ -99,6 +99,14 @@ Status SessionManager::ApplyCommand(Command command) {
         return Status::InvalidArgument(
             "TenantQuotas.max_queued_batches must be >= 0");
       }
+      if (quotas.max_components < 0) {
+        return Status::InvalidArgument(
+            "TenantQuotas.max_components must be >= 0");
+      }
+      if (quotas.max_current_instances < 0) {
+        return Status::InvalidArgument(
+            "TenantQuotas.max_current_instances must be >= 0");
+      }
       {
         // Name check before the (possibly expensive) epoch build;
         // re-checked at insertion since the build runs unlocked.

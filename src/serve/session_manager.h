@@ -139,7 +139,8 @@ class SessionManager {
   /// Registers `spec` (moved in) under `tenant`, building its first
   /// epoch.  FailedPrecondition when the name is taken; ResourceExhausted when
   /// the specification exceeds quotas.max_components; InvalidArgument on
-  /// nonsensical quotas.
+  /// an empty name, max_active_batches < 1 or any other quota < 0, before
+  /// the epoch build.
   Status Register(const std::string& tenant, core::Specification spec,
                   const TenantQuotas& quotas = {});
 
@@ -166,12 +167,9 @@ class SessionManager {
   /// The manager's tracer; enable via ManagerOptions::trace or
   /// tracer()->set_enabled(true) at runtime.
   obs::Tracer* tracer() const { return tracer_.get(); }
-  /// One coherent metrics snapshot across serve/sat/chase/wal/exec —
-  /// registry()->Expose(format) by another name.
-  std::string MetricsReport(
-      obs::ExpositionFormat format = obs::ExpositionFormat::kText) const {
-    return registry_->Expose(format);
-  }
+  /// One coherent metrics snapshot across serve/sat/chase/wal/exec, in
+  /// Prometheus text format — registry()->ExposeText() by another name.
+  std::string MetricsReport() const { return registry_->ExposeText(); }
 
   /// Admission-controlled batch entry points: each admits the caller
   /// through the tenant's gate (blocking briefly in the bounded queue,

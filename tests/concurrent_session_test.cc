@@ -500,6 +500,20 @@ TEST(SessionManagerTest, RejectsInvalidQuotasAndNames) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*manager)->Register("", MakeRandomSpec(5, false, false)).code(),
             StatusCode::kInvalidArgument);
+  // A negative quota is rejected, never read as "unlimited" or "default".
+  TenantQuotas negative_queue;
+  negative_queue.max_queued_batches = -1;
+  TenantQuotas negative_components;
+  negative_components.max_components = -1;
+  TenantQuotas negative_instances;
+  negative_instances.max_current_instances = -1;
+  for (const TenantQuotas& bad :
+       {negative_queue, negative_components, negative_instances}) {
+    EXPECT_EQ(
+        (*manager)->Register("t", MakeRandomSpec(5, false, false), bad).code(),
+        StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE((*manager)->Tenants().empty());
 }
 
 TEST(SessionManagerTest, ComponentQuotaRejectsAtRegister) {
@@ -697,6 +711,76 @@ TEST(SessionManagerTest, TwoTenantsServeConcurrently) {
   ASSERT_TRUE(stats_a.ok());
   EXPECT_EQ(stats_a->rejected_batches, 0);
 }
+
+#ifndef CURRENCY_OBS_OFF
+
+/// R(A) with two e0 tuples, A = 0 and A = 1.  `deny_every_completion`
+/// adds a pure denial whose premises are value-only, so Mod(S) = ∅.
+core::Specification TwoTupleSpec(bool deny_every_completion) {
+  core::Specification spec;
+  Relation r(Schema::Make("R", {"A"}).value());
+  (void)r.AppendValues({Value("e0"), Value(0)});
+  (void)r.AppendValues({Value("e0"), Value(1)});
+  (void)spec.AddInstance(core::TemporalInstance(std::move(r)));
+  if (deny_every_completion) {
+    (void)spec.AddConstraintText(
+        "FORALL s, t IN R: s.A = 0 AND t.A = 1 -> s PREC[A] s");
+  }
+  return spec;
+}
+
+TEST(SessionManagerTest, TracesTheStagesOfEveryRequestKind) {
+  ManagerOptions options;
+  options.trace.enabled = true;
+  auto manager = SessionManager::Create(options);
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  ASSERT_TRUE((*manager)->Register("ok", TwoTupleSpec(false)).ok());
+  ASSERT_TRUE((*manager)->Register("empty", TwoTupleSpec(true)).ok());
+
+  core::CurrencyOrderQuery order;
+  order.relation = "R";
+  order.pairs = {core::RequiredPair{1, 0, 1}};
+  core::CurrencyOrderQuery unknown;
+  unknown.relation = "Nope";
+  const query::Query query = query::ParseQuery("Q(x) := R('e0', x)").value();
+  ASSERT_TRUE((*manager)->CpsCheck("ok").value());
+  ASSERT_TRUE((*manager)->CopBatch("ok", {order}).ok());
+  ASSERT_TRUE((*manager)->DcipBatch("ok", {"R"}).ok());
+  ASSERT_TRUE(
+      (*manager)->CcqaBatch("ok", {CcqaRequest{query, std::nullopt}}).ok());
+  ASSERT_TRUE(
+      (*manager)->Mutate("ok", {core::TupleEdit{0, 0, 1, Value(2)}}).ok());
+  ASSERT_TRUE((*manager)->CopBatch("empty", {order})->at(0));
+  ASSERT_FALSE((*manager)->CopBatch("ok", {unknown}).ok());
+
+  using Stages = std::vector<std::string>;
+  const Stages batch = {"admission_wait", "epoch_pin", "base_solve",
+                        "solve"};
+  const std::vector<std::pair<std::string, Stages>> expected = {
+      {"ok/cps", {"admission_wait", "epoch_pin", "solve"}},
+      {"ok/cop", batch},
+      {"ok/dcip", batch},
+      {"ok/ccqa", batch},
+      {"ok/mutate", {"admission_wait", "epoch_build"}},
+      // Mod(S) = ∅ answers vacuously: no probe phase.
+      {"empty/cop", {"admission_wait", "epoch_pin", "base_solve"}},
+      // A malformed batch fails before any solving.
+      {"ok/cop", {"admission_wait", "epoch_pin"}},
+  };
+  const std::vector<obs::Trace> traces = (*manager)->tracer()->RecentTraces();
+  ASSERT_EQ(traces.size(), expected.size());
+  for (size_t i = 0; i < traces.size(); ++i) {
+    Stages names;
+    for (const obs::TraceStage& stage : traces[i].stages) {
+      names.push_back(stage.name);
+    }
+    EXPECT_EQ(traces[i].tenant + "/" + traces[i].procedure,
+              expected[i].first);
+    EXPECT_EQ(names, expected[i].second) << expected[i].first;
+  }
+}
+
+#endif  // CURRENCY_OBS_OFF
 
 }  // namespace
 }  // namespace currency::serve

@@ -227,26 +227,6 @@ TEST(ObsMetricsTest, ExposeTextEscapesLabelValues) {
   EXPECT_NE(text.find("tenant=\"a\\\"b\\\\c\\nd\""), std::string::npos);
 }
 
-TEST(ObsMetricsTest, ExposeJsonCoversEverySeries) {
-  Registry registry;
-  registry.GetCounter("currency_test_j_total", {{"tenant", "x"}})
-      ->Increment(2);
-  Histogram* h = registry.GetHistogram("currency_test_j_ns", {}, {10});
-  h->Observe(4);
-  std::string json = registry.ExposeJson();
-  EXPECT_NE(json.find("\"name\": \"currency_test_j_total\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"tenant\": \"x\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"histogram\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"sum\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"bounds\": [10]"), std::string::npos);
-  EXPECT_EQ(registry.Expose(ExpositionFormat::kJson), json);
-  EXPECT_EQ(registry.Expose(ExpositionFormat::kText), registry.ExposeText());
-}
-
 // ---------------------------------------------------------------------------
 // Clocks.
 

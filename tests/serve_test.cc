@@ -681,17 +681,43 @@ TEST(CurrencySession, ValidatesInputsUpFront) {
             StatusCode::kInvalidArgument);
 
   auto session = MakeSession(MakeTwoComponentSpec());
+  // A malformed item fails its whole batch before any solving.
+  auto expect_unsolved = [&] {
+    EXPECT_EQ(session->stats().base_solves, 0);
+    EXPECT_EQ(session->stats().chase_solves, 0);
+  };
   core::CurrencyOrderQuery unknown;
   unknown.relation = "Nope";
   EXPECT_EQ(session->CopBatch({unknown}).status().code(),
             StatusCode::kNotFound);
+  expect_unsolved();
   core::CurrencyOrderQuery bad_pair;
   bad_pair.relation = "R";
   bad_pair.pairs = {core::RequiredPair{1, 0, 99}};
   EXPECT_EQ(session->CopBatch({bad_pair}).status().code(),
             StatusCode::kInvalidArgument);
+  expect_unsolved();
   EXPECT_EQ(session->DcipBatch({"Nope"}).status().code(),
             StatusCode::kNotFound);
+  expect_unsolved();
+  const query::Query query = query::ParseQuery("Q(x) := R('e0', x)").value();
+  EXPECT_EQ(session
+                ->CcqaBatch({CcqaRequest{query, std::nullopt},
+                             CcqaRequest{query, Tuple({Value(0), Value(1)})}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  expect_unsolved();
+  EXPECT_EQ(session
+                ->CcqaBatch({CcqaRequest{query, std::nullopt},
+                             CcqaRequest{query::ParseQuery(
+                                             "Q(x) := Nope('e0', x)")
+                                             .value(),
+                                         std::nullopt}})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  expect_unsolved();
 }
 
 // ---------------------------------------------------------------------------
@@ -740,10 +766,8 @@ struct EngineAnswers {
         SearchSpecPairQueries();
     EngineAnswers a;
     a.consistent = engine->EnsureAllSolved(pool).value();
-    a.cop = core::internal::CertainOrderProbes(
-                engine, queries, std::vector<int>(queries.size(), 0), pool)
-                .value();
-    a.dcip = core::internal::DeterminismProbes(engine, {0}, pool).value();
+    a.cop = core::internal::CertainOrderProbes(engine, queries, pool).value();
+    a.dcip = core::internal::DeterminismProbes(engine, {"R"}, pool).value();
     return a;
   }
   bool operator==(const EngineAnswers& o) const {

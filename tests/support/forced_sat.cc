@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,17 +27,15 @@ Result<T> OnForcedEngine(
 }
 
 Result<bool> DeterministicFor(const core::Specification& spec,
-                              const std::vector<int>& instances,
+                              const std::vector<std::string>& relation_names,
                               const core::DcipOptions& options) {
   return OnForcedEngine<bool>(
       spec, options,
       [&](core::DecomposedEncoder* engine,
           exec::ThreadPool* pool) -> Result<bool> {
-        ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
-        if (!consistent) return true;  // vacuous
         ASSIGN_OR_RETURN(
             std::vector<bool> deterministic,
-            core::internal::DeterminismProbes(engine, instances, pool));
+            core::internal::DeterminismProbes(engine, relation_names, pool));
         return std::all_of(deterministic.begin(), deterministic.end(),
                            [](bool d) { return d; });
       });
@@ -46,21 +45,13 @@ Result<bool> DeterministicFor(const core::Specification& spec,
 Result<core::CcqaResponse> Answer(const core::Specification& spec,
                                   const core::CcqaRequest& request,
                                   const core::CcqaOptions& options) {
-  ASSIGN_OR_RETURN(std::vector<std::vector<int>> instances,
-                   core::internal::RequestInstances(spec, {request}));
   return OnForcedEngine<core::CcqaResponse>(
       spec, options,
       [&](core::DecomposedEncoder* engine,
           exec::ThreadPool* pool) -> Result<core::CcqaResponse> {
-        ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
-        if (!consistent) {
-          core::CcqaResponse vacuous;
-          vacuous.vacuous = true;
-          return vacuous;
-        }
         ASSIGN_OR_RETURN(std::vector<core::CcqaResponse> responses,
                          core::internal::CertainAnswerProbes(
-                             engine, {request}, instances, options, pool));
+                             engine, {request}, options, pool));
         return std::move(responses[0]);
       });
 }
@@ -84,16 +75,13 @@ Result<core::CpsOutcome> ForcedSatConsistency(
 Result<bool> ForcedSatCertainOrder(const core::Specification& spec,
                                    const core::CurrencyOrderQuery& query,
                                    const core::CopOptions& options) {
-  ASSIGN_OR_RETURN(int inst, core::internal::OrderQueryInstance(spec, query));
   return OnForcedEngine<bool>(
       spec, options,
       [&](core::DecomposedEncoder* engine,
           exec::ThreadPool* pool) -> Result<bool> {
-        ASSIGN_OR_RETURN(bool consistent, engine->EnsureAllSolved(pool));
-        if (!consistent) return true;  // vacuous
-        ASSIGN_OR_RETURN(std::vector<bool> certain,
-                         core::internal::CertainOrderProbes(engine, {query},
-                                                            {inst}, pool));
+        ASSIGN_OR_RETURN(
+            std::vector<bool> certain,
+            core::internal::CertainOrderProbes(engine, {query}, pool));
         return static_cast<bool>(certain[0]);
       });
 }
@@ -101,14 +89,15 @@ Result<bool> ForcedSatCertainOrder(const core::Specification& spec,
 Result<bool> ForcedSatDeterministicForRelation(
     const core::Specification& spec, const std::string& relation,
     const core::DcipOptions& options) {
-  ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
-  return DeterministicFor(spec, {inst}, options);
+  return DeterministicFor(spec, {relation}, options);
 }
 
 Result<bool> ForcedSatDeterministic(const core::Specification& spec,
                                     const core::DcipOptions& options) {
-  std::vector<int> all(spec.num_instances());
-  for (int i = 0; i < spec.num_instances(); ++i) all[i] = i;
+  std::vector<std::string> all;
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    all.push_back(spec.instance(i).name());
+  }
   return DeterministicFor(spec, all, options);
 }
 

@@ -1,11 +1,12 @@
 // The forced-SAT reference: the one-shot decision procedures on an engine
 // whose every component is SAT-routed (core::DecomposedEncoder::Build with
-// routing off), run through the same internal:: probe phases the routed
-// one-shots use.  Routing is a strategy, never a semantics, so the
-// equivalence suites diff every routed answer against these, next to the
-// monolithic reference and the brute-force oracle.  Each call reads
-// `num_threads` and `pool` from its options struct like the one-shot it
-// mirrors.  Test and bench support only; nothing under src/ uses it.
+// routing off), run through the same internal:: request functions the
+// routed one-shots and serve's batches call.  Routing is a strategy,
+// never a semantics, so the equivalence suites diff every routed answer
+// against these, next to the monolithic reference and the brute-force
+// oracle.  Each call builds a pool of its options' `num_threads` like the
+// one-shot it mirrors.  Test and bench support only; nothing under src/
+// uses it.
 
 #ifndef CURRENCY_TESTS_SUPPORT_FORCED_SAT_H_
 #define CURRENCY_TESTS_SUPPORT_FORCED_SAT_H_
