@@ -17,6 +17,7 @@
 #include "src/reductions/to_cop.h"
 #include "src/reductions/to_cpp.h"
 #include "src/reductions/to_cps.h"
+#include "tests/support/whole_spec.h"
 
 namespace {
 
@@ -110,7 +111,7 @@ void BM_Encode_Betweenness(benchmark::State& state) {
   auto spec = reductions::BetweennessToCps(inst);
   int order_vars = 0;
   for (auto _ : state) {
-    auto encoder = core::Encoder::Build(*spec);
+    auto encoder = currency::testing::BuildWholeSpecEncoder(*spec);
     order_vars = (*encoder)->num_order_vars();
     benchmark::DoNotOptimize(encoder);
   }

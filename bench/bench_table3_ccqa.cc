@@ -13,7 +13,6 @@
 #include <random>
 
 #include "src/core/ccqa.h"
-#include "src/core/sp_ccqa.h"
 #include "src/query/parser.h"
 #include "src/reductions/to_ccqa.h"
 
@@ -76,7 +75,9 @@ void BM_CcqaData_Sat3(benchmark::State& state) {
 BENCHMARK(BM_CcqaData_Sat3)->DenseRange(2, 8)->Unit(benchmark::kMillisecond);
 
 // Tractable cell: SP query, no denial constraints (Proposition 6.3) —
-// the poss(S) construction scales to thousands of entities.
+// the one-shot answers every entity's singleton component by the poss(S)
+// construction on its chase fixpoint, which scales to thousands of
+// entities.
 core::Specification MakeSpWorkload(int entities) {
   core::Specification spec;
   Schema rs = Schema::Make("R", {"A", "B"}).value();
@@ -100,7 +101,7 @@ void BM_CcqaSp_Ptime(benchmark::State& state) {
   query::Query q =
       query::ParseQuery("Q(x) := EXISTS e, y: R(e, x, y) AND x = 13").value();
   for (auto _ : state) {
-    auto answers = core::SpCertainCurrentAnswers(spec, q);
+    auto answers = core::CertainCurrentAnswers(spec, q);
     benchmark::DoNotOptimize(answers);
   }
   state.counters["entities"] = entities;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI-style verification: configure with strict warnings, build everything,
 # run all test suites from a clean build tree, build perfbench, then
-# re-run the threading tests under ThreadSanitizer and the memory-safety
-# set under ASan+UBSan. Exits nonzero on the first failure.
+# re-run the threading tests under ThreadSanitizer and every suite under
+# ASan+UBSan. Exits nonzero on the first failure.
 #
 # -Wall -Wextra -Werror is applied to currency targets only (see
 # CURRENCY_STRICT_WARNINGS in the top-level CMakeLists), so dead-store
@@ -29,30 +29,18 @@
 # — so data races in the decomposed solvers fail CI even on hardware
 # where they never misbehave.
 #
-# The ASan+UBSan pass (CURRENCY_ASAN, a third build tree) runs the serve
-# and exec suites plus obs_test, parallel_equivalence_test,
-# oracle_invariants_test, cps_cop_dcip_test (the COP/DCIP probe phases:
-# the settle walk on the calling thread and the deferred pool tasks),
-# chase_routing_equivalence_test,
-# sat_metamorphic_test, sat_test (the solver's variable set-up, branching
-# and restart schedule, and an interrupted SolveLimited), wire_test,
-# wal_recovery_test, order_test (the word-by-word bit scan of
-# PartialOrder::Pairs across word boundaries), encoder_chase_test and
-# core_model_test (the encoder's per-group is-last index and the
-# order-free selectors behind every witness), query_test (the pin
-# analysis reads renamed atoms kept alive in a side vector), ccqa_test
-# (SP answers walk the component fixpoints' nodes), preservation_test
-# (the CPP/BCP lattice walk, one transient engine per node),
-# reductions_test (the lower-bound gadgets and their QBF evaluation) and
-# common_test (the relational primitives under every engine), so every
-# equivalence suite runs under both sanitizers: a successor engine takes
+# The ASan+UBSan pass (CURRENCY_ASAN, a third build tree, without
+# benchmarks or examples) builds every test suite and runs all of them
+# through ctest, so every equivalence suite runs under both sanitizers
+# and no suite can be left off a hand-kept list: a successor engine takes
 # over its predecessor's encoders AND chase fixpoints, the engine hands
-# borrowed pools/encoders across threads, the SAT core's garbage collector
-# relocates every clause and rewrites watcher/reason references in
-# place, and the wire/WAL parsers walk length-prefixed frames of
-# truncated and bit-flipped buffers — exactly the lifetime and bounds
-# traffic the sanitizers are built to police.  (WAL tests write their log directories under the build tree's
-# cwd — wal_test_dirs/, gitignored.)
+# borrowed pools/encoders across threads, the SAT core's garbage
+# collector relocates every clause and rewrites watcher/reason references
+# in place, the grounding backtracker walks tuple bindings, and the
+# wire/WAL parsers walk length-prefixed frames of truncated and
+# bit-flipped buffers — exactly the lifetime and bounds traffic the
+# sanitizers are built to police.  (WAL tests write their log directories
+# under the build tree's cwd — wal_test_dirs/, gitignored.)
 #
 # The perfbench build step configures perfbench's own CMake project
 # (perfbench/CMakeLists.txt, Release, over the library sources in src/)
@@ -107,31 +95,5 @@ cmake -B "$asan_dir" -S . \
   -DCURRENCY_ASAN=ON \
   -DCURRENCY_BUILD_BENCHMARKS=OFF \
   -DCURRENCY_BUILD_EXAMPLES=OFF
-cmake --build "$asan_dir" -j "$(nproc)" \
-  --target exec_test obs_test parallel_equivalence_test \
-           oracle_invariants_test serve_test session_equivalence_test \
-           concurrent_session_test chase_routing_equivalence_test \
-           sat_metamorphic_test sat_test wire_test wal_recovery_test \
-           order_test encoder_chase_test core_model_test query_test \
-           ccqa_test cps_cop_dcip_test preservation_test reductions_test \
-           common_test
-"$asan_dir/tests/exec_test"
-"$asan_dir/tests/obs_test"
-"$asan_dir/tests/parallel_equivalence_test"
-"$asan_dir/tests/oracle_invariants_test"
-"$asan_dir/tests/serve_test"
-"$asan_dir/tests/session_equivalence_test"
-"$asan_dir/tests/concurrent_session_test"
-"$asan_dir/tests/chase_routing_equivalence_test"
-"$asan_dir/tests/sat_metamorphic_test"
-"$asan_dir/tests/sat_test"
-"$asan_dir/tests/order_test"
-"$asan_dir/tests/encoder_chase_test"
-"$asan_dir/tests/core_model_test"
-"$asan_dir/tests/query_test"
-"$asan_dir/tests/ccqa_test"
-"$asan_dir/tests/cps_cop_dcip_test"
-"$asan_dir/tests/preservation_test"
-"$asan_dir/tests/reductions_test"
-"$asan_dir/tests/common_test"
-(cd "$asan_dir/tests" && ./wire_test && ./wal_recovery_test)
+cmake --build "$asan_dir" -j "$(nproc)"
+(cd "$asan_dir" && ctest --output-on-failure -j "$(nproc)")

@@ -335,7 +335,7 @@ Status AppendChaseFragments(DecomposedEncoder* engine, int c, int64_t budget,
   const Relation& rel = spec.instance(node.inst).relation();
   AttrIndex arity = spec.instance(node.inst).schema().arity();
   std::vector<std::vector<Value>> possible =
-      PossibleCurrentValues(rel, node.members, node.orders, /*local=*/true);
+      PossibleCurrentValues(rel, node.members, node.orders);
   std::vector<size_t> pick(arity, 0);
   while (static_cast<int64_t>(out->size()) < budget) {
     std::vector<Value> values(arity);

@@ -10,104 +10,20 @@ namespace currency::core {
 namespace {
 
 /// A mapped pair of target tuples with matching entity ids on both sides:
-/// the unit of ≺-compatibility propagation.  Tuple ids in the whole-spec
-/// chase, node-local indices in a component chase.
+/// the unit of ≺-compatibility propagation, in node-local indices.
 struct MappedPair {
   TupleId t1, t2;  // target tuples (distinct, same EID)
   TupleId s1, s2;  // their sources (distinct, same EID)
 };
 
-/// One pass of denial-constraint Horn closure over `orders`.  Returns
-/// whether anything changed; sets *inconsistent when a pure denial fires
-/// or a conclusion contradicts a certain pair.
-Result<bool> DenialClosurePass(const Specification& spec,
-                               std::vector<std::vector<PartialOrder>>* orders,
-                               bool* inconsistent, int64_t* derived_pairs) {
-  bool changed = false;
-  for (int i = 0; i < spec.num_instances() && !*inconsistent; ++i) {
-    const Relation& rel = spec.instance(i).relation();
-    for (const auto& dc : spec.constraints_for(i)) {
-      if (*inconsistent) break;
-      dc.EnumerateGroundings(rel, [&](const constraints::Grounding& g) {
-        if (*inconsistent) return;
-        for (const auto& p : g.premises) {
-          if (!(*orders)[i][p.attr].Less(p.before, p.after)) return;
-        }
-        if (!g.conclusion.has_value()) {
-          *inconsistent = true;  // certain premises of a pure denial
-          return;
-        }
-        const auto& c = *g.conclusion;
-        if ((*orders)[i][c.attr].Less(c.before, c.after)) return;
-        if ((*orders)[i][c.attr].Less(c.after, c.before)) {
-          *inconsistent = true;  // conclusion contradicts a certain pair
-          return;
-        }
-        if (!(*orders)[i][c.attr].TryAdd(c.before, c.after)) {
-          *inconsistent = true;
-          return;
-        }
-        ++*derived_pairs;
-        changed = true;
-      });
-    }
-  }
-  return changed;
-}
-
-}  // namespace
-
-namespace {
-
-/// Pre-resolved copy edge: signature attribute pairs + mapped pairs.
-/// `source` and `target` index the orders a propagation pass updates:
-/// instances for the whole-spec chase, nodes for a component chase.
+/// Pre-resolved copy bucket: signature attribute pairs + mapped pairs.
+/// `source` and `target` index the nodes whose orders a propagation pass
+/// updates.
 struct EdgePlan {
   int source, target;
   std::vector<std::pair<AttrIndex, AttrIndex>> attrs;  // (target, source)
   std::vector<MappedPair> pairs;
 };
-
-Result<std::vector<EdgePlan>> BuildEdgePlans(const Specification& spec) {
-  std::vector<EdgePlan> plans;
-  // Mapped pairs only arise between two mappings agreeing on both the
-  // target and the source entity, so expand (target entity, source
-  // entity) buckets — Σ |bucket|² work — instead of the |ρ|² double loop
-  // over the raw mapping; the buckets are the encoder's
-  // (CopyBucketIndex, built per edge in spec.copy_edges() order).  The
-  // pair SET is identical to the raw double loop's, only its order
-  // differs (bucket-grouped instead of target-id-lexicographic), which
-  // the chase fixpoint is insensitive to: the closure is a least
-  // fixpoint of monotone rules, so certain_orders and consistency never
-  // depend on application order (tests/encoder_chase_test.cc proves this
-  // against a quadratic reference; only the pass counter may differ).
-  const CopyBucketIndex index = CopyBucketIndex::Build(spec);
-  for (size_t edge_index = 0; edge_index < spec.copy_edges().size();
-       ++edge_index) {
-    const CopyEdge& edge = spec.copy_edges()[edge_index];
-    EdgePlan plan;
-    plan.source = edge.source_instance;
-    plan.target = edge.target_instance;
-    const Relation& target = spec.instance(edge.target_instance).relation();
-    const Relation& source = spec.instance(edge.source_instance).relation();
-    ASSIGN_OR_RETURN(plan.attrs,
-                     edge.fn.ResolveAttrs(target.schema(), source.schema()));
-    for (const auto& [te, by_source] : index.per_edge[edge_index]) {
-      (void)te;
-      for (const auto& [se, mapped] : by_source) {
-        (void)se;
-        for (const auto& [t1, s1] : mapped) {
-          for (const auto& [t2, s2] : mapped) {
-            if (t1 == t2 || s1 == s2) continue;
-            plan.pairs.push_back(MappedPair{t1, t2, s1, s2});
-          }
-        }
-      }
-    }
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
 
 /// One pass of copy-order propagation.  Returns whether anything changed;
 /// sets *inconsistent on a derived cycle.
@@ -147,42 +63,7 @@ bool CopyPropagationPass(const std::vector<EdgePlan>& plans,
   return changed;
 }
 
-Result<ChaseResult> RunChase(const Specification& spec, bool with_denials) {
-  ChaseResult result;
-  result.certain_orders.reserve(spec.num_instances());
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    result.certain_orders.push_back(spec.instance(i).orders());
-  }
-  ASSIGN_OR_RETURN(std::vector<EdgePlan> plans, BuildEdgePlans(spec));
-  bool inconsistent = false;
-  bool changed = true;
-  while (changed && !inconsistent) {
-    changed = false;
-    ++result.passes;
-    changed |= CopyPropagationPass(plans, &result.certain_orders,
-                                   &inconsistent, &result.edges_expanded,
-                                   &result.derived_pairs);
-    if (with_denials && !inconsistent) {
-      ASSIGN_OR_RETURN(bool dc_changed,
-                       DenialClosurePass(spec, &result.certain_orders,
-                                         &inconsistent,
-                                         &result.derived_pairs));
-      changed |= dc_changed;
-    }
-  }
-  result.consistent = !inconsistent;
-  return result;
-}
-
 }  // namespace
-
-Result<ChaseResult> ChaseCopyOrders(const Specification& spec) {
-  return RunChase(spec, /*with_denials=*/false);
-}
-
-Result<ChaseResult> CertainOrderPrefix(const Specification& spec) {
-  return RunChase(spec, /*with_denials=*/true);
-}
 
 const ComponentChase::Node* ComponentChase::FindNode(int inst,
                                                      const Value& eid) const {
@@ -293,7 +174,7 @@ Result<ComponentChase> ChaseComponentOrders(
     }
   }
 
-  // Least fixpoint: the whole-spec propagation pass over node orders.
+  // Least fixpoint of the propagation pass over node orders.
   bool inconsistent = false;
   bool changed = true;
   while (changed && !inconsistent) {

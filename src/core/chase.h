@@ -1,4 +1,5 @@
-// The copy-order chase: the PTIME fixpoint algorithm of Theorem 6.1.
+// The copy-order chase: the PTIME fixpoint algorithm of Theorem 6.1, run
+// on one coupling component at a time.
 //
 // Starting from the initial partial currency orders, order information is
 // propagated along copy functions in both directions (source → target by
@@ -6,9 +7,11 @@
 // until fixpoint.  A derived cycle proves inconsistency.  In the absence
 // of denial constraints the result PO∞ equals the intersection of the
 // completed orders over all consistent completions (Lemma 6.2), which
-// makes CPS, COP and DCIP PTIME-decidable (Theorem 6.1); with denial
-// constraints it is still a sound pre-propagation (every derived pair is
-// certain), which the brute-force oracle uses to prune its search.
+// makes CPS, COP and DCIP PTIME-decidable (Theorem 6.1).  The engine
+// chases each chase-eligible component of its decomposition on its own
+// (DecomposedEncoder::BuildComponentChase); the whole-specification chase
+// of the theorem, and its Horn closure under denial constraints, are test
+// references (tests/support/whole_spec.h).
 
 #ifndef CURRENCY_SRC_CORE_CHASE_H_
 #define CURRENCY_SRC_CORE_CHASE_H_
@@ -24,25 +27,6 @@ namespace currency::core {
 
 struct CopyBucketIndex;  // src/core/encoder.h
 struct EntityNode;       // src/core/encoder.h
-
-/// Result of the copy-order chase.
-struct ChaseResult {
-  /// False iff a cyclic order requirement was derived (Mod(S) = ∅
-  /// regardless of denial constraints).
-  bool consistent = true;
-  /// certain_orders[i][a]: PO∞ for instance i, attribute a.  Meaningful
-  /// only when `consistent`; equals ∩_{Dc ∈ Mod(S)} ≺c when S has no
-  /// denial constraints (Lemma 6.2).
-  std::vector<std::vector<PartialOrder>> certain_orders;
-  /// Number of propagation passes until fixpoint (for the benchmarks).
-  int passes = 0;
-  /// Mapped pairs scanned across all propagation passes (the chase
-  /// analogue of SolverStats propagation counters).
-  int64_t edges_expanded = 0;
-  /// Order pairs actually derived (successful TryAdds, including denial
-  /// conclusions on the CertainOrderPrefix variant).
-  int64_t derived_pairs = 0;
-};
 
 /// The copy-order chase restricted to one coupling component, in the
 /// component's own coordinates.  For a chase-eligible component (no denial
@@ -93,21 +77,6 @@ struct ComponentChase {
 Result<ComponentChase> ChaseComponentOrders(
     const Specification& spec, const std::vector<EntityNode>& nodes,
     const CopyBucketIndex& copy_index);
-
-/// Runs the chase.  Fails (error Status) only on malformed specifications
-/// (unresolvable copy signatures); an inconsistent-but-well-formed
-/// specification yields consistent == false.
-Result<ChaseResult> ChaseCopyOrders(const Specification& spec);
-
-/// Chase + denial-constraint Horn closure: additionally fires every
-/// grounded denial constraint whose order premises are already certain,
-/// adding its conclusion (or detecting inconsistency for pure denials).
-/// Every derived pair holds in EVERY consistent completion (sound); the
-/// closure is not complete in general — with denial constraints, deciding
-/// certainty is coNP-hard (Theorem 3.4) — but it shrinks search spaces
-/// dramatically (the brute-force oracle prunes with it).
-/// Without denial constraints it coincides with ChaseCopyOrders.
-Result<ChaseResult> CertainOrderPrefix(const Specification& spec);
 
 }  // namespace currency::core
 

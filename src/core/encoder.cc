@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <utility>
 
 namespace currency::core {
@@ -20,10 +19,6 @@ Result<std::unique_ptr<Encoder>> Encoder::Build(const Specification& spec,
   std::unique_ptr<Encoder> encoder(new Encoder());
   RETURN_IF_ERROR(encoder->BuildImpl(spec, options));
   return encoder;
-}
-
-Result<std::unique_ptr<Encoder>> Encoder::Build(const Specification& spec) {
-  return Build(spec, Options());
 }
 
 bool Encoder::HasPairVar(int inst, TupleId u, TupleId v) const {
@@ -160,30 +155,16 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   // list (not the relations) so a component encoder's build cost is
   // proportional to its own content.  The engine shares the
   // decomposition's prebuilt copy-bucket index across all builds.
-  std::optional<CopyBucketIndex> local_index;
-  const CopyBucketIndex* copy_index = options.copy_index;
-  if (copy_index == nullptr) {
-    local_index = CopyBucketIndex::Build(spec);
-    copy_index = &*local_index;
+  if (options.nodes == nullptr || options.copy_index == nullptr) {
+    return Status::InvalidArgument(
+        "Encoder::Options needs a node list and a copy-bucket index");
   }
   active_groups_.resize(spec.num_instances());
-  if (options.nodes == nullptr) {
-    if (copy_index->per_edge.size() != spec.copy_edges().size()) {
-      return Status::Internal("copy-bucket index does not match the spec");
-    }
-    for (int i = 0; i < spec.num_instances(); ++i) {
-      for (const auto& [eid, members] :
-           spec.instance(i).relation().EntityGroups()) {
-        active_groups_[i].emplace_back(eid, members);
-      }
-    }
-  } else {
-    ASSIGN_OR_RETURN(auto members,
-                     NodeMembers(spec, *options.nodes, *copy_index));
-    for (size_t k = 0; k < members.size(); ++k) {
-      const EntityNode& node = (*options.nodes)[k];
-      active_groups_[node.inst].emplace_back(node.eid, *members[k]);
-    }
+  ASSIGN_OR_RETURN(auto members,
+                   NodeMembers(spec, *options.nodes, *options.copy_index));
+  for (size_t k = 0; k < members.size(); ++k) {
+    const EntityNode& node = (*options.nodes)[k];
+    active_groups_[node.inst].emplace_back(node.eid, *members[k]);
   }
 
   // 1. Order variables: one per (same-entity pair, order-bound data
@@ -273,7 +254,7 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
     const Relation& source = spec.instance(edge.source_instance).relation();
     ASSIGN_OR_RETURN(auto attrs,
                      edge.fn.ResolveAttrs(target.schema(), source.schema()));
-    const CopyBuckets& buckets = copy_index->per_edge[edge_index];
+    const CopyBuckets& buckets = options.copy_index->per_edge[edge_index];
     for (const auto& group : active_groups_[edge.target_instance]) {
       auto bucket = buckets.find(group.first);
       if (bucket == buckets.end()) continue;

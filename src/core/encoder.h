@@ -101,26 +101,24 @@ Result<std::vector<const std::vector<TupleId>*>> NodeMembers(
 /// Builds and owns the SAT encoding of a specification.
 class Encoder {
  public:
-  /// Engine-internal build inputs (DecomposedEncoder sets both per
-  /// component); a default Options encodes the whole specification.
+  /// Build inputs, both required: DecomposedEncoder sets them per
+  /// component.
   struct Options {
-    /// When set, encode only these entity groups: a coupling component's
-    /// node list (Decomposition::component), or several merged.  Build
-    /// fails unless the list passes NodeMembers.  Read only during Build,
-    /// not retained.
+    /// The entity groups to encode: a coupling component's node list
+    /// (Decomposition::component), or several merged.  Build fails unless
+    /// the list passes NodeMembers.  Read only during Build, not retained.
     const std::vector<EntityNode>* nodes = nullptr;
-    /// Optional shared copy-bucket index (see CopyBucketIndex); when null
-    /// the encoder builds its own.  Read only during Build, not retained.
+    /// The specification's copy-bucket index (see CopyBucketIndex).  Read
+    /// only during Build, not retained.
     const CopyBucketIndex* copy_index = nullptr;
   };
 
-  /// Builds the encoding.  Fails only on malformed specifications; an
+  /// Builds the encoding.  InvalidArgument when either option is unset;
+  /// otherwise fails only on malformed specifications or node lists.  An
   /// encoding that is already unsatisfiable at level 0 builds fine (the
   /// solver simply reports UNSAT).
   static Result<std::unique_ptr<Encoder>> Build(const Specification& spec,
                                                 const Options& options);
-  /// Builds with default options.
-  static Result<std::unique_ptr<Encoder>> Build(const Specification& spec);
 
   /// The underlying solver (add clauses / solve / enumerate through it).
   sat::Solver& solver() { return *solver_; }
@@ -139,8 +137,7 @@ class Encoder {
   sat::Var IsLastVar(int inst, AttrIndex attr, TupleId u) const;
 
   /// The entity groups of instance `inst` this encoder covers, as (entity,
-  /// member tuples) in entity order: every group of the instance, or only
-  /// the listed ones on an encoder over a node list.
+  /// member tuples) in entity order: the listed ones.
   const std::vector<std::pair<Value, std::vector<TupleId>>>& Groups(
       int inst) const {
     return active_groups_[inst];
@@ -172,10 +169,9 @@ class Encoder {
                                 const Value& v) const;
 
   /// Decodes the solver's current model into current instances, one
-  /// Relation per instance (valid right after a kSat Solve call).  On an
-  /// encoder over a node list, only the listed entities appear in the
-  /// output (the relations of untouched instances may be partial or
-  /// empty).
+  /// Relation per instance (valid right after a kSat Solve call).  Only
+  /// the listed entities appear in the output (the relations of untouched
+  /// instances may be partial or empty).
   Result<std::vector<Relation>> DecodeCurrentInstances() const;
 
   /// Extracts the completion from the solver's current model (valid right
@@ -209,7 +205,7 @@ class Encoder {
   const Specification* spec_ = nullptr;
   std::unique_ptr<sat::Solver> solver_;
   /// The entity groups this encoder covers, per instance, in entity order
-  /// — the node list's groups, or all of them.  Build and decode iterate
+  /// — the node list's groups.  Build and decode iterate
   /// this instead of the relations, so a component encoder costs O(its own
   /// content) rather than O(specification).
   std::vector<std::vector<std::pair<Value, std::vector<TupleId>>>>

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <set>
 
-#include "src/core/chase.h"
 #include "src/query/classify.h"
 #include "src/query/eval.h"
 
@@ -22,10 +21,10 @@ constexpr char kFreshPrefix[] = "\x01poss#";
 /// attribute, or a fresh constant c_{e,A} numbered by `*fresh`.
 Status AppendPossTuple(const Value& eid, const Relation& rel,
                        const std::vector<TupleId>& members,
-                       const std::vector<PartialOrder>& orders, bool local,
+                       const std::vector<PartialOrder>& orders,
                        int64_t* fresh, Relation* poss) {
   std::vector<std::vector<Value>> possible =
-      PossibleCurrentValues(rel, members, orders, local);
+      PossibleCurrentValues(rel, members, orders);
   std::vector<Value> values(possible.size());
   values[0] = eid;
   for (size_t a = 1; a < possible.size(); ++a) {
@@ -76,31 +75,18 @@ bool IsFreshPossConstant(const Value& v) {
 
 std::vector<std::vector<Value>> PossibleCurrentValues(
     const Relation& rel, const std::vector<TupleId>& members,
-    const std::vector<PartialOrder>& orders, bool local) {
-  std::vector<int> within = members;
-  if (local) std::iota(within.begin(), within.end(), 0);
+    const std::vector<PartialOrder>& orders) {
+  std::vector<int> within(members.size());
+  std::iota(within.begin(), within.end(), 0);
   std::vector<std::vector<Value>> out(orders.size());
   for (size_t a = 1; a < orders.size(); ++a) {
     std::set<Value> distinct;
     for (int s : orders[a].SinksWithin(within)) {
-      distinct.insert(rel.tuple(local ? members[s] : s).at(a));
+      distinct.insert(rel.tuple(members[s]).at(a));
     }
     out[a].assign(distinct.begin(), distinct.end());
   }
   return out;
-}
-
-Result<Relation> BuildPossRelation(
-    const Specification& spec,
-    const std::vector<std::vector<PartialOrder>>& certain_orders, int inst) {
-  const Relation& rel = spec.instance(inst).relation();
-  Relation poss(rel.schema());
-  int64_t fresh = 0;
-  for (const auto& [eid, members] : rel.EntityGroups()) {
-    RETURN_IF_ERROR(AppendPossTuple(eid, rel, members, certain_orders[inst],
-                                    false, &fresh, &poss));
-  }
-  return poss;
 }
 
 Result<std::set<Tuple>> SpAnswersFromChaseNodes(
@@ -114,27 +100,8 @@ Result<std::set<Tuple>> SpAnswersFromChaseNodes(
   for (const ComponentChase::Node* node : nodes) {
     if (node->inst != inst) continue;
     RETURN_IF_ERROR(AppendPossTuple(node->eid, rel, node->members,
-                                    node->orders, true, &fresh, &poss));
+                                    node->orders, &fresh, &poss));
   }
-  return SpAnswersOnPoss(q, poss);
-}
-
-Result<std::set<Tuple>> SpCertainCurrentAnswers(const Specification& spec,
-                                                const query::Query& q) {
-  if (spec.HasDenialConstraints()) {
-    return Status::Unsupported(
-        "Proposition 6.3 applies only without denial constraints");
-  }
-  // Validate before chasing so malformed queries fail the same way on
-  // inconsistent specifications.
-  ASSIGN_OR_RETURN(int inst, SpQueryInstance(spec, q));
-  ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
-  if (!chase.consistent) {
-    return Status::Inconsistent(
-        "Mod(S) is empty: every tuple is vacuously a certain answer");
-  }
-  ASSIGN_OR_RETURN(Relation poss,
-                   BuildPossRelation(spec, chase.certain_orders, inst));
   return SpAnswersOnPoss(q, poss);
 }
 

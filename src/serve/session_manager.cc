@@ -177,6 +177,9 @@ Status SessionManager::Commit(Command command) {
   std::lock_guard<std::mutex> lock(log_mu_);
   std::string payload;
   if (wal_ != nullptr) {
+    // A broken log refuses the command before it is applied: nothing it
+    // accepts from here on could be made durable.
+    RETURN_IF_ERROR(wal_->status());
     // Encode before apply — apply consumes the command's spec/edits.
     payload = EncodeCommand(command);
   }
@@ -185,7 +188,9 @@ Status SessionManager::Commit(Command command) {
     // Apply-then-log: only accepted commands reach the log.  If the
     // append or fsync fails the in-memory state is ahead of the log and
     // the caller gets the error — the command was NOT acknowledged, so
-    // losing it on a crash is within contract.
+    // losing it on a crash is within contract — and the log stays broken
+    // (LogWriter's fail-stop), so every later command is refused until
+    // the directory is reopened.
     RETURN_IF_ERROR(wal_->Append(payload).status());
     RETURN_IF_ERROR(wal_->Sync());
     if (options_.snapshot_every > 0 &&

@@ -187,7 +187,10 @@ class SessionManager {
       const std::string& tenant, const std::vector<CcqaRequest>& requests);
   /// Mutations pass admission like queries: a tenant's edit stream counts
   /// against the same in-flight budget.  On a durable manager, OK means
-  /// the edit batch is applied AND fsynced to the log.
+  /// the edit batch is applied AND fsynced to the log.  Once a log write
+  /// or fsync has failed, every later Register, Mutate, Drop and Snapshot
+  /// fails with FailedPrecondition before it is applied, until the
+  /// directory is reopened (wal::LogWriter's fail-stop).
   Status Mutate(const std::string& tenant,
                 const std::vector<core::TupleEdit>& edits);
 
@@ -243,8 +246,9 @@ class SessionManager {
   Status ApplyCommand(Command command);
 
   /// The durable bracket every public mutation routes through: under
-  /// log_mu_, encode (durable managers), ApplyCommand, append + fsync,
-  /// auto-snapshot when due.  Commands rejected by apply are not logged.
+  /// log_mu_, refuse when the log is broken, encode (durable managers),
+  /// ApplyCommand, append + fsync, auto-snapshot when due.  Commands
+  /// rejected by apply are not logged.
   Status Commit(Command command);
 
   /// Snapshot body; requires log_mu_ (and wal_ non-null).

@@ -366,13 +366,23 @@ void LogWriter::BindInstruments() {
   }
 }
 
+Status LogWriter::Latch(Status s) {
+  if (!s.ok() && broken_.ok()) {
+    broken_ = Status::FailedPrecondition(
+        "wal: log is broken until the directory is reopened; first "
+        "failure: " + s.ToString());
+  }
+  return s;
+}
+
 Result<uint64_t> LogWriter::Append(std::string_view payload) {
   obs::ScopedTimer timer(append_latency_ns_, clock_);
+  RETURN_IF_ERROR(broken_);
   if (payload.size() > kMaxRecordBytes) {
     return Status::InvalidArgument("wal: record payload exceeds 1 GiB");
   }
   if (segment_size_ >= options_.segment_bytes) {
-    RETURN_IF_ERROR(Rotate());
+    RETURN_IF_ERROR(Latch(Rotate()));
   }
   const uint64_t seq = last_seq_ + 1;
   std::string rec(kRecordHeaderBytes, '\0');
@@ -380,8 +390,8 @@ Result<uint64_t> LogWriter::Append(std::string_view payload) {
   StoreU64(rec.data() + 8, seq);
   rec.append(payload.data(), payload.size());
   StoreU32(rec.data(), Crc32(rec.data() + 4, rec.size() - 4));
-  RETURN_IF_ERROR(WriteFull(fd_, rec.data(), rec.size(),
-                            dir_ + "/" + segments_.back().file));
+  RETURN_IF_ERROR(Latch(WriteFull(fd_, rec.data(), rec.size(),
+                                  dir_ + "/" + segments_.back().file)));
   segment_size_ += rec.size();
   last_seq_ = seq;
   if (appended_records_ != nullptr) {
@@ -393,18 +403,20 @@ Result<uint64_t> LogWriter::Append(std::string_view payload) {
 
 Status LogWriter::Sync() {
   obs::ScopedTimer timer(fsync_latency_ns_, clock_);
+  RETURN_IF_ERROR(broken_);
   if (::fsync(fd_) != 0) {
-    return IoError("fsync", dir_ + "/" + segments_.back().file);
+    return Latch(IoError("fsync", dir_ + "/" + segments_.back().file));
   }
   if (fsyncs_ != nullptr) fsyncs_->Increment();
   return Status::OK();
 }
 
 Status LogWriter::WriteSnapshot(std::string_view payload) {
+  RETURN_IF_ERROR(broken_);
   // Freeze the record stream: everything <= last_seq_ lives in closed
   // segments once we rotate, so those segments become prunable.
   if (segment_size_ > kSegmentHeaderBytes) {
-    RETURN_IF_ERROR(Rotate());
+    RETURN_IF_ERROR(Latch(Rotate()));
   }
   const uint64_t seq = last_seq_;
   const std::string name = SnapshotName(seq);
@@ -414,11 +426,11 @@ Status LogWriter::WriteSnapshot(std::string_view payload) {
   blob.append(payload.data(), payload.size());
   StoreU32(blob.data(), Crc32(blob.data() + 4, blob.size() - 4));
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return IoError("open", path);
+  if (fd < 0) return Latch(IoError("open", path));
   Status s = WriteFull(fd, blob.data(), blob.size(), path);
   if (s.ok() && ::fsync(fd) != 0) s = IoError("fsync", path);
   ::close(fd);
-  RETURN_IF_ERROR(s);
+  RETURN_IF_ERROR(Latch(s));
 
   const std::string old_snapshot =
       (has_snapshot_ && snapshot_file_ != name) ? snapshot_file_ : "";
@@ -435,7 +447,7 @@ Status LogWriter::WriteSnapshot(std::string_view payload) {
   // The manifest rewrite is the commit point: after it, recovery uses
   // the new snapshot; before it, the old manifest still works and the
   // new snap file is merely unreferenced.
-  RETURN_IF_ERROR(WriteManifest());
+  RETURN_IF_ERROR(Latch(WriteManifest()));
   for (const std::string& file : pruned) {
     ::unlink((dir_ + "/" + file).c_str());
   }

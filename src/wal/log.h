@@ -25,6 +25,15 @@
 // crash.  Records written but not yet synced may survive or may be torn;
 // recovery handles both.
 //
+// Fail-stop: the first I/O failure in Append, Sync or WriteSnapshot (a
+// failed write, rotation or fsync) breaks the writer for good.  A write
+// that stops part way leaves a torn record in the tail, and recovery
+// drops everything after the first torn record, so a record appended
+// behind it would be lost even once synced.  After a failed fsync the
+// kernel may have dropped the dirty pages, so a retry that succeeds
+// proves nothing.  Every later Append, Sync and WriteSnapshot therefore
+// fails until the directory is reopened, which truncates the torn tail.
+//
 // Recovery (LogWriter::Open / LogReader::ReadDir) walks the manifest's
 // segments in order and accepts the longest valid prefix of the record
 // stream: the first torn (short) record, CRC mismatch, length overrun or
@@ -136,6 +145,11 @@ class LogWriter {
   uint64_t last_seq() const { return last_seq_; }
   const std::string& dir() const { return dir_; }
 
+  /// OK until an I/O failure breaks the writer; from then on
+  /// FailedPrecondition naming that first failure, which every later
+  /// Append, Sync and WriteSnapshot returns (see "Fail-stop" above).
+  const Status& status() const { return broken_; }
+
  private:
   struct Segment {
     std::string file;  // basename
@@ -159,6 +173,9 @@ class LogWriter {
   Status Rotate();
   /// Unlinks wal-/snap- files the manifest does not reference.
   void SweepUnreferenced() const;
+  /// Breaks the writer on the first failed `s` (see status()); returns
+  /// `s` unchanged.
+  Status Latch(Status s);
 
   std::string dir_;
   WalOptions options_;
@@ -170,6 +187,7 @@ class LogWriter {
   int fd_ = -1;                 // current (last) segment, O_WRONLY at end
   uint64_t segment_size_ = 0;   // bytes written to the current segment
   uint64_t last_seq_ = 0;
+  Status broken_;  // see status()
 
   // Registry instruments (all null without a registry in the options).
   const obs::Clock* clock_ = nullptr;

@@ -5,16 +5,18 @@
 #include <gtest/gtest.h>
 
 #include "src/core/ccqa.h"
-#include "src/core/chase.h"
+#include "src/core/decompose.h"
 #include "src/core/sp_ccqa.h"
 #include "src/query/parser.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
 #include "tests/support/forced_sat.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::core {
 namespace {
 
+using currency::testing::LiteralSpCertainAnswers;
 using currency::testing::MakeQ1;
 using currency::testing::MakeQ2;
 using currency::testing::MakeQ3;
@@ -148,7 +150,7 @@ TEST(CcqaTest, FoQueryWithNegation) {
 TEST(SpCcqaTest, FastPathMatchesGeneralOnS0Queries) {
   // S0 has constraints, so the SP fast path must refuse it.
   Specification s0 = MakeS0();
-  EXPECT_EQ(SpCertainCurrentAnswers(s0, MakeQ1()).status().code(),
+  EXPECT_EQ(LiteralSpCertainAnswers(s0, MakeQ1()).status().code(),
             StatusCode::kUnsupported);
 }
 
@@ -162,13 +164,23 @@ TEST(SpCcqaTest, PossRelationConstruction) {
   TemporalInstance inst(std::move(r));
   ASSERT_TRUE(inst.AddOrderByName("A", 0, 1).ok());
   ASSERT_TRUE(spec.AddInstance(std::move(inst)).ok());
-  auto chase = ChaseCopyOrders(spec);
+  auto engine = DecomposedEncoder::Build(spec, {}, /*use_chase_routing=*/true);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_EQ((*engine)->num_components(), 1);
+  auto chase = (*engine)->BuildComponentChase(0);
   ASSERT_TRUE(chase.ok());
-  auto poss = BuildPossRelation(spec, chase->certain_orders, 0);
-  ASSERT_TRUE(poss.ok());
-  ASSERT_EQ(poss->size(), 1);
-  EXPECT_EQ(poss->tuple(0).at(1), Value(2));       // A: unique sink value
-  EXPECT_TRUE(IsFreshPossConstant(poss->tuple(0).at(2)));  // B: two values
+  ASSERT_EQ(chase->nodes.size(), 1u);
+  const ComponentChase::Node& node = chase->nodes[0];
+  const auto possible = PossibleCurrentValues(spec.instance(0).relation(),
+                                              node.members, node.orders);
+  EXPECT_EQ(possible[1], std::vector<Value>{Value(2)});  // A: unique sink
+  EXPECT_EQ(possible[2], (std::vector<Value>{Value(10), Value(20)}));
+  // poss(S) = {(e, 2, c_{e,B})}: B's fresh constant drops out of answers.
+  auto a = query::ParseQuery("Q(x) := EXISTS e, y: R(e, x, y)").value();
+  auto ab = query::ParseQuery("Q(x, y) := EXISTS e: R(e, x, y)").value();
+  EXPECT_EQ(LiteralSpCertainAnswers(spec, a).value(),
+            std::set<Tuple>{Tuple({Value(2)})});
+  EXPECT_TRUE(LiteralSpCertainAnswers(spec, ab).value().empty());
   EXPECT_FALSE(IsFreshPossConstant(Value("ordinary")));
   EXPECT_FALSE(IsFreshPossConstant(Value(3)));
 }
@@ -183,8 +195,8 @@ TEST(SpCcqaTest, SelectionOnUndeterminedAttributeYieldsNothing) {
   // A is undetermined; B is 10 in both tuples hence certain.
   auto qa = query::ParseQuery("Q(x) := EXISTS e, y: R(e, x, y)").value();
   auto qb = query::ParseQuery("Q(y) := EXISTS e, x: R(e, x, y)").value();
-  auto sa = SpCertainCurrentAnswers(spec, qa);
-  auto sb = SpCertainCurrentAnswers(spec, qb);
+  auto sa = LiteralSpCertainAnswers(spec, qa);
+  auto sb = LiteralSpCertainAnswers(spec, qb);
   ASSERT_TRUE(sa.ok());
   ASSERT_TRUE(sb.ok());
   EXPECT_TRUE(sa->empty());

@@ -10,15 +10,15 @@
 // brute-force oracle, across thread counts, mixed
 // constrained/constraint-free specifications, and session Mutate rounds.
 // On constraint-free draws the one-shot answers must also equal the
-// whole-specification PTIME results (ChaseCopyOrders for Theorem 6.1 and
-// Lemma 6.2, SpCertainCurrentAnswers for Proposition 6.3): per-component
-// routing is what answers those calls.
+// whole-specification PTIME references (tests/support/whole_spec.h:
+// ChaseWholeSpec for Theorem 6.1 and Lemma 6.2, LiteralSpCertainAnswers
+// for Proposition 6.3): per-component routing is what answers those calls.
 //
 // Also covered here: the metamorphic classification properties (inert
 // additions — a zero-grounding constraint, a single-source copy bucket —
 // must not flip eligibility or fingerprints; a real grounding must flip
-// exactly its component), the ChaseResult/ComponentChase work counters,
-// the session's chase-fixpoint reuse accounting across Mutate, and the
+// exactly its component), the ComponentChase work counters, the
+// session's chase-fixpoint reuse accounting across Mutate, and the
 // component node lists both builders take: every component fixpoint
 // equals the whole-specification chase restricted to its groups, and an
 // encoder over one side of a coupling bucket fails.
@@ -38,24 +38,27 @@
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
-#include "src/core/sp_ccqa.h"
 #include "src/query/classify.h"
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
 #include "tests/support/forced_sat.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::core {
 namespace {
 
+using currency::testing::ChaseWholeSpec;
 using currency::testing::ForcedSatCertainAnswers;
 using currency::testing::ForcedSatCertainOrder;
 using currency::testing::ForcedSatConsistency;
 using currency::testing::ForcedSatDeterministicForRelation;
 using currency::testing::ForcedSatForEachCurrentInstance;
 using currency::testing::ForcedSatIsCertainAnswer;
+using currency::testing::LiteralSpCertainAnswers;
 using currency::testing::MakeRandomSpec;
+using currency::testing::WholeSpecChase;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
@@ -263,7 +266,7 @@ Specification WithoutConstraints(const Specification& spec) {
 /// iff, per entity group and attribute, every sink of PO∞ carries the same
 /// value.
 bool DeterministicViaWholeChase(const Specification& spec,
-                                const ChaseResult& chase, int inst) {
+                                const WholeSpecChase& chase, int inst) {
   const TemporalInstance& instance = spec.instance(inst);
   const Relation& rel = instance.relation();
   for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
@@ -284,13 +287,13 @@ bool DeterministicViaWholeChase(const Specification& spec,
 /// On a draw whose every component is chase-eligible, the one-shot
 /// answers (on the draw itself and on its constraint-free copy, which has
 /// the same models because no constraint grounds) must equal the
-/// whole-specification PTIME references — ChaseCopyOrders for CPS, COP and
-/// DCIP (Theorem 6.1, Lemma 6.2), SpCertainCurrentAnswers for SP queries
+/// whole-specification PTIME references — ChaseWholeSpec for CPS, COP and
+/// DCIP (Theorem 6.1, Lemma 6.2), LiteralSpCertainAnswers for SP queries
 /// (Proposition 6.3) — and brute force.
 void CheckWholeSpecChaseReferences(const Specification& spec) {
   const Specification free = WithoutConstraints(spec);
   ASSERT_FALSE(free.HasDenialConstraints());
-  ChaseResult chase = ChaseCopyOrders(free).value();
+  WholeSpecChase chase = ChaseWholeSpec(free).value();
   const bool oracle_consistent = BruteForceConsistent(spec).value();
   EXPECT_EQ(chase.consistent, oracle_consistent);
   for (const Specification* s : {&spec, &free}) {
@@ -320,7 +323,7 @@ void CheckWholeSpecChaseReferences(const Specification& spec) {
       SCOPED_TRACE(text);
       query::Query q = query::ParseQuery(text).value();
       ASSERT_TRUE(query::IsSpQuery(q));
-      auto whole = SpCertainCurrentAnswers(free, q);
+      auto whole = LiteralSpCertainAnswers(free, q);
       auto oracle = BruteForceCertainAnswers(spec, q);
       auto answers = CertainCurrentAnswers(*s, q);
       if (!whole.ok()) {
@@ -768,11 +771,6 @@ TEST(ChaseCounters, ComponentChaseCountsWorkAndSkipsEncoders) {
   EXPECT_EQ(counters.chase_solves->Value(), eligible);
   EXPECT_EQ(counters.base_solves->Value(), 0);
   EXPECT_EQ(counters.cache_hits->Value(), 0);
-  // The whole-specification chase mirrors the counters.
-  auto whole = ChaseCopyOrders(spec);
-  ASSERT_TRUE(whole.ok());
-  EXPECT_GT(whole->edges_expanded, 0);
-  EXPECT_GT(whole->derived_pairs, 0);
 }
 
 TEST(ChaseCounters, SessionReusesFixpointsAcrossMutate) {
@@ -862,36 +860,8 @@ Specification MakeShardedCopySpec(int entities, bool cycle) {
 /// pair, and the consistency bits agree.  Requires a spec whose every
 /// component is chase-eligible.
 void ExpectComponentChasesMatchWholeSpec(const Specification& spec) {
-  const ChaseResult whole = ChaseCopyOrders(spec).value();
-  auto engine =
-      DecomposedEncoder::Build(spec, {}, /*use_chase_routing=*/true).value();
-  bool all_consistent = true;
-  for (int c = 0; c < engine->num_components(); ++c) {
-    const Result<ComponentChase> chase = engine->BuildComponentChase(c);
-    ASSERT_TRUE(chase.ok()) << chase.status();
-    all_consistent = all_consistent && chase->consistent;
-    // An inconsistent whole-spec chase stops mid-way; only the verdicts
-    // compare then.
-    if (!whole.consistent) continue;
-    ASSERT_EQ(chase->nodes.size(),
-              engine->decomposition().component(c).size());
-    for (const ComponentChase::Node& node : chase->nodes) {
-      const int m = static_cast<int>(node.members.size());
-      for (AttrIndex a = 1; a < static_cast<AttrIndex>(node.orders.size());
-           ++a) {
-        const PartialOrder& reference = whole.certain_orders[node.inst][a];
-        for (int x = 0; x < m; ++x) {
-          for (int y = 0; y < m; ++y) {
-            EXPECT_EQ(node.orders[a].Less(x, y),
-                      reference.Less(node.members[x], node.members[y]))
-                << "component " << c << " node " << node.eid.ToString()
-                << " attr " << a << " pair " << x << "," << y;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(all_consistent, whole.consistent);
+  const Status status = currency::testing::CompareComponentChases(spec);
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 TEST(ComponentNodeLists, ComponentChasesMatchWholeSpecChase) {
@@ -907,7 +877,7 @@ TEST(ComponentNodeLists, ComponentChasesMatchWholeSpecChase) {
     SCOPED_TRACE(cycle ? "sharded, cycle" : "sharded");
     const Specification spec = MakeShardedCopySpec(12, cycle);
     ASSERT_EQ(Decomposition::Build(spec).value().num_components(), 12);
-    ASSERT_EQ(ChaseCopyOrders(spec).value().consistent, !cycle);
+    ASSERT_EQ(ChaseWholeSpec(spec).value().consistent, !cycle);
     ExpectComponentChasesMatchWholeSpec(spec);
   }
 }
@@ -926,10 +896,16 @@ TEST(ComponentNodeLists, EncoderRejectsOneSideOfCouplingBucket) {
   EXPECT_EQ(split.status().code(), StatusCode::kInternal) << split.status();
   EXPECT_TRUE(
       Encoder::Build(spec, Encoder::Options{&nodes, &d.copy_index()}).ok());
+  // Both options are required.
+  EXPECT_EQ(Encoder::Build(spec, Encoder::Options{&nodes, nullptr})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   // e1 alone splits it from the source side; the chase rejects both.
   const std::vector<EntityNode> source_only = {nodes[0]};
   ASSERT_EQ(source_only[0].inst, 0);
-  EXPECT_EQ(Encoder::Build(spec, Encoder::Options{&source_only, nullptr})
+  EXPECT_EQ(Encoder::Build(spec,
+                           Encoder::Options{&source_only, &d.copy_index()})
                 .status()
                 .code(),
             StatusCode::kInternal);
@@ -942,7 +918,8 @@ TEST(ComponentNodeLists, EncoderRejectsOneSideOfCouplingBucket) {
   EXPECT_TRUE(ChaseComponentOrders(spec, nodes, d.copy_index()).ok());
   // Both builders take the list in (instance, entity) order only.
   const std::vector<EntityNode> reversed = {nodes[1], nodes[0]};
-  EXPECT_EQ(Encoder::Build(spec, Encoder::Options{&reversed, nullptr})
+  EXPECT_EQ(Encoder::Build(spec,
+                           Encoder::Options{&reversed, &d.copy_index()})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

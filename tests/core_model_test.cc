@@ -9,6 +9,7 @@
 #include "src/core/specification.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::core {
 namespace {
@@ -178,7 +179,7 @@ TEST_P(EncoderFaithfulness, SatAgreesWithBruteForceExistence) {
   for (int variant = 0; variant < 4; ++variant) {
     Specification spec =
         MakeRandomSpec(GetParam() * 17 + variant, variant & 1, variant & 2);
-    auto encoder = Encoder::Build(spec);
+    auto encoder = currency::testing::BuildWholeSpecEncoder(spec);
     ASSERT_TRUE(encoder.ok()) << encoder.status();
     bool sat = (*encoder)->solver().Solve() == sat::SolveResult::kSat;
     bool oracle = BruteForceConsistent(spec).value();

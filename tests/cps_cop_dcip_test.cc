@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/certain_order.h"
-#include "src/core/chase.h"
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
@@ -15,10 +14,12 @@
 #include "tests/support/brute_force.h"
 #include "tests/support/forced_sat.h"
 #include "tests/support/monolithic.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::core {
 namespace {
 
+using currency::testing::ChaseWholeSpec;
 using currency::testing::MakeRandomSpec;
 using currency::testing::MakeS0;
 
@@ -111,7 +112,7 @@ TEST(CpsTest, PtimePathOnCopyChains) {
   auto outcome = DecideConsistency(spec);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->components, decomposition.num_components());
-  EXPECT_EQ(outcome->consistent, ChaseCopyOrders(spec)->consistent);
+  EXPECT_EQ(outcome->consistent, ChaseWholeSpec(spec)->consistent);
   EXPECT_EQ(outcome->consistent, BruteForceConsistent(spec).value());
 }
 
@@ -142,14 +143,55 @@ TEST(ChaseTest, PropagatesBothDirections) {
   ASSERT_TRUE(fn.Map(1, 1).ok());
   ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
 
-  auto chase = ChaseCopyOrders(spec);
+  auto chase = ChaseWholeSpec(spec);
   ASSERT_TRUE(chase.ok());
   EXPECT_TRUE(chase->consistent);
+  // The engine's component chase derives the same orders.
+  const Status same = currency::testing::CompareComponentChases(spec);
+  EXPECT_TRUE(same.ok()) << same;
   AttrIndex c_attr = spec.instance(1).schema().IndexOf("C").value();
   EXPECT_TRUE(chase->certain_orders[1][c_attr].Less(0, 1));  // inherited
   AttrIndex d_attr = spec.instance(1).schema().IndexOf("D").value();
   EXPECT_TRUE(chase->certain_orders[1][d_attr].Less(1, 0));  // untouched
   EXPECT_FALSE(chase->certain_orders[1][d_attr].Less(0, 1));
+}
+
+TEST(ChaseTest, CertainTargetOrderForcesTheSourceOrder) {
+  // R2[C] ⇐ R[A] with an initial order on the target only.  Were r1 ≺ r0
+  // in some completion, ≺-compatibility would force t1 ≺ t0; so t0 ≺ t1
+  // makes r0 ≺ r1 certain (Theorem 6.1's target-to-source step).
+  Specification spec;
+  Relation r(Schema::Make("R", {"A"}).value());
+  ASSERT_TRUE(r.AppendValues({Value("e"), Value(1)}).ok());
+  ASSERT_TRUE(r.AppendValues({Value("e"), Value(2)}).ok());
+  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r))).ok());
+  Relation r2(Schema::Make("R2", {"C"}).value());
+  ASSERT_TRUE(r2.AppendValues({Value("f"), Value(1)}).ok());
+  ASSERT_TRUE(r2.AppendValues({Value("f"), Value(2)}).ok());
+  TemporalInstance r2inst(std::move(r2));
+  ASSERT_TRUE(r2inst.AddOrderByName("C", 0, 1).ok());
+  ASSERT_TRUE(spec.AddInstance(std::move(r2inst)).ok());
+  copy::CopySignature sig;
+  sig.target_relation = "R2";
+  sig.target_attrs = {"C"};
+  sig.source_relation = "R";
+  sig.source_attrs = {"A"};
+  copy::CopyFunction fn(sig);
+  ASSERT_TRUE(fn.Map(0, 0).ok());
+  ASSERT_TRUE(fn.Map(1, 1).ok());
+  ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
+
+  auto chase = ChaseWholeSpec(spec);
+  ASSERT_TRUE(chase.ok());
+  ASSERT_TRUE(chase->consistent);
+  EXPECT_TRUE(chase->certain_orders[0][1].Less(0, 1));
+  const Status same = currency::testing::CompareComponentChases(spec);
+  EXPECT_TRUE(same.ok()) << same;
+  CurrencyOrderQuery q;
+  q.relation = "R";
+  q.pairs = {{1, 0, 1}};
+  EXPECT_TRUE(IsCertainOrder(spec, q).value());
+  EXPECT_TRUE(BruteForceCertainOrder(spec, q).value());
 }
 
 TEST(ChaseTest, DetectsCopyCycleInconsistency) {
@@ -179,9 +221,11 @@ TEST(ChaseTest, DetectsCopyCycleInconsistency) {
   ASSERT_TRUE(fn.Map(1, 1).ok());
   ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
 
-  auto chase = ChaseCopyOrders(spec);
+  auto chase = ChaseWholeSpec(spec);
   ASSERT_TRUE(chase.ok());
   EXPECT_FALSE(chase->consistent);
+  const Status same = currency::testing::CompareComponentChases(spec);
+  EXPECT_TRUE(same.ok()) << same;
   EXPECT_FALSE(DecideConsistency(spec)->consistent);
   EXPECT_FALSE(BruteForceConsistent(spec).value());
 }

@@ -1,27 +1,33 @@
 // Focused tests for the SAT encoder (cell semantics, completion
-// extraction) and the chase / certain-prefix machinery, including the
-// documented Proposition 6.3 corner case.
+// extraction), the whole-specification chase and Horn-prefix references
+// (tests/support/whole_spec.h) that the component chases are checked
+// against, and the documented Proposition 6.3 corner cases.
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "src/core/ccqa.h"
-#include "src/core/chase.h"
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/encoder.h"
-#include "src/core/sp_ccqa.h"
+#include "src/query/classify.h"
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
 #include "tests/support/brute_force.h"
 #include "tests/support/forced_sat.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::core {
 namespace {
 
+using currency::testing::BuildWholeSpecEncoder;
+using currency::testing::ChaseWholeSpec;
+using currency::testing::HornPrefix;
+using currency::testing::LiteralSpCertainAnswers;
 using currency::testing::MakeS0;
 
 TEST(EncoderTest, OrderVarCountsAndPairLookup) {
@@ -41,7 +47,7 @@ TEST(EncoderTest, OrderVarCountsAndPairLookup) {
   EXPECT_FALSE(s0.OrderBound(0, emp.IndexOf("FN").value()));
   EXPECT_FALSE(s0.OrderBound(1, dept.IndexOf("mgrFN").value()));
   EXPECT_FALSE(s0.OrderBound(1, dept.IndexOf("mgrLN").value()));
-  auto encoder = Encoder::Build(s0).value();
+  auto encoder = BuildWholeSpecEncoder(s0).value();
   // Only order-bound attributes get order variables.  Emp: Mary's group
   // of 3 → 3 pairs × 4 bound attrs = 12; Dept: group of 4 → 6 pairs × 2
   // bound attrs = 12.
@@ -54,7 +60,7 @@ TEST(EncoderTest, OrderVarCountsAndPairLookup) {
 
 TEST(EncoderTest, OrdLitOrientationIsConsistent) {
   Specification s0 = MakeS0();
-  auto encoder = Encoder::Build(s0).value();
+  auto encoder = BuildWholeSpecEncoder(s0).value();
   sat::Lit fwd = encoder->OrdLit(0, 4, 0, 2);
   sat::Lit bwd = encoder->OrdLit(0, 4, 2, 0);
   EXPECT_EQ(fwd, sat::Negate(bwd));  // totality/antisymmetry baked in
@@ -68,7 +74,7 @@ TEST(EncoderTest, CellsCollapseDuplicateValues) {
   ASSERT_TRUE(r.AppendValues({Value("e"), Value(7)}).ok());
   ASSERT_TRUE(r.AppendValues({Value("e"), Value(7)}).ok());
   ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r))).ok());
-  auto encoder = Encoder::Build(spec).value();
+  auto encoder = BuildWholeSpecEncoder(spec).value();
   ASSERT_EQ(encoder->cells().size(), 1u);
   EXPECT_EQ(encoder->cells()[0].values.size(), 1u);
   // The single cell-value literal exists and a bogus value does not.
@@ -82,7 +88,7 @@ TEST(EncoderTest, CellsCollapseDuplicateValues) {
 
 TEST(EncoderTest, ModelDecodesToConsistentCompletionAndLst) {
   Specification s0 = MakeS0();
-  auto encoder = Encoder::Build(s0).value();
+  auto encoder = BuildWholeSpecEncoder(s0).value();
   ASSERT_EQ(encoder->solver().Solve(), sat::SolveResult::kSat);
   Completion c = encoder->ExtractCompletion();
   EXPECT_TRUE(IsConsistentCompletion(s0, c).value());
@@ -97,7 +103,7 @@ TEST(EncoderTest, ModelDecodesToConsistentCompletionAndLst) {
 
 TEST(CertainPrefixTest, HornClosureDerivesConditionalOrders) {
   Specification s0 = MakeS0();
-  auto prefix = CertainOrderPrefix(s0).value();
+  auto prefix = HornPrefix(s0).value();
   ASSERT_TRUE(prefix.consistent);
   const Schema& emp = s0.instance(0).schema();
   AttrIndex salary = emp.IndexOf("salary").value();
@@ -126,7 +132,7 @@ TEST(CertainPrefixTest, EveryDerivedPairIsCertain) {
   // Soundness: each derived pair must hold in every consistent completion
   // (checked against the brute-force oracle on the trimmed S0).
   Specification spec = currency::testing::MakeS0Trimmed();
-  auto prefix = CertainOrderPrefix(spec).value();
+  auto prefix = HornPrefix(spec).value();
   ASSERT_TRUE(prefix.consistent);
   for (int i = 0; i < spec.num_instances(); ++i) {
     const Schema& schema = spec.instance(i).schema();
@@ -155,7 +161,7 @@ TEST(CertainPrefixTest, PureDenialWithCertainPremisesIsInconsistent) {
   ASSERT_TRUE(
       spec.AddConstraintText("FORALL s, t IN R: t PREC[A] s -> t PREC[B] t")
           .ok());
-  auto prefix = CertainOrderPrefix(spec).value();
+  auto prefix = HornPrefix(spec).value();
   EXPECT_FALSE(prefix.consistent);
   EXPECT_FALSE(DecideConsistency(spec)->consistent);
 }
@@ -209,7 +215,7 @@ TEST(SpCcqaCornerTest, SharedSourceCouplingMakesFastPathConservative) {
   EXPECT_EQ(exact, oracle);
   // ... while the literal Prop 6.3 algorithm reports the sound subset ∅
   // (both cells get fresh constants, the selection x = y fails).
-  auto fast = SpCertainCurrentAnswers(spec, sp).value();
+  auto fast = LiteralSpCertainAnswers(spec, sp).value();
   EXPECT_TRUE(fast.empty());
   // Subset relation (soundness) holds.
   for (const Tuple& t : fast) EXPECT_TRUE(exact.count(t));
@@ -234,97 +240,77 @@ TEST(SpCcqaCornerTest, SharedSourceCouplingMakesFastPathConservative) {
   EXPECT_EQ(batch[1].is_certain, std::optional<bool>(true));
 }
 
+// The same corner across two target entities: T.X of f and T.Y of g both
+// copy S.C of e.  Whichever of e's tuples is current, one of f and g has
+// current tuple (0, 2): (f, 0, 2) when s0 ≺ s1, (g, 0, 2) when s1 ≺ s0.
+// poss(S) gives f (c, 2) and g (0, c′), so the literal construction
+// answers ∅, while the component {e, f, g} is chase-eligible but not
+// chase-enumerable and so answered exactly on SAT.
+TEST(SpCcqaCornerTest, SharedSourceAcrossEntitiesIsAnsweredExactly) {
+  Specification spec;
+  Relation s(Schema::Make("S", {"C"}).value());
+  ASSERT_TRUE(s.AppendValues({Value("e"), Value(2)}).ok());  // s0
+  ASSERT_TRUE(s.AppendValues({Value("e"), Value(0)}).ok());  // s1
+  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(s))).ok());
+  Relation t(Schema::Make("T", {"X", "Y"}).value());
+  ASSERT_TRUE(t.AppendValues({Value("f"), Value(2), Value(2)}).ok());  // f1
+  ASSERT_TRUE(t.AppendValues({Value("f"), Value(0), Value(2)}).ok());  // f2
+  ASSERT_TRUE(t.AppendValues({Value("g"), Value(0), Value(2)}).ok());  // g1
+  ASSERT_TRUE(t.AppendValues({Value("g"), Value(0), Value(0)}).ok());  // g2
+  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(t))).ok());
+  // T.X ⇐ S.C maps f1 ⇐ s0, f2 ⇐ s1; T.Y ⇐ S.C maps g1 ⇐ s0, g2 ⇐ s1.
+  for (const auto& [attr, first] :
+       {std::pair<const char*, TupleId>{"X", 0}, {"Y", 2}}) {
+    copy::CopySignature sig;
+    sig.target_relation = "T";
+    sig.target_attrs = {attr};
+    sig.source_relation = "S";
+    sig.source_attrs = {"C"};
+    copy::CopyFunction fn(sig);
+    ASSERT_TRUE(fn.Map(first, 0).ok());
+    ASSERT_TRUE(fn.Map(first + 1, 1).ok());
+    ASSERT_TRUE(spec.AddCopyFunction(std::move(fn)).ok());
+  }
+  auto q = query::ParseQuery("Q(x, y) := EXISTS e: T(e, x, y)").value();
+  ASSERT_TRUE(query::IsSpQuery(q));
+  const std::set<Tuple> oracle = BruteForceCertainAnswers(spec, q).value();
+  const Tuple answer({Value(0), Value(2)});
+  ASSERT_EQ(oracle, std::set<Tuple>{answer});
+  EXPECT_TRUE(LiteralSpCertainAnswers(spec, q).value().empty());
+
+  const Decomposition d = Decomposition::Build(spec).value();
+  ASSERT_EQ(d.num_components(), 1);
+  EXPECT_TRUE(d.chase_eligible(0));
+  EXPECT_FALSE(d.chase_enumerable(0));
+  EXPECT_EQ(CertainCurrentAnswers(spec, q).value(), oracle);
+  EXPECT_TRUE(IsCertainCurrentAnswer(spec, q, answer).value());
+  auto session = serve::CurrencySession::Create(spec).value();
+  auto batch = session
+                   ->CcqaBatch({serve::CcqaRequest{q, std::nullopt},
+                                serve::CcqaRequest{q, answer}})
+                   .value();
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].answers, std::optional<std::set<Tuple>>(oracle));
+  EXPECT_EQ(batch[1].is_certain, std::optional<bool>(true));
+}
+
 TEST(ChaseTest, PassesAreReported) {
   Specification s0 = MakeS0();
-  auto chase = ChaseCopyOrders(s0).value();
+  auto chase = ChaseWholeSpec(s0).value();
   EXPECT_GE(chase.passes, 1);
-  auto prefix = CertainOrderPrefix(s0).value();
+  auto prefix = HornPrefix(s0).value();
   EXPECT_GE(prefix.passes, chase.passes);
 }
 
-/// Reference chase propagation using the pre-bucketing quadratic pair
-/// expansion (the O(|ρ|²) double loop BuildEdgePlans used to run): the
-/// bucketed plans must reach the same fixpoint — same certain orders,
-/// same consistency verdict — because the closure is a least fixpoint of
-/// monotone rules and therefore independent of pair application order.
-struct ReferenceChaseResult {
-  std::vector<std::vector<PartialOrder>> orders;
-  bool consistent = true;
-};
-
-ReferenceChaseResult ReferenceChase(const Specification& spec) {
-  ReferenceChaseResult ref;
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    ref.orders.push_back(spec.instance(i).orders());
-  }
-  struct RefPair {
-    TupleId t1, t2, s1, s2;
-  };
-  struct RefPlan {
-    int source, target;
-    std::vector<std::pair<AttrIndex, AttrIndex>> attrs;
-    std::vector<RefPair> pairs;
-  };
-  std::vector<RefPlan> plans;
-  for (const CopyEdge& edge : spec.copy_edges()) {
-    RefPlan plan;
-    plan.source = edge.source_instance;
-    plan.target = edge.target_instance;
-    const Relation& target = spec.instance(edge.target_instance).relation();
-    const Relation& source = spec.instance(edge.source_instance).relation();
-    plan.attrs = edge.fn.ResolveAttrs(target.schema(), source.schema()).value();
-    for (const auto& [t1, s1] : edge.fn.mapping()) {
-      for (const auto& [t2, s2] : edge.fn.mapping()) {
-        if (t1 == t2 || s1 == s2) continue;
-        if (!(target.tuple(t1).eid() == target.tuple(t2).eid())) continue;
-        if (!(source.tuple(s1).eid() == source.tuple(s2).eid())) continue;
-        plan.pairs.push_back(RefPair{t1, t2, s1, s2});
-      }
-    }
-    plans.push_back(std::move(plan));
-  }
-  bool changed = true;
-  while (changed && ref.consistent) {
-    changed = false;
-    for (const RefPlan& plan : plans) {
-      for (const auto& [a, b] : plan.attrs) {
-        PartialOrder& tgt = ref.orders[plan.target][a];
-        PartialOrder& src = ref.orders[plan.source][b];
-        for (const RefPair& p : plan.pairs) {
-          if (src.Less(p.s1, p.s2) && !tgt.Less(p.t1, p.t2)) {
-            if (!tgt.TryAdd(p.t1, p.t2)) {
-              ref.consistent = false;
-              return ref;
-            }
-            changed = true;
-          }
-          if (tgt.Less(p.t1, p.t2) && !src.Less(p.s1, p.s2)) {
-            if (!src.TryAdd(p.s1, p.s2)) {
-              ref.consistent = false;
-              return ref;
-            }
-            changed = true;
-          }
-        }
-      }
-    }
-  }
-  return ref;
-}
-
+/// Every component fixpoint equals the quadratic whole-spec chase
+/// (ChaseWholeSpec) restricted to its groups, and the consistency verdicts
+/// agree: the component plans walk copy buckets in bucket order, the
+/// reference expands each mapping's full square in mapping order, and the
+/// closure is a least fixpoint of monotone rules, so the orders must not
+/// depend on either.
 void ExpectChaseMatchesReference(const Specification& spec) {
-  auto chase = ChaseCopyOrders(spec);
-  ASSERT_TRUE(chase.ok()) << chase.status();
-  ReferenceChaseResult ref = ReferenceChase(spec);
-  ASSERT_EQ(chase->consistent, ref.consistent);
-  if (!ref.consistent) return;  // orders are meaningless mid-abort
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    for (size_t a = 1; a < ref.orders[i].size(); ++a) {
-      EXPECT_EQ(chase->certain_orders[i][a].ToString(),
-                ref.orders[i][a].ToString())
-          << "instance " << i << " attr " << a;
-    }
-  }
+  const Status status = currency::testing::CompareComponentChases(spec);
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 /// A large copy edge whose bucketed pair order differs from the raw

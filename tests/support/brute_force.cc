@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "src/core/chase.h"
 #include "tests/support/linear_extensions.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::core {
 
@@ -108,7 +108,8 @@ Result<int64_t> EnumerateConsistentCompletions(
   // Seed with the certain prefix: every consistent completion contains it,
   // so enumerating extensions of the seed loses nothing and cuts the
   // cross product by orders of magnitude on constrained inputs.
-  ASSIGN_OR_RETURN(ChaseResult prefix, CertainOrderPrefix(spec));
+  ASSIGN_OR_RETURN(currency::testing::WholeSpecChase prefix,
+                   currency::testing::HornPrefix(spec));
   if (!prefix.consistent) return 0;
 
   // Collect slots and pre-enumerate their linear extensions, grouped

@@ -6,6 +6,7 @@
 #include "src/core/ccqa.h"
 #include "src/core/encoder.h"
 #include "src/sat/model_enumerator.h"
+#include "tests/support/whole_spec.h"
 
 namespace currency::testing {
 
@@ -80,7 +81,7 @@ Result<bool> SnapshotThenProbe(const core::Specification& spec,
 
 Result<bool> MonolithicConsistent(const core::Specification& spec,
                                   core::Completion* witness) {
-  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
+  ASSIGN_OR_RETURN(auto encoder, BuildWholeSpecEncoder(spec));
   if (encoder->solver().Solve() != sat::SolveResult::kSat) return false;
   if (witness != nullptr) *witness = encoder->ExtractCompletion();
   return true;
@@ -89,7 +90,7 @@ Result<bool> MonolithicConsistent(const core::Specification& spec,
 Result<bool> MonolithicCertainOrder(const core::Specification& spec,
                                     const core::CurrencyOrderQuery& query) {
   ASSIGN_OR_RETURN(int inst, core::internal::OrderQueryInstance(spec, query));
-  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
+  ASSIGN_OR_RETURN(auto encoder, BuildWholeSpecEncoder(spec));
   if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
     return true;  // Mod(S) = ∅: vacuously certain
   }
@@ -118,7 +119,7 @@ Result<bool> MonolithicCertainOrder(const core::Specification& spec,
 Result<bool> MonolithicDeterministic(const core::Specification& spec,
                                      const std::string& relation) {
   ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
-  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
+  ASSIGN_OR_RETURN(auto encoder, BuildWholeSpecEncoder(spec));
   if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
     return true;  // vacuous
   }
@@ -129,7 +130,7 @@ Result<std::set<Tuple>> MonolithicCertainAnswers(
     const core::Specification& spec, const query::Query& q) {
   ASSIGN_OR_RETURN(std::vector<int> instances,
                    core::internal::QueryInstances(spec, q));
-  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
+  ASSIGN_OR_RETURN(auto encoder, BuildWholeSpecEncoder(spec));
   return core::internal::CertainAnswersVia(encoder.get(), nullptr, spec, q,
                                            instances, core::CcqaOptions{});
 }
@@ -138,7 +139,7 @@ Result<bool> MonolithicIsCertainAnswer(const core::Specification& spec,
                                        const query::Query& q, const Tuple& t) {
   ASSIGN_OR_RETURN(std::vector<int> instances,
                    core::internal::QueryInstances(spec, q));
-  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
+  ASSIGN_OR_RETURN(auto encoder, BuildWholeSpecEncoder(spec));
   // The loop's first Solve is UNSAT on an inconsistent specification,
   // which answers true — the vacuous convention.
   return core::internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
@@ -148,7 +149,7 @@ Result<bool> MonolithicIsCertainAnswer(const core::Specification& spec,
 Result<int64_t> MonolithicForEachCurrentInstance(
     const core::Specification& spec, int64_t max_instances,
     const std::function<bool(const query::Database&)>& visit) {
-  ASSIGN_OR_RETURN(auto encoder, core::Encoder::Build(spec));
+  ASSIGN_OR_RETURN(auto encoder, BuildWholeSpecEncoder(spec));
   Status inner = Status::OK();
   ASSIGN_OR_RETURN(
       sat::ProjectedModelEnumeration enumeration,

@@ -1,6 +1,7 @@
 // The monolithic SAT reference: the four decision procedures answered on
-// ONE unfiltered Encoder::Build(spec) — the encoding of the whole
-// specification, with no decomposition, no chase routing and no caching.
+// ONE encoder over every entity group (BuildWholeSpecEncoder, whole_spec.h)
+// — the encoding of the whole specification, with no decomposition, no
+// chase routing and no caching.
 // The equivalence suites check the engine every procedure runs on
 // (core::DecomposedEncoder) against it alongside the brute-force oracle,
 // and bench/bench_scale_decomposition times it as the undecomposed

@@ -16,10 +16,12 @@
 // tree when run via ctest) in wal_test_dirs/, which is gitignored, and
 // are removed on test exit.
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -337,6 +339,78 @@ TEST(WalLog, CorruptSnapshotIsAHardError) {
   EXPECT_FALSE(wal::LogWriter::Open(dir.path()).ok());
 }
 
+/// Lowers this process's RLIMIT_FSIZE soft limit to `bytes`, with SIGXFSZ
+/// ignored so that a write crossing it stops part way and the next write
+/// fails with EFBIG instead of killing the process.  Restores both on
+/// destruction.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(uintmax_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  struct rlimit saved_;
+  void (*saved_handler_)(int);
+};
+
+// A write that stops part way leaves a torn record in the tail, and
+// recovery drops everything behind it — so a writer that kept appending
+// would acknowledge records recovery then loses.  It fails stop instead.
+TEST(WalLog, TornAppendBreaksTheWriterUntilReopened) {
+  TestDir dir("torn_append");
+  auto writer = wal::LogWriter::Open(dir.path());
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  wal::LogWriter& w = *writer.value();
+  ASSERT_EQ(w.Append("first").value(), 1u);
+  ASSERT_TRUE(w.Sync().ok());
+  const std::vector<std::string> segments = SegmentFiles(dir.path());
+  ASSERT_EQ(segments.size(), 1u);
+  const uintmax_t synced_bytes = fs::file_size(segments[0]);
+  {
+    // Room for the next record's 16-byte header and 4 payload bytes.
+    FileSizeLimit limit(synced_bytes + 20);
+    EXPECT_FALSE(w.Append(std::string(100, 'x')).ok());
+  }
+  ASSERT_GT(fs::file_size(segments[0]), synced_bytes)
+      << "the append must stop part way, leaving a torn record";
+  EXPECT_EQ(w.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(w.Append("third").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(w.Sync().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(w.WriteSnapshot("snapshot").code(),
+            StatusCode::kFailedPrecondition);
+  // Every acknowledged record survives.
+  auto recovered = wal::LogReader::ReadDir(dir.path());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered.value().records.size(), 1u);
+  EXPECT_EQ(recovered.value().records[0].payload, "first");
+  EXPECT_GT(recovered.value().dropped_bytes, 0u);
+  writer.value().reset();
+
+  // Reopening truncates the torn tail, and appends are durable again.
+  auto reopened = wal::LogWriter::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened.value()->status().ok());
+  ASSERT_EQ(reopened.value()->Append("third").value(), 2u);
+  ASSERT_TRUE(reopened.value()->Sync().ok());
+  recovered = wal::LogReader::ReadDir(dir.path());
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_EQ(recovered.value().records.size(), 2u);
+  EXPECT_EQ(recovered.value().records[1].payload, "third");
+  EXPECT_EQ(recovered.value().dropped_bytes, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Manager level: commands, replay, answer equality.
 // ---------------------------------------------------------------------------
@@ -561,6 +635,42 @@ TEST(WalManager, RejectedMutationsAreNeverLogged) {
   ASSERT_TRUE(rec.ok());
   // Exactly the accepted history: one register, one mutate.
   EXPECT_EQ(rec.value().records.size(), 2u);
+}
+
+TEST(WalManager, BrokenLogRefusesCommandsUntilReopened) {
+  TestDir dir("broken_log");
+  const core::Specification spec = MakeRandomSpec(3, false, true);
+  {
+    auto manager = SessionManager::Open(dir.path());
+    ASSERT_TRUE(manager.ok());
+    SessionManager& m = *manager.value();
+    ASSERT_TRUE(m.Register("t", spec, {}).ok());
+    const std::vector<std::string> segments = SegmentFiles(dir.path());
+    ASSERT_FALSE(segments.empty());
+    {
+      FileSizeLimit limit(fs::file_size(segments.back()) + 20);
+      EXPECT_FALSE(m.Mutate("t", {{0, 0, 1, Value(3)}}).ok());
+    }
+    // Refused before apply: the tenant's state stays as it was.
+    const std::string before = TenantSpecWire(&m, "t");
+    EXPECT_EQ(m.Mutate("t", {{0, 0, 1, Value(5)}}).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(TenantSpecWire(&m, "t"), before);
+    EXPECT_EQ(m.Register("u", spec, {}).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(m.Drop("t").code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(m.Tenants(), std::vector<std::string>{"t"});
+    EXPECT_EQ(m.Snapshot().code(), StatusCode::kFailedPrecondition);
+  }
+  // Reopening recovers the acknowledged history and accepts commands.
+  auto manager = SessionManager::Open(dir.path());
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  EXPECT_EQ(TenantSpecWire(manager.value().get(), "t"),
+            wire::SerializeSpecification(spec));
+  EXPECT_TRUE(manager.value()->Mutate("t", {{0, 0, 1, Value(5)}}).ok());
+  auto recovered = wal::LogReader::ReadDir(dir.path());
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value().records.size(), 2u);
 }
 
 TEST(WalManager, DropAndReRegisterAreDurable) {
