@@ -1,27 +1,27 @@
 // Observability overhead benchmark: what the metrics + tracing layer
 // (src/obs) costs on the warm serving path.
 //
-// Like bench_serve this is a plain binary (no Google Benchmark): it
-// reports warm-query latency percentiles and machine-readable JSON for
-// scripts/bench.sh (BENCH_obs.json), and self-checks every answer
-// against the one-shot solver.
+// Like bench_serve this is plain C++ on the shared harness
+// (bench/harness.h): it reports warm-query latency percentiles and
+// machine-readable JSON for scripts/bench.sh (BENCH_obs.json), and
+// self-checks every answer against the one-shot solver.
 //
 // The A/B runs across two build trees: scripts/bench.sh first runs the
-// binary from a -DCURRENCY_OBS_OFF=ON tree (mode "compiled_out" — every
-// TraceSpan/Stage/ScopedTimer is an empty type, zero clock reads) to get
-// the baseline warm p50, then runs the instrumented tree's binary with
-// --baseline-p50-ms=F --max-overhead=R, which enforces the overhead
-// ceiling (traced p50 <= R x baseline p50; the committed floor is 1.05,
-// i.e. <= 5%).  In-process the binary additionally A/Bs tracer-enabled
+// binary from a -DCURRENCY_OBS_OFF=ON tree (workload.mode "compiled_out"
+// — every TraceSpan/Stage/ScopedTimer is an empty type, zero clock
+// reads) to get the baseline warm p50, then runs the instrumented tree's
+// binary with --baseline-p50-ms=F --max-overhead=R, which enforces the
+// overhead ceiling (traced p50 <= R x baseline p50; the committed floor
+// is 1.05, i.e. <= 5%).  In-process the binary additionally A/Bs tracer-enabled
 // vs tracer-absent sessions, so the report separates "counters +
 // histograms" cost from "live trace spans" cost.
 //
-// Workload: the sharded shape of bench_serve without the copy instance —
-// R holds `entities` four-tuple entities, each with a planted-
-// satisfiable order puzzle, so warm COP queries pay cache lookups and
-// answer decoding but no re-solves: exactly the path where per-request
-// instrumentation (span open/close, stage attach, histogram observe)
-// could show up.
+// Workload: the harness's sharded shape without the copy instance, with
+// eight puzzle clauses drawn from seed 17 — R holds `entities`
+// four-tuple entities, each with a planted-satisfiable order puzzle, so
+// warm COP queries pay cache lookups and answer decoding but no
+// re-solves: exactly the path where per-request instrumentation (span
+// open/close, stage attach, histogram observe) could show up.
 //
 // The enforced series is the warm BATCH per-query p50 (all queries in
 // one CopBatch, divided by the batch size) — the same shape bench_serve
@@ -37,14 +37,11 @@
 // Flags: --entities=N --queries=Q --iters=K --threads=T
 //        --baseline-p50-ms=F --max-overhead=R --out=FILE
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <random>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/core/certain_order.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -54,138 +51,20 @@ namespace {
 
 using namespace currency;  // NOLINT
 
-constexpr int kGroup = 4;    // tuples per R entity
-constexpr int kClauses = 8;  // puzzle clauses per entity
-
-std::string PadId(const char* prefix, int e) {
-  std::string digits = std::to_string(e);
-  return std::string(prefix) + std::string(6 - digits.size(), '0') + digits;
-}
-
-/// Planted-satisfiable ternary denial clauses over A-order literals,
-/// pinned through the P selector — the bench_serve scheme, sized down.
-std::vector<std::string> MakePuzzleConstraints(unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> tup(0, kGroup - 1);
-  std::uniform_int_distribution<int> coin(0, 1);
-  const char* vars[] = {"a", "b", "c", "d", "e", "f"};
-  std::vector<std::string> out;
-  while (static_cast<int>(out.size()) < kClauses) {
-    struct Literal {
-      int lo, hi;
-      bool identity;
-    };
-    std::vector<Literal> lits;
-    bool any_identity = false;
-    for (int k = 0; k < 3; ++k) {
-      int lo = tup(rng), hi = tup(rng);
-      while (hi == lo) hi = tup(rng);
-      if (lo > hi) std::swap(lo, hi);
-      bool identity = coin(rng) == 1;
-      if (k == 2 && !any_identity) identity = true;  // plant satisfiability
-      any_identity |= identity;
-      lits.push_back({lo, hi, identity});
-    }
-    std::string text = "FORALL a, b, c, d, e, f IN R: ";
-    for (int k = 0; k < 3; ++k) {
-      text += std::string(vars[2 * k]) + ".P = " + std::to_string(lits[k].lo) +
-              " AND " + vars[2 * k + 1] + ".P = " +
-              std::to_string(lits[k].hi) + " AND ";
-    }
-    for (int k = 0; k < 3; ++k) {
-      std::string lo = vars[2 * k], hi = vars[2 * k + 1];
-      text += lits[k].identity ? hi + " PREC[A] " + lo
-                               : lo + " PREC[A] " + hi;
-      text += (k < 2) ? " AND " : " -> a PREC[A] a";  // pure denial
-    }
-    out.push_back(std::move(text));
-  }
-  return out;
-}
-
-core::Specification MakeShardedSpec(int entities) {
-  core::Specification spec;
-  Schema rs = Schema::Make("R", {"P", "A", "B"}).value();
-  Relation r(rs);
-  for (int e = 0; e < entities; ++e) {
-    Value eid(PadId("e", e));
-    for (int k = 0; k < kGroup; ++k) {
-      (void)r.AppendValues({eid, Value(k), Value(k), Value(k % 2)});
-    }
-  }
-  (void)spec.AddInstance(core::TemporalInstance(std::move(r)));
-  for (const std::string& text : MakePuzzleConstraints(/*seed=*/17)) {
-    (void)spec.AddConstraintText(text);
-  }
-  return spec;
-}
-
-std::vector<core::CurrencyOrderQuery> MakeQueries(int entities, int queries) {
-  std::vector<core::CurrencyOrderQuery> out;
-  for (int k = 0; k < queries; ++k) {
-    int e = (static_cast<int64_t>(k) * entities) / queries;
-    core::CurrencyOrderQuery q;
-    q.relation = "R";
-    q.pairs = {core::RequiredPair{2, e * kGroup, e * kGroup + 1},
-               core::RequiredPair{2, e * kGroup + 3, e * kGroup + 2}};
-    out.push_back(std::move(q));
-  }
-  return out;
-}
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Series {
-  std::string name;
-  std::vector<double> samples_ms;
-
-  double Total() const {
-    double t = 0;
-    for (double s : samples_ms) t += s;
-    return t;
-  }
-  double Percentile(double q) const {
-    if (samples_ms.empty()) return 0;
-    std::vector<double> sorted = samples_ms;
-    std::sort(sorted.begin(), sorted.end());
-    size_t rank = static_cast<size_t>(q * (sorted.size() - 1) + 0.5);
-    return sorted[std::min(rank, sorted.size() - 1)];
-  }
-  std::string ToJson() const {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\": \"%s\", \"n\": %zu, \"ops_per_sec\": %.3f, "
-                  "\"p50_ms\": %.6f, \"p95_ms\": %.6f, \"mean_ms\": %.6f}",
-                  name.c_str(), samples_ms.size(),
-                  samples_ms.empty() || Total() <= 0
-                      ? 0.0
-                      : 1000.0 * samples_ms.size() / Total(),
-                  Percentile(0.50), Percentile(0.95),
-                  samples_ms.empty() ? 0.0 : Total() / samples_ms.size());
-    return buf;
-  }
-};
-
-int Fail(const char* what) {
-  std::fprintf(stderr, "bench_obs_overhead: FAILED: %s\n", what);
-  return 1;
-}
+constexpr bench::ShardShape kShape{.clauses = 8, .seed = 17,
+                                   .replica = false};
 
 /// Warm single-query loop against an already-warmed session; answers are
 /// checked against the one-shot references on every iteration.
 bool RunWarmLoop(serve::CurrencySession* session,
                  const std::vector<core::CurrencyOrderQuery>& queries,
                  const std::vector<bool>& reference, int iters,
-                 Series* series) {
+                 bench::Series* series) {
   for (int it = 0; it < iters; ++it) {
     for (size_t k = 0; k < queries.size(); ++k) {
-      double t0 = NowMs();
+      double t0 = bench::NowMs();
       auto one = session->CopBatch({queries[k]});
-      series->samples_ms.push_back(NowMs() - t0);
+      series->samples_ms.push_back(bench::NowMs() - t0);
       if (!one.ok() || (*one)[0] != reference[k]) return false;
     }
   }
@@ -197,11 +76,12 @@ bool RunWarmLoop(serve::CurrencySession* session,
 bool RunBatchLoop(serve::CurrencySession* session,
                   const std::vector<core::CurrencyOrderQuery>& queries,
                   const std::vector<bool>& reference, int iters,
-                  Series* series) {
+                  bench::Series* series) {
   for (int it = 0; it < iters; ++it) {
-    double t0 = NowMs();
+    double t0 = bench::NowMs();
     auto batch = session->CopBatch(queries);
-    double per_query = (NowMs() - t0) / static_cast<double>(queries.size());
+    double per_query =
+        (bench::NowMs() - t0) / static_cast<double>(queries.size());
     if (!batch.ok()) return false;
     for (size_t k = 0; k < queries.size(); ++k) {
       if ((*batch)[k] != reference[k]) return false;
@@ -214,32 +94,21 @@ bool RunBatchLoop(serve::CurrencySession* session,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Report report("bench_obs_overhead");
   int entities = 256;
   int queries = 32;
   int iters = 5;
   int threads = 1;
   double baseline_p50_ms = 0.0;
   double max_overhead = 0.0;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--entities=", 11) == 0) {
-      entities = std::atoi(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      queries = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-      iters = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--baseline-p50-ms=", 18) == 0) {
-      baseline_p50_ms = std::atof(argv[i] + 18);
-    } else if (std::strncmp(argv[i], "--max-overhead=", 15) == 0) {
-      max_overhead = std::atof(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "bench_obs_overhead: unknown flag %s\n", argv[i]);
-      return 1;
-    }
+  if (!report.ParseFlags(argc, argv,
+                         {{"entities", &entities},
+                          {"queries", &queries},
+                          {"iters", &iters},
+                          {"threads", &threads},
+                          {"baseline-p50-ms", &baseline_p50_ms},
+                          {"max-overhead", &max_overhead}})) {
+    return 1;
   }
   if (entities < queries) queries = entities;
 
@@ -249,32 +118,34 @@ int main(int argc, char** argv) {
   const char* mode = "instrumented";
 #endif
 
-  core::Specification spec = MakeShardedSpec(entities);
+  core::Specification spec = bench::MakeShardedSpec(entities, kShape);
   std::vector<core::CurrencyOrderQuery> cop_queries =
-      MakeQueries(entities, queries);
+      bench::MakeSpreadQueries(entities, queries, kShape.group);
   std::vector<bool> reference;
   for (const core::CurrencyOrderQuery& q : cop_queries) {
     auto fresh = core::IsCertainOrder(spec, q);
-    if (!fresh.ok()) return Fail(fresh.status().ToString().c_str());
+    if (!fresh.ok()) return report.Fail(fresh.status().ToString());
     reference.push_back(*fresh);
   }
 
   // A: no tracer (metrics counters/histograms still live unless the
   // whole layer is compiled out).
-  Series untraced_batch{"warm_batch_cop_per_query_untraced", {}};
-  Series untraced_single{"warm_single_cop_untraced", {}};
+  bench::Series untraced_batch{"warm_batch_cop_per_query_untraced"};
+  bench::Series untraced_single{"warm_single_cop_untraced"};
   {
     serve::SessionOptions options;
     options.num_threads = threads;
     auto session = serve::CurrencySession::Create(spec, options);
-    if (!session.ok()) return Fail(session.status().ToString().c_str());
+    if (!session.ok()) return report.Fail(session.status().ToString());
     auto consistent = (*session)->CpsCheck();
-    if (!consistent.ok() || !*consistent) return Fail("workload must be SAT");
+    if (!consistent.ok() || !*consistent) {
+      return report.Fail("workload must be SAT");
+    }
     if (!RunBatchLoop(session->get(), cop_queries, reference, iters,
                       &untraced_batch) ||
         !RunWarmLoop(session->get(), cop_queries, reference, iters,
                      &untraced_single)) {
-      return Fail("untraced answer differs from one-shot solver");
+      return report.Fail("untraced answer differs from one-shot solver");
     }
   }
 
@@ -283,81 +154,53 @@ int main(int argc, char** argv) {
   obs::TraceOptions trace_options;
   trace_options.enabled = true;
   obs::Tracer tracer(trace_options);
-  Series traced_batch{"warm_batch_cop_per_query_traced", {}};
-  Series traced_single{"warm_single_cop_traced", {}};
+  bench::Series traced_batch{"warm_batch_cop_per_query_traced"};
+  bench::Series traced_single{"warm_single_cop_traced"};
   {
     serve::SessionOptions options;
     options.num_threads = threads;
     options.tracer = &tracer;
     auto session = serve::CurrencySession::Create(spec, options);
-    if (!session.ok()) return Fail(session.status().ToString().c_str());
+    if (!session.ok()) return report.Fail(session.status().ToString());
     auto consistent = (*session)->CpsCheck();
-    if (!consistent.ok() || !*consistent) return Fail("workload must be SAT");
+    if (!consistent.ok() || !*consistent) {
+      return report.Fail("workload must be SAT");
+    }
     if (!RunBatchLoop(session->get(), cop_queries, reference, iters,
                       &traced_batch) ||
         !RunWarmLoop(session->get(), cop_queries, reference, iters,
                      &traced_single)) {
-      return Fail("traced answer differs from one-shot solver");
+      return report.Fail("traced answer differs from one-shot solver");
     }
   }
 #ifndef CURRENCY_OBS_OFF
   if (tracer.recorded_traces() == 0) {
-    return Fail("tracer recorded no spans in the traced run");
+    return report.Fail("tracer recorded no spans in the traced run");
   }
 #endif
 
-  double in_process_ratio =
-      untraced_batch.Percentile(0.5) > 0
-          ? traced_batch.Percentile(0.5) / untraced_batch.Percentile(0.5)
-          : 0.0;
-  double vs_baseline_ratio =
-      baseline_p50_ms > 0 ? traced_batch.Percentile(0.5) / baseline_p50_ms
-                          : 0.0;
-
-  std::string json = "{\n  \"bench\": \"bench_obs_overhead\",\n";
-  json += "  \"mode\": \"" + std::string(mode) + "\",\n";
-  json += "  \"workload\": {";
-  json += "\"entities\": " + std::to_string(entities) +
-          ", \"queries\": " + std::to_string(queries) +
-          ", \"iters\": " + std::to_string(iters) +
-          ", \"threads\": " + std::to_string(threads) + "},\n  \"results\": [";
-  const Series* all[] = {&untraced_batch, &traced_batch, &untraced_single,
-                         &traced_single};
-  for (size_t k = 0; k < 4; ++k) {
-    json += std::string(k ? "," : "") + "\n    " + all[k]->ToJson();
+  report.Workload("mode", mode);
+  report.Workload("entities", entities);
+  report.Workload("queries", queries);
+  report.Workload("iters", iters);
+  report.Workload("threads", threads);
+  report.Workload("baseline_p50_ms", baseline_p50_ms);
+  for (const bench::Series* series :
+       {&untraced_batch, &traced_batch, &untraced_single, &traced_single}) {
+    report.Row(*series);
   }
-  char tail[256];
-  std::snprintf(tail, sizeof tail,
-                "\n  ],\n  \"traced_vs_untraced_p50\": %.4f,\n"
-                "  \"baseline_p50_ms\": %.6f,\n"
-                "  \"traced_vs_baseline_p50\": %.4f\n}\n",
-                in_process_ratio, baseline_p50_ms, vs_baseline_ratio);
-  json += tail;
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) return Fail("cannot open --out file");
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf(
-        "bench_obs_overhead: wrote %s (mode %s, traced/untraced %.3fx%s)\n",
-        out_path.c_str(), mode, in_process_ratio,
-        baseline_p50_ms > 0
-            ? (", vs compiled-out baseline " +
-               std::to_string(vs_baseline_ratio) + "x")
-                  .c_str()
-            : "");
-  }
-  if (max_overhead > 0 && baseline_p50_ms > 0 &&
-      vs_baseline_ratio > max_overhead) {
-    std::fprintf(stderr,
-                 "bench_obs_overhead: FAILED: traced warm per-query p50 "
-                 "%.6f ms is %.3fx the compiled-out baseline %.6f ms "
-                 "(ceiling %.3fx)\n",
-                 traced_batch.Percentile(0.5), vs_baseline_ratio,
-                 baseline_p50_ms, max_overhead);
-    return 1;
-  }
-  return 0;
+  double traced_p50 = traced_batch.Percentile(0.5);
+  report.Ratio("traced_vs_untraced_p50",
+               untraced_batch.Percentile(0.5) > 0
+                   ? traced_p50 / untraced_batch.Percentile(0.5)
+                   : 0.0);
+  report.Ratio("traced_vs_baseline_p50",
+               baseline_p50_ms > 0 ? traced_p50 / baseline_p50_ms : 0.0);
+  char ceiling_message[160];
+  std::snprintf(ceiling_message, sizeof ceiling_message,
+                "traced warm per-query p50 %.6f ms is %%.3fx the "
+                "compiled-out baseline %.6f ms (ceiling %%.3fx)",
+                traced_p50, baseline_p50_ms);
+  report.Ceiling("traced_vs_baseline_p50", max_overhead, ceiling_message);
+  return report.Write();
 }

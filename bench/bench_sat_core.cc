@@ -2,13 +2,14 @@
 // preserved pre-refactor engine (tests/support/legacy_solver.h) on an
 // identical decomposition-scale CPS/COP clause stream, single-threaded.
 //
-// Like bench_serve this is plain C++ (no Google Benchmark dependency):
-// it must A/B two engines in one process, self-check that every verdict
-// agrees, emit machine-readable JSON for scripts/bench.sh
-// (BENCH_sat.json), and enforce a propagation-throughput floor
-// (--require-speedup=F fails the run when arena props/sec < F × legacy
-// props/sec) — so its ctest smoke registration doubles as a correctness
-// test.  The baseline is MEASURED in the same run, not a snapshot.
+// Like bench_serve this is plain C++ on the shared harness
+// (bench/harness.h): it must A/B two engines in one process, self-check
+// that every verdict agrees, emit machine-readable JSON for
+// scripts/bench.sh (BENCH_sat.json), and enforce a propagation-throughput
+// floor (--require-speedup=F fails the run when arena props/sec < F ×
+// legacy props/sec) — so its ctest smoke registration doubles as a
+// correctness test.  The baseline is MEASURED in the same run, not a
+// snapshot.
 //
 // Workload: the order-literal CNF that src/core/encoder.h emits for the
 // sharded master/replica shape of bench_scale_decomposition, generated
@@ -34,13 +35,11 @@
 //        --out=FILE
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/sat/solver.h"
 #include "tests/support/legacy_solver.h"
 
@@ -159,12 +158,6 @@ Workload BuildWorkload(int num_entities, unsigned seed) {
   return w;
 }
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Per-engine measurements.  The probe verdicts and enumeration count are
 /// compared across engines by the caller (they are search-path
 /// independent).
@@ -174,17 +167,7 @@ struct EngineRun {
   double solve_ms = 0;
   double probe_ms = 0;
   double enum_ms = 0;
-  int64_t propagations = 0;
-  int64_t conflicts = 0;
-  int64_t decisions = 0;
-  int64_t arena_bytes = 0;
-  int64_t gc_runs = 0;
-  int64_t reductions = 0;
-  int64_t minimized_literals = 0;
-  int64_t demotions = 0;
-  int64_t tier_core = 0;
-  int64_t tier_mid = 0;
-  int64_t tier_local = 0;
+  sat::SolverStats stats;  // after the last phase
   std::vector<bool> probe_verdicts;
   int64_t enumerated = 0;
   bool base_sat = false;
@@ -192,32 +175,11 @@ struct EngineRun {
   double SearchMs() const { return solve_ms + probe_ms + enum_ms; }
   double PropsPerSec() const {
     double ms = SearchMs();
-    return ms > 0 ? 1000.0 * static_cast<double>(propagations) / ms : 0;
+    return ms > 0 ? 1000.0 * static_cast<double>(stats.propagations) / ms : 0;
   }
   double ConflictsPerSec() const {
     double ms = SearchMs();
-    return ms > 0 ? 1000.0 * static_cast<double>(conflicts) / ms : 0;
-  }
-  std::string ToJson() const {
-    char buf[768];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"engine\": \"%s\", \"build_ms\": %.2f, \"solve_ms\": %.2f, "
-        "\"probe_ms\": %.2f, \"enum_ms\": %.2f, \"propagations\": %lld, "
-        "\"conflicts\": %lld, \"decisions\": %lld, "
-        "\"props_per_sec\": %.0f, \"conflicts_per_sec\": %.0f, "
-        "\"arena_bytes\": %lld, \"gc_runs\": %lld, "
-        "\"minimized_literals\": %lld, \"demotions\": %lld, "
-        "\"tiers\": {\"core\": %lld, \"mid\": %lld, \"local\": %lld}}",
-        name.c_str(), build_ms, solve_ms, probe_ms, enum_ms,
-        static_cast<long long>(propagations),
-        static_cast<long long>(conflicts), static_cast<long long>(decisions),
-        PropsPerSec(), ConflictsPerSec(),
-        static_cast<long long>(arena_bytes), static_cast<long long>(gc_runs),
-        static_cast<long long>(minimized_literals),
-        static_cast<long long>(demotions), static_cast<long long>(tier_core),
-        static_cast<long long>(tier_mid), static_cast<long long>(tier_local));
-    return buf;
+    return ms > 0 ? 1000.0 * static_cast<double>(stats.conflicts) / ms : 0;
   }
 };
 
@@ -231,20 +193,20 @@ EngineRun RunEngine(const char* name, const Workload& w, int probes,
   run.name = name;
 
   SolverT solver;
-  double t0 = NowMs();
+  double t0 = bench::NowMs();
   for (int i = 0; i < w.num_vars; ++i) solver.NewVar();
   for (const auto& clause : w.clauses) (void)solver.AddClause(clause);
-  run.build_ms = NowMs() - t0;
+  run.build_ms = bench::NowMs() - t0;
 
-  t0 = NowMs();
+  t0 = bench::NowMs();
   run.base_sat = solver.Solve() == sat::SolveResult::kSat;
-  run.solve_ms = NowMs() - t0;
+  run.solve_ms = bench::NowMs() - t0;
 
   // COP-style probes: assume a reversed pair (sometimes two) and let the
   // solver refute or complete it.  Entities rotate so probes spread over
   // the whole chained component.
   int num_entities = static_cast<int>(w.entities.size());
-  t0 = NowMs();
+  t0 = bench::NowMs();
   for (int q = 0; q < probes; ++q) {
     int e = static_cast<int>(
         (static_cast<int64_t>(q) * num_entities) / (probes > 0 ? probes : 1));
@@ -257,11 +219,11 @@ EngineRun RunEngine(const char* name, const Workload& w, int probes,
     run.probe_verdicts.push_back(solver.SolveWithAssumptions(assumptions) ==
                                  sat::SolveResult::kSat);
   }
-  run.probe_ms = NowMs() - t0;
+  run.probe_ms = bench::NowMs() - t0;
 
   // DCIP/CCQA-flavored burst: enumerate the projected models over entity
   // 0's attribute-A selector variables, blocking each.
-  t0 = NowMs();
+  t0 = bench::NowMs();
   const sat::Var* projection = w.entities[0].last_a;
   while (run.enumerated < enum_budget &&
          solver.Solve() == sat::SolveResult::kSat) {
@@ -273,50 +235,26 @@ EngineRun RunEngine(const char* name, const Workload& w, int probes,
     }
     if (!solver.AddClause(std::move(block))) break;
   }
-  run.enum_ms = NowMs() - t0;
+  run.enum_ms = bench::NowMs() - t0;
 
-  run.propagations = solver.stats().propagations;
-  run.conflicts = solver.stats().conflicts;
-  run.decisions = solver.stats().decisions;
-  run.arena_bytes = solver.stats().arena_bytes;
-  run.gc_runs = solver.stats().gc_runs;
-  run.reductions = solver.stats().reductions;
-  run.minimized_literals = solver.stats().minimized_literals;
-  run.demotions = solver.stats().demotions;
-  run.tier_core = solver.stats().tier_core;
-  run.tier_mid = solver.stats().tier_tier2;
-  run.tier_local = solver.stats().tier_local;
+  run.stats = solver.stats();
   return run;
-}
-
-int Fail(const char* what) {
-  std::fprintf(stderr, "bench_sat_core: FAILED: %s\n", what);
-  return 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Report report("bench_sat_core");
   int entities = 256;
   int probes = 512;
   int64_t enum_budget = 64;
   double require_speedup = 0.0;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--entities=", 11) == 0) {
-      entities = std::atoi(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--probes=", 9) == 0) {
-      probes = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--enum-budget=", 14) == 0) {
-      enum_budget = std::atoll(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--require-speedup=", 18) == 0) {
-      require_speedup = std::atof(argv[i] + 18);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "bench_sat_core: unknown flag %s\n", argv[i]);
-      return 1;
-    }
+  if (!report.ParseFlags(argc, argv,
+                         {{"entities", &entities},
+                          {"probes", &probes},
+                          {"enum-budget", &enum_budget},
+                          {"require-speedup", &require_speedup}})) {
+    return 1;
   }
 
   Workload w = BuildWorkload(entities, /*seed=*/17);
@@ -326,51 +264,51 @@ int main(int argc, char** argv) {
 
   // Self-checks: every search-path-independent output must agree.
   if (!arena.base_sat || !legacy.base_sat) {
-    return Fail("planted workload must be SAT on both engines");
+    return report.Fail("planted workload must be SAT on both engines");
   }
   if (arena.probe_verdicts != legacy.probe_verdicts) {
-    return Fail("probe verdicts diverge between arena and legacy engines");
+    return report.Fail(
+        "probe verdicts diverge between arena and legacy engines");
   }
   if (arena.enumerated != legacy.enumerated) {
-    return Fail("projected enumeration counts diverge between engines");
+    return report.Fail("projected enumeration counts diverge between engines");
   }
-  if (arena.gc_runs != arena.reductions) {
+  if (arena.stats.gc_runs != arena.stats.reductions) {
     // Every learnt-clause reduction must end in a compaction (and
     // nothing else compacts outside the test hooks).
-    return Fail("arena compactions out of sync with ReduceDB runs");
+    return report.Fail("arena compactions out of sync with ReduceDB runs");
   }
 
-  double speedup = legacy.PropsPerSec() > 0
-                       ? arena.PropsPerSec() / legacy.PropsPerSec()
-                       : 0.0;
-  std::string json = "{\n  \"bench\": \"bench_sat_core\",\n  \"workload\": {";
-  json += "\"entities\": " + std::to_string(entities) +
-          ", \"vars\": " + std::to_string(w.num_vars) +
-          ", \"clauses\": " + std::to_string(w.clauses.size()) +
-          ", \"probes\": " + std::to_string(probes) +
-          ", \"enum_budget\": " + std::to_string(enum_budget) +
-          "},\n  \"results\": [\n    " + arena.ToJson() + ",\n    " +
-          legacy.ToJson() + "\n  ],\n";
-  char tail[64];
-  std::snprintf(tail, sizeof tail, "  \"speedup_props_per_sec\": %.2f\n}\n",
-                speedup);
-  json += tail;
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) return Fail("cannot open --out file");
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("bench_sat_core: wrote %s (speedup %.2fx)\n", out_path.c_str(),
-                speedup);
+  report.Workload("entities", entities);
+  report.Workload("vars", w.num_vars);
+  report.Workload("clauses", w.clauses.size());
+  report.Workload("probes", probes);
+  report.Workload("enum_budget", enum_budget);
+  for (const EngineRun* run : {&arena, &legacy}) {
+    report.Row(run->name,
+               {{"build_ms", run->build_ms},
+                {"solve_ms", run->solve_ms},
+                {"probe_ms", run->probe_ms},
+                {"enum_ms", run->enum_ms},
+                {"propagations", run->stats.propagations},
+                {"conflicts", run->stats.conflicts},
+                {"decisions", run->stats.decisions},
+                {"props_per_sec", run->PropsPerSec()},
+                {"conflicts_per_sec", run->ConflictsPerSec()},
+                {"arena_bytes", run->stats.arena_bytes},
+                {"gc_runs", run->stats.gc_runs},
+                {"minimized_literals", run->stats.minimized_literals},
+                {"demotions", run->stats.demotions},
+                {"tier_core", run->stats.tier_core},
+                {"tier_mid", run->stats.tier_tier2},
+                {"tier_local", run->stats.tier_local}});
   }
-  if (require_speedup > 0 && speedup < require_speedup) {
-    std::fprintf(stderr,
-                 "bench_sat_core: FAILED: propagation throughput %.2fx of "
-                 "legacy, below the required %.2fx\n",
-                 speedup, require_speedup);
-    return 1;
-  }
-  return 0;
+  report.Ratio("speedup_props_per_sec",
+               legacy.PropsPerSec() > 0
+                   ? arena.PropsPerSec() / legacy.PropsPerSec()
+                   : 0.0);
+  report.Floor("speedup_props_per_sec", require_speedup,
+               "propagation throughput %.2fx of legacy, below the required "
+               "%.2fx");
+  return report.Write();
 }

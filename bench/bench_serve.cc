@@ -2,229 +2,69 @@
 // loop of one-shot rebuild-per-query solves, and mutate-then-requery —
 // the amortization story of src/serve/session.h made measurable.
 //
-// Unlike the other bench binaries this one does not use Google Benchmark:
-// it needs latency *percentiles* (p50/p95) and a machine-readable JSON
-// report for scripts/bench.sh (BENCH_serve.json), and it must build even
-// where the benchmark package is absent.  It also self-checks every
-// session answer against the one-shot solver and (optionally, via
-// --require-speedup=F) enforces the warm-batch-vs-rebuild speedup floor,
-// so its ctest smoke registration doubles as a correctness test.
+// Unlike the Google Benchmark binaries this one is plain C++ on the
+// shared harness (bench/harness.h): it needs latency *percentiles*
+// (p50/p95) and a machine-readable JSON report for scripts/bench.sh
+// (BENCH_serve.json), and it must build even where the benchmark package
+// is absent.  It also self-checks every session answer against the
+// one-shot solver and (optionally, via --require-speedup=F) enforces the
+// warm-batch-vs-rebuild speedup floor, so its ctest smoke registration
+// doubles as a correctness test.
 //
-// Workload: the sharded master/replica shape of
-// bench_scale_decomposition, lightly parameterized — relation R holds
-// `entities` four-tuple entities, each carrying a small planted-
-// satisfiable order puzzle (ternary denial clauses over A-order literals,
-// pinned to tuples through the P selector attribute), and R2 copies A
-// from two distinct R tuples per entity, so every coupling component is
-// one {R-entity, R2-entity} pair.  COP queries spread over the entities.
+// Workload: the harness's sharded master/replica specification — relation
+// R holds `entities` four-tuple entities, each carrying a small planted-
+// satisfiable order puzzle of ten clauses, and R2 copies A from two
+// distinct R tuples per entity, so every coupling component is one
+// {R-entity, R2-entity} pair.  COP queries spread over the entities.
 //
 // Flags: --entities=N --queries=Q --iters=K --require-speedup=F
 //        --threads=T --out=FILE
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <random>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/core/certain_order.h"
-#include "src/core/consistency.h"
 #include "src/serve/session.h"
 
 namespace {
 
 using namespace currency;  // NOLINT
 
-constexpr int kGroup = 4;     // tuples per R entity
-constexpr int kClauses = 10;  // puzzle clauses per entity
-
-/// Zero-padded ids keep Value order aligned with creation order.
-std::string PadId(const char* prefix, int e) {
-  std::string digits = std::to_string(e);
-  return std::string(prefix) + std::string(6 - digits.size(), '0') + digits;
-}
-
-/// Planted-satisfiable ternary clauses over the A-order literals of a
-/// four-tuple entity (satisfied by the identity order), pinned to
-/// concrete tuples through the P attribute — each grounds to exactly one
-/// clause per entity group, giving every component a few genuine CDCL
-/// conflicts.  Same scheme as bench_scale_decomposition, sized down.
-std::vector<std::string> MakePuzzleConstraints(unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> tup(0, kGroup - 1);
-  std::uniform_int_distribution<int> coin(0, 1);
-  const char* vars[] = {"a", "b", "c", "d", "e", "f"};
-  std::vector<std::string> out;
-  while (static_cast<int>(out.size()) < kClauses) {
-    struct Literal {
-      int lo, hi;
-      bool identity;
-    };
-    std::vector<Literal> lits;
-    bool any_identity = false;
-    for (int k = 0; k < 3; ++k) {
-      int lo = tup(rng), hi = tup(rng);
-      while (hi == lo) hi = tup(rng);
-      if (lo > hi) std::swap(lo, hi);
-      bool identity = coin(rng) == 1;
-      if (k == 2 && !any_identity) identity = true;  // plant satisfiability
-      any_identity |= identity;
-      lits.push_back({lo, hi, identity});
-    }
-    std::string text = "FORALL a, b, c, d, e, f IN R: ";
-    for (int k = 0; k < 3; ++k) {
-      text += std::string(vars[2 * k]) + ".P = " + std::to_string(lits[k].lo) +
-              " AND " + vars[2 * k + 1] + ".P = " +
-              std::to_string(lits[k].hi) + " AND ";
-    }
-    for (int k = 0; k < 3; ++k) {
-      std::string lo = vars[2 * k], hi = vars[2 * k + 1];
-      text += lits[k].identity ? hi + " PREC[A] " + lo
-                               : lo + " PREC[A] " + hi;
-      text += (k < 2) ? " AND " : " -> a PREC[A] a";  // pure denial
-    }
-    out.push_back(std::move(text));
-  }
-  return out;
-}
-
-core::Specification MakeShardedSpec(int entities) {
-  core::Specification spec;
-  Schema rs = Schema::Make("R", {"P", "A", "B"}).value();
-  Relation r(rs);
-  for (int e = 0; e < entities; ++e) {
-    Value eid(PadId("e", e));
-    for (int k = 0; k < kGroup; ++k) {
-      (void)r.AppendValues({eid, Value(k), Value(k), Value(k % 2)});
-    }
-  }
-  (void)spec.AddInstance(core::TemporalInstance(std::move(r)));
-  for (const std::string& text : MakePuzzleConstraints(/*seed=*/11)) {
-    (void)spec.AddConstraintText(text);
-  }
-  Schema r2s = Schema::Make("R2", {"C"}).value();
-  Relation r2(r2s);
-  copy::CopySignature sig;
-  sig.target_relation = "R2";
-  sig.target_attrs = {"C"};
-  sig.source_relation = "R";
-  sig.source_attrs = {"A"};
-  copy::CopyFunction fn(sig);
-  for (int e = 0; e < entities; ++e) {
-    Value eid(PadId("f", e));
-    TupleId src0 = e * kGroup;      // carries A = 0
-    TupleId src1 = e * kGroup + 2;  // carries A = 2
-    auto t0 = r2.AppendValues({eid, Value(0)});
-    auto t1 = r2.AppendValues({eid, Value(2)});
-    (void)fn.Map(*t0, src0);
-    (void)fn.Map(*t1, src1);
-  }
-  (void)spec.AddInstance(core::TemporalInstance(std::move(r2)));
-  (void)spec.AddCopyFunction(std::move(fn));
-  return spec;
-}
-
-/// COP queries spread over the entities, two pairs each: one planted
-/// certain-looking pair and one reversed pair.
-std::vector<core::CurrencyOrderQuery> MakeQueries(int entities, int queries) {
-  std::vector<core::CurrencyOrderQuery> out;
-  for (int k = 0; k < queries; ++k) {
-    int e = (static_cast<int64_t>(k) * entities) / queries;
-    core::CurrencyOrderQuery q;
-    q.relation = "R";
-    q.pairs = {core::RequiredPair{2, e * kGroup, e * kGroup + 1},
-               core::RequiredPair{2, e * kGroup + 3, e * kGroup + 2}};
-    out.push_back(std::move(q));
-  }
-  return out;
-}
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Series {
-  std::string name;
-  std::vector<double> samples_ms;
-
-  double Total() const {
-    double t = 0;
-    for (double s : samples_ms) t += s;
-    return t;
-  }
-  double Percentile(double q) const {
-    if (samples_ms.empty()) return 0;
-    std::vector<double> sorted = samples_ms;
-    std::sort(sorted.begin(), sorted.end());
-    size_t rank = static_cast<size_t>(q * (sorted.size() - 1) + 0.5);
-    return sorted[std::min(rank, sorted.size() - 1)];
-  }
-  std::string ToJson() const {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\": \"%s\", \"n\": %zu, \"ops_per_sec\": %.3f, "
-                  "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"mean_ms\": %.4f}",
-                  name.c_str(), samples_ms.size(),
-                  samples_ms.empty() || Total() <= 0
-                      ? 0.0
-                      : 1000.0 * samples_ms.size() / Total(),
-                  Percentile(0.50), Percentile(0.95),
-                  samples_ms.empty() ? 0.0 : Total() / samples_ms.size());
-    return buf;
-  }
-};
-
-int Fail(const char* what) {
-  std::fprintf(stderr, "bench_serve: FAILED: %s\n", what);
-  return 1;
-}
+constexpr bench::ShardShape kShape{};  // four tuples, ten clauses, seed 11
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Report report("bench_serve");
   int entities = 64;
   int queries = 16;
   int iters = 5;
   int threads = 1;
   double require_speedup = 0.0;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--entities=", 11) == 0) {
-      entities = std::atoi(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      queries = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-      iters = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--require-speedup=", 18) == 0) {
-      require_speedup = std::atof(argv[i] + 18);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "bench_serve: unknown flag %s\n", argv[i]);
-      return 1;
-    }
+  if (!report.ParseFlags(argc, argv,
+                         {{"entities", &entities},
+                          {"queries", &queries},
+                          {"iters", &iters},
+                          {"threads", &threads},
+                          {"require-speedup", &require_speedup}})) {
+    return 1;
   }
   if (entities < queries) queries = entities;
 
-  core::Specification spec = MakeShardedSpec(entities);
+  core::Specification spec = bench::MakeShardedSpec(entities, kShape);
   std::vector<core::CurrencyOrderQuery> cop_queries =
-      MakeQueries(entities, queries);
+      bench::MakeSpreadQueries(entities, queries, kShape.group);
 
   // Reference answers from the one-shot solver (each call a full rebuild;
   // its per-query latency is the rebuild-per-query series).
-  Series rebuild{"rebuild_per_query_cop", {}};
+  bench::Series rebuild{"rebuild_per_query_cop"};
   std::vector<bool> reference;
   for (const core::CurrencyOrderQuery& q : cop_queries) {
-    double t0 = NowMs();
+    double t0 = bench::NowMs();
     auto fresh = core::IsCertainOrder(spec, q);
-    rebuild.samples_ms.push_back(NowMs() - t0);
-    if (!fresh.ok()) return Fail(fresh.status().ToString().c_str());
+    rebuild.samples_ms.push_back(bench::NowMs() - t0);
+    if (!fresh.ok()) return report.Fail(fresh.status().ToString());
     reference.push_back(*fresh);
   }
 
@@ -232,39 +72,41 @@ int main(int argc, char** argv) {
   // first CpsCheck, which builds and base-solves every component.
   serve::SessionOptions options;
   options.num_threads = threads;
-  Series cold{"cold_session_create_plus_cps", {}};
-  double t0 = NowMs();
+  bench::Series cold{"cold_session_create_plus_cps"};
+  double t0 = bench::NowMs();
   auto session = serve::CurrencySession::Create(spec, options);
-  if (!session.ok()) return Fail(session.status().ToString().c_str());
+  if (!session.ok()) return report.Fail(session.status().ToString());
   auto consistent = (*session)->CpsCheck();
-  cold.samples_ms.push_back(NowMs() - t0);
-  if (!consistent.ok() || !*consistent) return Fail("workload must be SAT");
+  cold.samples_ms.push_back(bench::NowMs() - t0);
+  if (!consistent.ok() || !*consistent) {
+    return report.Fail("workload must be SAT");
+  }
 
   // Warm batch: all queries in one CopBatch (per-query latency reported).
-  Series warm_batch{"warm_batch_cop_per_query", {}};
+  bench::Series warm_batch{"warm_batch_cop_per_query"};
   for (int it = 0; it < iters; ++it) {
-    t0 = NowMs();
+    t0 = bench::NowMs();
     auto batch = (*session)->CopBatch(cop_queries);
-    double per_query = (NowMs() - t0) / queries;
-    if (!batch.ok()) return Fail(batch.status().ToString().c_str());
+    double per_query = (bench::NowMs() - t0) / queries;
+    if (!batch.ok()) return report.Fail(batch.status().ToString());
     for (int k = 0; k < queries; ++k) {
       if ((*batch)[k] != reference[k]) {
-        return Fail("warm batch answer differs from one-shot solver");
+        return report.Fail("warm batch answer differs from one-shot solver");
       }
       warm_batch.samples_ms.push_back(per_query);
     }
   }
 
   // Warm loop-of-singles: one CopBatch call per query.
-  Series warm_single{"warm_single_cop", {}};
+  bench::Series warm_single{"warm_single_cop"};
   for (int it = 0; it < iters; ++it) {
     for (int k = 0; k < queries; ++k) {
-      t0 = NowMs();
+      t0 = bench::NowMs();
       auto one = (*session)->CopBatch({cop_queries[k]});
-      warm_single.samples_ms.push_back(NowMs() - t0);
-      if (!one.ok()) return Fail(one.status().ToString().c_str());
+      warm_single.samples_ms.push_back(bench::NowMs() - t0);
+      if (!one.ok()) return report.Fail(one.status().ToString());
       if ((*one)[0] != reference[k]) {
-        return Fail("warm single answer differs from one-shot solver");
+        return report.Fail("warm single answer differs from one-shot solver");
       }
     }
   }
@@ -272,60 +114,41 @@ int main(int argc, char** argv) {
   // Mutate one tuple (rotating entity; B is constraint-free so answers
   // are unaffected) then run the full batch: the incremental path should
   // re-solve exactly one component and keep every answer.
-  Series mutate{"mutate_one_tuple_plus_batch", {}};
+  bench::Series mutate{"mutate_one_tuple_plus_batch"};
   for (int it = 0; it < iters; ++it) {
     int e = it % entities;
-    core::TupleEdit edit{0, e * kGroup + 1, 3, Value(100 + it)};
-    t0 = NowMs();
+    core::TupleEdit edit{0, e * kShape.group + 1, 3, Value(100 + it)};
+    t0 = bench::NowMs();
     Status st = (*session)->Mutate({edit});
     auto batch = (*session)->CopBatch(cop_queries);
-    mutate.samples_ms.push_back(NowMs() - t0);
-    if (!st.ok()) return Fail(st.ToString().c_str());
-    if (!batch.ok()) return Fail(batch.status().ToString().c_str());
+    mutate.samples_ms.push_back(bench::NowMs() - t0);
+    if (!st.ok()) return report.Fail(st.ToString());
+    if (!batch.ok()) return report.Fail(batch.status().ToString());
     if ((*session)->stats().last_invalidated != 1) {
-      return Fail("a one-tuple edit must invalidate exactly one component");
+      return report.Fail(
+          "a one-tuple edit must invalidate exactly one component");
     }
     for (int k = 0; k < queries; ++k) {
       if ((*batch)[k] != reference[k]) {
-        return Fail("post-mutate answer differs from one-shot solver");
+        return report.Fail("post-mutate answer differs from one-shot solver");
       }
     }
   }
 
-  double speedup = warm_batch.Percentile(0.5) > 0
-                       ? rebuild.Percentile(0.5) / warm_batch.Percentile(0.5)
-                       : 0.0;
-  std::string json = "{\n  \"bench\": \"bench_serve\",\n  \"workload\": {";
-  json += "\"entities\": " + std::to_string(entities) +
-          ", \"components\": " + std::to_string((*session)->num_components()) +
-          ", \"queries\": " + std::to_string(queries) +
-          ", \"iters\": " + std::to_string(iters) +
-          ", \"threads\": " + std::to_string(threads) + "},\n  \"results\": [";
-  const Series* all[] = {&cold, &rebuild, &warm_single, &warm_batch, &mutate};
-  for (size_t k = 0; k < 5; ++k) {
-    json += std::string(k ? "," : "") + "\n    " + all[k]->ToJson();
+  report.Workload("entities", entities);
+  report.Workload("components", (*session)->num_components());
+  report.Workload("queries", queries);
+  report.Workload("iters", iters);
+  report.Workload("threads", threads);
+  for (const bench::Series* series :
+       {&cold, &rebuild, &warm_single, &warm_batch, &mutate}) {
+    report.Row(*series);
   }
-  char tail[128];
-  std::snprintf(tail, sizeof tail,
-                "\n  ],\n  \"speedup_warm_batch_vs_rebuild_p50\": %.2f\n}\n",
-                speedup);
-  json += tail;
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) return Fail("cannot open --out file");
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("bench_serve: wrote %s (speedup %.2fx)\n", out_path.c_str(),
-                speedup);
-  }
-  if (require_speedup > 0 && speedup < require_speedup) {
-    std::fprintf(stderr,
-                 "bench_serve: FAILED: warm-batch speedup %.2fx below the "
-                 "required %.2fx\n",
-                 speedup, require_speedup);
-    return 1;
-  }
-  return 0;
+  report.Ratio("speedup_warm_batch_vs_rebuild_p50",
+               warm_batch.Percentile(0.5) > 0
+                   ? rebuild.Percentile(0.5) / warm_batch.Percentile(0.5)
+                   : 0.0);
+  report.Floor("speedup_warm_batch_vs_rebuild_p50", require_speedup,
+               "warm-batch speedup %.2fx below the required %.2fx");
+  return report.Write();
 }

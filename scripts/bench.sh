@@ -34,8 +34,8 @@
 #    self-checks every concurrent answer against the one-shot solver.
 #    No speedup floor is enforced: with a single core the concurrent
 #    phases measure snapshot/scheduling overhead (parity with the
-#    serialized baseline is the win), which the host stamp below says
-#    when nproc = 1.  Each phase runs 20000 batches per thread: a
+#    serialized baseline is the win), which the host stamp says when
+#    nproc = 1.  Each phase runs 20000 batches per thread: a
 #    warm batch takes microseconds, so with a handful of batches thread
 #    start-up dominated the wall clock and throughput read below
 #    serialized.
@@ -71,11 +71,22 @@
 #    >= 1.5x propagation-throughput floor (tiered clause DB + recursive
 #    learnt-clause minimization + blocker prefetch).
 #
-# Every report is stamped with a "host" object (nproc at run time, plus
-# a caveat when that is 1) so a reader of the checked-in JSON knows
-# which phases could not show parallel speedup.  The stamp is the one
-# place a report describes its host: no bench emits a CPU caveat of
-# its own.
+# Every report takes one layout, written by bench/harness.h:
+#
+#   {
+#     "host": {"nproc": N},
+#     "bench": "<binary>",
+#     "workload": {"<parameter>": number or string, ...},
+#     "results": [{"name": "<phase>", "<field>": number, ...}, ...],
+#     "ratios": {"<derived or gated figure>": number, ...}
+#   }
+#
+# `host.nproc` is the bench process's CPU affinity count (what nproc
+# prints), plus a caveat when that is 1, so a reader of the checked-in
+# JSON knows which phases could not show parallel speedup.  `host` is
+# the one place a report describes its host.  Every gated figure sits
+# under `ratios`.  scripts/check_bench_reports.py checks the layout of
+# all six reports after the runs.
 #
 # Either script failing means a real regression (wrong answers or lost
 # performance), not noise.
@@ -172,20 +183,10 @@ for _ in 1 2 3; do
 done
 [ "$obs_ok" -eq 1 ]
 
-# Stamp every report with the measurement host: the benches themselves
-# stay host-agnostic, but the checked-in JSON must say how many CPUs the
-# numbers were taken on.  Only a 1-CPU host gets the caveat: there the
-# concurrent phases can show overhead parity, never parallel speedup.  Inserted right after the opening brace so it reads
-# first.
-cores="$(nproc)"
-host="{\"nproc\": $cores}"
-if [ "$cores" -eq 1 ]; then
-  host="{\"nproc\": 1, \"caveat\": \"measured with 1 CPU: concurrent phases show overhead parity, not parallel speedup\"}"
-fi
-for report in BENCH_serve.json BENCH_chase.json BENCH_mt.json \
-              BENCH_wal.json BENCH_sat.json BENCH_obs.json; do
-  sed -i "1s|^{|{\n  \"host\": $host,|" "$repo_root/$report"
-done
+python3 "$repo_root/scripts/check_bench_reports.py" \
+  "$repo_root/BENCH_serve.json" "$repo_root/BENCH_chase.json" \
+  "$repo_root/BENCH_mt.json" "$repo_root/BENCH_wal.json" \
+  "$repo_root/BENCH_sat.json" "$repo_root/BENCH_obs.json"
 
 echo "bench: wrote $repo_root/BENCH_serve.json, $repo_root/BENCH_chase.json," \
   "$repo_root/BENCH_mt.json, $repo_root/BENCH_wal.json," \

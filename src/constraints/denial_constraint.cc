@@ -58,19 +58,6 @@ Result<DenialConstraint> DenialConstraint::Make(
   return dc;
 }
 
-bool DenialConstraint::ValuePredicatesHold(
-    const Relation& relation, const std::vector<TupleId>& assignment) const {
-  auto resolve = [&](const Operand& op) -> const Value& {
-    static const Value kNull;
-    if (op.is_const) return op.constant;
-    return relation.tuple(assignment[op.tuple_var]).at(op.attr);
-  };
-  for (const ComparePredicate& c : compares_) {
-    if (!EvalCmp(c.op, resolve(c.lhs), resolve(c.rhs))) return false;
-  }
-  return true;
-}
-
 void DenialConstraint::EnumerateGroundings(
     const Relation& relation,
     const std::function<void(const Grounding&)>& emit) const {

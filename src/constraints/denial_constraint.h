@@ -102,11 +102,6 @@ class DenialConstraint {
   }
   const OrderAtom& conclusion() const { return conclusion_; }
 
-  /// True iff the value predicates hold for the instantiation
-  /// `assignment[i]` of tuple variable i.
-  bool ValuePredicatesHold(const Relation& relation,
-                           const std::vector<TupleId>& assignment) const;
-
   /// Calls `emit` for every grounding over same-entity tuple instantiations
   /// whose value predicates hold.  Groundings with a trivially false
   /// premise (an order atom on one tuple) are skipped; groundings whose

@@ -322,8 +322,8 @@ Result<sat::ProjectedModelEnumeration> EnumerateEncoderCurrentInstances(
 /// and no coupling copy bucket on the group, each attribute picks its
 /// current value independently, so the fragments are the cartesian
 /// product of the per-attribute certain-sink values (Lemma 6.2 on S|_c).
-/// Output is capped at `budget`, mirroring the SAT enumerator's
-/// max_models truncation.
+/// A product over `budget` fails with ResourceExhausted, as the SAT
+/// enumerator does past max_models.
 Status AppendChaseFragments(DecomposedEncoder* engine, int c, int64_t budget,
                             std::vector<std::vector<Relation>>* out) {
   const Specification& spec = engine->spec();
@@ -336,8 +336,19 @@ Status AppendChaseFragments(DecomposedEncoder* engine, int c, int64_t budget,
   AttrIndex arity = spec.instance(node.inst).schema().arity();
   std::vector<std::vector<Value>> possible =
       PossibleCurrentValues(rel, node.members, node.orders);
+  int64_t product = 1;
+  for (AttrIndex a = 1; a < arity; ++a) {
+    // product * size > budget, without overflow.
+    int64_t size = static_cast<int64_t>(possible[a].size());
+    if (size > 0 && product > budget / size) {
+      return Status::ResourceExhausted("model enumeration exceeded " +
+                                       std::to_string(budget) +
+                                       " projected models");
+    }
+    product *= size;
+  }
   std::vector<size_t> pick(arity, 0);
-  while (static_cast<int64_t>(out->size()) < budget) {
+  while (true) {
     std::vector<Value> values(arity);
     values[0] = node.eid;
     for (AttrIndex a = 1; a < arity; ++a) values[a] = possible[a][pick[a]];

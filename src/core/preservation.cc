@@ -250,7 +250,7 @@ Result<bool> HasBoundedCurrencyPreservingExtension(
         " atoms; raise PreservationOptions::max_atoms");
   }
   auto cost_of = [&](const ExtensionAtom& atom) {
-    return options.atom_cost ? options.atom_cost(atom) : atom.cost;
+    return options.atom_cost ? options.atom_cost(atom) : 1;
   };
   // DFS over candidate extensions of total cost ≤ k, with consistency
   // pruning; each consistent non-empty candidate is tested with CPP.

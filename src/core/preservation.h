@@ -13,10 +13,11 @@
 // (a) is (edge, target tuple, source tuple); kind (b) is (edge, source
 // tuple, target entity), deduplicated so a source tuple is imported at
 // most once per target entity per edge (re-importing an identical tuple
-// can never change a current instance).  Each atom carries a `cost`
-// (default 1) so BCP budgets model the paper's bit-size accounting |ρe| ≤
-// |ρ| + k: the lower-bound gadgets of Theorem 5.3 price some imports
-// above the budget exactly as the paper does with (k+1)-bit constants.
+// can never change a current instance).  BCP charges each atom
+// PreservationOptions::atom_cost (1 without it), so budgets model the
+// paper's bit-size accounting |ρe| ≤ |ρ| + k: the lower-bound gadgets of
+// Theorem 5.3 price some imports above the budget exactly as the paper
+// does with (k+1)-bit constants.
 //
 // Complexity: CPP is Πp2-complete (data) / Πp3-complete (CQ, combined) /
 // PSPACE-complete (FO) — Theorem 5.1.  ECP is O(1) for consistent inputs
@@ -49,8 +50,6 @@ struct ExtensionAtom {
   TupleId target_tuple = -1;  ///< kind (a) only
   TupleId source_tuple = -1;
   Value target_eid;           ///< kind (b) only
-  /// Budget charged by BCP for this import (paper: bits copied).
-  int cost = 1;
 };
 
 /// Options shared by the preservation solvers.
@@ -63,7 +62,7 @@ struct PreservationOptions {
   /// denial constraints; this option applies the same exclusion directly
   /// and keeps the gadget atom spaces enumerable.
   bool skip_duplicate_imports = false;
-  /// Optional cost assignment for BCP (defaults to ExtensionAtom::cost).
+  /// Optional cost assignment for BCP (every atom costs 1 without it).
   std::function<int(const ExtensionAtom&)> atom_cost;
 };
 

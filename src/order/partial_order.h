@@ -83,9 +83,6 @@ class PartialOrder {
   std::string ToString() const;
 
  private:
-  void SetBit(int u, int v) {
-    rows_[u][static_cast<size_t>(v) >> 6] |= (uint64_t{1} << (v & 63));
-  }
   /// Closure step for a new edge u ≺ v: connect all predecessors-or-self
   /// of u to all successors-or-self of v.
   void CloseOver(int u, int v);

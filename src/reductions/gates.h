@@ -2,7 +2,9 @@
 // Fig. 4 of the paper): rigid relations encoding the Boolean domain
 // (R01), disjunction (ROr), conjunction (RAnd), negation (RNot) and the
 // 0↦'c' / 1↦'a' converter (Rca), plus a small compiler that emits CQ
-// atoms evaluating a 3CNF/3DNF matrix over value-carrying terms.
+// atoms evaluating a 3CNF/3DNF matrix over value-carrying terms.  Also
+// the assignment-and-flag part the combined-complexity CPP (Fig. 4) and
+// BCP (Fig. 6) lower bounds share, with its query.
 
 #ifndef CURRENCY_SRC_REDUCTIONS_GATES_H_
 #define CURRENCY_SRC_REDUCTIONS_GATES_H_
@@ -29,6 +31,22 @@ Status AddGateRelations(core::Specification* spec);
 /// (1,'c')} so 'c' flags a SATISFIED matrix.
 Status AddCaRelation(core::Specification* spec, bool one_maps_to_c = false);
 
+/// The part of the CPP (Theorem 5.1, Fig. 4) and BCP (Theorem 5.3,
+/// Fig. 6) gadgets over the ∀X∃Y∀Z suffix of the prefix.  Adds to `spec`,
+/// in this order:
+///   * R_X / R'_X: per X variable, an R_X entity holding both truth
+///     values, and in R'_X a "positive" source entity ordered 0 ≺ 1 and a
+///     "negative" one ordered 1 ≺ 0, so extensions of ρ_X pin µ_X; a
+///     fixed constraint keeps every R_X entity to one variable (the
+///     paper's "two possible tuples per entity" device);
+///   * R_Y: ∀-side assignments chosen by completions (no copy function);
+///   * the gate relations and Rca with polarity `one_maps_to_c`;
+///   * R_b / R'_b: the 'c'/'d' flag, with the source ordered d ≺ c;
+///   * the empty copy functions ρ_X (RX ⇐ RpX) and ρ_b (Rb ⇐ RpB).
+Status AddAssignmentGadget(const std::vector<sat::Var>& xs,
+                           const std::vector<sat::Var>& ys,
+                           bool one_maps_to_c, core::Specification* spec);
+
 /// Emits CQ atoms that evaluate formulas gate-by-gate; every intermediate
 /// value gets a fresh existential variable.
 class GateCompiler {
@@ -52,6 +70,17 @@ class GateCompiler {
   /// ANDs) into one value term.
   query::Term Matrix(const sat::Qbf& qbf,
                      const std::vector<query::Term>& var_terms);
+
+  /// The query over AddAssignmentGadget's relations,
+  ///   Q(v) := ∃ …: QX ∧ QY ∧ QZ ∧ Rca(e, ψ, v) ∧ Rb(e', v),
+  /// where QX and QY read µ_X and µ_Y from R_X and R_Y, QZ ranges every
+  /// z over R01, and ψ is the matrix of `qbf`.  Atoms emitted before
+  /// (BCP's QW) stay first in the conjunction; `value_of` carries the
+  /// value terms they bound.  Moves the emitted atoms into the query.
+  query::Query FlagQuery(const sat::Qbf& qbf, const std::vector<sat::Var>& xs,
+                         const std::vector<sat::Var>& ys,
+                         const std::vector<sat::Var>& zs,
+                         std::vector<query::Term> value_of);
 
   /// Fresh existential variable (recorded in exist_vars()).
   query::Term Fresh(const std::string& prefix);

@@ -55,97 +55,19 @@ Result<BcpGadget> SigmaP4ToBcp(const sat::Qbf& qbf) {
       "FORALL t1, t2 IN RW: t1.W = 'bot' AND t2.W != 'bot' "
       "-> t1 PREC[W] t2"));
 
-  // R_X / R'_X: the adversary's assignment gadget (as in Fig. 5).
-  auto var_name = [](sat::Var v) { return "z" + std::to_string(v); };
-  ASSIGN_OR_RETURN(Schema sx, Schema::Make("RX", {"X", "V"}));
-  Relation rx(sx);
-  for (sat::Var v : xs) {
-    Value eid("ex" + std::to_string(v));
-    RETURN_IF_ERROR(
-        rx.AppendValues({eid, Value(var_name(v)), Value(0)}).status());
-    RETURN_IF_ERROR(
-        rx.AppendValues({eid, Value(var_name(v)), Value(1)}).status());
-  }
-  RETURN_IF_ERROR(
-      gadget.spec.AddInstance(core::TemporalInstance(std::move(rx))));
-  ASSIGN_OR_RETURN(Schema spx, Schema::Make("RpX", {"X", "V"}));
-  Relation rpx(spx);
-  std::vector<std::array<TupleId, 4>> x_rows;
-  for (sat::Var v : xs) {
-    std::array<TupleId, 4> rows;
-    Value pos("px" + std::to_string(v));
-    Value neg("nx" + std::to_string(v));
-    ASSIGN_OR_RETURN(rows[0],
-                     rpx.AppendValues({pos, Value(var_name(v)), Value(0)}));
-    ASSIGN_OR_RETURN(rows[1],
-                     rpx.AppendValues({pos, Value(var_name(v)), Value(1)}));
-    ASSIGN_OR_RETURN(rows[2],
-                     rpx.AppendValues({neg, Value(var_name(v)), Value(0)}));
-    ASSIGN_OR_RETURN(rows[3],
-                     rpx.AppendValues({neg, Value(var_name(v)), Value(1)}));
-    x_rows.push_back(rows);
-  }
-  core::TemporalInstance rpx_inst(std::move(rpx));
-  ASSIGN_OR_RETURN(AttrIndex v_attr, spx.IndexOf("V"));
-  for (const auto& rows : x_rows) {
-    RETURN_IF_ERROR(rpx_inst.AddOrder(v_attr, rows[0], rows[1]));
-    RETURN_IF_ERROR(rpx_inst.AddOrder(v_attr, rows[3], rows[2]));
-  }
-  RETURN_IF_ERROR(gadget.spec.AddInstance(std::move(rpx_inst)));
-  RETURN_IF_ERROR(gadget.spec.AddConstraintText(
-      "FORALL t1, t2 IN RX: t1.X != t2.X -> t1 PREC[X] t1"));
-
-  // R_Y: ∀-side assignments chosen by completions.
-  ASSIGN_OR_RETURN(Schema sy, Schema::Make("RY", {"Y", "V"}));
-  Relation ry(sy);
-  for (sat::Var v : ys) {
-    Value eid("ey" + std::to_string(v));
-    RETURN_IF_ERROR(
-        ry.AppendValues({eid, Value(var_name(v)), Value(0)}).status());
-    RETURN_IF_ERROR(
-        ry.AppendValues({eid, Value(var_name(v)), Value(1)}).status());
-  }
-  RETURN_IF_ERROR(
-      gadget.spec.AddInstance(core::TemporalInstance(std::move(ry))));
-
-  // Gates, the 0↦'c'/1↦'a' converter, and the 'c'/'d' flag pair.
-  RETURN_IF_ERROR(AddGateRelations(&gadget.spec));
-  RETURN_IF_ERROR(AddCaRelation(&gadget.spec));
-  ASSIGN_OR_RETURN(Schema sb, Schema::Make("Rb", {"C"}));
-  Relation rb(sb);
-  RETURN_IF_ERROR(rb.AppendValues({Value("b"), Value("c")}).status());
-  RETURN_IF_ERROR(rb.AppendValues({Value("b"), Value("d")}).status());
-  RETURN_IF_ERROR(
-      gadget.spec.AddInstance(core::TemporalInstance(std::move(rb))));
-  ASSIGN_OR_RETURN(Schema spb, Schema::Make("RpB", {"C"}));
-  Relation rpb(spb);
-  ASSIGN_OR_RETURN(TupleId u1, rpb.AppendValues({Value("b"), Value("c")}));
-  ASSIGN_OR_RETURN(TupleId u2, rpb.AppendValues({Value("b"), Value("d")}));
-  core::TemporalInstance rpb_inst(std::move(rpb));
-  ASSIGN_OR_RETURN(AttrIndex c_attr, spb.IndexOf("C"));
-  RETURN_IF_ERROR(rpb_inst.AddOrder(c_attr, u2, u1));
-  RETURN_IF_ERROR(gadget.spec.AddInstance(std::move(rpb_inst)));
-
-  // Copy functions: ρ_W (cost 1), ρ_X and ρ_b (cost k+1: priced out of
-  // the budget, the paper's (k+1)-bit-constant device).
+  // ρ_W (cost 1) first, so it is copy edge 0; then R_X / R'_X (the
+  // adversary's assignment gadget, as in Fig. 5), R_Y, the gates, the
+  // 0↦'c'/1↦'a' converter and the 'c'/'d' flag pair, with ρ_X and ρ_b
+  // (cost k+1: priced out of the budget, the paper's (k+1)-bit-constant
+  // device).
   copy::CopySignature sigw;
   sigw.target_relation = "RW";
   sigw.target_attrs = {"W"};
   sigw.source_relation = "RpW";
   sigw.source_attrs = {"W"};
   RETURN_IF_ERROR(gadget.spec.AddCopyFunction(copy::CopyFunction(sigw)));
-  copy::CopySignature sigx;
-  sigx.target_relation = "RX";
-  sigx.target_attrs = {"X", "V"};
-  sigx.source_relation = "RpX";
-  sigx.source_attrs = {"X", "V"};
-  RETURN_IF_ERROR(gadget.spec.AddCopyFunction(copy::CopyFunction(sigx)));
-  copy::CopySignature sigb;
-  sigb.target_relation = "Rb";
-  sigb.target_attrs = {"C"};
-  sigb.source_relation = "RpB";
-  sigb.source_attrs = {"C"};
-  RETURN_IF_ERROR(gadget.spec.AddCopyFunction(copy::CopyFunction(sigb)));
+  RETURN_IF_ERROR(AddAssignmentGadget(xs, ys, /*one_maps_to_c=*/false,
+                                      &gadget.spec));
 
   // Query: Q(v) := ∃ ... QW ∧ QX ∧ QY ∧ QZ ∧ [v = ca(ψ)] ∧ Rb(eb, v):
   // non-empty iff ψ is falsifiable at the current (µW, µX, µY) and 'c' is
@@ -159,38 +81,7 @@ Result<BcpGadget> SigmaP4ToBcp(const sat::Qbf& qbf) {
     atoms.push_back(Formula::Atom(
         "RW", {Term::Const(Value("w" + std::to_string(v))), t}));
   }
-  for (sat::Var v : xs) {
-    Term t = gates.Fresh("xv");
-    value_of[v] = t;
-    atoms.push_back(Formula::Atom(
-        "RX", {Term::Const(Value("ex" + std::to_string(v))),
-               Term::Const(Value(var_name(v))), t}));
-  }
-  for (sat::Var v : ys) {
-    Term t = gates.Fresh("yv");
-    value_of[v] = t;
-    atoms.push_back(Formula::Atom(
-        "RY", {Term::Const(Value("ey" + std::to_string(v))),
-               Term::Const(Value(var_name(v))), t}));
-  }
-  for (sat::Var v : zs) {
-    Term t = gates.Fresh("zv");
-    value_of[v] = t;
-    atoms.push_back(Formula::Atom("R01", {gates.Fresh("e"), t}));
-  }
-  Term psi = gates.Matrix(qbf, value_of);
-  Term flag = gates.Fresh("flag");
-  atoms.push_back(Formula::Atom("Rca", {gates.Fresh("e"), psi, flag}));
-  atoms.push_back(Formula::Atom("Rb", {gates.Fresh("e"), flag}));
-
-  gadget.query.name = "Q";
-  gadget.query.head = {flag.var};
-  std::vector<std::string> bound;
-  for (const std::string& v : gates.exist_vars()) {
-    if (v != flag.var) bound.push_back(v);
-  }
-  gadget.query.body =
-      Formula::Exists(std::move(bound), Formula::And(std::move(atoms)));
+  gadget.query = gates.FlagQuery(qbf, xs, ys, zs, std::move(value_of));
 
   // Options: duplicate imports excluded (the paper's fixed constraints),
   // with ρ_X / ρ_b atoms priced out of the BCP budget.

@@ -10,7 +10,6 @@ namespace currency::reductions {
 
 namespace {
 
-using query::Formula;
 using query::FormulaPtr;
 using query::Term;
 
@@ -152,133 +151,21 @@ Result<CppGadget> PiP3ToCpp(const sat::Qbf& qbf) {
   const std::vector<sat::Var>& xs = qbf.prefix[0].vars;
   const std::vector<sat::Var>& ys = qbf.prefix[1].vars;
   const std::vector<sat::Var>& zs = qbf.prefix[2].vars;
-  auto var_name = [](sat::Var v) { return "z" + std::to_string(v); };
 
+  // The Fig. 4 assignment gadget — extensions of ρ1 (RX ⇐ RpX) pin µ_X,
+  // completions choose µ_Y — with the I_ac converter (1 ↦ 'c') and the
+  // 'c'/'d' flag copied by ρ2 (Rb ⇐ RpB).
   CppGadget gadget;
-
-  // R_X / R'_X: the Fig. 4 assignment gadget — extensions of ρ1 pin µ_X
-  // through the ordered "positive" / "negative" source entities.
-  ASSIGN_OR_RETURN(Schema sx, Schema::Make("RX", {"X", "V"}));
-  Relation rx(sx);
-  for (sat::Var v : xs) {
-    Value eid("ex" + std::to_string(v));
-    RETURN_IF_ERROR(
-        rx.AppendValues({eid, Value(var_name(v)), Value(0)}).status());
-    RETURN_IF_ERROR(
-        rx.AppendValues({eid, Value(var_name(v)), Value(1)}).status());
-  }
   RETURN_IF_ERROR(
-      gadget.spec.AddInstance(core::TemporalInstance(std::move(rx))));
-  ASSIGN_OR_RETURN(Schema spx, Schema::Make("RpX", {"X", "V"}));
-  Relation rpx(spx);
-  std::vector<std::array<TupleId, 4>> x_rows;
-  for (sat::Var v : xs) {
-    std::array<TupleId, 4> rows;
-    Value pos("px" + std::to_string(v));
-    Value neg("nx" + std::to_string(v));
-    ASSIGN_OR_RETURN(rows[0],
-                     rpx.AppendValues({pos, Value(var_name(v)), Value(0)}));
-    ASSIGN_OR_RETURN(rows[1],
-                     rpx.AppendValues({pos, Value(var_name(v)), Value(1)}));
-    ASSIGN_OR_RETURN(rows[2],
-                     rpx.AppendValues({neg, Value(var_name(v)), Value(0)}));
-    ASSIGN_OR_RETURN(rows[3],
-                     rpx.AppendValues({neg, Value(var_name(v)), Value(1)}));
-    x_rows.push_back(rows);
-  }
-  core::TemporalInstance rpx_inst(std::move(rpx));
-  ASSIGN_OR_RETURN(AttrIndex v_attr, spx.IndexOf("V"));
-  for (const auto& rows : x_rows) {
-    RETURN_IF_ERROR(rpx_inst.AddOrder(v_attr, rows[0], rows[1]));  // 0 ≺ 1
-    RETURN_IF_ERROR(rpx_inst.AddOrder(v_attr, rows[3], rows[2]));  // 1 ≺ 0
-  }
-  RETURN_IF_ERROR(gadget.spec.AddInstance(std::move(rpx_inst)));
-  RETURN_IF_ERROR(gadget.spec.AddConstraintText(
-      "FORALL t1, t2 IN RX: t1.X != t2.X -> t1 PREC[X] t1"));
-
-  // R_Y: ∀-side assignments chosen by completions (no copy function).
-  ASSIGN_OR_RETURN(Schema sy, Schema::Make("RY", {"Y", "V"}));
-  Relation ry(sy);
-  for (sat::Var v : ys) {
-    Value eid("ey" + std::to_string(v));
-    RETURN_IF_ERROR(
-        ry.AppendValues({eid, Value(var_name(v)), Value(0)}).status());
-    RETURN_IF_ERROR(
-        ry.AppendValues({eid, Value(var_name(v)), Value(1)}).status());
-  }
-  RETURN_IF_ERROR(
-      gadget.spec.AddInstance(core::TemporalInstance(std::move(ry))));
-
-  // Gates, the Fig. 4 I_ac converter (1 ↦ 'c'), and the 'c'/'d' flag.
-  RETURN_IF_ERROR(AddGateRelations(&gadget.spec));
-  RETURN_IF_ERROR(AddCaRelation(&gadget.spec, /*one_maps_to_c=*/true));
-  ASSIGN_OR_RETURN(Schema sb, Schema::Make("Rb", {"C"}));
-  Relation rb(sb);
-  RETURN_IF_ERROR(rb.AppendValues({Value("b"), Value("c")}).status());
-  RETURN_IF_ERROR(rb.AppendValues({Value("b"), Value("d")}).status());
-  RETURN_IF_ERROR(
-      gadget.spec.AddInstance(core::TemporalInstance(std::move(rb))));
-  ASSIGN_OR_RETURN(Schema spb, Schema::Make("RpB", {"C"}));
-  Relation rpb(spb);
-  ASSIGN_OR_RETURN(TupleId u1, rpb.AppendValues({Value("b"), Value("c")}));
-  ASSIGN_OR_RETURN(TupleId u2, rpb.AppendValues({Value("b"), Value("d")}));
-  core::TemporalInstance rpb_inst(std::move(rpb));
-  ASSIGN_OR_RETURN(AttrIndex c_attr, spb.IndexOf("C"));
-  RETURN_IF_ERROR(rpb_inst.AddOrder(c_attr, u2, u1));  // d ≺ c
-  RETURN_IF_ERROR(gadget.spec.AddInstance(std::move(rpb_inst)));
-
-  // Empty copy functions ρ1 (RX ⇐ RpX) and ρ2 (Rb ⇐ RpB).
-  copy::CopySignature sigx;
-  sigx.target_relation = "RX";
-  sigx.target_attrs = {"X", "V"};
-  sigx.source_relation = "RpX";
-  sigx.source_attrs = {"X", "V"};
-  RETURN_IF_ERROR(gadget.spec.AddCopyFunction(copy::CopyFunction(sigx)));
-  copy::CopySignature sigb;
-  sigb.target_relation = "Rb";
-  sigb.target_attrs = {"C"};
-  sigb.source_relation = "RpB";
-  sigb.source_attrs = {"C"};
-  RETURN_IF_ERROR(gadget.spec.AddCopyFunction(copy::CopyFunction(sigb)));
+      AddAssignmentGadget(xs, ys, /*one_maps_to_c=*/true, &gadget.spec));
 
   // Query: Q(v) := ∃ ... QX ∧ QY ∧ QZ ∧ [v = ac(ψ)] ∧ Rb(eb, v) — the
   // answer is {('c')} iff ψ is satisfiable at the current (µX, µY) and
   // 'c' is current in Rb.
   std::vector<FormulaPtr> atoms;
   GateCompiler gates(&atoms);
-  std::vector<Term> value_of(qbf.num_vars);
-  for (sat::Var v : xs) {
-    Term t = gates.Fresh("xv");
-    value_of[v] = t;
-    atoms.push_back(Formula::Atom(
-        "RX", {Term::Const(Value("ex" + std::to_string(v))),
-               Term::Const(Value(var_name(v))), t}));
-  }
-  for (sat::Var v : ys) {
-    Term t = gates.Fresh("yv");
-    value_of[v] = t;
-    atoms.push_back(Formula::Atom(
-        "RY", {Term::Const(Value("ey" + std::to_string(v))),
-               Term::Const(Value(var_name(v))), t}));
-  }
-  for (sat::Var v : zs) {
-    Term t = gates.Fresh("zv");
-    value_of[v] = t;
-    atoms.push_back(Formula::Atom("R01", {gates.Fresh("e"), t}));
-  }
-  Term psi = gates.Matrix(qbf, value_of);
-  Term flag = gates.Fresh("flag");
-  atoms.push_back(Formula::Atom("Rca", {gates.Fresh("e"), psi, flag}));
-  atoms.push_back(Formula::Atom("Rb", {gates.Fresh("e"), flag}));
-
-  gadget.query.name = "Q";
-  gadget.query.head = {flag.var};
-  std::vector<std::string> bound;
-  for (const std::string& v : gates.exist_vars()) {
-    if (v != flag.var) bound.push_back(v);
-  }
-  gadget.query.body =
-      Formula::Exists(std::move(bound), Formula::And(std::move(atoms)));
+  gadget.query =
+      gates.FlagQuery(qbf, xs, ys, zs, std::vector<Term>(qbf.num_vars));
 
   gadget.options.skip_duplicate_imports = true;
   gadget.options.max_atoms = 64;

@@ -21,7 +21,8 @@
 // session's chase-fixpoint reuse accounting across Mutate, and the
 // component node lists both builders take: every component fixpoint
 // equals the whole-specification chase restricted to its groups, and an
-// encoder over one side of a coupling bucket fails.
+// encoder over one side of a coupling bucket fails.  Both routes refuse
+// a component whose current fragments exceed the enumeration budget.
 // scripts/check.sh re-runs this suite under ASan/UBSan and TSan.
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/ccqa.h"
@@ -417,6 +419,60 @@ TEST(ChaseRoutingCorner, SharedSourceCopyIsAnsweredExactly) {
   ASSERT_EQ(BruteForceCertainAnswers(spec, q).value(),
             std::set<Tuple>{Tuple({Value("e0")})});
   CheckRoutedEqualsForcedAndOracle(spec);
+}
+
+/// One entity of R(A) with `values` distinct, unordered A values: a
+/// chase-enumerable component with `values` current fragments.
+Specification MakeUnorderedEntity(int values) {
+  Specification spec;
+  Relation r(Schema::Make("R", {"A"}).value());
+  for (int a = 0; a < values; ++a) {
+    EXPECT_TRUE(r.AppendValues({Value("e0"), Value(a)}).ok());
+  }
+  EXPECT_TRUE(spec.AddInstance(TemporalInstance(std::move(r))).ok());
+  return spec;
+}
+
+// A component with more current fragments than max_current_instances
+// fails the enumeration on either route (CcqaOptions), rather than
+// visiting a truncated set and reporting success.
+TEST(ChaseRoutingBudget, OverBudgetComponentFailsOnBothRoutes) {
+  for (auto [values, budget] : {std::pair{4, 3}, std::pair{3, 2}}) {
+    SCOPED_TRACE(std::to_string(values) + " values, budget " +
+                 std::to_string(budget));
+    Specification spec = MakeUnorderedEntity(values);
+    CcqaOptions ccqa;
+    ccqa.max_current_instances = budget;
+    int visits = 0;
+    auto visit = [&](const query::Database&) {
+      ++visits;
+      return true;
+    };
+    auto routed = ForEachCurrentInstance(spec, ccqa, visit);
+    auto forced = ForcedSatForEachCurrentInstance(spec, ccqa, visit);
+    EXPECT_EQ(routed.status().code(), StatusCode::kResourceExhausted)
+        << routed.status();
+    EXPECT_EQ(forced.status().code(), StatusCode::kResourceExhausted)
+        << forced.status();
+    EXPECT_EQ(visits, 0) << "a refused component must visit nothing";
+  }
+}
+
+// Exactly at the budget the chase route enumerates every fragment.  (The
+// SAT route refuses a space of exactly max_models models whose emptiness
+// only one more solve could prove; see sat::EnumerateProjectedModels.)
+TEST(ChaseRoutingBudget, AtBudgetComponentEnumeratesOnChaseRoute) {
+  Specification spec = MakeUnorderedEntity(3);
+  CcqaOptions ccqa;
+  ccqa.max_current_instances = 3;
+  int visits = 0;
+  auto count = ForEachCurrentInstance(spec, ccqa, [&](const query::Database&) {
+    ++visits;
+    return true;
+  });
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 3);
+  EXPECT_EQ(visits, 3);
 }
 
 // ---------------------------------------------------------------------------
