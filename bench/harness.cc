@@ -215,10 +215,6 @@ void Report::Workload(const std::string& key, double value) {
   workload_.push_back(Quoted(key) + ": " + Number(value));
 }
 
-void Report::Workload(const std::string& key, const std::string& value) {
-  workload_.push_back(Quoted(key) + ": " + Quoted(value));
-}
-
 void Report::Row(const Series& series) {
   size_t n = series.samples_ms.size();
   double denom = series.wall_ms > 0 ? series.wall_ms : series.Total();

@@ -8,7 +8,7 @@
 //   {
 //     "host": {"nproc": N},
 //     "bench": "<binary>",
-//     "workload": {"<parameter>": number or string, ...},
+//     "workload": {"<parameter>": number, ...},
 //     "results": [
 //       {"name": "<phase>", "<field>": number, ...},
 //       ...
@@ -111,7 +111,6 @@ class Report {
   int Fail(const std::string& what) const;
 
   void Workload(const std::string& key, double value);
-  void Workload(const std::string& key, const std::string& value);
   void Row(const Series& series);
   void Row(const std::string& name,
            const std::vector<std::pair<std::string, double>>& fields);

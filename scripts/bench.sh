@@ -49,17 +49,18 @@
 #    snapshot-restart speedup floor.  The replay-vs-snapshot ratio is
 #    thread-independent.
 #
-#  * BENCH_obs.json — observability overhead: warm COP p50 (per query
-#    in a batch, plus loop-of-singles) for a tracer-absent session, a
-#    fully traced session, and (the A/B that matters) the traced
-#    session against the same binary compiled with -DCURRENCY_OBS_OFF=ON,
-#    where every span/stage/timer is an empty type.  bench_obs_overhead
+#  * BENCH_obs.json — observability overhead: warm COP per-query p50 of
+#    one batch answered by a traced session, an untraced session and a
+#    bare engine (no counters, histograms or session bracket), timed in
+#    one process in 2000 rounds whose arm order rotates, plus
+#    loop-of-singles for the two sessions.  bench_obs_overhead
 #    self-checks every answer against the one-shot solver and enforces
-#    the <= 5% traced-vs-compiled-out warm-batch per-query p50 ceiling
-#    (--max-overhead=1.05; the per-REQUEST trace cost is fixed at
-#    ~0.35 µs, so the single-query series is reported but not enforced —
-#    see the binary's header comment).  The compiled-out baseline
-#    builds in its own tree (build-obsoff), reused across runs.
+#    two <= 5% ceilings (--max-overhead=1.05): traced vs untraced (what
+#    tracing costs) and untraced vs bare (what the always-on
+#    instrumentation costs).  Both read 1.005-1.030 on a shared 4-vCPU
+#    host, so one run decides.  The per-REQUEST trace cost is fixed, so
+#    the single-query series is reported but not enforced — see the
+#    binary's header comment.
 #
 #  * BENCH_sat.json — single-threaded SAT-core throughput on the
 #    1024-entity chained-component CPS/COP workload: propagations/sec,
@@ -76,7 +77,7 @@
 #   {
 #     "host": {"nproc": N},
 #     "bench": "<binary>",
-#     "workload": {"<parameter>": number or string, ...},
+#     "workload": {"<parameter>": number, ...},
 #     "results": [{"name": "<phase>", "<field>": number, ...}, ...],
 #     "ratios": {"<derived or gated figure>": number, ...}
 #   }
@@ -109,12 +110,6 @@ cmake --build "$build_dir" -j "$(nproc)" \
   --target bench_serve bench_chase_routing bench_concurrent_serve \
            bench_recovery bench_sat_core bench_obs_overhead
 
-obsoff_dir="${build_dir}-obsoff"
-if [ ! -f "$obsoff_dir/CMakeCache.txt" ]; then
-  cmake -B "$obsoff_dir" -S . -DCURRENCY_OBS_OFF=ON
-fi
-cmake --build "$obsoff_dir" -j "$(nproc)" --target bench_obs_overhead
-
 "$build_dir/bench/bench_serve" \
   --entities=1024 --queries=16 --iters=5 \
   --require-speedup=5 \
@@ -135,10 +130,10 @@ cmake --build "$obsoff_dir" -j "$(nproc)" --target bench_obs_overhead
   --dir="$build_dir/bench_recovery_dirs" \
   --out="$repo_root/BENCH_wal.json"
 
-# Same three-attempt hygiene as the obs ceiling below: the propagation
-# throughput ratio swings ~±15% with cross-process scheduler noise on
-# a shared 4-vCPU host, so a real regression fails all three attempts
-# while a noise dip fails at most one.
+# Three attempts: the propagation throughput ratio swings ~±15% with
+# cross-process scheduler noise on a shared 4-vCPU host, so a real
+# regression fails all three attempts while a noise dip fails at most
+# one.
 sat_ok=0
 for _ in 1 2 3; do
   if "$build_dir/bench/bench_sat_core" \
@@ -151,37 +146,12 @@ for _ in 1 2 3; do
 done
 [ "$sat_ok" -eq 1 ]
 
-# Compiled-out baseline first (its own JSON is throwaway), then the
-# instrumented run enforcing the warm-p50 overhead ceiling against it.
-# The quantities compared are ~0.4 µs, so cross-process scheduler noise on
-# a shared 4-vCPU host can swing a single run's p50 well past 5% in
-# either direction.  Standard microbenchmark hygiene: take the MINIMUM
-# of three baseline p50s (the strictest, least-noisy comparison point)
-# and give the instrumented side three attempts to beat the ceiling —
-# a real >5% overhead fails all three, a noise spike fails at most one.
-obsoff_json="$obsoff_dir/BENCH_obs_baseline.json"
-baseline_p50=""
-for _ in 1 2 3; do
-  "$obsoff_dir/bench/bench_obs_overhead" \
-    --entities=256 --queries=32 --iters=30 \
-    --out="$obsoff_json"
-  run_p50="$(sed -n \
-    's/.*"warm_batch_cop_per_query_traced".*"p50_ms": \([0-9.]*\).*/\1/p' \
-    "$obsoff_json")"
-  baseline_p50="$(awk -v a="$baseline_p50" -v b="$run_p50" \
-    'BEGIN { print (a == "" || b + 0 < a + 0) ? b : a }')"
-done
-obs_ok=0
-for _ in 1 2 3; do
-  if "$build_dir/bench/bench_obs_overhead" \
-    --entities=256 --queries=32 --iters=30 \
-    --baseline-p50-ms="$baseline_p50" --max-overhead=1.05 \
-    --out="$repo_root/BENCH_obs.json"; then
-    obs_ok=1
-    break
-  fi
-done
-[ "$obs_ok" -eq 1 ]
+# One process, three interleaved arms (traced session, untraced session,
+# bare engine), 2000 rounds (~0.1 s): host drift lands on every arm
+# alike, so one run settles both <= 5% ceilings without retries.
+"$build_dir/bench/bench_obs_overhead" \
+  --entities=256 --queries=32 --iters=2000 --max-overhead=1.05 \
+  --out="$repo_root/BENCH_obs.json"
 
 python3 "$repo_root/scripts/check_bench_reports.py" \
   "$repo_root/BENCH_serve.json" "$repo_root/BENCH_chase.json" \

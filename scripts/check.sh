@@ -4,6 +4,9 @@
 # re-run the threading tests under ThreadSanitizer and every suite under
 # ASan+UBSan. Exits nonzero on the first failure.
 #
+# Every ctest name must be unique (`ctest -N` lists none twice), so a
+# failure report names one test and `ctest -R` selects only it.
+#
 # -Wall -Wextra -Werror is applied to currency targets only (see
 # CURRENCY_STRICT_WARNINGS in the top-level CMakeLists), so dead-store
 # bugs like an unused conflict-analysis counter fail the build here
@@ -60,6 +63,13 @@ rm -rf "$build_dir"
 cmake -B "$build_dir" -S . -DCURRENCY_STRICT_WARNINGS=ON
 cmake --build "$build_dir" -j "$(nproc)"
 (cd "$build_dir" && ctest --output-on-failure -j "$(nproc)")
+duplicates="$(cd "$build_dir" && ctest -N |
+  sed -n 's/^ *Test *#[0-9]*: //p' | sort | uniq -d)"
+if [ -n "$duplicates" ]; then
+  echo "check: ctest registers these names more than once:" >&2
+  echo "$duplicates" >&2
+  exit 1
+fi
 
 perfbench_dir="${build_dir}-perfbench"
 rm -rf "$perfbench_dir"

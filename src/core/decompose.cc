@@ -330,8 +330,8 @@ void SampleSolverDelta(const EngineCounters& counters,
   // (usually cold) cache-line RMW — and a warm probe has a zero delta
   // on everything but propagations.  Adding zero is a no-op, so skip
   // it: this keeps the per-query boundary cost inside
-  // bench_obs_overhead's 5% traced-vs-compiled-out ceiling no matter
-  // how many solver counters exist.
+  // bench_obs_overhead's 5% untraced-vs-bare ceiling no matter how many
+  // solver counters exist.
   auto bump = [](obs::Counter* c, int64_t delta) {
     if (delta != 0) c->Increment(delta);
   };
@@ -589,8 +589,7 @@ Result<bool> DecomposedEncoder::EnsureAllSolved(exec::ThreadPool* pool) {
   // re-solves them through this same path.
   std::vector<std::optional<bool>> outcome(todo.size());
   exec::CancellationToken cancel;
-  std::optional<exec::ThreadPool> sequential;
-  RETURN_IF_ERROR(exec::ResolvePool(pool, 1, sequential)->ParallelFor(
+  RETURN_IF_ERROR(pool->ParallelFor(
       static_cast<int>(todo.size()),
       [&](int k) -> Status {
         int c = todo[k];

@@ -353,11 +353,10 @@ class DecomposedEncoder {
   /// CPS, and the base step of every other procedure: ensures every
   /// component has a cached base-satisfiability bit and returns whether
   /// all are satisfiable (Mod(S) ≠ ∅).  Unknown components are decided as
-  /// concurrent tasks on `pool` (a null pool runs them on the calling
-  /// thread), in component order — chase-routed ones from their fixpoint,
-  /// the rest by a SAT solve — with first-UNSAT cancellation; components
-  /// skipped by cancellation stay unknown, which is sound because the
-  /// answer is already false.
+  /// concurrent tasks on `pool` (not null), in component order —
+  /// chase-routed ones from their fixpoint, the rest by a SAT solve — with
+  /// first-UNSAT cancellation; components skipped by cancellation stay
+  /// unknown, which is sound because the answer is already false.
   Result<bool> EnsureAllSolved(exec::ThreadPool* pool);
 
   /// The cached chase fixpoint of the chase-eligible component `c`,

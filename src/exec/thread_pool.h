@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -154,17 +153,6 @@ class ThreadPool {
   int busy_workers_ = 0;
   Instruments instruments_;  // written by BindInstruments under mu_
 };
-
-/// Resolves an optional caller-owned pool: returns `pool` when non-null
-/// (the SessionManager lends every tenant session its pool this way),
-/// otherwise emplaces a fresh pool of `num_threads` into `local` and
-/// returns that.
-inline ThreadPool* ResolvePool(ThreadPool* pool, int num_threads,
-                               std::optional<ThreadPool>& local) {
-  if (pool != nullptr) return pool;
-  local.emplace(num_threads);
-  return &*local;
-}
 
 }  // namespace currency::exec
 

@@ -67,8 +67,6 @@ std::vector<std::string> Tracer::SlowLog() const {
   return std::vector<std::string>(slow_log_.begin(), slow_log_.end());
 }
 
-#ifndef CURRENCY_OBS_OFF
-
 namespace {
 /// The calling thread's open root span.  Written only by TraceSpan's
 /// constructor/destructor on the owning thread.
@@ -159,7 +157,5 @@ TraceSpan::Stage::~Stage() {
           : 0;
   root_->trace_.stages.push_back(stage_);
 }
-
-#endif  // CURRENCY_OBS_OFF
 
 }  // namespace currency::obs

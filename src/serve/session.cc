@@ -10,7 +10,11 @@ namespace currency::serve {
 
 CurrencySession::CurrencySession(const SessionOptions& options)
     : options_(options) {
-  pool_ = exec::ResolvePool(options_.pool, options_.num_threads, own_pool_);
+  if (options_.pool != nullptr) {
+    pool_ = options_.pool;
+  } else {
+    pool_ = &own_pool_.emplace(options_.num_threads);
+  }
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
   } else {

@@ -121,9 +121,8 @@ struct SessionOptions {
   /// the session attach to whatever root span is open on the calling
   /// thread, so a manager-owned root subsumes the session's own.
   obs::Tracer* tracer = nullptr;
-  /// Time source for the batch latency histograms; null means the
-  /// monotonic wall clock.  Ignored under CURRENCY_OBS_OFF (timing
-  /// compiles out; counters stay).
+  /// Time source for the batch latency histograms, read twice per batch;
+  /// null means the monotonic wall clock.
   const obs::Clock* clock = nullptr;
 };
 

@@ -220,7 +220,7 @@ class SessionManager {
     /// queue high-water); StatsFor reads them through the gate.
     exec::AdmissionGate gate;
     /// currency_serve_admission_wait_ns{tenant=...}; timed around every
-    /// gate.Enter (compiles out under CURRENCY_OBS_OFF).
+    /// gate.Enter (two clock reads).
     obs::Histogram* admission_wait = nullptr;
   };
 

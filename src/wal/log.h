@@ -91,8 +91,7 @@ struct WalOptions {
   /// no metrics.
   obs::Registry* registry = nullptr;
   /// Time source for the latency histograms; null means the monotonic
-  /// wall clock.  Ignored without a registry or under CURRENCY_OBS_OFF
-  /// (latency timing compiles out; counters stay).
+  /// wall clock.  Ignored without a registry.
   const obs::Clock* clock = nullptr;
 };
 

@@ -801,7 +801,8 @@ TEST(ChaseCounters, ComponentChaseCountsWorkAndSkipsEncoders) {
       spec, {}, /*use_chase_routing=*/true, &counters);
   ASSERT_TRUE(decomposed.ok()) << decomposed.status();
   ASSERT_TRUE((*decomposed)->chase_routing());
-  ASSERT_TRUE((*decomposed)->EnsureAllSolved(nullptr).value());
+  exec::ThreadPool pool(1);
+  ASSERT_TRUE((*decomposed)->EnsureAllSolved(&pool).value());
   int coupled = (*decomposed)->decomposition().ComponentOf(0, Value("e1"));
   auto chase = (*decomposed)->ChaseFixpoint(coupled);
   ASSERT_TRUE(chase.ok()) << chase.status();

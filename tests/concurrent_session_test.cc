@@ -712,8 +712,6 @@ TEST(SessionManagerTest, TwoTenantsServeConcurrently) {
   EXPECT_EQ(stats_a->rejected_batches, 0);
 }
 
-#ifndef CURRENCY_OBS_OFF
-
 /// R(A) with two e0 tuples, A = 0 and A = 1.  `deny_every_completion`
 /// adds a pure denial whose premises are value-only, so Mod(S) = ∅.
 core::Specification TwoTupleSpec(bool deny_every_completion) {
@@ -779,8 +777,6 @@ TEST(SessionManagerTest, TracesTheStagesOfEveryRequestKind) {
     EXPECT_EQ(names, expected[i].second) << expected[i].first;
   }
 }
-
-#endif  // CURRENCY_OBS_OFF
 
 }  // namespace
 }  // namespace currency::serve

@@ -250,10 +250,7 @@ TEST(ObsClockTest, MonotonicClockNeverGoesBackwards) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracing.  Everything below the compile-out guard is skipped under
-// CURRENCY_OBS_OFF (the types exist but are inert by design).
-
-#ifndef CURRENCY_OBS_OFF
+// Tracing.
 
 TraceOptions TestTraceOptions(const ManualClock* clock) {
   TraceOptions options;
@@ -476,8 +473,6 @@ TEST(ObsTraceTest, ZeroCapacityRingDropsEverything) {
   EXPECT_EQ(tracer.recorded_traces(), 1);
   EXPECT_EQ(tracer.dropped_traces(), 1);
 }
-
-#endif  // CURRENCY_OBS_OFF
 
 // ---------------------------------------------------------------------------
 // AdmissionGate instrument binding (the gate's own counters are covered

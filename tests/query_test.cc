@@ -83,7 +83,7 @@ TEST(ParserTest, ParsesConstantsAndComparisons) {
   EXPECT_EQ((*f)->children().size(), 3u);
 }
 
-TEST(ParserTest, RoundTripToString) {
+TEST(ParserTest, QueryRoundTripToString) {
   auto q = ParseQuery("Q(x) := EXISTS y: R(x, y) AND x = 1");
   ASSERT_TRUE(q.ok());
   auto q2 = ParseQuery(q->ToString());

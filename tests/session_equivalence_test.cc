@@ -571,12 +571,10 @@ TEST(SessionEquivalence, TracingDoesNotPerturbAnswers) {
                   BatchTranscript(plain.get()))
             << "round=" << round;
       }
-#ifndef CURRENCY_OBS_OFF
       // The traced session really traced: one root per batch call (4 per
       // transcript × 3 transcripts) plus one per Mutate.
       EXPECT_EQ(tracer.recorded_traces(), 14);
       EXPECT_FALSE(tracer.SlowLog().empty());
-#endif
     }
   }
 }
