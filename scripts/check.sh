@@ -45,12 +45,14 @@
 # sanitizers are built to police.  (WAL tests write their log directories
 # under the build tree's cwd — wal_test_dirs/, gitignored.)
 #
-# The perfbench build step configures perfbench's own CMake project
+# The perfbench step configures perfbench's own CMake project
 # (perfbench/CMakeLists.txt, Release, over the library sources in src/)
-# into ${build_dir}-perfbench and builds perfbench_e2e without running
-# it, so a library change that breaks the end-to-end benchmark fails
-# here rather than at its next benchmark run (≈1 min from clean on
-# 4 vCPUs).
+# into ${build_dir}-perfbench, builds perfbench_e2e (≈1 min from clean on
+# 4 vCPUs) and runs it for 2 s on each workload.  A run's last line must
+# report "correct": true and "failed": 0, so the served path's sampled
+# answer oracle and its recovery check gate every CI run, and a library
+# change that breaks the end-to-end benchmark fails here rather than at
+# its next benchmark run.
 #
 # Usage: scripts/check.sh [build-dir]    (default: build)
 set -euo pipefail
@@ -75,6 +77,17 @@ perfbench_dir="${build_dir}-perfbench"
 rm -rf "$perfbench_dir"
 cmake -S perfbench -B "$perfbench_dir" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$perfbench_dir" -j "$(nproc)" --target perfbench_e2e
+for workload in audit_mix giant_component; do
+  report="$("$perfbench_dir/perfbench_e2e" --workload="$workload" --seed=1 \
+    --seconds=2 --trace=0 --work-dir="$perfbench_dir/work" | tail -n 1)"
+  case "$report" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *)
+      echo "check: perfbench_e2e --workload=$workload failed: $report" >&2
+      exit 1
+      ;;
+  esac
+done
 
 tsan_dir="${build_dir}-tsan"
 rm -rf "$tsan_dir"

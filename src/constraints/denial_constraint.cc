@@ -55,7 +55,133 @@ Result<DenialConstraint> DenialConstraint::Make(
   dc.compares_ = std::move(compares);
   dc.order_premises_ = std::move(order_premises);
   dc.conclusion_ = conclusion;
+  // The plan: constant comparisons decide the whole constraint once and
+  // for all; the rest split by the tuple variables they mention.
+  for (int k = 0; k < static_cast<int>(dc.compares_.size()); ++k) {
+    const ComparePredicate& c = dc.compares_[k];
+    const int lhs = c.lhs.is_const ? -1 : c.lhs.tuple_var;
+    const int rhs = c.rhs.is_const ? -1 : c.rhs.tuple_var;
+    if (lhs < 0 && rhs < 0) {
+      dc.constants_hold_ &= EvalCmp(c.op, c.lhs.constant, c.rhs.constant);
+    } else if (lhs < 0 || rhs < 0 || lhs == rhs) {
+      dc.unary_.emplace_back(std::max(lhs, rhs), k);
+    } else {
+      dc.binary_.push_back(k);
+    }
+  }
   return dc;
+}
+
+template <typename Emit>
+bool DenialConstraint::GroundingsForGroup(const Relation& relation,
+                                          const std::vector<TupleId>& members,
+                                          const Emit& emit) const {
+  // The lower-bound constructions of the paper use constraints with many
+  // tuple variables over one large entity group, so naive |G|^k nested
+  // loops are hopeless even for tiny inputs.  We instead backtrack with
+  // (a) per-variable candidate sets pre-filtered by unary predicates and
+  // (b) eager evaluation of each predicate as soon as its variables are
+  // assigned.  The predicate split is Make's plan; a call allocates one
+  // scratch buffer and one Grounding.
+  if (!constants_hold_) return true;
+  const int n = num_tuple_vars_;
+  const size_t m = members.size();
+  // Scratch, carved into per-variable arrays: candidates (n rows of m),
+  // their counts, the assignment, the scarcest-first variable order, each
+  // variable's position in it, the per-depth cursor, and the binary
+  // predicates bucketed by the depth that assigns their later variable.
+  std::vector<int> scratch(n * (m + 6) + 1 + binary_.size());
+  int* candidates = scratch.data();
+  int* count = candidates + n * m;
+  TupleId* assignment = count + n;
+  int* order = assignment + n;
+  int* position = order + n;
+  int* cursor = position + n;
+  int* check_begin = cursor + n;  // n + 1 entries
+  int* checks = check_begin + n + 1;
+
+  auto holds = [&](int k) {
+    const ComparePredicate& c = compares_[k];
+    auto value = [&](const Operand& op) -> const Value& {
+      return op.is_const ? op.constant
+                         : relation.tuple(assignment[op.tuple_var]).at(op.attr);
+    };
+    return EvalCmp(c.op, value(c.lhs), value(c.rhs));
+  };
+
+  // Candidate tuples per variable: members passing all unary predicates.
+  for (int v = 0; v < n; ++v) {
+    for (TupleId id : members) {
+      assignment[v] = id;
+      if (std::all_of(unary_.begin(), unary_.end(), [&](const auto& u) {
+            return u.first != v || holds(u.second);
+          })) {
+        candidates[v * m + count[v]++] = id;
+      }
+    }
+    if (count[v] == 0) return true;  // no grounding from this group
+  }
+
+  // Assign variables scarcest-first; schedule each binary predicate at
+  // the position where its second variable is assigned.
+  for (int v = 0; v < n; ++v) order[v] = v;
+  std::sort(order, order + n,
+            [&](int a, int b) { return count[a] < count[b]; });
+  for (int i = 0; i < n; ++i) position[order[i]] = i;
+  int scheduled = 0;
+  for (int d = 0; d <= n; ++d) {
+    check_begin[d] = scheduled;
+    for (int k : binary_) {
+      const ComparePredicate& c = compares_[k];
+      if (d == std::max(position[c.lhs.tuple_var], position[c.rhs.tuple_var])) {
+        checks[scheduled++] = k;
+      }
+    }
+  }
+
+  // Depth-first over the candidates, emitting at full depth.  A premise
+  // u ≺ u is false, so such a grounding is vacuous and skipped; a
+  // conclusion u ≺ u is unsatisfiable, so it grounds to a pure denial.
+  Grounding g;
+  auto tuple_atom = [&](const OrderAtom& a) {
+    return GroundOrderAtom{a.attr, assignment[a.before], assignment[a.after]};
+  };
+  int depth = 0;
+  cursor[0] = 0;
+  while (depth >= 0) {
+    if (depth == n) {
+      if (std::none_of(order_premises_.begin(), order_premises_.end(),
+                       [&](const OrderAtom& a) {
+                         return assignment[a.before] == assignment[a.after];
+                       })) {
+        g.premises.clear();
+        for (const OrderAtom& a : order_premises_) {
+          g.premises.push_back(tuple_atom(a));
+        }
+        g.conclusion.reset();
+        if (assignment[conclusion_.before] != assignment[conclusion_.after]) {
+          g.conclusion = tuple_atom(conclusion_);
+        }
+        if (!emit(g)) return false;
+      }
+      --depth;
+      continue;
+    }
+    // The next candidate of this depth's variable that passes its checks.
+    const int var = order[depth];
+    bool ok = false;
+    while (!ok && cursor[depth] < count[var]) {
+      assignment[var] = candidates[var * m + cursor[depth]++];
+      ok = std::all_of(checks + check_begin[depth],
+                       checks + check_begin[depth + 1], holds);
+    }
+    if (!ok) {
+      --depth;
+    } else if (++depth < n) {
+      cursor[depth] = 0;
+    }
+  }
+  return true;
 }
 
 void DenialConstraint::EnumerateGroundings(
@@ -78,148 +204,26 @@ void DenialConstraint::EnumerateGroundingsForGroup(
 
 bool DenialConstraint::HasGroundingForGroup(
     const Relation& relation, const std::vector<TupleId>& members) const {
-  bool found = false;
-  GroundingsForGroup(relation, members, [&](const Grounding&) {
-    found = true;
-    return false;
-  });
-  return found;
-}
-
-void DenialConstraint::GroundingsForGroup(
-    const Relation& relation, const std::vector<TupleId>& members,
-    const std::function<bool(const Grounding&)>& emit) const {
-  // The lower-bound constructions of the paper use constraints with many
-  // tuple variables over one large entity group, so naive |G|^k nested
-  // loops are hopeless even for tiny inputs.  We instead backtrack with
-  // (a) per-variable candidate sets pre-filtered by unary predicates and
-  // (b) eager evaluation of each predicate as soon as its variables are
-  // assigned.
-
-  // Split predicates by the set of tuple variables they mention.
-  auto pred_vars = [&](const ComparePredicate& c) {
-    std::vector<int> vars;
-    if (!c.lhs.is_const) vars.push_back(c.lhs.tuple_var);
-    if (!c.rhs.is_const && c.rhs.tuple_var != (vars.empty() ? -1 : vars[0])) {
-      vars.push_back(c.rhs.tuple_var);
-    }
-    return vars;
-  };
-  std::vector<std::vector<const ComparePredicate*>> unary(num_tuple_vars_);
-  std::vector<const ComparePredicate*> binary;
-  for (const ComparePredicate& c : compares_) {
-    std::vector<int> vars = pred_vars(c);
-    if (vars.empty()) {
-      // Constant comparison: decide the whole constraint now.
-      if (!EvalCmp(c.op, c.lhs.constant, c.rhs.constant)) return;
-    } else if (vars.size() == 1) {
-      unary[vars[0]].push_back(&c);
-    } else {
-      binary.push_back(&c);
-    }
-  }
-
-  auto eval_operand = [&](const Operand& op,
-                          const std::vector<TupleId>& assignment) -> const Value& {
-    if (op.is_const) return op.constant;
-    return relation.tuple(assignment[op.tuple_var]).at(op.attr);
-  };
-
-  std::vector<TupleId> assignment(num_tuple_vars_);
-  {
-    // Candidate tuples per variable: members passing all unary predicates.
-    std::vector<std::vector<TupleId>> candidates(num_tuple_vars_);
-    for (int v = 0; v < num_tuple_vars_; ++v) {
-      for (TupleId id : members) {
-        assignment[v] = id;
-        bool ok = true;
-        for (const ComparePredicate* c : unary[v]) {
-          if (!EvalCmp(c->op, eval_operand(c->lhs, assignment),
-                       eval_operand(c->rhs, assignment))) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) candidates[v].push_back(id);
-      }
-      if (candidates[v].empty()) break;  // no grounding from this group
-    }
-    bool empty = false;
-    for (const auto& cand : candidates) {
-      if (cand.empty()) empty = true;
-    }
-    if (empty) return;
-
-    // Assign variables scarcest-first; schedule each binary predicate at
-    // the position where its second variable is assigned.
-    std::vector<int> order(num_tuple_vars_);
-    for (int v = 0; v < num_tuple_vars_; ++v) order[v] = v;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return candidates[a].size() < candidates[b].size();
-    });
-    std::vector<int> position(num_tuple_vars_);
-    for (int i = 0; i < num_tuple_vars_; ++i) position[order[i]] = i;
-    std::vector<std::vector<const ComparePredicate*>> checks(num_tuple_vars_);
-    for (const ComparePredicate* c : binary) {
-      std::vector<int> vars = pred_vars(*c);
-      int ready = std::max(position[vars[0]], position[vars[1]]);
-      checks[ready].push_back(c);
-    }
-
-    // rec returns false when emit asked to stop the search.
-    std::function<bool(int)> rec = [&](int depth) {
-      if (depth == num_tuple_vars_) {
-        Grounding g;
-        for (const OrderAtom& a : order_premises_) {
-          TupleId u = assignment[a.before];
-          TupleId v = assignment[a.after];
-          if (u == v) return true;  // premise u ≺ u false: vacuous
-          g.premises.push_back(GroundOrderAtom{a.attr, u, v});
-        }
-        TupleId cu = assignment[conclusion_.before];
-        TupleId cv = assignment[conclusion_.after];
-        if (cu == cv) {
-          g.conclusion = std::nullopt;  // u ≺ u unsatisfiable: pure denial
-        } else {
-          g.conclusion = GroundOrderAtom{conclusion_.attr, cu, cv};
-        }
-        return emit(g);
-      }
-      int var = order[depth];
-      for (TupleId id : candidates[var]) {
-        assignment[var] = id;
-        bool ok = true;
-        for (const ComparePredicate* c : checks[depth]) {
-          if (!EvalCmp(c->op, eval_operand(c->lhs, assignment),
-                       eval_operand(c->rhs, assignment))) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok && !rec(depth + 1)) return false;
-      }
-      return true;
-    };
-    rec(0);
-  }
+  return !GroundingsForGroup(relation, members,
+                             [](const Grounding&) { return false; });
 }
 
 bool DenialConstraint::SatisfiedBy(
     const Relation& relation, const std::vector<PartialOrder>& orders) const {
-  bool ok = true;
-  EnumerateGroundings(relation, [&](const Grounding& g) {
-    if (!ok) return;
+  auto satisfied = [&](const Grounding& g) {
     for (const GroundOrderAtom& p : g.premises) {
-      if (!orders[p.attr].Less(p.before, p.after)) return;  // premise fails
+      if (!orders[p.attr].Less(p.before, p.after)) return true;  // vacuous
     }
-    if (!g.conclusion.has_value()) {
-      ok = false;  // denial triggered
-      return;
-    }
-    const GroundOrderAtom& c = *g.conclusion;
-    if (!orders[c.attr].Less(c.before, c.after)) ok = false;
-  });
-  return ok;
+    // A denial is violated once its premises hold.
+    return g.conclusion.has_value() &&
+           orders[g.conclusion->attr].Less(g.conclusion->before,
+                                           g.conclusion->after);
+  };
+  for (const auto& [eid, members] : relation.EntityGroups()) {
+    (void)eid;
+    if (!GroundingsForGroup(relation, members, satisfied)) return false;
+  }
+  return true;
 }
 
 std::string DenialConstraint::ToString(const Schema& schema) const {

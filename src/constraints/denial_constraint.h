@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/cmp.h"
@@ -106,6 +107,7 @@ class DenialConstraint {
   /// whose value predicates hold.  Groundings with a trivially false
   /// premise (an order atom on one tuple) are skipped; groundings whose
   /// conclusion collapses to one tuple get an empty conclusion (denial).
+  /// The Grounding `emit` sees is reused: it is valid only during the call.
   void EnumerateGroundings(
       const Relation& relation,
       const std::function<void(const Grounding&)>& emit) const;
@@ -129,7 +131,7 @@ class DenialConstraint {
   /// True iff the (possibly partial) per-attribute `orders` satisfy the
   /// constraint: every grounding with all premises present has its
   /// conclusion present.  For completed orders this is exactly the paper's
-  /// D_t^c |= φ.
+  /// D_t^c |= φ.  Stops at the first violated grounding.
   bool SatisfiedBy(const Relation& relation,
                    const std::vector<PartialOrder>& orders) const;
 
@@ -139,17 +141,30 @@ class DenialConstraint {
  private:
   DenialConstraint() = default;
 
-  /// Backtracking core shared by enumeration and the existence check;
-  /// `emit` returns false to stop the search.
-  void GroundingsForGroup(
-      const Relation& relation, const std::vector<TupleId>& members,
-      const std::function<bool(const Grounding&)>& emit) const;
+  /// Backtracking core shared by enumeration, the existence check and
+  /// SatisfiedBy: calls `emit(const Grounding&)` for each grounding on
+  /// `members`, in enumeration order, until it returns false.  The
+  /// Grounding is reused across calls.  Returns false iff stopped.
+  template <typename Emit>
+  bool GroundingsForGroup(const Relation& relation,
+                          const std::vector<TupleId>& members,
+                          const Emit& emit) const;
 
   std::string relation_name_;
   int num_tuple_vars_ = 0;
   std::vector<ComparePredicate> compares_;
   std::vector<OrderAtom> order_premises_;
   OrderAtom conclusion_;
+
+  // The grounding plan, fixed by Make.  Indices into compares_, never
+  // pointers: specifications copy their constraints.
+  /// False when a constant-only comparison fails: nothing ever grounds.
+  bool constants_hold_ = true;
+  /// (tuple variable, comparison) for the comparisons on one tuple
+  /// variable, the candidate filters, in compares_ order.
+  std::vector<std::pair<int, int>> unary_;
+  /// Comparisons between two distinct tuple variables, in compares_ order.
+  std::vector<int> binary_;
 };
 
 }  // namespace currency::constraints

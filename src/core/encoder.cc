@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
 
 namespace currency::core {
-
-namespace {
-
-std::pair<TupleId, TupleId> Canonical(TupleId u, TupleId v) {
-  return u < v ? std::make_pair(u, v) : std::make_pair(v, u);
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Encoder>> Encoder::Build(const Specification& spec,
                                                 const Options& options) {
@@ -22,17 +15,31 @@ Result<std::unique_ptr<Encoder>> Encoder::Build(const Specification& spec,
 }
 
 bool Encoder::HasPairVar(int inst, TupleId u, TupleId v) const {
-  if (u == v) return false;
-  return pair_base_[inst].count(Canonical(u, v)) > 0;
+  const int ru = LastRow(inst, u);
+  const int rv = LastRow(inst, v);
+  // Compare groups, not block bases: a singleton group's empty block
+  // starts where the next group's does.
+  return u != v && ru >= 0 && rv >= 0 && num_bound_[inst] > 0 &&
+         rows_[inst][ru].group == rows_[inst][rv].group;
 }
 
 sat::Lit Encoder::OrdLit(int inst, AttrIndex attr, TupleId u, TupleId v) const {
-  auto key = Canonical(u, v);
-  int base = pair_base_[inst].at(key);
+  assert(HasPairVar(inst, u, v) && "OrdLit needs a same-group pair");
+  const Row& ru = rows_[inst][LastRow(inst, u)];
+  const Row& rv = rows_[inst][LastRow(inst, v)];
+  return PairLit(inst, attr, ru.pair_base, ru.size, ru.index, rv.index);
+}
+
+sat::Lit Encoder::PairLit(int inst, AttrIndex attr, int pair_base, int size,
+                          int x, int y) const {
   assert(bound_slot_[inst][attr] >= 0 && "OrdLit on an order-free attribute");
-  sat::Var var = base + bound_slot_[inst][attr];
-  // Variable true ⇔ key.first ≺ key.second; flip when asking (v, u).
-  return sat::MakeLit(var, /*negated=*/u != key.first);
+  const int lo = std::min(x, y);
+  const int hi = std::max(x, y);
+  const int rank = lo * (2 * size - lo - 1) / 2 + (hi - lo - 1);
+  // Variable true ⇔ members[lo] ≺ members[hi]; flip when asking (hi, lo).
+  return sat::MakeLit(
+      pair_base + num_bound_[inst] * rank + bound_slot_[inst][attr],
+      /*negated=*/x > y);
 }
 
 int Encoder::LastRow(int inst, TupleId u) const {
@@ -149,7 +156,6 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   spec_ = &spec;
   solver_ = std::make_unique<sat::Solver>();
   sat::Solver& s = *solver_;
-  pair_base_.resize(spec.num_instances());
 
   // 0. Resolve the entity groups this encoder covers, iterating the node
   // list (not the relations) so a component encoder's build cost is
@@ -168,48 +174,66 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   }
 
   // 1. Order variables: one per (same-entity pair, order-bound data
-  // attribute).  An order-free attribute gets none: nothing ties its order
+  // attribute), allocated group by group in pair order, so a group's
+  // pairs form one block and a pair's variables are found by arithmetic
+  // (see Row).  An order-free attribute gets none: nothing ties its order
   // to another variable, so its is-last selectors are pinned directly by
-  // the initial order in step 6.
-  bound_slot_.resize(spec.num_instances());
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    const TemporalInstance& inst = spec.instance(i);
-    int bound_attrs = 0;
-    bound_slot_[i].assign(inst.schema().arity(), -1);
-    for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
-      if (spec.OrderBound(i, a)) bound_slot_[i][a] = bound_attrs++;
+  // the initial order in step 6.  The row tables cover this encoder's own
+  // tuples only (sorted for the binary searches of OrdLit and IsLastVar),
+  // so they cost O(own content) like the rest.
+  const int n = spec.num_instances();
+  bound_slot_.resize(n);
+  num_bound_.assign(n, 0);
+  last_tuples_.resize(n);
+  rows_.resize(n);
+  for (int i = 0; i < n; ++i) {
+    const int arity = spec.instance(i).schema().arity();
+    bound_slot_[i].assign(arity, -1);
+    for (AttrIndex a = 1; a < arity; ++a) {
+      if (spec.OrderBound(i, a)) bound_slot_[i][a] = num_bound_[i]++;
     }
-    if (bound_attrs == 0) continue;
     for (const auto& [eid, members] : active_groups_[i]) {
       (void)eid;
-      for (size_t x = 0; x < members.size(); ++x) {
-        for (size_t y = x + 1; y < members.size(); ++y) {
-          auto key = Canonical(members[x], members[y]);
-          int base = s.NumVars();
-          for (int a = 0; a < bound_attrs; ++a) s.NewVar();
-          pair_base_[i][key] = base;
-          num_order_vars_ += bound_attrs;
-        }
+      last_tuples_[i].insert(last_tuples_[i].end(), members.begin(),
+                             members.end());
+    }
+    std::sort(last_tuples_[i].begin(), last_tuples_[i].end());
+    rows_[i].resize(last_tuples_[i].size());
+    for (size_t g = 0; g < active_groups_[i].size(); ++g) {
+      const std::vector<TupleId>& group = active_groups_[i][g].second;
+      const int m = static_cast<int>(group.size());
+      for (int x = 0; x < m; ++x) {
+        rows_[i][LastRow(i, group[x])] =
+            Row{s.NumVars(), x, m, static_cast<int>(g)};
       }
+      const int vars = num_bound_[i] * m * (m - 1) / 2;
+      for (int k = 0; k < vars; ++k) s.NewVar();
+      num_order_vars_ += vars;
     }
   }
+  // The pair block of a group (members non-empty).
+  auto block = [&](int i, const std::vector<TupleId>& group) {
+    return rows_[i][LastRow(i, group[0])].pair_base;
+  };
 
   // 2. Transitivity: ord(u,v) ∧ ord(v,w) → ord(u,w) for ordered triples.
-  for (int i = 0; i < spec.num_instances(); ++i) {
-    const TemporalInstance& inst = spec.instance(i);
+  for (int i = 0; i < n; ++i) {
+    const int arity = spec.instance(i).schema().arity();
     for (const auto& [eid, members] : active_groups_[i]) {
       (void)eid;
-      if (members.size() < 3) continue;
-      for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
+      const int m = static_cast<int>(members.size());
+      if (m < 3) continue;
+      const int base = block(i, members);
+      for (AttrIndex a = 1; a < arity; ++a) {
         if (bound_slot_[i][a] < 0) continue;
-        for (TupleId u : members) {
-          for (TupleId v : members) {
-            if (v == u) continue;
-            for (TupleId w : members) {
-              if (w == u || w == v) continue;
-              s.AddClause({sat::Negate(OrdLit(i, a, u, v)),
-                           sat::Negate(OrdLit(i, a, v, w)),
-                           OrdLit(i, a, u, w)});
+        for (int x = 0; x < m; ++x) {
+          for (int y = 0; y < m; ++y) {
+            if (y == x) continue;
+            for (int z = 0; z < m; ++z) {
+              if (z == x || z == y) continue;
+              s.AddClause({sat::Negate(PairLit(i, a, base, m, x, y)),
+                           sat::Negate(PairLit(i, a, base, m, y, z)),
+                           PairLit(i, a, base, m, x, z)});
             }
           }
         }
@@ -224,17 +248,19 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   // and probing Less covers every pair — in Σ m² instead of the n²/64
   // full-matrix scan of Pairs(), which matters when an encoder is built
   // once per component.
-  for (int i = 0; i < spec.num_instances(); ++i) {
+  for (int i = 0; i < n; ++i) {
     const TemporalInstance& inst = spec.instance(i);
     for (const auto& [eid, members] : active_groups_[i]) {
       (void)eid;
+      const int m = static_cast<int>(members.size());
+      const int base = block(i, members);
       for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
         if (bound_slot_[i][a] < 0) continue;
         const PartialOrder& po = inst.order(a);
-        for (TupleId u : members) {
-          for (TupleId v : members) {
-            if (u == v || !po.Less(u, v)) continue;
-            s.AddClause({OrdLit(i, a, u, v)});
+        for (int x = 0; x < m; ++x) {
+          for (int y = 0; y < m; ++y) {
+            if (x == y || !po.Less(members[x], members[y])) continue;
+            s.AddClause({PairLit(i, a, base, m, x, y)});
           }
         }
       }
@@ -276,31 +302,30 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
     }
   }
 
-  // 5. Grounded denial constraints.
-  for (int i = 0; i < spec.num_instances(); ++i) {
+  // 5. Grounded denial constraints: premise literals → conclusion literal,
+  // built in one reused buffer.
+  std::vector<sat::Lit> clause;
+  for (int i = 0; i < n; ++i) {
     const Relation& rel = spec.instance(i).relation();
+    const std::function<void(const constraints::Grounding&)> emit =
+        [&](const constraints::Grounding& g) {
+          clause.clear();
+          for (const auto& p : g.premises) {
+            clause.push_back(sat::Negate(OrdLit(i, p.attr, p.before, p.after)));
+          }
+          if (g.conclusion.has_value()) {
+            clause.push_back(OrdLit(i, g.conclusion->attr,
+                                    g.conclusion->before, g.conclusion->after));
+          }
+          s.AddClause(clause);
+        };
     // All tuple variables of a grounding bind within one entity group,
     // so grounding per active group loses nothing and skips the other
     // components' grounding work entirely.
     for (const auto& dc : spec.constraints_for(i)) {
-      for (const auto& [eid, group_members] : active_groups_[i]) {
+      for (const auto& [eid, members] : active_groups_[i]) {
         (void)eid;
-        dc.EnumerateGroundingsForGroup(
-          rel, group_members,
-          [&](const constraints::Grounding& g) {
-            std::vector<sat::Lit> clause;
-            clause.reserve(g.premises.size() + 1);
-            for (const auto& p : g.premises) {
-              clause.push_back(
-                  sat::Negate(OrdLit(i, p.attr, p.before, p.after)));
-            }
-            if (g.conclusion.has_value()) {
-              clause.push_back(OrdLit(i, g.conclusion->attr,
-                                      g.conclusion->before,
-                                      g.conclusion->after));
-            }
-            s.AddClause(std::move(clause));
-          });
+        dc.EnumerateGroundingsForGroup(rel, members, emit);
       }
     }
   }
@@ -312,33 +337,35 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
   //    maximal member of the initial order (any linear extension can end
   //    in any of them, independently of every other variable): ¬L(u) for
   //    each non-maximal member, exactly-one over the maximal members.
-  last_tuples_.resize(spec.num_instances());
-  is_last_var_.resize(spec.num_instances());
-  cell_index_.resize(spec.num_instances());
-  for (int i = 0; i < spec.num_instances(); ++i) {
+  //    Cells follow group-major, attribute-minor (see CellAt).
+  is_last_var_.resize(n);
+  cell_begin_.resize(n);
+  std::vector<int> member_rows;
+  std::vector<sat::Lit> maximal;  // L(u) of the maximal members
+  std::vector<std::pair<const Value*, int>> by_value;  // (value, x)
+  for (int i = 0; i < n; ++i) {
     const TemporalInstance& inst = spec.instance(i);
     const int arity = inst.schema().arity();
-    // Rows for this encoder's own tuples only (sorted for IsLastVar's
-    // lookup), so the index costs O(own content) like the rest.
-    for (const auto& [eid, members] : active_groups_[i]) {
-      (void)eid;
-      last_tuples_[i].insert(last_tuples_[i].end(), members.begin(),
-                             members.end());
-    }
-    std::sort(last_tuples_[i].begin(), last_tuples_[i].end());
     is_last_var_[i].assign(last_tuples_[i].size() * arity, -1);
+    cell_begin_[i] = cells_.size();
     for (const auto& [eid, members] : active_groups_[i]) {
+      const int m = static_cast<int>(members.size());
+      const int base = block(i, members);
+      member_rows.resize(m);
+      for (int x = 0; x < m; ++x) member_rows[x] = LastRow(i, members[x]);
+      auto last_var = [&](int x, AttrIndex a) -> sat::Var& {
+        return is_last_var_[i][static_cast<size_t>(member_rows[x]) * arity + a];
+      };
       for (AttrIndex a = 1; a < arity; ++a) {
         const bool bound = bound_slot_[i][a] >= 0;
         const PartialOrder& po = inst.order(a);
-        std::vector<sat::Lit> maximal;  // L(u) of the maximal members
-        for (TupleId u : members) {
-          sat::Var lv = s.NewVar();
-          is_last_var_[i][static_cast<size_t>(LastRow(i, u)) * arity + a] =
-              lv;
+        maximal.clear();
+        for (int x = 0; x < m; ++x) {
+          const sat::Var lv = s.NewVar();
+          last_var(x, a) = lv;
           if (!bound) {
             bool has_successor = false;
-            for (TupleId v : members) has_successor |= po.Less(u, v);
+            for (TupleId v : members) has_successor |= po.Less(members[x], v);
             if (has_successor) {
               s.AddClause({sat::MakeLit(lv, true)});
             } else {
@@ -346,15 +373,16 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
             }
             continue;
           }
-          std::vector<sat::Lit> back{sat::MakeLit(lv)};
-          for (TupleId v : members) {
-            if (v == u) continue;
+          clause.assign(1, sat::MakeLit(lv));
+          for (int y = 0; y < m; ++y) {
+            if (y == x) continue;
             // L(u) → ord(v, u)
-            s.AddClause({sat::MakeLit(lv, true), OrdLit(i, a, v, u)});
-            back.push_back(sat::Negate(OrdLit(i, a, v, u)));
+            const sat::Lit before = PairLit(i, a, base, m, y, x);
+            s.AddClause({sat::MakeLit(lv, true), before});
+            clause.push_back(sat::Negate(before));
           }
           // (⋀ ord(v,u)) → L(u)
-          s.AddClause(std::move(back));
+          s.AddClause(clause);
         }
         if (!bound) {
           for (size_t x = 0; x < maximal.size(); ++x) {
@@ -362,31 +390,35 @@ Status Encoder::BuildImpl(const Specification& spec, const Options& options) {
               s.AddClause({sat::Negate(maximal[x]), sat::Negate(maximal[y])});
             }
           }
-          s.AddClause(std::move(maximal));
+          s.AddClause(maximal);
         }
-        // Cell: distinct values of this (attr, entity) with their vars.
-        Cell cell;
-        cell.inst = i;
-        cell.attr = a;
-        cell.eid = eid;
-        std::map<Value, std::vector<TupleId>> by_value;
-        for (TupleId u : members) {
-          by_value[inst.relation().tuple(u).at(a)].push_back(u);
+        // Cell: distinct values of this (attr, entity) in value order, each
+        // with its carriers in member order — a sort of (value, member)
+        // pairs.
+        Cell cell{i, a, eid, {}, {}};
+        by_value.clear();
+        for (int x = 0; x < m; ++x) {
+          by_value.emplace_back(&inst.relation().tuple(members[x]).at(a), x);
         }
-        for (const auto& [v, carriers] : by_value) {
-          sat::Var vv = s.NewVar();
-          cell.values.push_back(v);
+        std::sort(by_value.begin(), by_value.end(),
+                  [](const auto& l, const auto& r) {
+                    if (*l.first < *r.first) return true;
+                    return !(*r.first < *l.first) && l.second < r.second;
+                  });
+        for (size_t k = 0; k < by_value.size();) {
+          const sat::Var vv = s.NewVar();
+          cell.values.push_back(*by_value[k].first);
           cell.value_vars.push_back(vv);
           // val ⇔ ⋁ L(u).
-          std::vector<sat::Lit> def{sat::MakeLit(vv, true)};
-          for (TupleId u : carriers) {
-            def.push_back(sat::MakeLit(IsLastVar(i, a, u)));
-            s.AddClause({sat::MakeLit(IsLastVar(i, a, u), true),
-                         sat::MakeLit(vv)});
+          clause.assign(1, sat::MakeLit(vv, true));
+          const Value& v = *by_value[k].first;
+          for (; k < by_value.size() && !(v < *by_value[k].first); ++k) {
+            const sat::Var lu = last_var(by_value[k].second, a);
+            clause.push_back(sat::MakeLit(lu));
+            s.AddClause({sat::MakeLit(lu, true), sat::MakeLit(vv)});
           }
-          s.AddClause(std::move(def));
+          s.AddClause(clause);
         }
-        cell_index_[i][{a, eid}] = static_cast<int>(cells_.size());
         cells_.push_back(std::move(cell));
       }
     }
@@ -411,14 +443,18 @@ std::vector<sat::Var> Encoder::CellProjection(
 Result<sat::Lit> Encoder::CellValueLit(int inst, AttrIndex attr,
                                        const Value& eid,
                                        const Value& v) const {
-  if (inst < 0 || inst >= static_cast<int>(cell_index_.size())) {
+  if (inst < 0 || inst >= static_cast<int>(active_groups_.size())) {
     return Status::InvalidArgument("instance index out of range");
   }
-  auto it = cell_index_[inst].find({attr, eid});
-  if (it == cell_index_[inst].end()) {
+  const auto& groups = active_groups_[inst];
+  auto group = std::partition_point(
+      groups.begin(), groups.end(),
+      [&](const auto& g) { return g.first < eid; });
+  if (group == groups.end() || !(group->first == eid) || attr < 1 ||
+      attr >= static_cast<int>(bound_slot_[inst].size())) {
     return Status::NotFound("no cell for entity " + eid.ToString());
   }
-  const Cell& cell = cells_[it->second];
+  const Cell& cell = CellAt(inst, group - groups.begin(), attr);
   for (size_t k = 0; k < cell.values.size(); ++k) {
     if (cell.values[k] == v) return sat::MakeLit(cell.value_vars[k]);
   }
@@ -432,16 +468,12 @@ Result<std::vector<Relation>> Encoder::DecodeCurrentInstances() const {
   for (int i = 0; i < spec_->num_instances(); ++i) {
     const TemporalInstance& inst = spec_->instance(i);
     Relation lst(inst.schema());
-    for (const auto& [eid, members] : active_groups_[i]) {
-      (void)members;
+    for (size_t g = 0; g < active_groups_[i].size(); ++g) {
+      const Value& eid = active_groups_[i][g].first;
       std::vector<Value> values(inst.schema().arity());
       values[0] = eid;
       for (AttrIndex a = 1; a < inst.schema().arity(); ++a) {
-        auto it = cell_index_[i].find({a, eid});
-        if (it == cell_index_[i].end()) {
-          return Status::Internal("missing cell in encoder");
-        }
-        const Cell& cell = cells_[it->second];
+        const Cell& cell = CellAt(i, g, a);
         Value chosen;
         bool found = false;
         for (size_t k = 0; k < cell.values.size(); ++k) {
@@ -472,17 +504,25 @@ Completion Encoder::ExtractCompletion() const {
     const int arity = inst.schema().arity();
     std::vector<PartialOrder>& orders = completion.orders[i];
     orders.assign(arity, PartialOrder(inst.relation().size()));
-    for (const auto& [key, base] : pair_base_[i]) {
-      auto [u, v] = key;
-      for (AttrIndex a = 1; a < arity; ++a) {
-        if (bound_slot_[i][a] < 0) continue;
-        bool u_before_v = solver_->ModelValue(base + bound_slot_[i][a]);
-        // Completions are acyclic by construction (transitivity clauses),
-        // so TryAdd cannot fail on a model.
-        if (u_before_v) {
-          orders[a].TryAdd(u, v);
-        } else {
-          orders[a].TryAdd(v, u);
+    for (const auto& [eid, members] : active_groups_[i]) {
+      (void)eid;
+      const int m = static_cast<int>(members.size());
+      const int base = rows_[i][LastRow(i, members[0])].pair_base;
+      for (int x = 0; x < m; ++x) {
+        for (int y = x + 1; y < m; ++y) {
+          for (AttrIndex a = 1; a < arity; ++a) {
+            if (bound_slot_[i][a] < 0) continue;
+            // x < y: the pair literal is the positive variable.
+            const bool x_first = solver_->ModelValue(
+                sat::LitVar(PairLit(i, a, base, m, x, y)));
+            // Completions are acyclic by construction (transitivity
+            // clauses), so TryAdd cannot fail on a model.
+            if (x_first) {
+              orders[a].TryAdd(members[x], members[y]);
+            } else {
+              orders[a].TryAdd(members[y], members[x]);
+            }
+          }
         }
       }
     }

@@ -32,6 +32,10 @@
 // upper-bound proofs (Theorems 3.1, 3.4, 3.5) — and a COP pair on a free
 // attribute needs no solver: when Mod(S) ≠ ∅ it is certain iff the
 // initial order has it.
+//
+// Layout: each group's pair variables form one block in pair order, so a
+// literal is arithmetic on the block base and group-local indices (Row),
+// and cells are group-major, attribute-minor — the encoder keeps no maps.
 
 #ifndef CURRENCY_SRC_CORE_ENCODER_H_
 #define CURRENCY_SRC_CORE_ENCODER_H_
@@ -198,9 +202,31 @@ class Encoder {
  private:
   Encoder() = default;
 
+  /// Where a member tuple sits in its group's pair block.  The pair of
+  /// group-local indices x < y owns the variables
+  ///   pair_base + num_bound[inst] · P(x, y) + bound_slot[inst][attr],
+  /// P(x, y) the rank of (x, y) among the group's pairs in (x, y) order;
+  /// true means members[x] ≺ members[y] (members are in TupleId order).
+  struct Row {
+    int pair_base;
+    int index;  ///< in the group's member list
+    int size;   ///< of the group
+    int group;  ///< ordinal in active_groups_[inst]
+  };
+
   Status BuildImpl(const Specification& spec, const Options& options);
   /// Row of tuple `u` in last_tuples_[inst], or -1 when it is not ours.
   int LastRow(int inst, TupleId u) const;
+  /// "members[x] ≺_attr members[y]" in a group of `size` members whose
+  /// pair block starts at `pair_base` (x ≠ y).
+  sat::Lit PairLit(int inst, AttrIndex attr, int pair_base, int size, int x,
+                   int y) const;
+  /// The cell of (inst, attr, group ordinal): cells are laid out instance-
+  /// major, then group-major, then attribute-minor.
+  const Cell& CellAt(int inst, size_t group, AttrIndex attr) const {
+    return cells_[cell_begin_[inst] + group * (bound_slot_[inst].size() - 1) +
+                  attr - 1];
+  }
 
   const Specification* spec_ = nullptr;
   std::unique_ptr<sat::Solver> solver_;
@@ -210,21 +236,22 @@ class Encoder {
   /// content) rather than O(specification).
   std::vector<std::vector<std::pair<Value, std::vector<TupleId>>>>
       active_groups_;
-  /// pair_base_[inst][key(u,v)] with u < v canonical.
-  std::vector<std::map<std::pair<TupleId, TupleId>, int>> pair_base_;
   /// bound_slot_[inst][attr]: the attribute's offset among the instance's
-  /// order-bound attributes, or -1 when it is order-free.  Var id = base +
-  /// slot; one var per order-bound attribute per pair.
+  /// order-bound attributes, or -1 when it is order-free; num_bound_[inst]
+  /// counts them (the stride of a pair block).
   std::vector<std::vector<int>> bound_slot_;
+  std::vector<int> num_bound_;
   int num_order_vars_ = 0;
   /// last_tuples_[inst]: the member tuples of this encoder's own groups,
-  /// sorted; is_last_var_[inst][row * arity + attr] holds the selector of
-  /// last_tuples_[inst][row] (-1 at attr 0).
+  /// sorted; rows_[inst][row] locates last_tuples_[inst][row] in its pair
+  /// block, and is_last_var_[inst][row * arity + attr] holds its selector
+  /// (-1 at attr 0).
   std::vector<std::vector<TupleId>> last_tuples_;
+  std::vector<std::vector<Row>> rows_;
   std::vector<std::vector<sat::Var>> is_last_var_;
   std::vector<Cell> cells_;
-  /// cell_index_[inst] maps (attr, eid) -> index into cells_.
-  std::vector<std::map<std::pair<AttrIndex, Value>, int>> cell_index_;
+  /// cell_begin_[inst]: index of the instance's first cell in cells_.
+  std::vector<size_t> cell_begin_;
 };
 
 }  // namespace currency::core

@@ -224,12 +224,13 @@ const std::vector<Lit>& Solver::WithScopeLiteral(
   return scoped_assumptions_;
 }
 
-bool Solver::AddClause(std::vector<Lit> lits) {
+bool Solver::AddClause(std::span<const Lit> lits) {
   ConfinementGuard guard(*this);
   if (!ok_) return false;
   CancelUntil(0);
+  add_lits_.assign(lits.begin(), lits.end());
   if (scope_ != kLitUndef) {
-    lits.push_back(Negate(scope_));
+    add_lits_.push_back(Negate(scope_));
   } else if (model_remembered_) {
     // The clause may exclude a recorded model.
     std::fill(seen_phase_.begin(), seen_phase_.end(), 0);
@@ -237,10 +238,11 @@ bool Solver::AddClause(std::vector<Lit> lits) {
   }
   // Level-0 simplification: drop false literals, detect satisfied clauses
   // and tautologies, deduplicate.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+  std::sort(add_lits_.begin(), add_lits_.end());
+  std::vector<Lit>& out = add_out_;
+  out.clear();
   Lit prev = kLitUndef;
-  for (Lit l : lits) {
+  for (Lit l : add_lits_) {
     if (l == prev) continue;
     if (prev != kLitUndef && l == Negate(prev)) {
       return true;  // tautology: p ∨ ¬p (adjacent after the sort)

@@ -97,7 +97,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -151,11 +153,16 @@ class Solver {
   /// sorted and deduplicated, tautologies (p ∨ ¬p) and clauses already
   /// satisfied at level 0 are dropped entirely, and false-at-level-0
   /// literals are removed — so the encoder's generated clause stream
-  /// never watches redundant literals.  Returns false if the solver is
-  /// already in an UNSAT state after the simplification (adding the
-  /// empty clause, or a unit that contradicts level-0 knowledge).  Outside
-  /// a scope it also clears the remembered models.
-  bool AddClause(std::vector<Lit> lits);
+  /// never watches redundant literals.  The literals are copied into
+  /// solver-owned buffers that every call reuses, so a call allocates only
+  /// when the arena, the clause list or a watch list grows.  Returns false
+  /// if the solver is already in an UNSAT state after the simplification
+  /// (adding the empty clause, or a unit that contradicts level-0
+  /// knowledge).  Outside a scope it also clears the remembered models.
+  bool AddClause(std::span<const Lit> lits);
+  bool AddClause(std::initializer_list<Lit> lits) {
+    return AddClause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Opens a retractable clause scope and returns its activation literal
   /// a (see the header comment for the contract).  Until CloseScope(),
@@ -442,6 +449,10 @@ class Solver {
   Var parked_scope_var_ = -1;
   /// Scratch: the scope literal followed by the caller's assumptions.
   std::vector<Lit> scoped_assumptions_;
+  /// Scratch for AddClause: the caller's literals (plus the scope's
+  /// guard), then the simplified clause.
+  std::vector<Lit> add_lits_;
+  std::vector<Lit> add_out_;
 
   SolverStats stats_;
 

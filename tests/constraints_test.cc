@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "src/constraints/denial_constraint.h"
 #include "src/constraints/parser.h"
+#include "tests/support/reference_grounding.h"
 
 namespace currency::constraints {
 namespace {
@@ -208,6 +214,130 @@ TEST(GroundingTest, SkipsReflexivePremises) {
     ASSERT_TRUE(g.conclusion.has_value());
     EXPECT_NE(g.conclusion->before, g.conclusion->after);
   });
+}
+
+std::vector<Grounding> PlannedGroundings(const DenialConstraint& dc,
+                                         const Relation& r,
+                                         const std::vector<TupleId>& members) {
+  std::vector<Grounding> out;
+  dc.EnumerateGroundingsForGroup(
+      r, members, [&](const Grounding& g) { out.push_back(g); });
+  return out;
+}
+
+std::vector<Grounding> ReferenceGroundings(
+    const DenialConstraint& dc, const Relation& r,
+    const std::vector<TupleId>& members) {
+  std::vector<Grounding> out;
+  testing::ReferenceGroundingsForGroup(dc, r, members,
+                                       [&](const Grounding& g) {
+                                         out.push_back(g);
+                                         return true;
+                                       });
+  return out;
+}
+
+void ExpectSameSequence(const std::vector<Grounding>& got,
+                        const std::vector<Grounding>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].premises, want[k].premises) << "grounding " << k;
+    EXPECT_EQ(got[k].conclusion, want[k].conclusion) << "grounding " << k;
+  }
+}
+
+// Random constraints against the unplanned reference backtracker
+// (tests/support/reference_grounding.h): 1–6 tuple variables over entity
+// groups of 1–6 tuples, with constant comparisons that hold or fail,
+// comparisons with a constant, self-comparisons (t1.A = t1.B), all six
+// operators between variables, vacuous premises (u ≺ u) and pure
+// denials.  The planned kernel must emit the same sequence and answer
+// existence the same way, and a copy of the constraint must too after
+// the original is gone (the plan holds indices, never pointers).
+TEST(GroundingTest, PlannedKernelMatchesReference) {
+  const Schema schema = Schema::Make("R", {"A", "B", "C"}).value();
+  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                       CmpOp::kGt, CmpOp::kLe, CmpOp::kGe};
+  std::mt19937 rng(2026);
+  auto rnd = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  int emitting = 0, denials = 0, constant_false = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = rnd(1, 6);
+    const int m = rnd(1, 6);
+    Relation r(schema);
+    auto add = [&](const char* eid) {
+      return r
+          .AppendValues({Value(eid), Value(rnd(0, 2)), Value(rnd(0, 2)),
+                         Value(rnd(0, 2))})
+          .value();
+    };
+    add("other");  // so the group's tuple ids do not start at 0
+    std::vector<TupleId> members;
+    for (int k = 0; k < m; ++k) members.push_back(add("e"));
+
+    auto attr = [&](int var) { return Operand::Attr(var, rnd(1, 3)); };
+    std::vector<ComparePredicate> compares;
+    bool constants_hold = true;
+    for (int k = rnd(0, 4); k > 0; --k) {
+      ComparePredicate c;
+      c.op = ops[rnd(0, 5)];
+      switch (rnd(0, 3)) {
+        case 0:  // constant comparison, true or false
+          c.lhs = Operand::Const(Value(rnd(0, 2)));
+          c.rhs = Operand::Const(Value(rnd(0, 2)));
+          constants_hold &= EvalCmp(c.op, c.lhs.constant, c.rhs.constant);
+          break;
+        case 1:  // with a constant, on either side
+          c.lhs = attr(rnd(0, n - 1));
+          c.rhs = Operand::Const(Value(rnd(0, 2)));
+          if (rnd(0, 1) == 1) std::swap(c.lhs, c.rhs);
+          break;
+        case 2:  // self-comparison
+          c.lhs = attr(rnd(0, n - 1));
+          c.rhs = attr(c.lhs.tuple_var);
+          break;
+        default:  // between two variables (the same one when n = 1)
+          c.lhs = attr(rnd(0, n - 1));
+          c.rhs = attr(rnd(0, n - 1));
+          break;
+      }
+      compares.push_back(c);
+    }
+    auto atom = [&] {
+      return OrderAtom{rnd(0, n - 1), rnd(0, n - 1), rnd(1, 3)};
+    };
+    std::vector<OrderAtom> premises;
+    for (int k = rnd(0, 2); k > 0; --k) premises.push_back(atom());
+    const OrderAtom conclusion = atom();
+    std::optional<DenialConstraint> dc =
+        DenialConstraint::Make(schema, n, compares, premises, conclusion)
+            .value();
+
+    const std::vector<Grounding> want = ReferenceGroundings(*dc, r, members);
+    SCOPED_TRACE(dc->ToString(schema) + " over " + std::to_string(m) +
+                 " tuples");
+    ExpectSameSequence(PlannedGroundings(*dc, r, members), want);
+    bool reference_has = false;
+    testing::ReferenceGroundingsForGroup(*dc, r, members,
+                                         [&](const Grounding&) {
+                                           reference_has = true;
+                                           return false;
+                                         });
+    EXPECT_EQ(dc->HasGroundingForGroup(r, members), reference_has);
+    const DenialConstraint copy = *dc;
+    dc.reset();
+    ExpectSameSequence(PlannedGroundings(copy, r, members), want);
+
+    emitting += !want.empty();
+    for (const Grounding& g : want) denials += !g.conclusion.has_value();
+    constant_false += !constants_hold;
+  }
+  // The draw reaches every branch it is meant to.
+  EXPECT_GT(emitting, 100);
+  EXPECT_GT(denials, 0);
+  EXPECT_GT(constant_false, 10);
 }
 
 TEST(MakeTest, ValidatesIndices) {

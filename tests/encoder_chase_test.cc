@@ -7,7 +7,9 @@
 
 #include <optional>
 #include <set>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/core/ccqa.h"
 #include "src/core/consistency.h"
@@ -84,6 +86,154 @@ TEST(EncoderTest, CellsCollapseDuplicateValues) {
       encoder->CellValueLit(0, 1, Value("e"), Value(8)).ok());
   EXPECT_FALSE(
       encoder->CellValueLit(0, 1, Value("nope"), Value(7)).ok());
+}
+
+TEST(EncoderTest, HasPairVarStaysInsideGroups) {
+  // Singleton groups a and c have empty pair blocks that start where the
+  // next group's block starts, so only group identity separates them.
+  Specification spec;
+  Relation r(Schema::Make("R", {"A"}).value());
+  for (auto [eid, a] : {std::pair{"a", 1}, {"b", 1}, {"b", 2}, {"c", 3},
+                        {"d", 1}, {"d", 2}}) {
+    ASSERT_TRUE(r.AppendValues({Value(eid), Value(a)}).ok());
+  }
+  ASSERT_TRUE(spec.AddInstance(TemporalInstance(std::move(r))).ok());
+  ASSERT_TRUE(
+      spec.AddConstraintText("FORALL s, t IN R: s.A > t.A -> t PREC[A] s")
+          .ok());
+  auto encoder = BuildWholeSpecEncoder(spec).value();
+  EXPECT_EQ(encoder->num_order_vars(), 2);
+  EXPECT_TRUE(encoder->HasPairVar(0, 1, 2));
+  EXPECT_TRUE(encoder->HasPairVar(0, 5, 4));
+  EXPECT_FALSE(encoder->HasPairVar(0, 0, 1));  // singleton a, next to b
+  EXPECT_FALSE(encoder->HasPairVar(0, 0, 2));
+  EXPECT_FALSE(encoder->HasPairVar(0, 3, 4));  // singleton c, next to d
+  EXPECT_FALSE(encoder->HasPairVar(0, 2, 3));
+  EXPECT_FALSE(encoder->HasPairVar(0, 1, 4));
+  EXPECT_FALSE(encoder->HasPairVar(0, 0, 0));
+  EXPECT_FALSE(encoder->HasPairVar(0, 0, 6));  // not a tuple of R
+  EXPECT_NE(sat::LitVar(encoder->OrdLit(0, 1, 1, 2)),
+            sat::LitVar(encoder->OrdLit(0, 1, 4, 5)));
+}
+
+/// Specifications with several components, for the merged-encoder cases.
+std::vector<Specification> MergeSpecs() {
+  std::vector<Specification> specs;
+  specs.push_back(MakeS0());
+  specs.push_back(testing::MakeS1());
+  for (unsigned seed = 0; seed < 40; ++seed) {
+    specs.push_back(testing::MakeRandomSpec(seed, /*with_copy=*/true,
+                                            /*with_constraints=*/true));
+  }
+  return specs;
+}
+
+TEST(EncoderTest, MergedPairLiteralsKeepGroupsAndOrientation) {
+  for (const Specification& spec : MergeSpecs()) {
+    auto engine = DecomposedEncoder::Build(spec, {}).value();
+    std::vector<int> all(engine->num_components());
+    for (int c = 0; c < engine->num_components(); ++c) all[c] = c;
+    auto merged = engine->BuildMergedEncoder(all).value();
+    const bool satisfiable = merged->solver().Solve() == sat::SolveResult::kSat;
+    const Completion completion =
+        satisfiable ? merged->ExtractCompletion() : Completion{};
+    std::set<sat::Var> vars;
+    for (int i = 0; i < spec.num_instances(); ++i) {
+      const Relation& rel = spec.instance(i).relation();
+      bool any_bound = false;
+      for (AttrIndex a = 1; a < rel.schema().arity(); ++a) {
+        any_bound |= spec.OrderBound(i, a);
+      }
+      for (TupleId u = 0; u < rel.size(); ++u) {
+        for (TupleId v = 0; v < rel.size(); ++v) {
+          const bool same_group =
+              u != v && rel.tuple(u).eid() == rel.tuple(v).eid();
+          ASSERT_EQ(merged->HasPairVar(i, u, v), same_group && any_bound)
+              << i << ": " << u << ", " << v;
+          if (!merged->HasPairVar(i, u, v)) continue;
+          for (AttrIndex a = 1; a < rel.schema().arity(); ++a) {
+            if (!spec.OrderBound(i, a)) continue;
+            const sat::Lit lit = merged->OrdLit(i, a, u, v);
+            EXPECT_EQ(lit, sat::Negate(merged->OrdLit(i, a, v, u)));
+            vars.insert(sat::LitVar(lit));
+            if (satisfiable) {  // the literal reads "u ≺ v" in the model
+              const bool holds =
+                  merged->solver().ModelValue(sat::LitVar(lit)) !=
+                  sat::LitIsNeg(lit);
+              EXPECT_EQ(holds, completion.orders[i][a].Less(u, v));
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(static_cast<int>(vars.size()), merged->num_order_vars());
+  }
+}
+
+TEST(EncoderTest, CellValueLitRejectsWhatIsNotACell) {
+  Specification s0 = MakeS0();
+  auto encoder = BuildWholeSpecEncoder(s0).value();
+  const int arity = s0.instance(0).schema().arity();
+  const Value mary("Mary");
+  const Value ln = s0.instance(0).relation().tuple(0).at(2);
+  ASSERT_TRUE(encoder->CellValueLit(0, 2, mary, ln).ok());
+  for (auto [attr, eid, value] :
+       {std::tuple{2, Value("nobody"), ln}, {0, mary, mary},
+        {arity, mary, ln}, {arity + 3, mary, ln}, {2, mary, Value("Nobody")}}) {
+    auto lit = encoder->CellValueLit(0, attr, eid, value);
+    ASSERT_FALSE(lit.ok()) << attr;
+    EXPECT_EQ(lit.status().code(), StatusCode::kNotFound) << attr;
+  }
+  EXPECT_EQ(encoder->CellValueLit(7, 2, mary, ln).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EncoderTest, MergedDecodeEqualsPerComponentDecodes) {
+  int compared = 0;
+  for (const Specification& spec : MergeSpecs()) {
+    auto engine = DecomposedEncoder::Build(spec, {}).value();
+    std::vector<int> all(engine->num_components());
+    for (int c = 0; c < engine->num_components(); ++c) all[c] = c;
+    auto merged = engine->BuildMergedEncoder(all).value();
+    if (merged->solver().Solve() != sat::SolveResult::kSat) continue;
+    const std::vector<Relation> whole =
+        merged->DecodeCurrentInstances().value();
+    // Each component, solved under the merged model's cell choices, must
+    // decode to the merged decode's rows for its entities.
+    int rows = 0;
+    for (int c = 0; c < engine->num_components(); ++c) {
+      auto encoder = engine->BuildComponentEncoder(c).value();
+      auto row_of = [&](int i, const Value& eid) -> const Tuple& {
+        for (const Tuple& t : whole[i].tuples()) {
+          if (t.eid() == eid) return t;
+        }
+        ADD_FAILURE() << "merged decode lacks entity " << eid.ToString();
+        return whole[i].tuple(0);
+      };
+      std::vector<sat::Lit> choices;
+      for (const Encoder::Cell& cell : encoder->cells()) {
+        const Value& chosen = row_of(cell.inst, cell.eid).at(cell.attr);
+        choices.push_back(
+            encoder->CellValueLit(cell.inst, cell.attr, cell.eid, chosen)
+                .value());
+      }
+      ASSERT_EQ(encoder->solver().SolveWithAssumptions(choices),
+                sat::SolveResult::kSat);
+      const std::vector<Relation> part =
+          encoder->DecodeCurrentInstances().value();
+      for (int i = 0; i < spec.num_instances(); ++i) {
+        for (const Tuple& t : part[i].tuples()) {
+          EXPECT_EQ(t.values(), row_of(i, t.eid()).values());
+          ++rows;
+        }
+      }
+    }
+    int whole_rows = 0;
+    for (const Relation& r : whole) whole_rows += r.size();
+    EXPECT_EQ(rows, whole_rows);
+    ++compared;
+  }
+  EXPECT_GT(compared, 10);
 }
 
 TEST(EncoderTest, ModelDecodesToConsistentCompletionAndLst) {
